@@ -15,10 +15,21 @@ and the only Gaussian primes of even norm are the four associates ±1±i.
 Targets with even coordinate sum admit summands arbitrarily far away, so
 they get a bounded witness search whose exhaustion is a loud error, never a
 silent zero.
+
+Planar counts (Gaussian open and closed cones, Eisenstein open cone) come
+from one engine, planar_counts.  Every summand of every target in a box lies
+in one prime mask M, so r2 over the whole box is the self-convolution M⋆M,
+computed once by float64 FFT and rounded.  The rounding is accepted only if
+every cell lies within 0.25 of an integer; otherwise ArithmeticError is
+raised rather than a wrong count returned.  comet, first_counterexample,
+eisenstein_ghosts and r3 are reductions of that grid.  r2 of one target
+counts its mask directly; the angle cap, which depends on the target, and
+the unrestricted cone's witness search are counted per cell.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -80,19 +91,13 @@ class SweepReport:
 _EVEN_GAUSSIAN_PRIMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _open_cone_count(a, b, angle_cap=None):
-    """Ordered open-cone prime pairs summing to a+bi."""
-    if a < 2 or b < 2:
-        return 0
-    mask = gaussian_prime_mask(1, a - 1, 1, b - 1)
-    other = mask[::-1, ::-1]
-    if angle_cap is None:
-        return int(np.count_nonzero(mask & other))
-    xs = np.arange(1, a, dtype=float)[:, None]
-    ys = np.arange(1, b, dtype=float)[None, :]
-    rel = np.abs(np.angle((xs + 1j * ys) / complex(a, b)))
-    ok = rel <= angle_cap + 1e-12
-    return int(np.count_nonzero(mask & other & ok & ok[::-1, ::-1]))
+@functools.cache
+def _witness_offsets(radius):
+    """Offsets (da, db) with |da|, |db| <= radius, by (norm, da, db)."""
+    return tuple((da, db) for _n2, da, db in sorted(
+        (da * da + db * db, da, db)
+        for da in range(-radius, radius + 1)
+        for db in range(-radius, radius + 1)))
 
 
 def _unrestricted_count(a, b, witness_radius=30):
@@ -105,12 +110,7 @@ def _unrestricted_count(a, b, witness_radius=30):
         return 2 * hits
     # even target: unbounded summand set; report a witness-based lower bound
     ca, cb = a // 2, b // 2
-    offsets = sorted(
-        ((da * da + db * db, da, db)
-         for da in range(-witness_radius, witness_radius + 1)
-         for db in range(-witness_radius, witness_radius + 1)),
-    )
-    for _n2, da, db in offsets:
+    for da, db in _witness_offsets(witness_radius):
         p = GaussianInt(ca + da, cb + db)
         q = GaussianInt(a, b) - p
         if is_gaussian_prime(p) and is_gaussian_prime(q):
@@ -129,11 +129,78 @@ def _eisenstein_prime_mask(amax, bmax):
     return s.flags[N]
 
 
-def _eisenstein_open_count(a, b):
-    if a < 2 or b < 2:
-        return 0
-    mask = _eisenstein_prime_mask(a - 1, b - 1)
-    return int(np.count_nonzero(mask & mask[::-1, ::-1]))
+def _summand_mask(ring, cone, amax, bmax):
+    """(mask, lo): the prime mask over [lo..amax-lo]×[lo..bmax-lo], which
+    holds every cone summand of every target in [0..amax]×[0..bmax].
+
+    lo is 1 for the open cone and 0 for the closed one.  The mask is empty
+    when no target in the box has a summand pair.
+    """
+    if (ring, cone) not in (("gaussian", "open"), ("gaussian", "closed"),
+                            ("eisenstein", "open")):
+        raise ValueError(f"no planar count for the {ring} {cone} cone")
+    lo = 1 if cone == "open" else 0
+    if amax < 2 * lo or bmax < 2 * lo:
+        return np.zeros((0, 0), dtype=bool), lo
+    if ring == "eisenstein":
+        return _eisenstein_prime_mask(amax - 1, bmax - 1), lo
+    return gaussian_prime_mask(lo, amax - lo, lo, bmax - lo), lo
+
+
+def _fft_counts(mask):
+    """Integer self-convolution mask⋆mask of a 0/1 mask, by FFT and checked
+    rounding.
+
+    Raises ArithmeticError when some cell of the float result lies 0.25 or
+    more from an integer, where rounding could pick the wrong count.
+    """
+    m = mask.astype(float)
+    conv = signal.fftconvolve(m, m)
+    counts = np.rint(conv)
+    err = float(np.abs(conv - counts).max(initial=0.0))
+    if err >= 0.25:
+        raise ArithmeticError(
+            f"FFT convolution is {err:.3g} off an integer; counts not exact")
+    return counts.astype(np.int64)
+
+
+def planar_counts(ring, cone, amax, bmax):
+    """out[a, b] = r2(a + b·u) for every target 0 <= a <= amax, 0 <= b <= bmax.
+
+    ring/cone is gaussian/open, gaussian/closed (u = i) or eisenstein/open
+    (u = ω).  Every summand of every target in the box lies in one prime
+    mask M, and r2 of target t is the cell of M⋆M at t, so the whole box
+    costs one mask and one convolution.
+
+    Exactness: M⋆M is computed by float64 FFT and rounded to integers.  The
+    result is returned only if every cell lies within 0.25 of an integer;
+    otherwise ArithmeticError is raised.  FFT rounding error spreads over
+    all cells and grows with the number of primes in M, so a box whose error
+    could reach a whole count fails this check long before.
+    """
+    mask, lo = _summand_mask(ring, cone, amax, bmax)
+    out = np.zeros((amax + 1, bmax + 1), dtype=np.int64)
+    if mask.size:
+        conv = _fft_counts(mask)
+        out[2 * lo:, 2 * lo:] = conv[:amax + 1 - 2 * lo, :bmax + 1 - 2 * lo]
+    return out
+
+
+def _direct_count(ring, cone, a, b, angle_cap=None):
+    """r2 of the single target a + b·u: its summand mask counted against its
+    own reflection through the target's midpoint."""
+    mask, lo = _summand_mask(ring, cone, a, b)
+    hit = mask & mask[::-1, ::-1]
+    if angle_cap is not None and hit.size:
+        xs = np.arange(lo, a - lo + 1, dtype=float)[:, None]
+        ys = np.arange(lo, b - lo + 1, dtype=float)[None, :]
+        rel = np.abs(np.angle((xs + 1j * ys) / complex(a, b)))
+        ok = rel <= angle_cap + 1e-12
+        hit &= ok & ok[::-1, ::-1]
+    return int(np.count_nonzero(hit))
+
+
+_QUAT_SPECIES = ("hurwitz", "lipschitz", "hurwitz+lipschitz", "any")
 
 
 def _quat_first_summands(z, species):
@@ -153,6 +220,8 @@ def _quat_open_count(z, species="hurwitz"):
     species: hurwitz (half-integer summands), lipschitz (integer summands),
     hurwitz+lipschitz (mixed — always 0 by parity, kept for the API), any.
     """
+    if species not in _QUAT_SPECIES:
+        raise ValueError(f"unknown quaternion species {species!r}")
     if species == "hurwitz+lipschitz":
         return 0  # half-integer + integer can never be an integer target
     if any(x < 1 for x in z):
@@ -191,34 +260,33 @@ def _oct_open_count(z, species):
     return count
 
 
+def _check_variant(ring, variant):
+    """Raise for a variant field the ring/cone pair does not implement."""
+    if ring == "eisenstein" and variant.cone != "open":
+        raise NotImplementedError("Eisenstein sweeps are open-cone")
+    if variant.angle_cap is not None and (
+            ring != "gaussian" or variant.cone != "open"):
+        raise ValueError(f"angle_cap is implemented only for the Gaussian "
+                         f"open cone, not {ring} {variant.cone}")
+
+
 def r2(z, variant=OPEN, ring=None, witness_radius=30):
     """Ordered prime-pair representation count of z under the variant."""
     if ring is None:
         ring = _infer_ring(z)
+    _check_variant(ring, variant)
     if ring == "gaussian":
         a, b = z.re, z.im
-        if variant.cone == "open":
-            return _open_cone_count(a, b, variant.angle_cap)
-        if variant.cone == "closed":
-            return _closed_cone_count(a, b)
-        return _unrestricted_count(a, b, witness_radius)
+        if variant.cone == "unrestricted":
+            return _unrestricted_count(a, b, witness_radius)
+        return _direct_count(ring, variant.cone, a, b, variant.angle_cap)
     if ring == "eisenstein":
-        if variant.cone != "open":
-            raise NotImplementedError("Eisenstein sweeps are open-cone")
-        return _eisenstein_open_count(z.a, z.b)
+        return _direct_count(ring, "open", z.a, z.b)
     if ring == "quaternion":
-        species = variant.species if variant.species != "any" else "any"
-        return _quat_open_count(tuple(z), species)
+        return _quat_open_count(tuple(z), variant.species)
     if ring == "octonion":
         return _oct_open_count(tuple(z), variant.species)
     raise ValueError(f"unknown ring {ring!r}")
-
-
-def _closed_cone_count(a, b):
-    if a < 0 or b < 0:
-        return 0
-    mask = gaussian_prime_mask(0, a, 0, b)
-    return int(np.count_nonzero(mask & mask[::-1, ::-1]))
 
 
 def _infer_ring(z):
@@ -234,66 +302,54 @@ def _infer_ring(z):
 
 
 def r3(z, variant=SumVariant(cone="open", summands=3)):
-    """Ordered prime triples (Gaussian open cone)."""
+    """Ordered prime triples (Gaussian open cone).
+
+    The count is the cell (M⋆M⋆M)[a-3, b-3] of the summand mask M, taken as
+    the exact integer dot product of the pair grid M⋆M with M reflected.
+    """
     if variant.summands != 3:
         raise ValueError("r3 needs a summands=3 variant")
+    if variant.cone != "open" or variant.angle_cap is not None:
+        raise ValueError("r3 counts open-cone triples without an angle cap")
     a, b = z.re, z.im
     if a < 3 or b < 3:
         return 0
-    mask = gaussian_prime_mask(1, a - 1, 1, b - 1)
-    total = 0
-    pair = SumVariant(cone="open")
-    for x in range(1, a - 1):
-        for y in range(1, b - 1):
-            if mask[x - 1, y - 1]:
-                total += r2(GaussianInt(a - x, b - y), pair)
-    return total
+    # every summand lies in [1..a-2]×[1..b-2]; pairs[i, j] = r2((i+2)+(j+2)i)
+    mask = gaussian_prime_mask(1, a - 2, 1, b - 2)
+    pairs = _fft_counts(mask)[:a - 2, :b - 2]
+    return int(np.sum(pairs * mask[::-1, ::-1]))
 
 
-def comet(ring, region, variant=OPEN, exact_small=False):
+def comet(ring, region, variant=OPEN):
     """SweepReport of r2 over a rectangular target region.
 
     region: ((a_lo, a_hi), (b_lo, b_hi)) inclusive target coordinate bounds.
-    For Gaussian/Eisenstein open cones the grid is computed by a single
-    self-convolution of the summand prime mask.
+    Cones that planar_counts covers take one engine grid; the angle cap,
+    which depends on the target, and the unrestricted cone's witness search
+    are counted per cell.
     """
+    if ring not in ("gaussian", "eisenstein"):
+        raise ValueError(f"comet unsupported for ring {ring!r}")
+    _check_variant(ring, variant)
     (alo, ahi), (blo, bhi) = region
-    if ring == "gaussian" and variant.cone == "open" and not exact_small:
-        mask = gaussian_prime_mask(1, ahi - 1, 1, bhi - 1).astype(float)
-        conv = signal.fftconvolve(mask, mask)
-        counts = np.rint(conv).astype(np.int64)
-        grid = np.zeros((ahi - alo + 1, bhi - blo + 1), dtype=np.int64)
-        for a in range(max(alo, 2), ahi + 1):
-            for b in range(max(blo, 2), bhi + 1):
-                grid[a - alo, b - blo] = counts[a - 2, b - 2]
-    elif ring == "eisenstein" and variant.cone == "open":
-        mask = _eisenstein_prime_mask(ahi - 1, bhi - 1).astype(float)
-        conv = signal.fftconvolve(mask, mask)
-        counts = np.rint(conv).astype(np.int64)
-        grid = np.zeros((ahi - alo + 1, bhi - blo + 1), dtype=np.int64)
-        for a in range(max(alo, 2), ahi + 1):
-            for b in range(max(blo, 2), bhi + 1):
-                grid[a - alo, b - blo] = counts[a - 2, b - 2]
+    grid = np.zeros((ahi - alo + 1, bhi - blo + 1), dtype=np.int64)
+    if variant.cone == "unrestricted" or variant.angle_cap is not None:
+        for a in range(alo, ahi + 1):
+            for b in range(blo, bhi + 1):
+                grid[a - alo, b - blo] = r2(GaussianInt(a, b), variant)
     else:
-        grid = np.zeros((ahi - alo + 1, bhi - blo + 1), dtype=np.int64)
-        for a in range(alo, ahi + 1):
-            for b in range(blo, bhi + 1):
-                if ring == "gaussian":
-                    grid[a - alo, b - blo] = r2(GaussianInt(a, b), variant)
-                elif ring == "eisenstein":
-                    grid[a - alo, b - blo] = r2(EisensteinInt(a, b), variant)
-                else:
-                    raise ValueError(f"comet unsupported for ring {ring!r}")
+        # targets with a negative coordinate have no cone summands
+        counts = planar_counts(ring, variant.cone, max(ahi, 0), max(bhi, 0))
+        a0, b0 = max(alo, 0), max(blo, 0)
+        grid[a0 - alo:, b0 - blo:] = counts[a0:ahi + 1, b0:bhi + 1]
+    in_scope = True
     if variant.parity_filter == "even-only":
-        for a in range(alo, ahi + 1):
-            for b in range(blo, bhi + 1):
-                if (a + b) % 2:
-                    grid[a - alo, b - blo] = 0
-    zero = [(a, b)
-            for a in range(alo, ahi + 1) for b in range(blo, bhi + 1)
-            if grid[a - alo, b - blo] == 0
-            and (variant.parity_filter != "even-only" or (a + b) % 2 == 0)]
-    return SweepReport(ring, variant, region, grid, zero)
+        in_scope = np.add.outer(np.arange(alo, ahi + 1),
+                                np.arange(blo, bhi + 1)) % 2 == 0
+        grid[~in_scope] = 0
+    zero = np.argwhere(in_scope & (grid == 0)) + (alo, blo)
+    return SweepReport(ring, variant, region, grid,
+                       [tuple(c) for c in zero.tolist()])
 
 
 def quaternion_comet(a, b, cmax, dmax, species="hurwitz"):
@@ -309,10 +365,11 @@ def first_counterexample(ring, variant, bound, witness_radius=30):
     """Smallest element in scope (norm, then lexicographic) with r2 = 0.
 
     Gaussian unrestricted: scope is the closed first quadrant, norm <= bound.
-    Gaussian open/even: scope is 2 <= a,b <= bound (coordinate bound).
+    Gaussian open/closed/even: scope is 2 <= a,b <= bound (coordinate bound).
     Eisenstein open: scope is row b=3, 2 <= a <= bound.
     Returns None if every element in scope is representable.
     """
+    _check_variant(ring, variant)
     if ring == "gaussian" and variant.cone == "unrestricted":
         cells = sorted((a * a + b * b, a, b)
                        for a in range(int(math.isqrt(bound)) + 1)
@@ -323,27 +380,29 @@ def first_counterexample(ring, variant, bound, witness_radius=30):
                 return GaussianInt(a, b)
         return None
     if ring == "gaussian":
+        grid = (planar_counts(ring, variant.cone, bound, bound)
+                if variant.angle_cap is None else None)
         cells = sorted((a * a + b * b, a, b)
                        for a in range(2, bound + 1)
                        for b in range(2, bound + 1)
                        if variant.parity_filter != "even-only"
                        or (a + b) % 2 == 0)
         for _n, a, b in cells:
-            if _open_cone_count(a, b, variant.angle_cap) == 0:
+            n = (grid[a, b] if grid is not None
+                 else r2(GaussianInt(a, b), variant))
+            if n == 0:
                 return GaussianInt(a, b)
         return None
     if ring == "eisenstein":
-        for a in range(2, bound + 1):
-            if _eisenstein_open_count(a, 3) == 0:
-                return EisensteinInt(a, 3)
-        return None
+        ghosts = eisenstein_ghosts(3, bound)
+        return EisensteinInt(ghosts[0], 3) if ghosts else None
     raise ValueError(f"unsupported ring {ring!r}")
 
 
 def eisenstein_ghosts(bmax_row, amax):
     """All a <= amax with r2(a + row·ω, open cone) = 0 on the given row."""
-    return [a for a in range(2, amax + 1)
-            if _eisenstein_open_count(a, bmax_row) == 0]
+    column = planar_counts("eisenstein", "open", amax, bmax_row)[:, bmax_row]
+    return [a for a in range(2, amax + 1) if column[a] == 0]
 
 
 def signed_rep_exists(n, search_bound=None):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primelab import goldbach as gb
 from primelab import planarith as pa
@@ -188,3 +189,80 @@ def test_diagonal_goldbach():
     r, reflect = gb.diagonal_goldbach(4)
     assert r == gb.r2(GaussianInt(4, 4))
     assert reflect >= 0
+
+
+PLANAR = (("gaussian", "open", GaussianInt),
+          ("gaussian", "closed", GaussianInt),
+          ("eisenstein", "open", EisensteinInt))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(PLANAR), st.integers(0, 24), st.integers(0, 24))
+def test_planar_counts_match_direct_count(pair, amax, bmax):
+    ring, cone, make = pair
+    out = gb.planar_counts(ring, cone, amax, bmax)
+    assert out.shape == (amax + 1, bmax + 1)
+    v = gb.SumVariant(cone=cone)
+    want = [[gb.r2(make(a, b), v) for b in range(bmax + 1)]
+            for a in range(amax + 1)]
+    assert out.tolist() == want
+
+
+def test_r3_matches_loop_over_r2():
+    for a, b in [(3, 3), (4, 5), (9, 7), (12, 13), (17, 16)]:
+        want = 0
+        for x in range(1, a - 1):
+            for y in range(1, b - 1):
+                if pa.is_gaussian_prime(GaussianInt(x, y)):
+                    want += gb.r2(GaussianInt(a - x, b - y))
+        assert gb.r3(GaussianInt(a, b),
+                     gb.SumVariant(cone="open", summands=3)) == want
+
+
+def test_fft_exactness_guard(monkeypatch):
+    real = gb.signal.fftconvolve
+    monkeypatch.setattr(gb.signal, "fftconvolve",
+                        lambda x, y: real(x, y) + 0.3)
+    with pytest.raises(ArithmeticError):
+        gb.planar_counts("gaussian", "open", 20, 20)
+    with pytest.raises(ArithmeticError):
+        gb.comet("eisenstein", ((2, 10), (2, 10)))
+
+
+def test_comet_honours_angle_cap():
+    capped = gb.SumVariant(cone="open", angle_cap=np.pi / 16)
+    rep = gb.comet("gaussian", ((2, 12), (2, 12)), capped)
+    assert rep.counts[8, 8] == gb.r2(GaussianInt(10, 10), capped) == 4
+    for a in range(2, 13):
+        for b in range(2, 13):
+            assert rep.counts[a - 2, b - 2] == gb.r2(GaussianInt(a, b), capped)
+
+
+def test_angle_cap_on_closed_cone_raises():
+    v = gb.SumVariant(cone="closed", angle_cap=np.pi / 16)
+    with pytest.raises(ValueError):
+        gb.r2(GaussianInt(10, 10), v)
+    with pytest.raises(ValueError):
+        gb.comet("gaussian", ((2, 12), (2, 12)), v)
+
+
+def test_angle_cap_on_eisenstein_raises():
+    v = gb.SumVariant(cone="open", angle_cap=np.pi / 16)
+    with pytest.raises(ValueError):
+        gb.r2(EisensteinInt(10, 10), v)
+    with pytest.raises(ValueError):
+        gb.comet("eisenstein", ((2, 12), (2, 12)), v)
+
+
+def test_r3_rejects_unimplemented_variants():
+    z = GaussianInt(6, 6)
+    for v in (gb.SumVariant(cone="closed", summands=3),
+              gb.SumVariant(cone="unrestricted", summands=3),
+              gb.SumVariant(cone="open", summands=3, angle_cap=np.pi / 4)):
+        with pytest.raises(ValueError):
+            gb.r3(z, v)
+
+
+def test_unknown_quaternion_species_raises():
+    with pytest.raises(ValueError):
+        gb.r2((2, 2, 2, 2), gb.SumVariant(cone="open", species="bogus"))
