@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,8 +18,6 @@ import numpy as np
 
 from . import __version__
 from .ratkernel import CapacityError
-
-_JOBS_ENV = "PRIMELAB_JOBS"
 
 
 def _write(path, text):
@@ -34,13 +31,6 @@ def _json_dumps(obj):
 
 def _emit(outdir, name, lines):
     return _write(Path(outdir) / name, "\n".join(lines) + "\n")
-
-
-def _resolve_jobs(args):
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get(_JOBS_ENV)
-    return int(env) if env else 1
 
 
 # ---------------------------------------------------------------- subcommands
@@ -97,6 +87,8 @@ def _run_matrix(args, outdir):
              "singular_ns": res["singular_ns"],
              "threshold": res["threshold"]})))
     if args.spectrum:
+        # refuse an oversized matrix before building it
+        sm.check_solver_cap(args.spectrum)
         m = sm.build_prime_matrix(args.z0, args.spectrum)
         s = sm.spectrum(m)
         lines = ["re,im"] + [f"{ev.real!r},{ev.imag!r}"
@@ -252,8 +244,6 @@ def build_parser():
         prog="primelab",
         description="Prime-arithmetic experiment runner.")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker count (overrides ${_JOBS_ENV})")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("goldbach")
@@ -327,7 +317,7 @@ def main(argv=None):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     params = {k: v for k, v in vars(args).items()
-              if k not in ("out", "jobs") and v is not None}
+              if k != "out" and v is not None}
     t0 = time.monotonic()
     try:
         files, extra = _RUNNERS[args.subcommand](args, outdir)
@@ -342,7 +332,6 @@ def main(argv=None):
         "schema": 1,
         "subcommand": args.subcommand,
         "params": params,
-        "jobs": _resolve_jobs(args),
         "versions": {
             "primelab": __version__,
             "python": sys.version.split()[0],

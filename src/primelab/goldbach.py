@@ -200,93 +200,79 @@ def _direct_count(ring, cone, a, b, angle_cap=None):
     return int(np.count_nonzero(hit))
 
 
-_QUAT_SPECIES = ("hurwitz", "lipschitz", "hurwitz+lipschitz", "any")
+# Doubled-coordinate parities of the summands each species allows: 1 for
+# half-integer summands, 0 for integer ones.  Mixed hurwitz+lipschitz pairs
+# never sum to an integer target, so that species has none.
+_SPECIES_PARITIES = {
+    "quaternion": {"hurwitz": (1,), "lipschitz": (0,), "any": (1, 0),
+                   "hurwitz+lipschitz": ()},
+    "octonion": {"kleinian": (1,), "gravesian": (0,)},
+}
 
 
-def _quat_first_summands(z, species):
-    """Open-cone first-summand candidates (doubled coords) for target z."""
-    dz = tuple(2 * x for x in z)
-    if species in ("hurwitz", "any"):
-        ranges = [range(1, dz_i, 2) for dz_i in dz]
-        yield from itertools.product(*ranges)
-    if species in ("lipschitz", "any"):
-        ranges = [range(2, dz_i - 1, 2) for dz_i in dz]
-        yield from itertools.product(*ranges)
+def _hyper_open_count(ring, z, species):
+    """Ordered open-cone pairs of quaternion or octonion primes summing to
+    the integer target z, with summands of the given species.
 
-
-def _quat_open_count(z, species="hurwitz"):
-    """Ordered open-cone pairs of quaternion primes summing to integer target z.
-
-    species: hurwitz (half-integer summands), lipschitz (integer summands),
-    hurwitz+lipschitz (mixed — always 0 by parity, kept for the API), any.
+    Quaternion species: hurwitz (half-integer summands), lipschitz (integer
+    summands), any (both), hurwitz+lipschitz (mixed, always 0 by parity).
+    Octonion species: kleinian (half-integer), gravesian (integer).
     """
-    if species not in _QUAT_SPECIES:
-        raise ValueError(f"unknown quaternion species {species!r}")
-    if species == "hurwitz+lipschitz":
-        return 0  # half-integer + integer can never be an integer target
-    if any(x < 1 for x in z):
-        return 0
+    parities = _SPECIES_PARITIES[ring].get(species)
+    if parities is None:
+        raise ValueError(f"unknown {ring} species {species!r}")
     dz = tuple(2 * x for x in z)
     count = 0
-    for dp in _quat_first_summands(z, species):
-        np_ = sum(x * x for x in dp)
-        if np_ % 4 or not rk.is_prime(np_ // 4):
-            continue
-        dq = tuple(a - b for a, b in zip(dz, dp))
-        nq = sum(x * x for x in dq)
-        if nq % 4 == 0 and rk.is_prime(nq // 4):
-            count += 1
-    return count
-
-
-def _oct_open_count(z, species):
-    """Ordered open-cone octonion prime pairs for an integer target z."""
-    dz = tuple(2 * x for x in z)
-    if species == "gravesian":
-        ranges = [range(2, dz_i - 1, 2) for dz_i in dz]
-    elif species == "kleinian":
-        ranges = [range(1, dz_i, 2) for dz_i in dz]
-    else:
-        raise ValueError(f"unknown octonion species {species!r}")
-    count = 0
-    for dp in itertools.product(*ranges):
-        np_ = sum(x * x for x in dp)
-        if np_ % 4 or not rk.is_prime(np_ // 4):
-            continue
-        dq = tuple(a - b for a, b in zip(dz, dp))
-        nq = sum(x * x for x in dq)
-        if nq % 4 == 0 and rk.is_prime(nq // 4):
-            count += 1
+    for par in parities:
+        ranges = [range(2 - par, dz_i, 2) for dz_i in dz]
+        for dp in itertools.product(*ranges):
+            np_ = sum(x * x for x in dp)
+            if np_ % 4 or not rk.is_prime(np_ // 4):
+                continue
+            dq = tuple(a - b for a, b in zip(dz, dp))
+            nq = sum(x * x for x in dq)
+            if nq % 4 == 0 and rk.is_prime(nq // 4):
+                count += 1
     return count
 
 
 def _check_variant(ring, variant):
     """Raise for a variant field the ring/cone pair does not implement."""
-    if ring == "eisenstein" and variant.cone != "open":
-        raise NotImplementedError("Eisenstein sweeps are open-cone")
+    planar = ring in ("gaussian", "eisenstein")
+    if ring != "gaussian" and variant.cone != "open":
+        raise NotImplementedError(f"{ring} sums are open-cone")
+    if not planar and variant.parity_filter != "none":
+        raise NotImplementedError(f"no parity filter for {ring} targets")
+    if planar and variant.species != "any":
+        raise ValueError(f"species {variant.species!r} applies only to "
+                         f"quaternion and octonion summands, not {ring}")
     if variant.angle_cap is not None and (
             ring != "gaussian" or variant.cone != "open"):
         raise ValueError(f"angle_cap is implemented only for the Gaussian "
                          f"open cone, not {ring} {variant.cone}")
 
 
+def _filtered_out(variant, a, b):
+    """True when the even-only parity filter puts target a + b·u out of
+    scope, which counts as 0 as in comet."""
+    return variant.parity_filter == "even-only" and (a + b) % 2 == 1
+
+
 def r2(z, variant=OPEN, ring=None, witness_radius=30):
     """Ordered prime-pair representation count of z under the variant."""
     if ring is None:
         ring = _infer_ring(z)
+    if ring not in ("gaussian", "eisenstein", *_SPECIES_PARITIES):
+        raise ValueError(f"unknown ring {ring!r}")
     _check_variant(ring, variant)
-    if ring == "gaussian":
-        a, b = z.re, z.im
-        if variant.cone == "unrestricted":
-            return _unrestricted_count(a, b, witness_radius)
-        return _direct_count(ring, variant.cone, a, b, variant.angle_cap)
-    if ring == "eisenstein":
-        return _direct_count(ring, "open", z.a, z.b)
-    if ring == "quaternion":
-        return _quat_open_count(tuple(z), variant.species)
-    if ring == "octonion":
-        return _oct_open_count(tuple(z), variant.species)
-    raise ValueError(f"unknown ring {ring!r}")
+    if ring in _SPECIES_PARITIES:
+        return _hyper_open_count(ring, tuple(z), variant.species)
+    a, b = (z.re, z.im) if ring == "gaussian" else (z.a, z.b)
+    if _filtered_out(variant, a, b):
+        return 0
+    if variant.cone == "unrestricted":
+        return _unrestricted_count(a, b, witness_radius)
+    return _direct_count(ring, variant.cone, a, b, variant.angle_cap)
 
 
 def _infer_ring(z):
@@ -311,8 +297,9 @@ def r3(z, variant=SumVariant(cone="open", summands=3)):
         raise ValueError("r3 needs a summands=3 variant")
     if variant.cone != "open" or variant.angle_cap is not None:
         raise ValueError("r3 counts open-cone triples without an angle cap")
+    _check_variant("gaussian", variant)
     a, b = z.re, z.im
-    if a < 3 or b < 3:
+    if a < 3 or b < 3 or _filtered_out(variant, a, b):
         return 0
     # every summand lies in [1..a-2]×[1..b-2]; pairs[i, j] = r2((i+2)+(j+2)i)
     mask = gaussian_prime_mask(1, a - 2, 1, b - 2)
@@ -357,7 +344,8 @@ def quaternion_comet(a, b, cmax, dmax, species="hurwitz"):
     grid = np.zeros((cmax, dmax), dtype=np.int64)
     for c in range(1, cmax + 1):
         for d in range(1, dmax + 1):
-            grid[c - 1, d - 1] = _quat_open_count((a, b, c, d), species)
+            grid[c - 1, d - 1] = _hyper_open_count("quaternion", (a, b, c, d),
+                                                species)
     return grid
 
 
@@ -431,7 +419,7 @@ def hurwitz_boundary_comet(n, method="case-split"):
     if n < 1:
         raise ValueError("n >= 1 required")
     if method == "direct":
-        return _quat_open_count((2, 2, 2, n), "hurwitz")
+        return _hyper_open_count("quaternion", (2, 2, 2, n), "hurwitz")
     if method != "case-split":
         raise ValueError(f"unknown method {method!r}")
     total = 0

@@ -16,6 +16,7 @@ An element is prime in its order iff its norm is a rational prime.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,18 +85,6 @@ def _hamilton(p, q):
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
 
-def quat_mul(z, w):
-    return z * w
-
-
-def quat_conj(z):
-    return z.conj()
-
-
-def quat_norm(z):
-    return z.norm()
-
-
 def quat_units():
     """The 24 units: 8 Lipschitz (±1, ±i, ±j, ±k) and 16 Hurwitz (±1±i±j±k)/2."""
     units = []
@@ -109,14 +98,7 @@ def quat_units():
     return units
 
 
-_UNITS_CACHE = None
-
-
-def _units():
-    global _UNITS_CACHE
-    if _UNITS_CACHE is None:
-        _UNITS_CACHE = quat_units()
-    return _UNITS_CACHE
+_units = functools.cache(quat_units)
 
 
 def is_quat_prime(z):
@@ -332,10 +314,6 @@ def oct_mul(z, w):
     if any(x & 1 for x in prod):
         raise ValueError("product leaves the doubled lattice")
     return OctInt(tuple(x // 2 for x in prod))
-
-
-def oct_norm(z):
-    return z.norm()
 
 
 def is_octavian(e):

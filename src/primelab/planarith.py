@@ -246,21 +246,10 @@ def pi_G_identity_check(xmax):
 
 def _gaussian_primes_in_disk(r):
     """All Gaussian primes with |z| <= r as (re, im) integer arrays."""
-    x = int(r * r)
-    s = rk.sieve(max(x, 4))
     m = int(r)
     a = np.arange(-m, m + 1, dtype=np.int64)
     A, B = np.meshgrid(a, a, indexing="ij")
-    N = A * A + B * B
-    inside = (N <= x) & (N >= 2)
-    norm_prime = np.zeros_like(inside)
-    norm_prime[inside] = s.flags[N[inside]]
-    axis = ((A == 0) | (B == 0)) & inside
-    inert = np.zeros_like(inside)
-    q = np.maximum(np.abs(A), np.abs(B))
-    qi = axis & (q % 4 == 3)
-    inert[qi] = s.flags[q[qi]]
-    mask = norm_prime | inert
+    mask = gaussian_prime_mask(-m, m, -m, m) & (A * A + B * B <= int(r * r))
     return A[mask], B[mask]
 
 
@@ -343,10 +332,7 @@ def _h_table(n):
       p ≡ 1 mod 4 → h(p) = −2, h(p²) = 1, higher powers 0
       p ≡ 3 mod 4 → h(p²) = −1, all other powers 0
     """
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
+    spf = rk.spf_table(n)
     h = np.zeros(n + 1, dtype=np.int64)
     h[1] = 1
     for m in range(2, n + 1):
@@ -468,3 +454,35 @@ def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
     cand = axis & (q % 4 == 3) & (q >= 3)
     mask[cand] = s.flags[q[cand]]
     return mask
+
+
+def prime_row_flags(k, n):
+    """flags[j-1] for j + k·i Gaussian prime, 1 <= j <= n (k >= 1), sieved by
+    the progressions j ≡ ±k·√−1 mod p — no per-entry primality tests.
+
+    A composite j² + k² <= n² + k² has a prime factor p <= √(n² + k²), so
+    sieving by those p leaves exactly the primes.
+    """
+    if k < 1:
+        raise ValueError("k >= 1 required")
+    limit = math.isqrt(n * n + k * k)
+    flags = np.zeros(n + 1, dtype=bool)
+    flags[1:] = True
+    # parity: j²+k² ≡ j+k mod 2, so even (and > 2, composite) iff j ≡ k mod 2
+    start = 2 if k % 2 == 0 else 1
+    flags[start::2] = False
+    for p in rk.sieve(max(limit, 2)).primes().tolist():
+        if p == 2:
+            continue
+        if k % p == 0:
+            flags[p::p] = False
+            continue
+        if p % 4 != 1:
+            continue
+        r = rk.sqrt_minus_one_mod(p) * k % p
+        for st in (r, p - r):
+            flags[st::p] = False
+    # values j²+k² <= limit may equal a sieving prime: recheck directly
+    for j in range(1, min(n, math.isqrt(limit)) + 1):
+        flags[j] = rk.is_prime(j * j + k * k)
+    return flags[1:]

@@ -9,9 +9,9 @@ rearrangement
 converges fast enough for 8 decimals at p ≤ 1000.  Bateman–Horn generalizes to
 ∏_p (1 − ω_f(p)/p)/(1 − 1/p) with ω_f(p) the number of roots of f mod p.
 
-empirical_ratio sieves #{a ≤ n : a²+1 prime} against #{p ≤ n : p ≡ 3 mod 4}
-using the progression a ≡ ±√−1 mod p, so no per-value primality test is done:
-a value a²+1 ≤ n²+1 that survives every prime p ≤ n is prime.
+empirical_ratio counts #{a ≤ n : a²+1 prime} against #{p ≤ n : p ≡ 3 mod 4};
+the numerator is the Gaussian prime row a + i of planarith.prime_row_flags,
+sieved by the progressions a ≡ ±√−1 mod p with no per-value primality test.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ratkernel as rk
-from .planarith import theta_sequence
+from .planarith import prime_row_flags, theta_sequence
 
 
 @dataclass
@@ -105,27 +105,6 @@ def bateman_horn_C(f, P):
     return out
 
 
-def _square_plus_one_prime_flags(n):
-    """flags[a] for a²+1 prime, 1 <= a <= n, by quadratic-progression sieving."""
-    flags = np.zeros(n + 1, dtype=bool)
-    flags[1:] = True
-    flags[0] = False
-    flags[3::2] = False  # odd a >= 3: a²+1 ≡ 2 mod 8 and > 2
-    s = rk.sieve(n)
-    for p in s.primes():
-        p = int(p)
-        if p % 4 != 1:
-            continue
-        r = rk.sqrt_minus_one_mod(p)
-        for start in (r, p - r):
-            flags[start::p] = False
-    # re-admit a where a²+1 equals a sieving prime (a <= √n suffices)
-    for a in range(1, math.isqrt(n) + 2):
-        if a <= n:
-            flags[a] = rk.is_prime(a * a + 1)
-    return flags
-
-
 def empirical_ratio(n, checkpoints=None):
     """RatioSeries of #{a <= x : a²+1 prime} / #{p <= x : p ≡ 3 mod 4}."""
     n = int(n)
@@ -136,7 +115,9 @@ def empirical_ratio(n, checkpoints=None):
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints[-1] != n:
         raise ValueError("largest checkpoint must equal n")
-    num_flags = _square_plus_one_prime_flags(n)
+    # a + i is a Gaussian prime iff a² + 1 is prime (a >= 1)
+    num_flags = np.zeros(n + 1, dtype=bool)
+    num_flags[1:] = prime_row_flags(1, n)
     s = rk.sieve(n)
     ps = s.primes()
     den_flags = np.zeros(n + 1, dtype=bool)

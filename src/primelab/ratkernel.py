@@ -2,7 +2,8 @@
 
 Sieving, deterministic 64-bit primality, prime counting in residue classes,
 the logarithmic integral li(x) = ∫₂ˣ dt/log t, Jordan totients
-J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), Möbius/Mertens, the Jacobi symbol,
+J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), the smallest-prime-factor table behind
+the Möbius/Mertens tables (and planarith's Gaussian ones), the Jacobi symbol,
 Fermat two-square decompositions, Euler's composite-detection identity, and
 divisor-class counts d_k(n; m) = #{d | n : d ≡ k mod m}.
 
@@ -12,7 +13,6 @@ Everything here is exact integer arithmetic except li().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -196,13 +196,26 @@ def moebius(n):
     return mu
 
 
+def spf_table(n):
+    """Smallest prime factor of 0..n as an int64 array (entries 0 and 1 are 0).
+
+    Only primes p <= √n are sieved, each from p²; whatever they leave
+    unmarked is prime and is its own smallest factor.
+    """
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    return spf
+
+
 def moebius_table(n):
     """μ(1..n) as an int8 array (index 0 unused)."""
     mu = np.ones(n + 1, dtype=np.int8)
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
+    spf = spf_table(n)
     for k in range(2, n + 1):
         p = int(spf[k])
         m = k // p
@@ -317,30 +330,6 @@ def totient_summatory(n):
         if phi[p] == p:  # p prime, untouched so far
             phi[p::p] -= phi[p::p] // p
     return int(phi[1:].sum())
-
-
-def totient_table(n):
-    """φ(1..n) as int64 array (index 0 unused)."""
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:
-            phi[p::p] -= phi[p::p] // p
-    return phi
-
-
-@dataclass(frozen=True)
-class Factorization:
-    pairs: tuple
-
-    @classmethod
-    def of(cls, n):
-        return cls(tuple(factorize(n)))
-
-    def value(self):
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
 
 
 def sqrt_minus_one_mod(p):

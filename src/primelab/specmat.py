@@ -2,10 +2,9 @@
 
 Prime matrices: A(z0, n)_{kl} = 1 iff z0 + k + i·l is a Gaussian prime
 (indices 1..n).  Measured statements: invertibility beyond a threshold,
-determinant growth normalized by n·log n·log log n, trace against li(n),
-circular-law-style eigenvalue statistics under the √(log n / n) scaling, the
-characteristic-polynomial function f_n(x) = log|p_[nx]| / log|det|, QR column
-means, and row correlation/covariance signs.
+trace against li(n), circular-law-style eigenvalue statistics under the
+√(log n / n) scaling, the characteristic-polynomial function
+f_n(x) = log|p_[nx]| / log|det|, QR column means, and row covariance signs.
 
 Smith matrices A_{ij} = gcd(i,j)^s with det = ∏_k J_s(k) and the exact
 factorization A = E·diag(J_s)·Eᵀ, E_{ij} = [j | i] (lower unitriangular,
@@ -21,12 +20,12 @@ residual norms are max-abs entry norms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ratkernel as rk
-from .planarith import GaussianInt, gaussian_prime_mask
+from .planarith import GaussianInt, gaussian_prime_mask, prime_row_flags
 
 
 def _as_gaussian(z0):
@@ -170,12 +169,22 @@ class Spectrum:
     residual_bound: float
 
 
-def spectrum(m, solver_cap=4000):
-    """Eigenvalues with a measured residual bound max‖Av − λv‖₂/‖A‖_max·n."""
-    a = np.asarray(m, dtype=float)
-    n = a.shape[0]
+# Largest matrix order spectrum() accepts; callers that build the matrix
+# call check_solver_cap first, so a refused size is never allocated.
+SOLVER_CAP = 4000
+
+
+def check_solver_cap(n, solver_cap=SOLVER_CAP):
+    """Raise CapacityError when an n×n matrix is above the solver cap."""
     if n > solver_cap:
         raise rk.CapacityError(f"matrix size {n} above solver cap {solver_cap}")
+
+
+def spectrum(m, solver_cap=SOLVER_CAP):
+    """Eigenvalues with a measured residual bound max‖Av − λv‖₂/‖A‖_max·n."""
+    n = np.shape(m)[0]
+    check_solver_cap(n, solver_cap)
+    a = np.asarray(m, dtype=float)
     w, v = np.linalg.eig(a)
     scale = max(float(np.linalg.norm(a)), 1e-300)
     res = np.linalg.norm(a @ v - v * w[None, :], axis=0)
@@ -250,51 +259,6 @@ def spectral_stats(s, n):
     return SpectralStats(radial, angular, d.min(axis=1), float(r[-1]))
 
 
-def prime_row_flags(k, n):
-    """flags[j-1] for j + k·i Gaussian prime, 1 <= j <= n (k >= 1), sieved by
-    the progressions j ≡ ±k·√−1 mod p — no per-entry primality tests."""
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    if n <= 10000:
-        return gaussian_prime_mask(1, n, k, k)[:, 0]
-    flags = np.zeros(n + 1, dtype=bool)
-    flags[1:] = True
-    # parity: j²+k² ≡ j+k mod 2, so even (and > 2, composite) iff j ≡ k mod 2
-    start = 2 if k % 2 == 0 else 1
-    flags[start::2] = False
-    if k == 1:
-        flags[1] = True  # 1 + i, norm 2
-    s = rk.sieve(n)
-    for p in s.primes():
-        p = int(p)
-        if p == 2:
-            continue
-        if k % p == 0:
-            flags[p::p] = False
-            continue
-        if p % 4 != 1:
-            continue
-        r = rk.sqrt_minus_one_mod(p) * k % p
-        for st in (r, p - r):
-            if st == 0:
-                st = p
-            flags[st::p] = False
-    # values j²+k² <= n may equal a sieving prime: recheck directly
-    for j in range(1, min(n, math.isqrt(n) + 2) + 1):
-        flags[j] = rk.is_prime(j * j + k * k)
-    return flags[1:]
-
-
-def row_corr(k, l, n):
-    """Pearson correlation of the primality-indicator rows R_k, R_l."""
-    rk_ = prime_row_flags(k, n).astype(float)
-    rl_ = prime_row_flags(l, n).astype(float)
-    sk, sl = rk_.std(), rl_.std()
-    if sk == 0 or sl == 0:
-        raise ValueError("degenerate row")
-    return float(((rk_ - rk_.mean()) * (rl_ - rl_.mean())).mean() / (sk * sl))
-
-
 def row_cov_sign_table(K, n):
     """Sign matrix of Cov(R_k, R_l) for 1 <= k,l <= K."""
     rows = [prime_row_flags(k, n).astype(float) for k in range(1, K + 1)]
@@ -318,15 +282,6 @@ def trace_vs_li(z0, n):
     a = build_prime_matrix(z0, n)
     tr = int(np.trace(a))
     return tr, tr / rk.li(max(n, 3))
-
-
-def det_growth_normalized(z0, n):
-    """log|det A(z0,n)| / (n·log n·log log n) — measured, never asserted."""
-    a = build_prime_matrix(z0, n)
-    sign, logdet = np.linalg.slogdet(a.astype(float))
-    if sign == 0:
-        return 0.0
-    return float(logdet / (n * math.log(n) * math.log(math.log(n))))
 
 
 # ---------------------------------------------------------------------------

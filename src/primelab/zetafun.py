@@ -72,12 +72,6 @@ def lattice_zeta(ring, s, X):
     return complex((c * ns ** (-float(s))).sum())
 
 
-def pole_error(X, ring="gaussian"):
-    """|truncated lattice zeta at s=2 minus the closed form| as a sanity gauge."""
-    exact = zeta_G(2) if ring == "gaussian" else zeta_E(2)
-    return abs(lattice_zeta(ring, 2.0, X) - exact)
-
-
 def functional_eq_residual(which, s):
     """|lhs − rhs| of the completed functional equation at s.
 

@@ -100,18 +100,17 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_capacity_error_exit_3(tmp_path):
+def test_capacity_error_exit_3(tmp_path, monkeypatch, capsys):
+    from primelab import specmat as sm
+
+    def build(*_args):
+        raise AssertionError("the refused matrix was built")
+
+    # the cap is checked before the n×n matrix is allocated
+    monkeypatch.setattr(sm, "build_prime_matrix", build)
     out = tmp_path / "cap"
     code = _run(["--out", str(out), "matrix", "--z0", "1",
                  "--spectrum", "9999"])
     assert code == 3
-
-
-def test_jobs_env_override(tmp_path, monkeypatch):
-    out = tmp_path / "j"
-    monkeypatch.setenv("PRIMELAB_JOBS", "7")
-    assert _run(["--out", str(out), "smith", "--n", "5"]) == 0
-    assert _manifest(out)["jobs"] == 7
-    out2 = tmp_path / "j2"
-    assert _run(["--out", str(out2), "--jobs", "3", "smith", "--n", "5"]) == 0
-    assert _manifest(out2)["jobs"] == 3
+    assert ("capacity error: matrix size 9999 above solver cap 4000"
+            in capsys.readouterr().err)

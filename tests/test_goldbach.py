@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,3 +268,73 @@ def test_r3_rejects_unimplemented_variants():
 def test_unknown_quaternion_species_raises():
     with pytest.raises(ValueError):
         gb.r2((2, 2, 2, 2), gb.SumVariant(cone="open", species="bogus"))
+
+
+def test_species_on_planar_target_raises():
+    v = gb.SumVariant(cone="open", species="bogus")
+    with pytest.raises(ValueError):
+        gb.r2(GaussianInt(4, 4), v)
+    with pytest.raises(ValueError):
+        gb.r2(EisensteinInt(4, 4), gb.SumVariant(species="hurwitz"))
+    with pytest.raises(ValueError):
+        gb.comet("gaussian", ((2, 12), (2, 12)), v)
+    with pytest.raises(ValueError):
+        gb.r3(GaussianInt(6, 6), gb.SumVariant(summands=3, species="hurwitz"))
+
+
+def test_hypercomplex_cone_other_than_open_raises():
+    for cone in ("closed", "unrestricted"):
+        with pytest.raises(NotImplementedError):
+            gb.r2((2, 2, 2, 2), gb.SumVariant(cone=cone, species="hurwitz"))
+        with pytest.raises(NotImplementedError):
+            gb.r2((3,) * 8, gb.SumVariant(cone=cone, species="gravesian"))
+
+
+def test_even_only_filter_in_r2_and_r3():
+    ev = gb.SumVariant(cone="open", parity_filter="even-only")
+    assert gb.r2(GaussianInt(3, 4)) == 2
+    assert gb.r2(GaussianInt(3, 4), ev) == 0
+    assert gb.r2(GaussianInt(4, 4), ev) == gb.r2(GaussianInt(4, 4)) == 4
+    assert gb.r2(EisensteinInt(4, 5), ev) == 0
+    assert gb.r2(EisensteinInt(5, 5), ev) == gb.r2(EisensteinInt(5, 5))
+    closed_ev = gb.SumVariant(cone="closed", parity_filter="even-only")
+    assert gb.r2(GaussianInt(3, 4), closed_ev) == 0
+    ev3 = gb.SumVariant(cone="open", parity_filter="even-only", summands=3)
+    assert gb.r3(GaussianInt(6, 7)) > 0
+    assert gb.r3(GaussianInt(6, 7), ev3) == 0
+    assert gb.r3(GaussianInt(7, 7), ev3) == gb.r3(GaussianInt(7, 7))
+    # agrees with the comet of the same variant
+    rep = gb.comet("gaussian", ((2, 12), (2, 12)), ev)
+    for a in range(2, 13):
+        for b in range(2, 13):
+            assert rep.counts[a - 2, b - 2] == gb.r2(GaussianInt(a, b), ev)
+    with pytest.raises(NotImplementedError):
+        gb.r2((2, 2, 2, 2), gb.SumVariant(species="hurwitz",
+                                          parity_filter="even-only"))
+
+
+def _octonion_pair_oracle(z, species):
+    """Ordered pairs (p, q) of octonion primes of one species with
+    p + q = z and every coordinate of p and q positive, by a double loop
+    over the prime summands in the target's box."""
+    from primelab import hyperarith as ha
+
+    target = ha.OctInt.from_ints(*z)
+    if species == "gravesian":
+        box = [ha.OctInt.from_ints(*c)
+               for c in itertools.product(range(1, max(z)), repeat=8)]
+    else:
+        box = [ha.OctInt.from_halves(*c)
+               for c in itertools.product(range(1, 2 * max(z), 2), repeat=8)]
+    primes = [p for p in box if ha.is_oct_prime(p, species)]
+    return sum(1 for p in primes for q in primes if p + q == target)
+
+
+def test_octonion_counts_match_pair_loop():
+    for z, species in (((2, 2, 3, 3, 3, 3, 3, 3), "gravesian"),
+                       ((1,) * 8, "kleinian"),
+                       ((2,) * 8, "kleinian")):
+        want = _octonion_pair_oracle(z, species)
+        assert gb.r2(z, gb.SumVariant(species=species)) == want
+    assert gb.r2((2, 2, 3, 3, 3, 3, 3, 3),
+                 gb.SumVariant(species="gravesian")) == 32

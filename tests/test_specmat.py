@@ -115,9 +115,15 @@ def test_char_poly_function_normalization():
 def test_prime_row_flags_sieved_matches_direct():
     from primelab.planarith import is_gaussian_prime
     for k in (1, 2, 3, 6):
-        flags = sm.prime_row_flags(k, 20001)  # forces the sieved path
+        flags = sm.prime_row_flags(k, 20001)
         for j in range(1, 2000):
             assert flags[j - 1] == is_gaussian_prime(GaussianInt(j, k)), (j, k)
+    # a row longer than k²: composites j² + k² with every prime factor above
+    # n need sieving primes up to √(n² + k²), e.g. 6674² + k² = 20593·21589
+    k = 20001
+    flags = sm.prime_row_flags(k, 20001)
+    for j in range(1, 20002):
+        assert flags[j - 1] == rk.is_prime(j * j + k * k), (j, k)
 
 
 def test_row_cov_sign_table_small():
