@@ -131,7 +131,8 @@ def _run_graphs(args, outdir):
             f"{n},{st.V},{st.E},{st.components},{st.chi}")
     files.append(_emit(outdir, "stats.csv", stats_lines))
     g = builder(args.n)
-    edge_lines = ["u,v"] + [f"{u},{v}" for u, v in sorted(g.edges)]
+    edge_lines = ["u,v"] + [f"{u},{v}" for u, v in
+                             g.vertices[g.edges].tolist()]
     files.append(_emit(outdir, "edges.csv", edge_lines))
     return files, {}
 

@@ -362,7 +362,8 @@ def first_counterexample(ring, variant, bound, witness_radius=30):
         cells = sorted((a * a + b * b, a, b)
                        for a in range(int(math.isqrt(bound)) + 1)
                        for b in range(int(math.isqrt(bound)) + 1)
-                       if 0 < a * a + b * b <= bound)
+                       if 0 < a * a + b * b <= bound
+                       and not _filtered_out(variant, a, b))
         for _n, a, b in cells:
             if _unrestricted_count(a, b, witness_radius) == 0:
                 return GaussianInt(a, b)
@@ -373,8 +374,7 @@ def first_counterexample(ring, variant, bound, witness_radius=30):
         cells = sorted((a * a + b * b, a, b)
                        for a in range(2, bound + 1)
                        for b in range(2, bound + 1)
-                       if variant.parity_filter != "even-only"
-                       or (a + b) % 2 == 0)
+                       if not _filtered_out(variant, a, b))
         for _n, a, b in cells:
             n = (grid[a, b] if grid is not None
                  else r2(GaussianInt(a, b), variant))

@@ -117,8 +117,9 @@ def rotate_vector(axis, angle, v):
     return np.array(_hamilton(_hamilton(r, q), rc))[1:]
 
 
-def lattice_points_norm(p):
-    """All Lipschitz and Hurwitz elements with norm p, deterministic order.
+def _norm_points(p):
+    """Doubled coordinates of all Lipschitz and Hurwitz elements with norm p,
+    as a lexicographically sorted int64 (M, 4) array.
 
     Enumerates nonnegative sorted quadruples with Σ dᵢ² = 4p and expands all
     coordinate permutations and sign patterns (same parity is automatic).
@@ -153,7 +154,31 @@ def lattice_points_norm(p):
                         for i, s in zip(nz, signs):
                             vec[i] *= s
                         seen.add(tuple(vec))
-    return [QuatInt(d) for d in sorted(seen)]
+    return np.array(sorted(seen), dtype=np.int64).reshape(-1, 4)
+
+
+def lattice_points_norm(p):
+    """All Lipschitz and Hurwitz elements with norm p, deterministic order."""
+    return [QuatInt(tuple(d)) for d in _norm_points(p).tolist()]
+
+
+def _unit_products(pts, side="right"):
+    """(4, M, 24) doubled coordinates of z·u (u·z for side="left") for each
+    row z of the (M, 4) array pts and each of the 24 units u."""
+    units = np.array([u.d for u in _units()], dtype=np.int64).T[:, None, :]
+    z = pts.T[:, :, None]  # (4, M, 1) against (4, 1, 24)
+    w = _hamilton(z, units) if side == "right" else _hamilton(units, z)
+    return np.stack(w) // 2
+
+
+def _keys(v, p):
+    """One int64 key per norm-p 4-vector along axis 0 of v, in lexicographic
+    order: each coordinate is offset by isqrt(4p) into [0, 2·isqrt(4p)]."""
+    m = math.isqrt(4 * p)
+    key = np.zeros(v.shape[1:], dtype=np.int64)
+    for x in v:
+        key = key * (2 * m + 1) + x + m
+    return key
 
 
 def classes_above(p):
@@ -162,25 +187,17 @@ def classes_above(p):
         return 1
     if not rk.is_prime(p) or p % 2 == 0:
         raise ValueError("odd prime required")
-    return len(_orbit_partition(p, side="right"))
+    return _orbit_count(p, side="right")
 
 
-def _orbit_partition(p, side="right"):
-    """Partition of the norm-p sphere into unit-multiplication orbits."""
-    pts = {z.d for z in lattice_points_norm(p)}
-    units = _units()
-    orbits = []
-    remaining = set(pts)
-    while remaining:
-        z = remaining.pop()
-        orbit = {z}
-        for u in units:
-            w = _hamilton(z, u.d) if side == "right" else _hamilton(u.d, z)
-            w = tuple(x // 2 for x in w)
-            orbit.add(w)
-        remaining -= orbit
-        orbits.append(frozenset(orbit))
-    return orbits
+def _orbit_count(p, side="right"):
+    """Number of unit-multiplication orbits on the norm-p sphere.
+
+    Each point is labelled by the least key over its orbit {z·u}; the units
+    form a group, so the label is the same for every point of an orbit.
+    """
+    w = _unit_products(_norm_points(p), side)
+    return len(np.unique(_keys(w, p).min(axis=1)))
 
 
 def positively_ordered_reps(p):
@@ -190,8 +207,8 @@ def positively_ordered_reps(p):
     """
     if not rk.is_prime(p):
         raise ValueError("prime required")
-    reps = {tuple(sorted(abs(x) for x in z.d)) for z in lattice_points_norm(p)}
-    return [QuatInt(d) for d in sorted(reps)]
+    reps = np.unique(np.sort(np.abs(_norm_points(p)), axis=1), axis=0)
+    return [QuatInt(tuple(d)) for d in reps.tolist()]
 
 
 def u_orbit_lengths(p):
@@ -200,35 +217,19 @@ def u_orbit_lengths(p):
     Two representatives are linked when some concrete elements differ by a
     right unit factor; lengths come out in {2, 3} in the tested range.
     """
+    from .primegraphs import component_labels
     if p == 2 or not rk.is_prime(p):
         raise ValueError("odd prime required")
-    pts = [z.d for z in lattice_points_norm(p)]
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    def vclass(d):
-        return tuple(sorted(abs(x) for x in d))
-
-    for z in pts:
-        parent.setdefault(vclass(z), vclass(z))
-    for z in pts:
-        for u in _units():
-            w = tuple(x // 2 for x in _hamilton(z, u.d))
-            union(vclass(z), vclass(w))
-    sizes = {}
-    for v in {vclass(z) for z in pts}:
-        sizes[find(v)] = sizes.get(find(v), 0) + 1
-    return sorted(sizes.values())
+    pts = _norm_points(p)
+    w = _unit_products(pts)
+    # number each point z and each product z·u by its class, the rank of its
+    # sorted |coordinates| among the representatives
+    reps, zc = np.unique(_keys(np.sort(np.abs(pts.T), axis=0), p),
+                         return_inverse=True)
+    wc = np.searchsorted(reps, _keys(np.sort(np.abs(w), axis=0), p))
+    edges = np.stack([np.repeat(zc, w.shape[2]), wc.ravel()], axis=1)
+    labels = component_labels(len(reps), edges)[1]
+    return sorted(np.bincount(labels).tolist())
 
 
 # ---------------------------------------------------------------------------

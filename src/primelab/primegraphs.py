@@ -18,15 +18,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import ratkernel as rk
 from .planarith import gaussian_prime_mask
 
+CLIQUE_CAP = 60  # most vertices clique_euler_characteristic enumerates
+
 
 @dataclass
 class Graph:
-    vertices: list
-    edges: set  # frozenset of 2-tuples (u, v) with u < v
+    vertices: np.ndarray  # labels: (V,), or (V, 2) for quaternion graphs
+    edges: np.ndarray  # int64 (E, 2) vertex indices, u < v, rows sorted
 
     @property
     def V(self):
@@ -37,53 +41,29 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self):
-        idx = {v: i for i, v in enumerate(self.vertices)}
         a = np.zeros((self.V, self.V), dtype=np.int64)
-        for u, v in self.edges:
-            a[idx[u], idx[v]] = a[idx[v], idx[u]] = 1
+        a[self.edges, self.edges[:, ::-1]] = 1
         return a
 
 
-def _components(vertices, edges):
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in vertices})
+def component_labels(n, edges):
+    """(count, labels) of the connected components of the undirected graph on
+    vertices 0..n-1 with the (E, 2) index array `edges`."""
+    m = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                   shape=(n, n))
+    return connected_components(m, directed=False)
 
 
 def component_count(g):
-    return _components(g.vertices, g.edges)
+    return component_labels(g.V, g.edges)[0]
 
 
 def is_bipartite(g):
-    color = {}
-    adj = {v: [] for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+    """G is bipartite iff its bipartite double cover (vertex v in two copies,
+    edge u~v joining opposite copies) has twice as many components as G."""
+    shift = np.array([0, g.V])
+    cover = np.concatenate([g.edges + shift, g.edges + shift[::-1]])
+    return component_labels(2 * g.V, cover)[0] == 2 * component_count(g)
 
 
 @dataclass
@@ -105,12 +85,7 @@ def gaussian_graph(n):
     if n < 2:
         raise ValueError("n >= 2 required")
     mask = gaussian_prime_mask(2, n + 1, 2, n + 1)
-    edges = set()
-    for a in range(2, n + 2):
-        for b in range(a + 1, n + 2):
-            if mask[a - 2, b - 2]:
-                edges.add((a, b))
-    return Graph(list(range(2, n + 2)), edges)
+    return Graph(np.arange(2, n + 2), np.argwhere(np.triu(mask, 1)))
 
 
 def gaussian_graph_chi_two_ways(n):
@@ -136,31 +111,31 @@ def hurwitz_graph(n):
 def _quat_graph(n, hurwitz):
     if n < 1:
         raise ValueError("n >= 1 required")
-    verts = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-    nmax = 4 * n * n
-    s = rk.sieve(max(nmax, 4))
-    edges = set()
-    for i, (a, b) in enumerate(verts):
-        for (c, d) in verts[i + 1:]:
-            q = a * a + b * b + c * c + d * d
-            if hurwitz:
-                if a % 2 and b % 2 and c % 2 and d % 2 and q % 4 == 0 \
-                        and s.flags[q // 4]:
-                    edges.add(((a, b), (c, d)))
-            elif s.flags[q]:
-                edges.add(((a, b), (c, d)))
-    return Graph(verts, edges)
+    # per vertex pair: the int64 norm table and its quotient, three bool
+    # masks, and under 8 B of the int64 (E, 2) edge array (E < V²/2)
+    rk.check_budget(27 * n**4, f"quaternion graph n={n}")
+    verts = np.stack(np.divmod(np.arange(n * n), n), axis=1) + 1
+    sq = (verts * verts).sum(axis=1)
+    q = sq[:, None] + sq[None, :]  # a²+b²+c²+d² for vertices (a,b), (c,d)
+    flags = rk.sieve(max(4 * n * n, 4)).flags
+    if hurwitz:
+        # four odd squares sum to 4 mod 8, so q/4 is an integer
+        odd = (verts % 2 == 1).all(axis=1)
+        mask = odd[:, None] & odd[None, :] & flags[q // 4]
+    else:
+        mask = flags[q]
+    return Graph(verts, np.argwhere(np.triu(mask, 1)))
 
 
 def gcd_graph(n):
     """Vertices {1..n}, a~b iff gcd(a,b) > 1."""
     if n < 3:
         raise ValueError("n >= 3 required")
+    # the int64 gcd table, two bool masks, and the int64 (E, 2) edge array
+    # with E ≈ 0.2·n²
+    rk.check_budget(13 * n * n, f"gcd graph n={n}")
     idx = np.arange(1, n + 1, dtype=np.int64)
-    g = np.gcd.outer(idx, idx)
-    edges = {(int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(g > 1, 1)))}
-    edges = {(a + 1, b + 1) for a, b in edges}
-    return Graph(list(range(1, n + 1)), edges)
+    return Graph(idx, np.argwhere(np.triu(np.gcd.outer(idx, idx) > 1, 1)))
 
 
 def gcd_components(n):
@@ -206,15 +181,15 @@ def gcd_vertex_degree(v, n):
     return direct
 
 
-def clique_euler_characteristic(g, max_clique_cap=60):
+def clique_euler_characteristic(g):
     """Σ_k (−1)^(k+1) · #K_k over complete subgraphs."""
-    if g.V > max_clique_cap:
+    if g.V > CLIQUE_CAP:
         raise rk.CapacityError(
-            f"{g.V} vertices above clique cap {max_clique_cap}")
+            f"{g.V} vertices above clique cap {CLIQUE_CAP}")
     import networkx as nx
     h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
+    h.add_nodes_from(range(g.V))
+    h.add_edges_from(g.edges.tolist())
     chi = 0
     for clique in nx.enumerate_all_cliques(h):
         chi += -1 if len(clique) % 2 == 0 else 1

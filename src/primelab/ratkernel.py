@@ -23,7 +23,15 @@ class CapacityError(Exception):
     """A requested computation exceeds the configured resource budget."""
 
 
-_SIEVE_BYTE_BUDGET = 2_200_000_000  # ~2 GB of bool flags
+_BYTE_BUDGET = 2_200_000_000  # ~2 GB for one computation's arrays
+
+
+def check_budget(nbytes, what):
+    """Raise CapacityError before allocating an estimated `nbytes` for `what`
+    when that is above the byte budget."""
+    if nbytes > _BYTE_BUDGET:
+        raise CapacityError(f"{what} needs about {nbytes} B, above the "
+                            f"{_BYTE_BUDGET} B budget")
 
 
 class PrimeSieve:
@@ -35,8 +43,7 @@ class PrimeSieve:
     def __init__(self, limit):
         if limit < 2:
             raise ValueError("sieve limit must be >= 2")
-        if limit + 1 > _SIEVE_BYTE_BUDGET:
-            raise CapacityError(f"sieve limit {limit} exceeds memory budget")
+        check_budget(limit + 1, f"sieve limit {limit}")
         flags = np.ones(limit + 1, dtype=bool)
         flags[:2] = False
         for p in range(2, math.isqrt(limit) + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -60,6 +61,29 @@ def test_graphs(tmp_path):
     assert stats[0] == "n,V,E,components,chi"
     edges = (out / "edges.csv").read_text().splitlines()
     assert edges[0] == "u,v"
+
+
+@pytest.mark.parametrize("kind,n,stats_sha,edges_sha", [
+    ("gaussian", "40",
+     "35738c509c6e8e93cf883e0bdf1951558a074d69cbb75ebbf4df05b1391ead45",
+     "c62afb590272445c09b09c8f46f91c5250a2c80e376d7d2ba79b7d36d91339df"),
+    ("gcd", "30",
+     "4e95791f7e1b168483c8b815854577b5c0984bf272dd7f6960fca17a7b5096a1",
+     "4da0a3fc1058a8e21fcb1d94a51cc5e2fa030c95f02b60b3687f94e68132140a"),
+])
+def test_graphs_data_digests(tmp_path, kind, n, stats_sha, edges_sha):
+    out = tmp_path / kind
+    assert _run(["--out", str(out), "graphs", "--kind", kind,
+                 "--n", n]) == 0
+    for name, want in (("stats.csv", stats_sha), ("edges.csv", edges_sha)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
+def test_graphs_capacity_error_exit_3(tmp_path, capsys):
+    out = tmp_path / "cap"
+    assert _run(["--out", str(out), "graphs", "--kind", "gcd",
+                 "--n", "1000000"]) == 3
+    assert "capacity error: gcd graph n=1000000" in capsys.readouterr().err
 
 
 def test_zeta_explicit(tmp_path):

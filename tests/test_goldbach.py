@@ -123,6 +123,12 @@ def test_first_counterexample():
     assert (e.a, e.b) == (109, 3)
 
 
+def test_first_counterexample_unrestricted_parity_filter():
+    # 4+13i has odd coordinate sum: out of scope under even-only
+    ev = gb.SumVariant(cone="unrestricted", parity_filter="even-only")
+    assert gb.first_counterexample("gaussian", ev, 400) is None
+
+
 def test_eisenstein_ghosts():
     assert gb.eisenstein_ghosts(3, 1000) == [109, 121]
 

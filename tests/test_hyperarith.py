@@ -73,10 +73,16 @@ def test_u_orbit_lengths():
     assert ha.u_orbit_lengths(3) == [2]
 
 
+def test_u_orbit_lengths_pinned():
+    want = {3: [2], 5: [2], 7: [3], 11: [2], 13: [2, 3], 17: [2, 2],
+            29: [2, 2], 53: [2, 2, 3]}
+    assert {p: ha.u_orbit_lengths(p) for p in want} == want
+
+
 def test_left_right_class_counts_agree():
     for p in (3, 5, 7, 11, 13, 17):
-        left = len(ha._orbit_partition(p, side="left"))
-        right = len(ha._orbit_partition(p, side="right"))
+        left = ha._orbit_count(p, side="left")
+        right = ha._orbit_count(p, side="right")
         assert left == right == p + 1
 
 

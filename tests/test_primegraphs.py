@@ -1,5 +1,5 @@
-import math
-
+import networkx as nx
+import numpy as np
 import pytest
 
 from primelab import primegraphs as pg
@@ -7,9 +7,15 @@ from primelab import ratkernel as rk
 from primelab.planarith import GaussianInt, is_gaussian_prime
 
 
+def _edge_labels(g):
+    """The edges as a set of label pairs; a (V, 2) label becomes a tuple."""
+    return {tuple(tuple(x) if isinstance(x, list) else x for x in e)
+            for e in g.vertices[g.edges].tolist()}
+
+
 def test_gaussian_graph_n4():
     g = pg.gaussian_graph(4)
-    assert sorted(g.edges) == [(2, 3), (2, 5), (4, 5)]
+    assert sorted(_edge_labels(g)) == [(2, 3), (2, 5), (4, 5)]
     st = pg.stats(g)
     assert st.chi == 1
     assert st.bipartite
@@ -22,10 +28,11 @@ def test_gaussian_graph_bipartite_up_to_120():
 
 def test_gaussian_graph_edges_match_primality():
     g = pg.gaussian_graph(20)
+    edges = _edge_labels(g)
     for a in range(2, 22):
         for b in range(a + 1, 22):
             want = is_gaussian_prime(GaussianInt(a, b))
-            assert ((a, b) in g.edges) == want
+            assert ((a, b) in edges) == want
 
 
 def test_chi_two_ways():
@@ -36,21 +43,34 @@ def test_chi_two_ways():
 
 def test_quaternion_graphs():
     h = pg.lipschitz_graph(4)
+    edges = _edge_labels(h)
     # (1,1)-(1,1)? no self loop; (1,1)-(1,2): 1+1+1+4=7 prime
-    assert (((1, 1), (1, 2)) in h.edges) or (((1, 2), (1, 1)) in h.edges)
-    for (a, b), (c, d) in h.edges:
+    assert (((1, 1), (1, 2)) in edges) or (((1, 2), (1, 1)) in edges)
+    for (a, b), (c, d) in edges:
         assert rk.is_prime(a * a + b * b + c * c + d * d)
     hw = pg.hurwitz_graph(5)
-    for (a, b), (c, d) in hw.edges:
+    for (a, b), (c, d) in _edge_labels(hw):
         assert a % 2 and b % 2 and c % 2 and d % 2
         assert rk.is_prime((a * a + b * b + c * c + d * d) // 4)
 
 
+def test_quaternion_graphs_match_pair_loop():
+    verts = [(a, b) for a in range(1, 6) for b in range(1, 6)]
+    pairs = [(x, y) for i, x in enumerate(verts) for y in verts[i + 1:]]
+    norm = {(x, y): x[0] ** 2 + x[1] ** 2 + y[0] ** 2 + y[1] ** 2
+            for x, y in pairs}
+    assert _edge_labels(pg.lipschitz_graph(5)) == {
+        e for e in pairs if rk.is_prime(norm[e])}
+    assert _edge_labels(pg.hurwitz_graph(5)) == {
+        e for e in pairs if all(c % 2 for c in e[0] + e[1])
+        and rk.is_prime(norm[e] // 4)}
+
+
 def test_gcd_graph_structure():
-    g = pg.gcd_graph(12)
-    assert ((2, 4) in g.edges)
-    assert ((3, 9) in g.edges)
-    assert not any(1 in e for e in g.edges)
+    edges = _edge_labels(pg.gcd_graph(12))
+    assert ((2, 4) in edges)
+    assert ((3, 9) in edges)
+    assert not any(1 in e for e in edges)
 
 
 def test_gcd_components_formula():
@@ -75,7 +95,7 @@ def test_gcd_degree_inclusion_exclusion_consistency():
 
 
 def test_component_count_union_find():
-    g = pg.Graph([1, 2, 3, 4, 5], {(1, 2), (2, 3)})
+    g = pg.Graph(np.arange(1, 6), np.array([[0, 1], [1, 2]]))
     assert pg.component_count(g) == 3
 
 
@@ -86,7 +106,7 @@ def test_clique_euler_characteristic_triangle_free():
 
 
 def test_clique_euler_characteristic_with_triangle():
-    g = pg.Graph([1, 2, 3], {(1, 2), (1, 3), (2, 3)})
+    g = pg.Graph(np.arange(1, 4), np.array([[0, 1], [0, 2], [1, 2]]))
     # 3 vertices - 3 edges + 1 triangle
     assert pg.clique_euler_characteristic(g) == 1
 
@@ -99,3 +119,35 @@ def test_clique_cap():
 def test_adjacency_symmetric():
     a = pg.gaussian_graph(12).adjacency()
     assert (a == a.T).all()
+
+
+def test_is_bipartite_false_on_triangle():
+    # 2, 4 and 6 share the factor 2: a triangle, so no 2-colouring
+    assert not pg.is_bipartite(pg.gcd_graph(12))
+
+
+def test_component_count_matches_networkx():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 7, 30, 100):
+        for m in (0, n // 2, n, 2 * n):
+            pairs = rng.integers(0, n, size=(m, 2))
+            edges = np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(edges.tolist())
+            g = pg.Graph(np.arange(n), edges)
+            assert pg.component_count(g) == nx.number_connected_components(h)
+
+
+def test_edges_are_sorted_index_pairs():
+    for g in (pg.gaussian_graph(30), pg.gcd_graph(30), pg.hurwitz_graph(5)):
+        assert g.edges.dtype == np.int64 and g.edges.shape == (g.E, 2)
+        assert (g.edges[:, 0] < g.edges[:, 1]).all()
+        assert g.edges.tolist() == sorted(g.edges.tolist())
+
+
+def test_gcd_graph_capacity_refused_before_allocation():
+    with pytest.raises(rk.CapacityError):
+        pg.gcd_graph(10**6)
+    with pytest.raises(rk.CapacityError):
+        pg.lipschitz_graph(10**3)
