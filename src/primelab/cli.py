@@ -124,13 +124,15 @@ def _run_graphs(args, outdir):
     files = []
     stats_lines = ["n,V,E,components,chi"]
     builder = {"gaussian": pg.gaussian_graph, "gcd": pg.gcd_graph}[args.kind]
+    g = None
     for n in range(args.min, args.n + 1):
         g = builder(n)
         st = pg.stats(g)
         stats_lines.append(
             f"{n},{st.V},{st.E},{st.components},{st.chi}")
     files.append(_emit(outdir, "stats.csv", stats_lines))
-    g = builder(args.n)
+    if g is None:  # --min above --n: no stats rows, edges still for --n
+        g = builder(args.n)
     edge_lines = ["u,v"] + [f"{u},{v}" for u, v in
                              g.vertices[g.edges].tolist()]
     files.append(_emit(outdir, "edges.csv", edge_lines))

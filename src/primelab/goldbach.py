@@ -22,15 +22,17 @@ in one prime mask M, so r2 over the whole box is the self-convolution M⋆M,
 computed once by float64 FFT and rounded.  The rounding is accepted only if
 every cell lies within 0.25 of an integer; otherwise ArithmeticError is
 raised rather than a wrong count returned.  comet, first_counterexample,
-eisenstein_ghosts and r3 are reductions of that grid.  r2 of one target
-counts its mask directly; the angle cap, which depends on the target, and
-the unrestricted cone's witness search are counted per cell.
+eisenstein_ghosts and r3 are reductions of that grid.  Quaternion and
+octonion targets get one summand mask per summand parity of their species,
+over the doubled-coordinate box below the target; quaternion_comet
+convolves it the same way.  r2 of one target of any ring counts its mask
+against the mask's reflection; the angle cap, which depends on the target,
+and the unrestricted cone's witness search are counted per cell.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -154,6 +156,8 @@ def _fft_counts(mask):
     Raises ArithmeticError when some cell of the float result lies 0.25 or
     more from an integer, where rounding could pick the wrong count.
     """
+    rk.check_budget(40 * math.prod(2 * n - 1 for n in mask.shape),
+                    f"FFT convolution of a {mask.shape} mask")
     m = mask.astype(float)
     conv = signal.fftconvolve(m, m)
     counts = np.rint(conv)
@@ -186,20 +190,6 @@ def planar_counts(ring, cone, amax, bmax):
     return out
 
 
-def _direct_count(ring, cone, a, b, angle_cap=None):
-    """r2 of the single target a + b·u: its summand mask counted against its
-    own reflection through the target's midpoint."""
-    mask, lo = _summand_mask(ring, cone, a, b)
-    hit = mask & mask[::-1, ::-1]
-    if angle_cap is not None and hit.size:
-        xs = np.arange(lo, a - lo + 1, dtype=float)[:, None]
-        ys = np.arange(lo, b - lo + 1, dtype=float)[None, :]
-        rel = np.abs(np.angle((xs + 1j * ys) / complex(a, b)))
-        ok = rel <= angle_cap + 1e-12
-        hit &= ok & ok[::-1, ::-1]
-    return int(np.count_nonzero(hit))
-
-
 # Doubled-coordinate parities of the summands each species allows: 1 for
 # half-integer summands, 0 for integer ones.  Mixed hurwitz+lipschitz pairs
 # never sum to an integer target, so that species has none.
@@ -210,35 +200,55 @@ _SPECIES_PARITIES = {
 }
 
 
-def _hyper_open_count(ring, z, species):
-    """Ordered open-cone pairs of quaternion or octonion primes summing to
-    the integer target z, with summands of the given species.
+def _hyper_masks(ring, species, box):
+    """[(par, mask)] for each summand parity par of a quaternion or octonion
+    species: the prime mask over the doubled coordinates
+    range(2 - par, 2·box_i, 2), which hold every open-cone summand of that
+    parity of every integer target z <= box.
 
     Quaternion species: hurwitz (half-integer summands), lipschitz (integer
-    summands), any (both), hurwitz+lipschitz (mixed, always 0 by parity).
+    summands), any (both), hurwitz+lipschitz (mixed, no summands).
     Octonion species: kleinian (half-integer), gravesian (integer).
     """
     parities = _SPECIES_PARITIES[ring].get(species)
     if parities is None:
         raise ValueError(f"unknown {ring} species {species!r}")
-    dz = tuple(2 * x for x in z)
-    count = 0
+    out = []
     for par in parities:
-        ranges = [range(2 - par, dz_i, 2) for dz_i in dz]
-        for dp in itertools.product(*ranges):
-            np_ = sum(x * x for x in dp)
-            if np_ % 4 or not rk.is_prime(np_ // 4):
-                continue
-            dq = tuple(a - b for a, b in zip(dz, dp))
-            nq = sum(x * x for x in dq)
-            if nq % 4 == 0 and rk.is_prime(nq // 4):
-                count += 1
-    return count
+        axes = [np.arange(2 - par, 2 * n, 2, dtype=np.int64) for n in box]
+        rk.check_budget(24 * math.prod(len(x) for x in axes),
+                        f"{ring} summand mask over {tuple(box)}")
+        # same-parity doubled coordinates square-sum to a multiple of 4
+        norm = functools.reduce(np.add.outer, [x * x for x in axes]) // 4
+        flags = rk.sieve(max(int(norm.max(initial=0)), 4)).flags
+        out.append((par, flags[norm]))
+    return out
 
 
-def _check_variant(ring, variant):
-    """Raise for a variant field the ring/cone pair does not implement."""
+def _direct_count(ring, variant, z):
+    """r2 of the single target z: each summand mask counted against its own
+    reflection through the target's midpoint."""
+    if ring in _SPECIES_PARITIES:
+        masks = [mask for _par, mask in _hyper_masks(ring, variant.species, z)]
+    else:
+        a, b = z
+        mask, lo = _summand_mask(ring, variant.cone, a, b)
+        if variant.angle_cap is not None and mask.size:
+            xs = np.arange(lo, a - lo + 1, dtype=float)[:, None]
+            ys = np.arange(lo, b - lo + 1, dtype=float)[None, :]
+            rel = np.abs(np.angle((xs + 1j * ys) / complex(a, b)))
+            mask &= rel <= variant.angle_cap + 1e-12
+        masks = [mask]
+    return sum(int(np.count_nonzero(m & np.flip(m))) for m in masks)
+
+
+def _check_variant(ring, variant, summands=2):
+    """Raise for a variant field the ring/cone pair or the count (pairs or
+    triples) does not implement."""
     planar = ring in ("gaussian", "eisenstein")
+    if variant.summands != summands:
+        raise ValueError(f"this count needs summands={summands}, not "
+                         f"{variant.summands}")
     if ring != "gaussian" and variant.cone != "open":
         raise NotImplementedError(f"{ring} sums are open-cone")
     if not planar and variant.parity_filter != "none":
@@ -266,13 +276,13 @@ def r2(z, variant=OPEN, ring=None, witness_radius=30):
         raise ValueError(f"unknown ring {ring!r}")
     _check_variant(ring, variant)
     if ring in _SPECIES_PARITIES:
-        return _hyper_open_count(ring, tuple(z), variant.species)
+        return _direct_count(ring, variant, tuple(z))
     a, b = (z.re, z.im) if ring == "gaussian" else (z.a, z.b)
     if _filtered_out(variant, a, b):
         return 0
     if variant.cone == "unrestricted":
         return _unrestricted_count(a, b, witness_radius)
-    return _direct_count(ring, variant.cone, a, b, variant.angle_cap)
+    return _direct_count(ring, variant, (a, b))
 
 
 def _infer_ring(z):
@@ -293,11 +303,9 @@ def r3(z, variant=SumVariant(cone="open", summands=3)):
     The count is the cell (M⋆M⋆M)[a-3, b-3] of the summand mask M, taken as
     the exact integer dot product of the pair grid M⋆M with M reflected.
     """
-    if variant.summands != 3:
-        raise ValueError("r3 needs a summands=3 variant")
     if variant.cone != "open" or variant.angle_cap is not None:
         raise ValueError("r3 counts open-cone triples without an angle cap")
-    _check_variant("gaussian", variant)
+    _check_variant("gaussian", variant, summands=3)
     a, b = z.re, z.im
     if a < 3 or b < 3 or _filtered_out(variant, a, b):
         return 0
@@ -340,12 +348,19 @@ def comet(ring, region, variant=OPEN):
 
 
 def quaternion_comet(a, b, cmax, dmax, species="hurwitz"):
-    """G(a,b): grid of r2((a,b,c,d)) for 1 <= c <= cmax, 1 <= d <= dmax."""
+    """G(a,b): grid of r2((a,b,c,d)) for 1 <= c <= cmax, 1 <= d <= dmax.
+
+    For each summand parity, every summand of every target lies in the mask
+    over the box (a, b, cmax, dmax), so the grid is a slice of mask⋆mask
+    (checked FFT rounding, as in planar_counts).  Mask index i holds doubled
+    coordinate 2 - par + 2i, so target z sits at index z - 2 + par.
+    """
     grid = np.zeros((cmax, dmax), dtype=np.int64)
-    for c in range(1, cmax + 1):
-        for d in range(1, dmax + 1):
-            grid[c - 1, d - 1] = _hyper_open_count("quaternion", (a, b, c, d),
-                                                species)
+    for par, mask in _hyper_masks("quaternion", species, (a, b, cmax, dmax)):
+        if mask.any():
+            s = 1 - par  # integer summands leave the c = 1 and d = 1 rows
+            grid[s:, s:] += _fft_counts(mask)[a - 1 - s, b - 1 - s,
+                                               :cmax - s, :dmax - s]
     return grid
 
 
@@ -409,19 +424,15 @@ def signed_rep_exists(n, search_bound=None):
     return False
 
 
-def hurwitz_boundary_comet(n, method="case-split"):
-    """r2((2,2,2,n)) with ordered Hurwitz-prime pairs.
+def hurwitz_boundary_comet(n):
+    """r2((2,2,2,n)) with ordered Hurwitz-prime pairs, by a case split.
 
-    case-split: summands are (a,b,c,x)/2 with a,b,c ∈ {1,3}; grouping by the
-    number k of 3s, the summand norms become the quadratics 1+2k + t(t+1)
-    with x = 2t+1, so the count is Σ_k C(3,k)·#{t : both quadratics prime}.
+    Summands are (a,b,c,x)/2 with a,b,c ∈ {1,3}; grouping by the number k of
+    3s, the summand norms become the quadratics 1+2k + t(t+1) with x = 2t+1,
+    so the count is Σ_k C(3,k)·#{t : both quadratics prime}.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if method == "direct":
-        return _hyper_open_count("quaternion", (2, 2, 2, n), "hurwitz")
-    if method != "case-split":
-        raise ValueError(f"unknown method {method!r}")
     total = 0
     binom = (1, 3, 3, 1)
     for k in range(4):
@@ -471,8 +482,8 @@ def gaussian_boundary_comet(c):
     """#{(a,b) ordered : a+b=c, a,b >= 1, a²+1 and b²+1 both prime}."""
     if c < 2:
         raise ValueError("c >= 2 required")
-    return sum(1 for a in range(1, c)
-               if rk.is_prime(a * a + 1) and rk.is_prime((c - a) ** 2 + 1))
+    # the open-cone summands of c + 2i are a + i and (c - a) + i
+    return r2(GaussianInt(c, 2))
 
 
 def bunyakovsky_admissible(f):

@@ -16,8 +16,6 @@ An element is prime in its order iff its norm is a rational prime.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,19 +84,9 @@ def _hamilton(p, q):
 
 
 def quat_units():
-    """The 24 units: 8 Lipschitz (±1, ±i, ±j, ±k) and 16 Hurwitz (±1±i±j±k)/2."""
-    units = []
-    for axis in range(4):
-        for s in (2, -2):
-            d = [0, 0, 0, 0]
-            d[axis] = s
-            units.append(QuatInt(tuple(d)))
-    for signs in itertools.product((1, -1), repeat=4):
-        units.append(QuatInt(signs))
-    return units
-
-
-_units = functools.cache(quat_units)
+    """The 24 units: 8 Lipschitz (±1, ±i, ±j, ±k) and 16 Hurwitz (±1±i±j±k)/2,
+    in lexicographic order of doubled coordinates."""
+    return [QuatInt(tuple(d)) for d in _norm_points(1).tolist()]
 
 
 def is_quat_prime(z):
@@ -117,44 +105,43 @@ def rotate_vector(axis, angle, v):
     return np.array(_hamilton(_hamilton(r, q), rc))[1:]
 
 
+def _sphere_points(dim, total):
+    """All integer vectors v of even length dim with Σ vᵢ² = total, as a
+    lexicographically sorted int64 (M, dim) array.
+
+    Each vector is split into two halves of length dim/2.  The half vectors
+    with square sum <= total (the ball) are sorted by square sum, and every
+    half is joined with the halves whose square sum makes up the rest
+    (searchsorted), so each vector comes out exactly once.
+    """
+    m = math.isqrt(total)
+    half = dim // 2
+    rk.check_budget(8 * dim * (2 * m + 1) ** half, f"norm-{total} sphere")
+    axes = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * half,
+                       indexing="ij")
+    ball = np.stack([x.ravel() for x in axes], axis=1)
+    sq = np.sum(ball * ball, axis=1)
+    order = np.argsort(sq, kind="stable")
+    ball, sq = ball[order], sq[order]
+    lo = np.searchsorted(sq, total - sq, side="left")
+    cnt = np.searchsorted(sq, total - sq, side="right") - lo
+    left = np.repeat(np.arange(len(ball)), cnt)
+    # right partners of each left half: lo, lo+1, ..., lo+cnt-1
+    right = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    pts = np.concatenate([ball[left], ball[right]], axis=1)
+    return pts[np.lexsort(pts.T[::-1])]
+
+
 def _norm_points(p):
     """Doubled coordinates of all Lipschitz and Hurwitz elements with norm p,
     as a lexicographically sorted int64 (M, 4) array.
 
-    Enumerates nonnegative sorted quadruples with Σ dᵢ² = 4p and expands all
-    coordinate permutations and sign patterns (same parity is automatic).
+    These are the integer 4-vectors with Σ dᵢ² = 4p; four squares summing to
+    0 mod 4 have 0 or 4 odd terms, so the coordinates share one parity.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
-    target = 4 * p
-    seen = set()
-    m = math.isqrt(target)
-    for a in range(m + 1):
-        if 4 * a * a > target:
-            break
-        for b in range(a, m + 1):
-            s2 = a * a + b * b
-            if s2 + 2 * b * b > target:
-                break
-            for c in range(b, m + 1):
-                s3 = s2 + c * c
-                if s3 + c * c > target:
-                    break
-                d2 = target - s3
-                d = math.isqrt(d2)
-                if d * d != d2 or d < c:
-                    continue
-                base = (a, b, c, d)
-                if len({x & 1 for x in base}) != 1:
-                    continue
-                for perm in set(itertools.permutations(base)):
-                    nz = [i for i, x in enumerate(perm) if x]
-                    for signs in itertools.product((1, -1), repeat=len(nz)):
-                        vec = list(perm)
-                        for i, s in zip(nz, signs):
-                            vec[i] *= s
-                        seen.add(tuple(vec))
-    return np.array(sorted(seen), dtype=np.int64).reshape(-1, 4)
+    return _sphere_points(4, 4 * p)
 
 
 def lattice_points_norm(p):
@@ -165,7 +152,7 @@ def lattice_points_norm(p):
 def _unit_products(pts, side="right"):
     """(4, M, 24) doubled coordinates of z·u (u·z for side="left") for each
     row z of the (M, 4) array pts and each of the 24 units u."""
-    units = np.array([u.d for u in _units()], dtype=np.int64).T[:, None, :]
+    units = _norm_points(1).T[:, None, :]
     z = pts.T[:, :, None]  # (4, M, 1) against (4, 1, 24)
     w = _hamilton(z, units) if side == "right" else _hamilton(units, z)
     return np.stack(w) // 2
@@ -323,32 +310,19 @@ def is_octavian(e):
 
 
 def oct_units(which="octavian"):
-    """Norm-1 elements of the given order.
+    """Norm-1 elements of the given order, in lexicographic order of doubled
+    coordinates.
 
-    Gravesian: the 16 vectors ±2eᵢ (doubled).  Octavian: 240 (E₈ roots).
+    Gravesian and Kleinian: the 16 vectors ±2eᵢ (doubled).  Octavian: 240
+    (E₈ roots), the norm-1 vectors whose parity word is a codeword.
     """
-    units = []
-    for i in range(8):
-        for s in (2, -2):
-            e = [0] * 8
-            e[i] = s
-            units.append(tuple(e))
-    for word in _HAMMING_CODE:
-        bits = [i for i in range(8) if word & (1 << (7 - i))]
-        if len(bits) != 4:
-            continue
-        for signs in itertools.product((1, -1), repeat=4):
-            e = [0] * 8
-            for i, s in zip(bits, signs):
-                e[i] = s
-            units.append(tuple(e))
-    if which == "gravesian":
-        units = [e for e in units if _parity_word(e) == 0]
-    elif which == "kleinian":
-        units = [e for e in units if _parity_word(e) in (0, 0xFF)]
-    elif which != "octavian":
+    words = {"gravesian": (0,), "kleinian": (0, 0xFF),
+             "octavian": tuple(_HAMMING_CODE)}.get(which)
+    if words is None:
         raise ValueError(f"unknown class {which!r}")
-    return [OctInt(e) for e in sorted(set(units))]
+    pts = _sphere_points(8, 4)
+    parity = (pts & 1) @ (1 << np.arange(7, -1, -1))
+    return [OctInt(tuple(e)) for e in pts[np.isin(parity, words)].tolist()]
 
 
 def is_oct_prime(z, which=None):

@@ -440,6 +440,9 @@ def twins(r):
 
 def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
     """Boolean mask over the box [re_lo..re_hi]×[im_lo..im_hi] (inclusive)."""
+    cells = max(re_hi - re_lo + 1, 0) * max(im_hi - im_lo + 1, 0)
+    # about 40 B per cell across A, B, N, q, pos, axis and the mask
+    rk.check_budget(40 * cells, f"Gaussian prime mask of {cells} cells")
     a = np.arange(re_lo, re_hi + 1, dtype=np.int64)
     b = np.arange(im_lo, im_hi + 1, dtype=np.int64)
     A, B = np.meshgrid(a, b, indexing="ij")

@@ -212,6 +212,8 @@ def hyperplane_prime_count(a, n):
     """#{(x,y,z) ∈ [1,n]³ : a² + x² + y² + z² prime}."""
     if n < 1:
         raise ValueError("n >= 1 required")
+    # n³ int64 values plus one temporary of the same size and the flags
+    rk.check_budget(17 * n ** 3, f"hyperplane count n={n}")
     sq = np.arange(1, n + 1, dtype=np.int64) ** 2
     vals = (a * a + sq[:, None, None] + sq[None, :, None]
             + sq[None, None, :]).ravel()

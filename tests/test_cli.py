@@ -138,3 +138,40 @@ def test_capacity_error_exit_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert ("capacity error: matrix size 9999 above solver cap 4000"
             in capsys.readouterr().err)
+
+
+def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
+    from primelab import primegraphs as pg
+
+    built = []
+    real = pg.gcd_graph
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(pg, "gcd_graph", counting)
+    assert _run(["--out", str(tmp_path / "one"), "graphs", "--kind", "gcd",
+                 "--n", "30"]) == 0
+    assert built == [30]
+    built.clear()
+    assert _run(["--out", str(tmp_path / "range"), "graphs", "--kind", "gcd",
+                 "--min", "27", "--n", "30"]) == 0
+    assert built == [27, 28, 29, 30]
+    built.clear()
+    out = tmp_path / "empty"
+    assert _run(["--out", str(out), "graphs", "--kind", "gcd",
+                 "--min", "40", "--n", "30"]) == 0
+    assert built == [30]
+    assert (out / "stats.csv").read_text() == "n,V,E,components,chi\n"
+    assert (out / "edges.csv").read_text().splitlines()[0] == "u,v"
+
+
+@pytest.mark.parametrize("args,what", [
+    (["hyperplane", "--a", "1", "--n", "2000"], "hyperplane count n=2000"),
+    (["ca", "--window", "100000"], "Gaussian prime mask"),
+])
+def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
+                                                   what):
+    assert _run(["--out", str(tmp_path / "cap"), *args]) == 3
+    assert f"capacity error: {what}" in capsys.readouterr().err

@@ -114,6 +114,17 @@ def test_quaternion_comet_tables():
     assert gb.r2((2, 2, 2, 3), v) == 14
 
 
+@pytest.mark.parametrize("species", ["hurwitz", "lipschitz", "any"])
+@pytest.mark.parametrize("box", [(1, 1, 5, 5), (2, 2, 6, 7), (3, 1, 4, 6),
+                                 (1, 4, 1, 3), (4, 3, 8, 8)])
+def test_quaternion_comet_matches_r2(species, box):
+    a, b, cmax, dmax = box
+    v = gb.SumVariant(species=species)
+    want = [[gb.r2((a, b, c, d), v) for d in range(1, dmax + 1)]
+            for c in range(1, cmax + 1)]
+    assert gb.quaternion_comet(a, b, cmax, dmax, species).tolist() == want
+
+
 def test_first_counterexample():
     z = gb.first_counterexample("gaussian", gb.UNRESTRICTED, 400)
     assert (z.re, z.im) == (4, 13)
@@ -141,9 +152,9 @@ def test_signed_rep():
 
 def test_hurwitz_boundary_comet():
     assert gb.hurwitz_boundary_comet(2) == 14
+    hurwitz = gb.SumVariant(species="hurwitz")
     for n in range(1, 101):
-        assert (gb.hurwitz_boundary_comet(n)
-                == gb.hurwitz_boundary_comet(n, method="direct"))
+        assert gb.hurwitz_boundary_comet(n) == gb.r2((2, 2, 2, n), hurwitz)
     assert all(gb.hurwitz_boundary_comet(n) > 0 for n in range(2, 300))
 
 
@@ -317,6 +328,49 @@ def test_even_only_filter_in_r2_and_r3():
     with pytest.raises(NotImplementedError):
         gb.r2((2, 2, 2, 2), gb.SumVariant(species="hurwitz",
                                           parity_filter="even-only"))
+
+
+def _quaternion_pair_oracle(z, species):
+    """Ordered pairs (p, q) of quaternion primes of one species with p + q = z
+    and every coordinate of p and q positive, by a loop over the summands p
+    in the target's doubled-coordinate box."""
+    from primelab import ratkernel as rk
+
+    parities = {"hurwitz": (1,), "lipschitz": (0,), "any": (1, 0),
+                "hurwitz+lipschitz": ()}[species]
+    dz = tuple(2 * x for x in z)
+    count = 0
+    for par in parities:
+        for dp in itertools.product(*(range(2 - par, d, 2) for d in dz)):
+            dq = tuple(a - b for a, b in zip(dz, dp))
+            if (rk.is_prime(sum(x * x for x in dp) // 4)
+                    and rk.is_prime(sum(x * x for x in dq) // 4)):
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("species",
+                         ["hurwitz", "lipschitz", "any", "hurwitz+lipschitz"])
+def test_quaternion_counts_match_pair_loop(species):
+    v = gb.SumVariant(species=species)
+    targets = [*itertools.product(range(1, 4), repeat=4),
+               (2, 2, 2, 9), (1, 5, 2, 7), (4, 4, 4, 4), (6, 1, 3, 5)]
+    for z in targets:
+        assert gb.r2(z, v) == _quaternion_pair_oracle(z, species), z
+
+
+def test_summands_other_than_two_raise():
+    v3 = gb.SumVariant(summands=3)
+    z = GaussianInt(10, 10)
+    assert gb.r2(z) == 20
+    with pytest.raises(ValueError):
+        gb.r2(z, v3)
+    with pytest.raises(ValueError):
+        gb.comet("gaussian", ((2, 12), (2, 12)), v3)
+    with pytest.raises(ValueError):
+        gb.first_counterexample("gaussian", v3, 50)
+    with pytest.raises(ValueError):
+        gb.r3(GaussianInt(6, 6), gb.SumVariant())
 
 
 def _octonion_pair_oracle(z, species):

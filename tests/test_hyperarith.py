@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +20,20 @@ def test_quat_units():
     us = ha.quat_units()
     assert len(us) == 24
     assert all(u.norm() == 1 for u in us)
+
+
+def test_norm_points_match_brute_force():
+    for p in range(1, 60):
+        m = math.isqrt(4 * p)
+        want = set()
+        for a, b, c in itertools.product(range(-m, m + 1), repeat=3):
+            d2 = 4 * p - a * a - b * b - c * c
+            d = math.isqrt(max(d2, 0))
+            if d2 >= 0 and d * d == d2:
+                want |= {(a, b, c, d), (a, b, c, -d)}
+        pts = ha._norm_points(p)
+        assert pts.dtype == np.int64 and pts.shape == (len(want), 4)
+        assert [tuple(r) for r in pts.tolist()] == sorted(want)
 
 
 @given(quat, quat)
@@ -104,11 +120,31 @@ def test_is_quat_prime():
 oct_int = st.builds(OctInt.from_ints, *(st.integers(-9, 9),) * 8)
 
 
+# sha256 of repr() of the doubled-coordinate unit lists, recorded from the
+# earlier per-codeword loop implementation of oct_units
+OCTAVIAN_SHA = \
+    "92155fa14d3fba6b46b85bcbd3186718f883f135e8728a74996895c82d3c88ba"
+AXIS_SHA = "cb65df203f548a19dada199f229697635fd43f84b281d8ad75bd5b4693fdeae4"
+
+
 def test_oct_unit_counts():
     assert len(ha.oct_units("octavian")) == 240
     assert len(ha.oct_units("gravesian")) == 16
     for u in ha.oct_units("octavian"):
         assert u.norm() == 1
+    with pytest.raises(ValueError):
+        ha.oct_units("bogus")
+
+
+@pytest.mark.parametrize("which,count,sha", [
+    ("octavian", 240, OCTAVIAN_SHA),
+    ("gravesian", 16, AXIS_SHA),
+    ("kleinian", 16, AXIS_SHA),
+])
+def test_oct_units_pinned(which, count, sha):
+    es = [u.e for u in ha.oct_units(which)]
+    assert len(es) == count
+    assert hashlib.sha256(repr(es).encode()).hexdigest() == sha
 
 
 def test_oct_identity():
