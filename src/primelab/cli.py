@@ -109,10 +109,7 @@ def _run_matrix(args, outdir):
 def _run_smith(args, outdir):
     from . import specmat as sm
     residual = sm.smith_det_residual(args.n, args.s)
-    from . import ratkernel as rk
-    det = 1
-    for k in range(1, args.n + 1):
-        det *= rk.jordan_totient(k, args.s)
+    det = sm.smith_det(args.n, args.s)
     files = [_write(Path(outdir) / "smith.json", _json_dumps(
         {"n": args.n, "s": args.s, "det": str(det),
          "residual": str(residual)}))]

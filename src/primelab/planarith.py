@@ -325,31 +325,16 @@ def gaussian_moebius(z):
 
 
 def _h_table(n):
-    """h(1..n): multiplicative, Σ_{N(z)=m} μ_G(z) = 4·h(m).
+    """h(0..n): multiplicative, Σ_{N(z)=m} μ_G(z) = 4·h(m); h(0) = 0.
 
     Local factors of Π_classes (1 − N(π)^{−s}):
       p = 2       → h(2) = −1, higher powers 0
       p ≡ 1 mod 4 → h(p) = −2, h(p²) = 1, higher powers 0
       p ≡ 3 mod 4 → h(p²) = −1, all other powers 0
     """
-    spf = rk.spf_table(n)
-    h = np.zeros(n + 1, dtype=np.int64)
-    h[1] = 1
-    for m in range(2, n + 1):
-        p = int(spf[m])
-        k = m
-        e = 0
-        while k % p == 0:
-            k //= p
-            e += 1
-        if p == 2:
-            loc = -1 if e == 1 else 0
-        elif p % 4 == 1:
-            loc = {1: -2, 2: 1}.get(e, 0)
-        else:
-            loc = -1 if e == 2 else 0
-        h[m] = loc * h[k]
-    return h
+    return rk.multiplicative_table(n, lambda p, e: np.select(
+        [(p == 2) & (e == 1), (p % 4 == 1) & (e == 1), (p % 4 == 1) & (e == 2),
+         (p % 4 == 3) & (e == 2)], [-1, -2, 1, -1]))
 
 
 def gaussian_mertens(x):
@@ -357,15 +342,12 @@ def gaussian_mertens(x):
     x = int(x)
     if x < 1:
         raise ValueError("x >= 1 required")
-    return 4 * int(_h_table(x)[1:].sum())
+    return int(gaussian_mertens_series(x)[x])
 
 
 def gaussian_mertens_series(nmax):
-    """M_G(1..nmax) as an int64 array (index 0 unused)."""
-    h = _h_table(int(nmax))
-    out = 4 * np.cumsum(h)
-    out[0] = 0
-    return out
+    """M_G(0..nmax) as an int64 array (M_G(0) = 0)."""
+    return 4 * np.cumsum(_h_table(int(nmax)))
 
 
 def norm_count(n, ring="gaussian"):

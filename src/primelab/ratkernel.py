@@ -2,8 +2,9 @@
 
 Sieving, deterministic 64-bit primality, prime counting in residue classes,
 the logarithmic integral li(x) = ∫₂ˣ dt/log t, Jordan totients
-J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), the smallest-prime-factor table behind
-the Möbius/Mertens tables (and planarith's Gaussian ones), the Jacobi symbol,
+J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), `multiplicative_table` (the one table
+behind μ, φ and planarith's Gaussian h, peeled from the smallest prime
+factors), the Jacobi symbol,
 Fermat two-square decompositions, Euler's composite-detection identity, and
 divisor-class counts d_k(n; m) = #{d | n : d ≡ k mod m}.
 
@@ -219,15 +220,40 @@ def spf_table(n):
     return spf
 
 
+def multiplicative_table(n, local):
+    """f(0..n) as int64 for the multiplicative f with f(pᵉ) = local(p, e).
+
+    `local` maps int64 arrays of primes p and exponents e >= 1 to the local
+    factors.  k = pᵉ·rest(k), p = spf(k), is split by stripping p from the k
+    that still hold it (at most log₂ n passes); f(k) multiplies the local
+    factors along k → rest(k) → … → 1, one link per table pass.  f(0) = 0.
+    """
+    check_budget(48 * (n + 1), f"multiplicative table to {n}")
+    spf = spf_table(n)
+    rest = np.arange(n + 1)
+    rest[2:] //= spf[2:]
+    e = np.ones(n + 1, dtype=np.int64)
+    live = np.flatnonzero(rest[2:] % spf[2:] == 0) + 2
+    while live.size:
+        rest[live] //= spf[live]
+        e[live] += 1
+        live = live[rest[live] % spf[live] == 0]
+    loc = np.zeros(n + 1, dtype=np.int64)
+    loc[1:2] = 1  # f(1) = 1; the slice is empty when n = 0
+    loc[2:] = local(spf[2:], e[2:])
+    del spf, e
+    # loc(1) = 1 and rest(1) = 1, so finished entries multiply by 1
+    f, link = loc.copy(), rest
+    while link.max() > 1:
+        f *= loc[link]
+        link = rest[link]
+    return f
+
+
 def moebius_table(n):
     """μ(1..n) as an int8 array (index 0 unused)."""
-    mu = np.ones(n + 1, dtype=np.int8)
-    spf = spf_table(n)
-    for k in range(2, n + 1):
-        p = int(spf[k])
-        m = k // p
-        mu[k] = 0 if m % p == 0 else -mu[m]
-    return mu
+    return multiplicative_table(
+        n, lambda p, e: np.where(e == 1, -1, 0)).astype(np.int8)
 
 
 def mertens(n):
@@ -332,11 +358,8 @@ def totient_summatory(n):
     """Φ(n) = Σ_{k<=n} φ(k); grows like (3/π²) n²."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime, untouched so far
-            phi[p::p] -= phi[p::p] // p
-    return int(phi[1:].sum())
+    return int(multiplicative_table(
+        n, lambda p, e: p ** (e - 1) * (p - 1)).sum())
 
 
 def sqrt_minus_one_mod(p):

@@ -304,17 +304,17 @@ def smith_divisor_factor(n):
     return (idx[:, None] % idx[None, :] == 0).astype(np.int64)
 
 
+def smith_det(n, s=1):
+    """∏_{k<=n} J_s(k) = det(gcd^s matrix); exact for integer s >= 1."""
+    return math.prod(rk.jordan_totient(k, s) for k in range(1, n + 1))
+
+
 def smith_det_residual(n, s=1):
     """det(gcd^s matrix) − ∏_{k<=n} J_s(k); exact 0 for integer s."""
     a = build_smith(n, s)
+    target = smith_det(n, s)
     if isinstance(s, int) and s >= 1:
-        target = 1
-        for k in range(1, n + 1):
-            target *= rk.jordan_totient(k, s)
         return det_exact(a) - target
-    target = complex(1.0)
-    for k in range(1, n + 1):
-        target *= rk.jordan_totient(k, s)
     # relative residual: the determinant magnitude explodes with n
     return (complex(np.linalg.det(a)) - target) / max(1.0, abs(target))
 
@@ -330,13 +330,10 @@ def smith_factorization_check(n, s=1):
 
 def smith_inverse_moebius_check(n):
     """E⁻¹_{ij} = μ(i/j) on divisor pairs (0 elsewhere)."""
-    e = smith_divisor_factor(n).astype(object)
-    inv = np.zeros((n, n), dtype=object)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i % j == 0:
-                inv[i - 1, j - 1] = rk.moebius(i // j)
-    return bool(np.array_equal(e @ inv, np.eye(n, dtype=object)))
+    e = smith_divisor_factor(n)
+    idx = np.arange(1, n + 1)
+    inv = e * rk.moebius_table(n)[idx[:, None] // idx[None, :]]
+    return bool(np.array_equal(e @ inv, np.eye(n, dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------

@@ -194,10 +194,10 @@ def hurwitz_class_zeta(s, P):
 
 def gaussian_mertens_growth(nmax, eps=0.05):
     """(x, M_G(x) / x^(1/2+eps)) checkpoints on a doubling ladder."""
-    from .planarith import gaussian_mertens
+    series = planarith.gaussian_mertens_series(nmax)
     out = []
     x = 16
     while x <= nmax:
-        out.append((x, gaussian_mertens(x) / x ** (0.5 + eps)))
+        out.append((x, int(series[x]) / x ** (0.5 + eps)))
         x *= 2
     return out

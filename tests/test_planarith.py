@@ -205,6 +205,7 @@ def test_gaussian_moebius():
 
 
 def test_gaussian_mertens_small():
+    assert pa.gaussian_mertens(1) == 4  # the 4 units
     assert pa.gaussian_mertens(2) == 0  # 4 units - 4 norm-2 primes
     # brute force over the lattice for x = 50
     x = 50
@@ -215,6 +216,22 @@ def test_gaussian_mertens_small():
             if 0 < a * a + b * b <= x:
                 total += pa.gaussian_moebius(GaussianInt(a, b))
     assert pa.gaussian_mertens(x) == total
+
+
+def _h_local_factor(p, e):
+    if p == 2:
+        return {1: -1}.get(e, 0)
+    if p % 4 == 1:
+        return {1: -2, 2: 1}.get(e, 0)
+    return {2: -1}.get(e, 0)
+
+
+def test_h_table_matches_local_factors():
+    h = pa._h_table(3000)
+    assert h[0] == 0
+    for m in range(1, 3001):
+        assert h[m] == math.prod(_h_local_factor(p, e)
+                                 for p, e in rk.factorize(m)), m
 
 
 def test_norm_count_formula():

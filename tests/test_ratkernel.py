@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from primelab import planarith as pa
 from primelab import ratkernel as rk
 
 
@@ -45,6 +48,8 @@ def test_moebius_fixtures():
     assert rk.moebius(6) == 1
     assert rk.moebius(30) == -1
     assert rk.mertens(5) == -2
+    assert rk.mertens(1) == 1
+    assert rk.mertens(2) == 0
 
 
 def test_moebius_divisor_sum():
@@ -65,6 +70,25 @@ def test_moebius_table_matches_pointwise():
     tab = rk.moebius_table(3000)
     for n in range(1, 3001):
         assert tab[n] == rk.moebius(n)
+
+
+def test_totient_summatory_matches_pointwise():
+    # Φ(n) − Φ(n − 1) is the φ-table entry at n
+    phi = [rk.totient(n) for n in range(1, 3001)]
+    assert ([rk.totient_summatory(n) for n in range(1, 3001)]
+            == list(itertools.accumulate(phi)))
+
+
+def test_multiplicative_tables_refused_before_allocation():
+    for call in (rk.mertens, pa.gaussian_mertens, rk.totient_summatory):
+        tracemalloc.start()
+        try:
+            with pytest.raises(rk.CapacityError):
+                call(10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 def test_jordan_totient():
@@ -126,6 +150,7 @@ def test_factorize_roundtrip():
 
 def test_totient_summatory():
     assert rk.totient_summatory(1) == 1
+    assert rk.totient_summatory(2) == 2
     assert rk.totient_summatory(10) == 32
     # trend toward 3/pi^2
     assert abs(rk.totient_summatory(10**4) / 10**8 - 3 / math.pi**2) < 1e-3

@@ -149,6 +149,7 @@ def test_smith_det_exact():
 def test_smith_det_192():
     a = sm.build_smith(7, 1)
     assert sm.det_exact(a) == 192
+    assert sm.smith_det(7, 1) == 192
 
 
 def test_smith_factorization():
