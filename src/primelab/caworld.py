@@ -62,12 +62,6 @@ class Grid:
         return {(ore + int(i), oim + int(j))
                 for i, j in zip(*np.nonzero(self.cells))}
 
-    def get(self, re, im):
-        i, j = re - self.origin[0], im - self.origin[1]
-        if 0 <= i < self.width and 0 <= j < self.height:
-            return bool(self.cells[i, j])
-        return False
-
     def shifted(self, dre, dim):
         return Grid((self.origin[0] + dre, self.origin[1] + dim),
                     self.cells.copy())
@@ -112,15 +106,7 @@ def step(g, rule=LIFE, cap=_WINDOW_CAP):
 def alive_cells(g, rule=LIFE):
     """Lattice points whose value changes after one step."""
     nxt = step(g, rule)
-    changed = set()
-    lo = min(g.origin[0], nxt.origin[0]), min(g.origin[1], nxt.origin[1])
-    hi = (max(g.origin[0] + g.width, nxt.origin[0] + nxt.width),
-          max(g.origin[1] + g.height, nxt.origin[1] + nxt.height))
-    for re in range(lo[0], hi[0]):
-        for im in range(lo[1], hi[1]):
-            if g.get(re, im) != nxt.get(re, im):
-                changed.add((re, im))
-    return changed
+    return Grid(nxt.origin, np.pad(g.cells, 1) != nxt.cells).live_points()
 
 
 def farthest_live_radius(window, rule=LIFE):
@@ -139,7 +125,7 @@ def dilate(g, steps=1, connectivity=8):
         raise ValueError("connectivity must be 4 or 8")
     if steps == 0:
         return Grid(g.origin, g.cells.copy())
-    if g.width + 2 * steps > _WINDOW_CAP:
+    if max(g.width, g.height) + 2 * steps > _WINDOW_CAP:
         raise CapacityError("dilation exceeds window cap")
     struct = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
     cells = np.pad(g.cells, steps)
@@ -162,7 +148,8 @@ def component_count(g, connectivity=8):
 
 def moat_component(m, window, connectivity=8):
     """Live points of the component containing 1+i after m dilations of the
-    Gaussian-prime grid on [-window, window]²."""
+    Gaussian-prime grid on [-window, window]², as an int64 (M, 2) array of
+    (re, im) rows in lexicographic order."""
     if window < 2:
         raise ValueError("1+i must be inside the window")
     g = dilate(grid_from_gaussian_primes(window), m, connectivity)
@@ -171,31 +158,26 @@ def moat_component(m, window, connectivity=8):
     lab = labels[i, j]
     if lab == 0:
         raise ValueError("1+i is dead in this grid")
-    ore, oim = g.origin
-    return {(ore + int(a), oim + int(b))
-            for a, b in zip(*np.nonzero(labels == lab))}
+    return np.argwhere(labels == lab) + g.origin
 
 
 def to_rle(g):
     """Run-length text: header `origin,width,height` then per-row runs."""
     lines = [f"{g.origin[0]},{g.origin[1]},{g.width},{g.height}"]
     for row in g.cells:
-        runs = []
-        count, cur = 0, False
-        for v in row:
-            if bool(v) == cur:
-                count += 1
-            else:
-                runs.append(str(count))
-                count, cur = 1, bool(v)
-        runs.append(str(count))
-        lines.append(" ".join(runs))
+        # runs alternate dead/live and start dead, so a live first cell
+        # opens with a run of 0
+        flips = np.flatnonzero(np.diff(row, prepend=False))
+        runs = np.diff(np.concatenate([[0], flips, [g.height]]))
+        lines.append(" ".join(map(str, runs.tolist())))
     return "\n".join(lines) + "\n"
 
 
 def from_rle(text):
     lines = text.strip().split("\n")
     ore, oim, w, h = (int(v) for v in lines[0].split(","))
+    if len(lines) - 1 != w:
+        raise ValueError(f"{len(lines) - 1} rows, expected {w}")
     cells = np.zeros((w, h), dtype=bool)
     for i, line in enumerate(lines[1:]):
         j, cur = 0, False
@@ -212,8 +194,5 @@ def from_rle(text):
 
 def to_pbm(g):
     """Plain PBM (P1); rows are im from high to low so the plane reads upright."""
-    lines = ["P1", f"{g.width} {g.height}"]
-    for j in range(g.height - 1, -1, -1):
-        lines.append(" ".join("1" if g.cells[i, j] else "0"
-                              for i in range(g.width)))
-    return "\n".join(lines) + "\n"
+    rows = map(" ".join, np.where(g.cells.T[::-1], "1", "0").tolist())
+    return "\n".join(["P1", f"{g.width} {g.height}", *rows]) + "\n"

@@ -2,7 +2,8 @@
 
 Every subcommand writes its data files (CSV/JSON, deterministic byte order)
 plus a `manifest.json` recording the parameters, package versions, and wall
-time.  Usage errors exit 2; capacity errors exit 3.
+time.  Usage errors, including any argument the library rejects with
+ValueError, exit 2; capacity errors exit 3.
 """
 
 from __future__ import annotations
@@ -108,8 +109,7 @@ def _run_matrix(args, outdir):
 
 def _run_smith(args, outdir):
     from . import specmat as sm
-    residual = sm.smith_det_residual(args.n, args.s)
-    det = sm.smith_det(args.n, args.s)
+    det, residual = sm._smith_det_and_residual(args.n, args.s)
     files = [_write(Path(outdir) / "smith.json", _json_dumps(
         {"n": args.n, "s": args.s, "det": str(det),
          "residual": str(residual)}))]
@@ -183,7 +183,7 @@ def _run_ca(args, outdir):
     extra = {"live_cells": int(g.cells.sum())}
     if args.moat is not None:
         comp = ca.moat_component(args.moat, args.window)
-        lines = ["re,im"] + [f"{a},{b}" for a, b in sorted(comp)]
+        lines = ["re,im"] + [f"{a},{b}" for a, b in comp.tolist()]
         files.append(_emit(outdir, "moat.csv", lines))
         extra["moat_size"] = len(comp)
     return files, extra
@@ -321,7 +321,7 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         files, extra = _RUNNERS[args.subcommand](args, outdir)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

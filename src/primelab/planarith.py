@@ -180,38 +180,40 @@ class PrimeAngle:
 def theta_sequence(count):
     """Angles θ = arg(a+ib) − π/8 for the first `count` primes ≡ 1 mod 4.
 
-    (a, b) = two_square(p) with a > b > 0 pins each prime into the octant,
-    so θ ∈ (−π/8, π/8).
+    Each such prime p has exactly one Gaussian prime a + bi of norm p in the
+    open octant a > b > 0, so θ ∈ (−π/8, π/8).  The octant cells of the prime
+    mask on [1, m]² with norm <= m² are every such prime up to m², sorted by
+    norm; m doubles until there are `count` of them.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
-    out = []
-    p = 5
-    while len(out) < count:
-        if p % 4 == 1 and rk.is_prime(p):
-            a, b = rk.two_square(p)
-            out.append(PrimeAngle(p, math.atan2(b, a) - PI8))
-        p += 4
-    return out
+    m = 8
+    while True:
+        a, b = np.nonzero(gaussian_prime_mask(1, m, 1, m))
+        a, b = a + 1, b + 1
+        norm = a * a + b * b
+        keep = (a > b) & (norm <= m * m)
+        if np.count_nonzero(keep) >= count:
+            break
+        m *= 2
+    a, b, norm = a[keep], b[keep], norm[keep]
+    first = np.argsort(norm)[:count]
+    # math.atan2, not np.arctan2: the two differ in the last ulp
+    return [PrimeAngle(p, math.atan2(y, x) - PI8) for p, x, y in
+            zip(norm[first].tolist(), a[first].tolist(), b[first].tolist())]
 
 
 def _gaussian_prime_counts_by_norm(xmax):
-    """counts[n] = #Gaussian primes of norm exactly n, for n <= xmax."""
-    s = rk.sieve(max(int(xmax), 4))
-    flags = s.flags[: xmax + 1]
-    counts = np.zeros(xmax + 1, dtype=np.int64)
+    """counts[n] = #Gaussian primes of norm exactly n, for n <= xmax.
+
+    Every Gaussian prime has exactly one associate with re >= 1, im >= 0.
+    """
     m = math.isqrt(xmax)
     a = np.arange(1, m + 1, dtype=np.int64)
-    norms = (a[:, None] ** 2 + a[None, :] ** 2).ravel()
-    norms = norms[norms <= xmax]
-    prime_norms = norms[flags[norms]]
-    # interior quadrant points, ×4 for the four unit rotations
-    np.add.at(counts, prime_norms, 4)
-    # axis points: unit multiples of inert primes q ≡ 3 mod 4, norm q²
-    qs = s.primes()
-    qs = qs[(qs % 4 == 3) & (qs * qs <= xmax)]
-    np.add.at(counts, qs * qs, 4)
-    return counts
+    b = np.arange(0, m + 1, dtype=np.int64)
+    mask = gaussian_prime_mask(1, m, 0, m)
+    norms = (a[:, None] ** 2 + b[None, :] ** 2)[mask]
+    return 4 * np.bincount(norms[norms <= xmax], minlength=xmax + 1)
 
 
 def pi_G(x):
@@ -244,13 +246,13 @@ def pi_G_identity_check(xmax):
     return int(np.abs(diff[2:]).max())
 
 
-def _gaussian_primes_in_disk(r):
-    """All Gaussian primes with |z| <= r as (re, im) integer arrays."""
+def _gaussian_prime_disk(r):
+    """(mask, m): Gaussian primes with |z| <= r on the box [-m, m]², m = int(r);
+    mask[i, j] is the point (i − m) + (j − m)i."""
     m = int(r)
     a = np.arange(-m, m + 1, dtype=np.int64)
-    A, B = np.meshgrid(a, a, indexing="ij")
-    mask = gaussian_prime_mask(-m, m, -m, m) & (A * A + B * B <= int(r * r))
-    return A[mask], B[mask]
+    disk = a[:, None] ** 2 + a[None, :] ** 2 <= int(r * r)
+    return gaussian_prime_mask(-m, m, -m, m) & disk, m
 
 
 def sector_count(r, alpha, beta):
@@ -263,8 +265,9 @@ def sector_count(r, alpha, beta):
     """
     if not 0 <= alpha < beta <= 2 * math.pi:
         raise ValueError("need 0 <= alpha < beta <= 2π")
-    A, B = _gaussian_primes_in_disk(r)
-    args = np.arctan2(B, A) % (2 * math.pi)
+    mask, m = _gaussian_prime_disk(r)
+    A, B = np.nonzero(mask)
+    args = np.arctan2(B - m, A - m) % (2 * math.pi)
     return int(np.count_nonzero((args >= alpha) & (args <= beta)))
 
 
@@ -407,17 +410,17 @@ def twins(r):
     """
     if r < 2:
         raise ValueError("r >= 2 required")
-    A, B = _gaussian_primes_in_disk(r)
-    prime_set = set(zip(A.tolist(), B.tolist()))
-    r2 = r * r
-    pairs = []
-    for a, b in prime_set:
-        for da, db in ((1, 1), (1, -1)):
-            c, d = a + da, b + db
-            if (c, d) in prime_set and c * c + d * d <= r2:
-                pairs.append(((a, b), (c, d)))
-    pairs.sort()
-    return [(GaussianInt(*u), GaussianInt(*v)) for u, v in pairs]
+    mask, m = _gaussian_prime_disk(r)
+    # partners one step up-right, (a, b)–(a+1, b+1), and down-right,
+    # (a, b+1)–(a+1, b); the left member is the lexicographically smaller
+    ua, ub = np.nonzero(mask[:-1, :-1] & mask[1:, 1:])
+    da, db = np.nonzero(mask[:-1, 1:] & mask[1:, :-1])
+    a = np.concatenate([ua, da]) - m
+    b = np.concatenate([ub, db + 1]) - m
+    d = np.concatenate([ub + 1, db]) - m
+    order = np.lexsort((d, b, a))
+    return [(GaussianInt(x, y), GaussianInt(x + 1, z)) for x, y, z in
+            zip(a[order].tolist(), b[order].tolist(), d[order].tolist())]
 
 
 def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
@@ -447,6 +450,10 @@ def prime_row_flags(k, n):
 
     A composite j² + k² <= n² + k² has a prime factor p <= √(n² + k²), so
     sieving by those p leaves exactly the primes.
+
+    This row does not go through gaussian_prime_mask: the row's norms reach
+    n² + k² (10¹⁴ for the a² + 1 ratio at n = 10⁷), far beyond a flag sieve,
+    while the sieving primes here only reach √(n² + k²).
     """
     if k < 1:
         raise ValueError("k >= 1 required")

@@ -311,12 +311,17 @@ def smith_det(n, s=1):
 
 def smith_det_residual(n, s=1):
     """det(gcd^s matrix) − ∏_{k<=n} J_s(k); exact 0 for integer s."""
+    return _smith_det_and_residual(n, s)[1]
+
+
+def _smith_det_and_residual(n, s=1):
+    """(∏_{k<=n} J_s(k), smith_det_residual(n, s)) from one product."""
     a = build_smith(n, s)
     target = smith_det(n, s)
     if isinstance(s, int) and s >= 1:
-        return det_exact(a) - target
+        return target, det_exact(a) - target
     # relative residual: the determinant magnitude explodes with n
-    return (complex(np.linalg.det(a)) - target) / max(1.0, abs(target))
+    return target, (complex(np.linalg.det(a)) - target) / max(1.0, abs(target))
 
 
 def smith_factorization_check(n, s=1):

@@ -91,7 +91,7 @@ def test_moat_component_flood_fill_oracle():
                 if w in live and w not in seen:
                     seen.add(w)
                     stack.append(w)
-    assert comp == seen
+    assert {tuple(p) for p in comp.tolist()} == seen
 
 
 def test_moat_monotone_in_dilation():
@@ -136,3 +136,107 @@ def test_rule_validation():
 
 def test_farthest_live_radius_positive():
     assert ca.farthest_live_radius(30) > 10
+
+
+def test_dilate_capacity_checks_both_sides():
+    g = ca.Grid((0, 0), np.zeros((1, 4095), dtype=bool))
+    with pytest.raises(CapacityError):
+        ca.dilate(g, 1)
+    with pytest.raises(CapacityError):
+        ca.dilate(ca.Grid((0, 0), np.zeros((4095, 1), dtype=bool)), 1)
+
+
+def test_from_rle_rejects_wrong_row_count():
+    g = ca.grid_from_gaussian_primes(4)
+    lines = ca.to_rle(g).splitlines()
+    with pytest.raises(ValueError):
+        ca.from_rle("\n".join(lines[:-1]) + "\n")  # truncated
+    with pytest.raises(ValueError):
+        ca.from_rle("\n".join(lines + [lines[-1]]) + "\n")  # one row extra
+
+
+# Per-cell oracles: the loops the array code replaced.
+
+def _rle_oracle(g):
+    lines = [f"{g.origin[0]},{g.origin[1]},{g.width},{g.height}"]
+    for row in g.cells:
+        runs = []
+        count, cur = 0, False
+        for v in row:
+            if bool(v) == cur:
+                count += 1
+            else:
+                runs.append(str(count))
+                count, cur = 1, bool(v)
+        runs.append(str(count))
+        lines.append(" ".join(runs))
+    return "\n".join(lines) + "\n"
+
+
+def _pbm_oracle(g):
+    lines = ["P1", f"{g.width} {g.height}"]
+    for j in range(g.height - 1, -1, -1):
+        lines.append(" ".join("1" if g.cells[i, j] else "0"
+                              for i in range(g.width)))
+    return "\n".join(lines) + "\n"
+
+
+def _alive_oracle(g, rule=ca.LIFE):
+    def get(grid, re, im):
+        i, j = re - grid.origin[0], im - grid.origin[1]
+        if 0 <= i < grid.width and 0 <= j < grid.height:
+            return bool(grid.cells[i, j])
+        return False
+
+    nxt = ca.step(g, rule)
+    changed = set()
+    lo = min(g.origin[0], nxt.origin[0]), min(g.origin[1], nxt.origin[1])
+    hi = (max(g.origin[0] + g.width, nxt.origin[0] + nxt.width),
+          max(g.origin[1] + g.height, nxt.origin[1] + nxt.height))
+    for re in range(lo[0], hi[0]):
+        for im in range(lo[1], hi[1]):
+            if get(g, re, im) != get(nxt, re, im):
+                changed.add((re, im))
+    return changed
+
+
+def _oracle_grids():
+    rng = np.random.default_rng(7)
+    live_first = np.zeros((4, 6), dtype=bool)
+    live_first[:, 0] = True
+    live_first[1, 2:4] = True
+    grids = [ca.Grid((0, 0), np.zeros((0, 0), dtype=bool)),
+             ca.Grid((2, -1), np.zeros((0, 5), dtype=bool)),
+             ca.Grid((-3, 4), np.zeros((5, 0), dtype=bool)),
+             ca.Grid((1, 1), np.ones((4, 3), dtype=bool)),
+             ca.Grid((0, 0), np.ones((1, 1), dtype=bool)),
+             ca.Grid((-2, 5), live_first),
+             ca.grid_from_gaussian_primes(9)]
+    for _ in range(8):
+        shape = tuple(int(v) for v in rng.integers(1, 15, size=2))
+        origin = tuple(int(v) for v in rng.integers(-9, 10, size=2))
+        grids.append(ca.Grid(origin, rng.random(shape) < 0.4))
+    return grids
+
+
+def test_rle_and_pbm_match_per_cell_loops():
+    for g in _oracle_grids():
+        assert ca.to_rle(g) == _rle_oracle(g)
+        assert ca.to_pbm(g) == _pbm_oracle(g)
+        r = ca.from_rle(ca.to_rle(g))
+        assert r.origin == g.origin and np.array_equal(r.cells, g.cells)
+
+
+def test_alive_cells_matches_per_cell_loop():
+    replicator = ca.Rule({1, 3, 5, 7}, {1, 3, 5, 7})
+    for g in _oracle_grids():
+        assert ca.alive_cells(g) == _alive_oracle(g)
+        assert ca.alive_cells(g, replicator) == _alive_oracle(g, replicator)
+
+
+def test_moat_component_is_lexicographic_array():
+    comp = ca.moat_component(1, 20)
+    assert comp.dtype == np.int64 and comp.shape[1] == 2
+    pts = [tuple(p) for p in comp.tolist()]
+    assert pts == sorted(set(pts))
+    assert (1, 1) in pts

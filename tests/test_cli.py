@@ -175,3 +175,62 @@ def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):
     assert _run(["--out", str(tmp_path / "cap"), *args]) == 3
     assert f"capacity error: {what}" in capsys.readouterr().err
+
+
+# sha256 of the ca/angles data files, recorded before these outputs were
+# computed from arrays; the array code must reproduce them byte for byte
+@pytest.mark.parametrize("args,digests", [
+    (["ca", "--window", "12", "--steps", "1", "--moat", "0"], {
+        "grid.rle":
+        "33ec6f59cc4e9f1cee157b3a720c4f7ed4aed8b54f553e597e7c8b3ed67ae423",
+        "grid.pbm":
+        "d1dfc53b0cfb1443370d15e75ee9d553ea8976dac7a967ac1f6397f180d169ec",
+        "moat.csv":
+        "7d9aa5115f092ae9735ace59160655ef83d979ed5863ecaac27d00d14de4760a"}),
+    (["ca", "--window", "300", "--steps", "3", "--moat", "2"], {
+        "grid.rle":
+        "8c66fbda35cc63203bae1d2db38a540680a008a42869c16ff24d74791d0bb2f0",
+        "grid.pbm":
+        "42f55566a902dc1d749489c831d89a7d6cbf6f83905bfc7db568b927120633bc",
+        "moat.csv":
+        "8abfd8b9cc4593b5c868bbec6decbb5db9160473c97d45aa5771ef38208468c3"}),
+    (["angles", "--count", "50"], {
+        "angles.csv":
+        "bcba21a7b98eabadbd482e11f08386ecde35ea12ecc0df02fd4ae8429518ecd6"}),
+    (["angles", "--count", "5000"], {
+        "angles.csv":
+        "cf777da66c0d95ee96c0db7c28f6fd550d7b05bad091f441eb58888b93e392ee"}),
+])
+def test_ca_and_angles_data_digests(tmp_path, args, digests):
+    out = tmp_path / "run"
+    assert _run(["--out", str(out), *args]) == 0
+    for name, want in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("args,what", [
+    (["ca", "--window", "1", "--moat", "0"], "1+i must be inside the window"),
+    (["ca", "--window", "-3"], "window >= 0 required"),
+    (["angles", "--count", "0"], "count >= 1 required"),
+])
+def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
+    assert _run(["--out", str(tmp_path / "bad"), *args]) == 2
+    assert f"usage error: {what}" in capsys.readouterr().err
+
+
+def test_smith_computes_the_product_once(tmp_path, monkeypatch):
+    from primelab import ratkernel as rk
+
+    calls = []
+    real = rk.jordan_totient
+
+    def counting(k, s=1):
+        calls.append(k)
+        return real(k, s)
+
+    monkeypatch.setattr(rk, "jordan_totient", counting)
+    out = tmp_path / "s"
+    assert _run(["--out", str(out), "smith", "--n", "7"]) == 0
+    assert sorted(calls) == [1, 2, 3, 4, 5, 6, 7]
+    data = json.loads((out / "smith.json").read_text())
+    assert data["det"] == "192" and data["residual"] == "0"

@@ -164,6 +164,31 @@ def test_theta_sequence():
         assert -math.pi / 8 < a.theta < math.pi / 8
 
 
+
+def _theta_oracle(count):
+    """The per-prime loop: two_square(p) for each p ≡ 1 mod 4 in order."""
+    out, p = [], 5
+    while len(out) < count:
+        if p % 4 == 1 and rk.is_prime(p):
+            a, b = rk.two_square(p)
+            out.append(pa.PrimeAngle(p, math.atan2(b, a) - pa.PI8))
+        p += 4
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 50, 2000])
+def test_theta_sequence_matches_two_square_loop(count):
+    assert pa.theta_sequence(count) == _theta_oracle(count)
+
+
+def test_pi_G_matches_brute_force():
+    norms = sorted(a * a + b * b for a in range(-15, 16)
+                   for b in range(-15, 16)
+                   if (a or b) and pa.is_gaussian_prime(GaussianInt(a, b)))
+    for x in range(2, 200):
+        want = sum(1 for n in norms if n <= x)
+        assert pa.pi_G(x) == (want, 0)
+
 def test_pi_G_fixtures():
     assert pa.pi_G(2)[0] == 4
     assert pa.pi_G(5)[0] == 12
