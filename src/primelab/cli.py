@@ -98,8 +98,9 @@ def _run_matrix(args, outdir):
         files.append(_emit(outdir, "spectrum.csv", lines))
     if args.detgrowth:
         lines = ["n,det_sign,log_abs_det"]
+        full = sm.build_prime_matrix(args.z0, args.detgrowth)
         for n in range(1, args.detgrowth + 1):
-            d = sm.det_exact(sm.build_prime_matrix(args.z0, n))
+            d = sm.det_exact(full[:n, :n])
             sign = 0 if d == 0 else (1 if d > 0 else -1)
             log_abs = float("-inf") if d == 0 else math.log(abs(d))
             lines.append(f"{n},{sign},{log_abs!r}")
@@ -142,6 +143,8 @@ def _run_zeta(args, outdir):
     if args.explicit:
         if not args.zeros:
             raise UsageError("--explicit requires --zeros PATH")
+        if not args.step > 0:  # the x loop below would never end
+            raise UsageError(f"--step must be > 0, got {args.step}")
         table = zf.ZeroTable.load(args.zeros)
         lines = ["x,psi,explicit_psi,K"]
         x = args.xmin

@@ -426,21 +426,16 @@ def twins(r):
 def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
     """Boolean mask over the box [re_lo..re_hi]×[im_lo..im_hi] (inclusive)."""
     cells = max(re_hi - re_lo + 1, 0) * max(im_hi - im_lo + 1, 0)
-    # about 40 B per cell across A, B, N, q, pos, axis and the mask
-    rk.check_budget(40 * cells, f"Gaussian prime mask of {cells} cells")
+    # about 9 B per cell: the int64 norms and the mask (tracemalloc)
+    rk.check_budget(9 * cells, f"Gaussian prime mask of {cells} cells")
     a = np.arange(re_lo, re_hi + 1, dtype=np.int64)
     b = np.arange(im_lo, im_hi + 1, dtype=np.int64)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    N = A * A + B * B
-    nmax = int(N.max())
-    s = rk.sieve(max(nmax, 4))
-    mask = np.zeros(A.shape, dtype=bool)
-    pos = N >= 2
-    mask[pos] = s.flags[N[pos]]
-    axis = (A == 0) | (B == 0)
-    q = np.maximum(np.abs(A), np.abs(B))
-    cand = axis & (q % 4 == 3) & (q >= 3)
-    mask[cand] = s.flags[q[cand]]
+    s = rk.sieve(max(int((a * a).max() + (b * b).max()), 4))
+    mask = s.flags[a[:, None] ** 2 + b[None, :] ** 2]
+    # on the axes the primes are the units times inert q ≡ 3 mod 4
+    qa, qb = np.abs(a), np.abs(b)
+    mask[a == 0, :] = (qb % 4 == 3) & s.flags[qb]
+    mask[:, b == 0] = ((qa % 4 == 3) & s.flags[qa])[:, None]
     return mask
 
 

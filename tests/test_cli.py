@@ -79,6 +79,40 @@ def test_graphs_data_digests(tmp_path, kind, n, stats_sha, edges_sha):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
 
 
+# sha256 of the matrix data files, recorded before the scan became one rank
+# pass mod p and --detgrowth one matrix build
+@pytest.mark.parametrize("z0,scan,scan_sha,det_sha", [
+    ("1", "200",
+     "931f0f52dbfd45f274bb8fbaf9d5187b52b384806def0ec873c92630d3634145",
+     "3804e7a3311b84d4e18a7e0aa441e8455090e47c95cf81fa0d5f3c8173d3d444"),
+    ("2", "100",
+     "7016f1bc7bda40456c4db8ab83423552cd83ffbe535b4139e50e1c905265c0c0",
+     "ded50f56fed3a8000820c86c76e97b39f73bc88720c55b3f7ff5ecbad4af7d77"),
+])
+def test_matrix_data_digests(tmp_path, z0, scan, scan_sha, det_sha):
+    out = tmp_path / "m"
+    assert _run(["--out", str(out), "matrix", "--z0", z0, "--scan", scan,
+                 "--detgrowth", "30"]) == 0
+    for name, want in (("scan.json", scan_sha), ("det_growth.csv", det_sha)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
+def test_detgrowth_builds_the_matrix_once(tmp_path, monkeypatch):
+    from primelab import specmat as sm
+
+    built = []
+    real = sm.build_prime_matrix
+
+    def counting(z0, n):
+        built.append(n)
+        return real(z0, n)
+
+    monkeypatch.setattr(sm, "build_prime_matrix", counting)
+    assert _run(["--out", str(tmp_path / "d"), "matrix", "--z0", "1",
+                 "--detgrowth", "30"]) == 0
+    assert built == [30]
+
+
 def test_graphs_capacity_error_exit_3(tmp_path, capsys):
     out = tmp_path / "cap"
     assert _run(["--out", str(out), "graphs", "--kind", "gcd",
@@ -212,6 +246,10 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
     (["ca", "--window", "1", "--moat", "0"], "1+i must be inside the window"),
     (["ca", "--window", "-3"], "window >= 0 required"),
     (["angles", "--count", "0"], "count >= 1 required"),
+    (["zeta", "--explicit", "--zeros", ZEROS, "--K", "5", "--xmax", "20",
+      "--step", "0"], "--step must be > 0"),
+    (["zeta", "--explicit", "--zeros", ZEROS, "--K", "5", "--xmax", "20",
+      "--step", "-1"], "--step must be > 0"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2

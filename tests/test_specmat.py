@@ -47,6 +47,40 @@ def test_singularity_matches_exact_det():
         assert sm.is_singular_exact(mask[:n, :n]) == (d == 0)
 
 
+@pytest.mark.parametrize("z0", [1, 2, 3, GaussianInt(2, 2)])
+def test_scan_matches_bareiss_on_every_leading_block(z0):
+    full = sm.build_prime_matrix(z0, 60)
+    want = [n for n in range(1, 61) if sm.det_exact(full[:n, :n]) == 0]
+    assert sm.invertibility_scan(z0, 60)["singular_ns"] == want
+
+
+def test_leading_ranks_mod_vs_sympy():
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        r = int(rng.integers(0, n + 1))
+        low = rng.integers(-3, 4, size=(n, r)) @ rng.integers(-3, 4,
+                                                             size=(r, n))
+        for m in (low, rng.integers(0, 2, size=(n, n))):
+            ranks = sm._leading_ranks_mod(m, sm._RANK_PRIME)
+            want = [sympy.Matrix(m[:k, :k].tolist()).rank()
+                    for k in range(1, n + 1)]
+            assert ranks.tolist() == want
+
+
+def test_scan_refused_before_build(tmp_path, monkeypatch, capsys):
+    from primelab import cli
+
+    def build(*_args):
+        raise AssertionError("the refused matrix was built")
+
+    monkeypatch.setattr(sm, "build_prime_matrix", build)
+    assert cli.main(["--out", str(tmp_path / "cap"), "matrix",
+                     "--scan", "15000"]) == 3
+    assert ("capacity error: invertibility scan to n=15000"
+            in capsys.readouterr().err)
+
+
 def test_anticommutator_even_z0():
     for z0 in (2, 4, GaussianInt(1, 1), GaussianInt(2, 2)):
         assert sm.anticommutator_residual(z0, 20) == 0
