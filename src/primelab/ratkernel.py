@@ -17,7 +17,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 
 class CapacityError(Exception):
@@ -124,11 +123,16 @@ def pi_mod(x, r, m):
 
 
 def li(x):
-    """∫₂ˣ dt/log t by adaptive quadrature, relative tolerance 1e-10."""
+    """∫₂ˣ dt/log t by adaptive quadrature, relative tolerance 1e-12.
+
+    scipy.integrate is imported on the first call, so importing this module
+    (and the CLI) loads no scipy.
+    """
     if x < 2:
         raise ValueError("li defined for x >= 2")
     if x == 2:
         return 0.0
+    from scipy import integrate
     val, _err = integrate.quad(lambda t: 1.0 / math.log(t), 2.0, x,
                                epsrel=1e-12, limit=200)
     return val

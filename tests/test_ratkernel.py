@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -168,6 +172,39 @@ def test_li_value():
     # li(2) = 0 with the lower-limit-2 convention
     assert abs(rk.li(2)) < 1e-12
     assert abs(rk.li(10**6) - 78626.503996) < 1e-2
+
+
+def test_li_domain():
+    for x in (1.5, 0):
+        with pytest.raises(ValueError):
+            rk.li(x)
+    assert rk.li(3) > 0
+
+
+_IMPORT_DIET = """
+import sys
+import primelab, primelab.cli, primelab.specmat, primelab.primestats
+import primelab.zetafun, primelab.planarith, primelab.hyperarith
+
+def scipy_loaded():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+assert not scipy_loaded(), scipy_loaded()
+from primelab import ratkernel as rk
+assert abs(rk.li(10**6) - 78626.503996) < 1e-2
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_imports_load_no_scipy_until_li():
+    # A child interpreter: this session has already imported scipy.
+    env = dict(os.environ)
+    src = str(Path(rk.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _IMPORT_DIET], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_sqrt_minus_one_mod():
