@@ -6,8 +6,8 @@ ever clipped, up to a loud capacity cap.  The default rule is Conway's Life
 (birth {3}, survive {2,3}); any outer-totalistic rule can be passed instead.
 
 The moat machinery dilates the Gaussian-prime configuration m times and
-labels connected components (8-connectivity by default: diagonal steps of
-length √2 are the twin distance), then extracts the component containing 1+i.
+labels connected components (8-connectivity: diagonal steps of length √2
+are the twin distance), then extracts the component containing 1+i.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .ratkernel import CapacityError
 from .planarith import gaussian_prime_mask
 
 _WINDOW_CAP = 4096  # max cells per side
+_EIGHT = ndimage.generate_binary_structure(2, 2)  # 8-connected 3×3 block
 
 
 @dataclass(frozen=True)
@@ -118,42 +119,35 @@ def farthest_live_radius(window, rule=LIFE):
     return max((re * re + im * im) ** 0.5 for re, im in cells)
 
 
-def dilate(g, steps=1, connectivity=8):
+def dilate(g, steps=1):
     if steps < 0:
         raise ValueError("steps >= 0 required")
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
     if steps == 0:
         return Grid(g.origin, g.cells.copy())
     if max(g.width, g.height) + 2 * steps > _WINDOW_CAP:
         raise CapacityError("dilation exceeds window cap")
-    struct = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
     cells = np.pad(g.cells, steps)
-    cells = ndimage.binary_dilation(cells, struct, iterations=steps)
+    cells = ndimage.binary_dilation(cells, _EIGHT, iterations=steps)
     return Grid((g.origin[0] - steps, g.origin[1] - steps), cells)
 
 
-def components(g, connectivity=8):
-    """(labels array, count) of connected live components."""
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
-    struct = ndimage.generate_binary_structure(2, 2 if connectivity == 8 else 1)
-    labels, count = ndimage.label(g.cells, structure=struct)
-    return labels, count
+def components(g):
+    """(labels array, count) of 8-connected live components."""
+    return ndimage.label(g.cells, structure=_EIGHT)
 
 
-def component_count(g, connectivity=8):
-    return components(g, connectivity)[1]
+def component_count(g):
+    return components(g)[1]
 
 
-def moat_component(m, window, connectivity=8):
+def moat_component(m, window):
     """Live points of the component containing 1+i after m dilations of the
     Gaussian-prime grid on [-window, window]², as an int64 (M, 2) array of
     (re, im) rows in lexicographic order."""
     if window < 2:
         raise ValueError("1+i must be inside the window")
-    g = dilate(grid_from_gaussian_primes(window), m, connectivity)
-    labels, _ = components(g, connectivity)
+    g = dilate(grid_from_gaussian_primes(window), m)
+    labels, _ = components(g)
     i, j = 1 - g.origin[0], 1 - g.origin[1]
     lab = labels[i, j]
     if lab == 0:

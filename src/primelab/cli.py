@@ -80,14 +80,14 @@ def _run_hl(args, outdir):
 def _run_matrix(args, outdir):
     from . import specmat as sm
     files, extra = [], {}
-    if args.scan:
+    if args.scan is not None:
         res = sm.invertibility_scan(args.z0, args.scan)
         extra["threshold"] = res["threshold"]
         files.append(_write(Path(outdir) / "scan.json", _json_dumps(
             {"z0": args.z0, "nmax": args.scan,
              "singular_ns": res["singular_ns"],
              "threshold": res["threshold"]})))
-    if args.spectrum:
+    if args.spectrum is not None:
         # refuse an oversized matrix before building it
         sm.check_solver_cap(args.spectrum)
         m = sm.build_prime_matrix(args.z0, args.spectrum)
@@ -96,11 +96,11 @@ def _run_matrix(args, outdir):
                              for ev in sorted(s.eigenvalues,
                                               key=lambda z: (z.real, z.imag))]
         files.append(_emit(outdir, "spectrum.csv", lines))
-    if args.detgrowth:
+    if args.detgrowth is not None:
         lines = ["n,det_sign,log_abs_det"]
+        sm.check_exact_pass(args.detgrowth)
         full = sm.build_prime_matrix(args.z0, args.detgrowth)
-        for n in range(1, args.detgrowth + 1):
-            d = sm.det_exact(full[:n, :n])
+        for n, d in enumerate(sm.leading_minors(full), 1):
             sign = 0 if d == 0 else (1 if d > 0 else -1)
             log_abs = float("-inf") if d == 0 else math.log(abs(d))
             lines.append(f"{n},{sign},{log_abs!r}")

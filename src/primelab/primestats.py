@@ -55,18 +55,17 @@ def hl_C_naive(a, P):
     return out
 
 
-def hl_C_western(P, zeta6=None, beta2=None, zeta3=None):
+def hl_C_western(P):
     """Western's accelerated product for C = C_1, cut at p <= P.
 
-    The zeta/beta constants come from the analytic evaluators unless passed in.
+    The zeta/beta constants come from the analytic evaluators in zetafun.
     """
     if P < 5:
         raise ValueError("P >= 5 required")
-    if zeta6 is None or beta2 is None or zeta3 is None:
-        from . import zetafun
-        zeta6 = float(zetafun.zeta(6).real)
-        zeta3 = float(zetafun.zeta(3).real)
-        beta2 = float(zetafun.beta(2).real)
+    from . import zetafun
+    zeta6 = float(zetafun.zeta(6).real)
+    zeta3 = float(zetafun.zeta(3).real)
+    beta2 = float(zetafun.beta(2).real)
     # prefactor 3/2: the 3/4 sometimes quoted is off by exactly 2 against
     # both the naive product and Shanks' value 1.37281346
     out = 1.5 * zeta6 / (beta2 * zeta3)

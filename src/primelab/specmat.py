@@ -13,8 +13,10 @@ E⁻¹_{ij} = μ(i/j)).
 Almost-periodic matrices A_{km} = cos(kmα + mβ) = Re B_{km} with
 B_{km} = exp(i(kmα + mβ)); |det B| is a van der Monde product.
 
-Exact determinants use fraction-free (Bareiss) elimination over big integers;
-residual norms are max-abs entry norms throughout.
+One fraction-free (Bareiss) pass over the big integers gives every leading
+minor det A[:n, :n] (`leading_minors`): `det_exact`, the invertibility scan's
+confirmations and determinant growth all read it.  Residual norms are max-abs
+entry norms throughout.
 """
 
 from __future__ import annotations
@@ -45,35 +47,56 @@ def build_prime_matrix(z0, n):
                                z.im + 1, z.im + n).astype(np.int64)
 
 
-def det_exact(m):
-    """Exact determinant by fraction-free Bareiss elimination."""
+def leading_minors(m):
+    """[det m[:n, :n] for n = 1..N] from one fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968), whose pivot e is the minor of order e+1.
+    Pivot e is sought only in rows e..n-1 of the block m[:n, :n], so a zero
+    minor stalls the pass until a later row brings a nonzero in column e."""
     a = [[int(x) for x in row] for row in np.asarray(m)]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
+    size = len(a)
+    if any(len(row) != size for row in a):
         raise ValueError("square matrix required")
+    minors = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = a[k][k]
-        for r in range(k + 1, n):
-            ark = a[r][k]
-            row_r = a[r]
-            row_k = a[k]
-            for c in range(k + 1, n):
-                row_r[c] = (pkk * row_r[c] - ark * row_k[c]) // prev
-            row_r[k] = 0
-        prev = pkk
-    return sign * a[n - 1][n - 1]
+    e = 0  # pivots taken so far
+    for n in range(1, size + 1):
+        while e < n:
+            if a[e][e] == 0:
+                for r in range(e + 1, n):
+                    if a[r][e] != 0:
+                        a[e], a[r] = a[r], a[e]
+                        sign = -sign
+                        break
+                else:
+                    break  # stalled: det m[:n, :n] = 0
+            pkk = a[e][e]
+            row_e = a[e]
+            for r in range(e + 1, size):
+                ark = a[r][e]
+                row_r = a[r]
+                for c in range(e + 1, size):
+                    row_r[c] = (pkk * row_r[c] - ark * row_e[c]) // prev
+                row_r[e] = 0
+            prev = pkk
+            e += 1
+        minors.append(sign * prev if e == n else 0)
+    return minors
+
+
+def det_exact(m):
+    """Exact determinant: the last of leading_minors(m), 1 for 0×0."""
+    return (leading_minors(m) or [1])[-1]
+
+
+def check_exact_pass(n, entry_bits=0):
+    """Raise CapacityError before leading_minors runs on an n×n matrix with
+    entries below 2**entry_bits: n² list pointers, and n²/2 minors below
+    n^(n/2)·2^(n·entry_bits) (Hadamard's bound) on and above the diagonal."""
+    n = max(n, 0)
+    bits = n * (math.log2(max(n, 1)) / 2 + entry_bits)
+    rk.check_budget(int(n * n * (8 + (28 + bits / 8) / 2)),
+                    f"exact pass over a {n}x{n} matrix")
 
 
 def det_minor_expansion(m):
@@ -125,7 +148,7 @@ def _leading_ranks_mod(m, p):
 
 def is_singular_exact(m):
     """Exact singularity test: full rank mod p proves invertibility; a rank
-    drop mod p is confirmed or refuted by Bareiss."""
+    drop mod p is confirmed or refuted by the exact pass."""
     n = len(m)
     if n and _leading_ranks_mod(m, _RANK_PRIME)[-1] == n:
         return False
@@ -135,13 +158,18 @@ def is_singular_exact(m):
 def invertibility_scan(z0, nmax):
     """{singular_ns, threshold}: all singular n <= nmax, and the least n0 with
     every n0 < n <= nmax invertible.  One rank pass mod p gives the rank of
-    every leading block; Bareiss confirms each n with a rank drop."""
+    every leading block, and full rank proves n invertible; one exact pass
+    over the block of the last rank drop confirms or refutes every drop."""
     # int64 matrix, mod-p copy, update block, sieve: ~27 B/cell (tracemalloc)
     rk.check_budget(27 * max(nmax, 0) ** 2, f"invertibility scan to n={nmax}")
     full = build_prime_matrix(z0, nmax)
     ranks = _leading_ranks_mod(full, _RANK_PRIME)
-    singular = [n for n in range(1, nmax + 1)
-                if ranks[n - 1] < n and det_exact(full[:n, :n]) == 0]
+    drops = [n for n in range(1, nmax + 1) if ranks[n - 1] < n]
+    singular = []
+    if drops:
+        check_exact_pass(drops[-1])
+        minors = leading_minors(full[:drops[-1], :drops[-1]])
+        singular = [n for n in drops if minors[n - 1] == 0]
     return {"singular_ns": singular, "threshold": max(singular, default=0)}
 
 
@@ -198,14 +226,18 @@ def spectral_symmetry_residual(s):
     return float(max(d.min(axis=0).max(), d.min(axis=1).max()))
 
 
-def char_poly(m, exact_cap=64):
+_CHAR_POLY_EXACT_CAP = 64
+
+
+def char_poly(m):
     """Coefficients of det(xI − A), descending (leading 1).
 
-    Exact integers via Faddeev–LeVerrier up to exact_cap, float beyond.
+    Exact integers via Faddeev–LeVerrier up to order _CHAR_POLY_EXACT_CAP,
+    float beyond.
     """
     a = np.asarray(m)
     n = a.shape[0]
-    if n <= exact_cap:
+    if n <= _CHAR_POLY_EXACT_CAP:
         A = np.array([[int(x) for x in row] for row in a], dtype=object)
         M = np.eye(n, dtype=object)
         coeffs = [1]
@@ -289,9 +321,14 @@ def trace_vs_li(z0, n):
 
 def build_smith(n, s=1):
     """A_{ij} = gcd(i,j)^s, 1 <= i,j <= n; exact for integer s >= 1."""
+    exact = isinstance(s, int) and s >= 1
+    # int64 gcds, then a list and an object array of ints below n^s (exact)
+    # or a complex copy and its power
+    per_cell = 8 + (44 + s * math.log2(max(n, 1)) / 8 if exact else 32)
+    rk.check_budget(int(per_cell * max(n, 0) ** 2), f"gcd matrix n={n}")
     idx = np.arange(1, n + 1, dtype=np.int64)
     g = np.gcd.outer(idx, idx)
-    if isinstance(s, int) and s >= 1:
+    if exact:
         return np.array([[int(x) ** s for x in row] for row in g],
                         dtype=object)
     return np.power(g.astype(complex), s)
@@ -315,9 +352,12 @@ def smith_det_residual(n, s=1):
 
 def _smith_det_and_residual(n, s=1):
     """(∏_{k<=n} J_s(k), smith_det_residual(n, s)) from one product."""
+    exact = isinstance(s, int) and s >= 1
+    if exact:
+        check_exact_pass(n, s * math.log2(max(n, 1)))
     a = build_smith(n, s)
     target = smith_det(n, s)
-    if isinstance(s, int) and s >= 1:
+    if exact:
         return target, det_exact(a) - target
     # relative residual: the determinant magnitude explodes with n
     return target, (complex(np.linalg.det(a)) - target) / max(1.0, abs(target))

@@ -107,10 +107,19 @@ def test_detgrowth_builds_the_matrix_once(tmp_path, monkeypatch):
         built.append(n)
         return real(z0, n)
 
+    passes = []
+    real_minors = sm.leading_minors
+
+    def counting_passes(m):
+        passes.append(len(m))
+        return real_minors(m)
+
     monkeypatch.setattr(sm, "build_prime_matrix", counting)
+    monkeypatch.setattr(sm, "leading_minors", counting_passes)
     assert _run(["--out", str(tmp_path / "d"), "matrix", "--z0", "1",
                  "--detgrowth", "30"]) == 0
     assert built == [30]
+    assert passes == [30]  # one exact pass gives all 30 leading minors
 
 
 def test_graphs_capacity_error_exit_3(tmp_path, capsys):
@@ -204,6 +213,8 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("args,what", [
     (["hyperplane", "--a", "1", "--n", "2000"], "hyperplane count n=2000"),
     (["ca", "--window", "100000"], "Gaussian prime mask"),
+    (["smith", "--n", "20000"], "exact pass over a 20000x20000 matrix"),
+    (["matrix", "--detgrowth", "5000"], "exact pass over a 5000x5000 matrix"),
 ])
 def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):
@@ -250,6 +261,9 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
       "--step", "0"], "--step must be > 0"),
     (["zeta", "--explicit", "--zeros", ZEROS, "--K", "5", "--xmax", "20",
       "--step", "-1"], "--step must be > 0"),
+    (["matrix", "--scan", "0"], "n >= 1 required"),
+    (["matrix", "--spectrum", "0"], "n >= 1 required"),
+    (["matrix", "--detgrowth", "0"], "n >= 1 required"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2

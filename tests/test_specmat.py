@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,36 @@ import sympy
 from primelab import ratkernel as rk
 from primelab import specmat as sm
 from primelab.planarith import GaussianInt
+
+
+def _bareiss_det(m):
+    """Exact determinant by its own fraction-free Bareiss elimination, with
+    row swaps anywhere below the pivot (oracle for leading_minors)."""
+    a = [[int(x) for x in row] for row in np.asarray(m)]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pkk = a[k][k]
+        for r in range(k + 1, n):
+            ark = a[r][k]
+            row_r = a[r]
+            row_k = a[k]
+            for c in range(k + 1, n):
+                row_r[c] = (pkk * row_r[c] - ark * row_k[c]) // prev
+            row_r[k] = 0
+        prev = pkk
+    return sign * a[n - 1][n - 1]
 
 
 def test_build_prime_matrix_entries():
@@ -24,6 +55,34 @@ def test_det_exact_vs_minor_expansion():
         n = int(rng.integers(1, 8))
         m = rng.integers(0, 2, size=(n, n))
         assert sm.det_exact(m) == sm.det_minor_expansion(m)
+
+
+def test_leading_minors_match_per_block_bareiss():
+    rng = np.random.default_rng(5)
+    stalled = 0
+    for n in range(9):
+        for _ in range(60):
+            r = int(rng.integers(0, n + 1))
+            zero_first = rng.integers(0, 2, size=(n, n))
+            zero_first[:, :1] = 0
+            for m in (rng.integers(0, 2, size=(n, n)),
+                      rng.integers(-3, 4, size=(n, n))
+                      * (rng.random((n, n)) < 0.3),
+                      rng.integers(-2, 3, size=(n, r))
+                      @ rng.integers(-2, 3, size=(r, n)),
+                      zero_first):
+                want = [_bareiss_det(m[:k, :k]) for k in range(1, n + 1)]
+                assert sm.leading_minors(m) == want
+                assert sm.det_exact(m) == _bareiss_det(m)
+                stalled += want[:-1].count(0)
+    assert stalled > 1000  # the zero-minor path is exercised
+    assert sm.leading_minors(np.zeros((0, 0), dtype=np.int64)) == []
+    assert sm.det_exact(np.zeros((0, 0), dtype=np.int64)) == 1
+    for shape in ((2, 3), (3, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            sm.leading_minors(np.ones(shape, dtype=np.int64))
+        with pytest.raises(ValueError):
+            sm.det_exact(np.ones(shape, dtype=np.int64))
 
 
 def test_det_exact_vs_float():
@@ -50,8 +109,26 @@ def test_singularity_matches_exact_det():
 @pytest.mark.parametrize("z0", [1, 2, 3, GaussianInt(2, 2)])
 def test_scan_matches_bareiss_on_every_leading_block(z0):
     full = sm.build_prime_matrix(z0, 60)
-    want = [n for n in range(1, 61) if sm.det_exact(full[:n, :n]) == 0]
+    want = [n for n in range(1, 61) if _bareiss_det(full[:n, :n]) == 0]
     assert sm.invertibility_scan(z0, 60)["singular_ns"] == want
+
+
+@pytest.mark.parametrize("z0,nmax,blocks",
+                         [(1, 60, [28]), (2, 60, [59]), (1, 4, [])])
+def test_scan_runs_one_exact_pass(monkeypatch, z0, nmax, blocks):
+    """One leading_minors call over the block of the last rank drop, none
+    when no leading block drops rank mod p (z0 = 1 up to n = 4)."""
+    passes = []
+    real = sm.leading_minors
+
+    def counting(m):
+        passes.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(sm, "leading_minors", counting)
+    res = sm.invertibility_scan(z0, nmax)
+    assert passes == blocks
+    assert res["threshold"] == (blocks[0] if blocks else 0)
 
 
 def test_leading_ranks_mod_vs_sympy():
@@ -178,6 +255,21 @@ def test_smith_det_exact():
     for n in range(1, 51):
         for s in (1, 2, 3):
             assert sm.smith_det_residual(n, s) == 0
+
+
+def test_smith_refused_before_build():
+    for call in (lambda: sm.build_smith(20000),
+                 lambda: sm.build_smith(20000, 0.5),
+                 lambda: sm.smith_det_residual(20000),
+                 lambda: sm.smith_det_residual(20000, 0.5)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(rk.CapacityError):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 def test_smith_det_192():
