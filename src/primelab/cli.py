@@ -3,7 +3,8 @@
 Every subcommand writes its data files (CSV/JSON, deterministic byte order)
 plus a `manifest.json` recording the parameters, package versions, and wall
 time.  Usage errors, including any argument the library rejects with
-ValueError, exit 2; capacity errors exit 3.
+ValueError or does not implement (NotImplementedError), exit 2; capacity
+errors exit 3.
 """
 
 from __future__ import annotations
@@ -43,16 +44,21 @@ def _run_goldbach(args, outdir):
         "open-even": gb.SumVariant(cone="open", parity_filter="even-only"),
         "unrestricted": gb.UNRESTRICTED,
     }[args.variant]
+    if args.max < 2:
+        raise UsageError(f"--max must be >= 2, got {args.max}")
     report = gb.comet(args.ring, ((2, args.max), (2, args.max)), variant)
     files = [_emit(outdir, "goldbach.csv", list(report.csv_lines()))]
-    files.append(_write(Path(outdir) / "goldbach.json", _json_dumps({
+    summary = {
         "ring": report.ring,
         "variant": args.variant,
         "region": list(map(list, report.region)),
         "min_count": report.min_count,
         "max_count": report.max_count,
         "zero_cells": [list(c) for c in report.zero_cells],
-    })))
+    }
+    if variant.cone == "unrestricted":
+        summary["window"] = gb.UNRESTRICTED_WINDOW
+    files.append(_write(Path(outdir) / "goldbach.json", _json_dumps(summary)))
     return files, {"zero_cells": len(report.zero_cells)}
 
 
@@ -324,7 +330,7 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         files, extra = _RUNNERS[args.subcommand](args, outdir)
-    except (UsageError, ValueError) as e:
+    except (UsageError, ValueError, NotImplementedError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

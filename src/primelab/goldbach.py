@@ -4,30 +4,32 @@ r2(z) counts ORDERED pairs (p, q) of primes with p + q = z subject to a
 SumVariant (cone, angle cap, parity filter); r3 counts ordered triples.
 Comets are grids of r2 over rectangular target regions.
 
-Cone semantics:
+Cone semantics, for a target t = a + b·u with a, b >= 0:
   open         — every coordinate of both summands strictly positive
   closed       — coordinates nonnegative
-  unrestricted — summands anywhere in the ring
+  unrestricted — Gaussian summands anywhere in the window
+                 [−W..a+W]×[−W..b+W], W = UNRESTRICTED_WINDOW = 2
 
-Unrestricted Gaussian targets with odd coordinate sum are decided exactly:
-any decomposition of such a target uses exactly one summand of even norm,
-and the only Gaussian primes of even norm are the four associates ±1±i.
-Targets with even coordinate sum admit summands arbitrarily far away, so
-they get a bounded witness search whose exhaustion is a loud error, never a
-silent zero.
+Each cone is the summand box [lo..a−lo]×[lo..b−lo] with lo = 1, 0 and −W.
+Unrestricted targets with a negative coordinate count as their mirror
+(|a|, |b|): conjugation and negation permute the primes and carry the
+window onto the mirror's.  Targets with odd coordinate sum are counted
+exactly: one summand has even norm, so it is one of the four associates
+±1±i, and its partner lies in any window with W >= 1.  Targets with even
+coordinate sum admit summands arbitrarily far away, so their count is the
+count inside the window, a lower bound on the unbounded one.
 
-Planar counts (Gaussian open and closed cones, Eisenstein open cone) come
-from one engine, planar_counts.  Every summand of every target in a box lies
-in one prime mask M, so r2 over the whole box is the self-convolution M⋆M,
-computed once by float64 FFT and rounded.  The rounding is accepted only if
-every cell lies within 0.25 of an integer; otherwise ArithmeticError is
-raised rather than a wrong count returned.  comet, first_counterexample,
-eisenstein_ghosts and r3 are reductions of that grid.  Quaternion and
-octonion targets get one summand mask per summand parity of their species,
-over the doubled-coordinate box below the target; quaternion_comet
-convolves it the same way.  r2 of one target of any ring counts its mask
-against the mask's reflection; the angle cap, which depends on the target,
-and the unrestricted cone's witness search are counted per cell.
+Planar counts come from one engine, planar_counts.  Every summand of every
+target in a box lies in one prime mask M, so r2 over the whole box is the
+self-convolution M⋆M, computed once by float64 FFT and rounded.  The
+rounding is accepted only if every cell lies within 0.25 of an integer;
+otherwise ArithmeticError is raised rather than a wrong count returned.
+comet, first_counterexample, eisenstein_ghosts and r3 are reductions of
+that grid.  Quaternion and octonion targets get one summand mask per summand
+parity of their species, over the doubled-coordinate box below the target;
+quaternion_comet convolves it the same way.  r2 of one target of any ring
+counts its mask against the mask's reflection; only the angle cap, which
+depends on the target, is counted per cell.
 """
 
 from __future__ import annotations
@@ -40,8 +42,11 @@ import numpy as np
 from scipy import signal
 
 from . import ratkernel as rk
-from .planarith import (EisensteinInt, GaussianInt, gaussian_prime_mask,
-                        is_gaussian_prime)
+from .planarith import (EisensteinInt, GaussianInt, eisenstein_prime_mask,
+                        gaussian_prime_mask, is_gaussian_prime)
+
+# unrestricted summands of a + b·i lie in [−W..a+W]×[−W..b+W]
+UNRESTRICTED_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -90,63 +95,23 @@ class SweepReport:
             yield ",".join(map(str, idx)) + f",{int(v)}"
 
 
-_EVEN_GAUSSIAN_PRIMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-@functools.cache
-def _witness_offsets(radius):
-    """Offsets (da, db) with |da|, |db| <= radius, by (norm, da, db)."""
-    return tuple((da, db) for _n2, da, db in sorted(
-        (da * da + db * db, da, db)
-        for da in range(-radius, radius + 1)
-        for db in range(-radius, radius + 1)))
-
-
-def _unrestricted_count(a, b, witness_radius=30):
-    """Unrestricted ordered pair count; exact for odd coordinate sum."""
-    if (a + b) % 2:
-        hits = 0
-        for ea, eb in _EVEN_GAUSSIAN_PRIMES:
-            if is_gaussian_prime(GaussianInt(a - ea, b - eb)):
-                hits += 1
-        return 2 * hits
-    # even target: unbounded summand set; report a witness-based lower bound
-    ca, cb = a // 2, b // 2
-    for da, db in _witness_offsets(witness_radius):
-        p = GaussianInt(ca + da, cb + db)
-        q = GaussianInt(a, b) - p
-        if is_gaussian_prime(p) and is_gaussian_prime(q):
-            return 2 if (p.re, p.im) != (q.re, q.im) else 1
-    raise RuntimeError(
-        f"no witness for even target {a}+{b}i within radius {witness_radius}; "
-        "increase witness_radius — this would be a notable counterexample")
-
-
-def _eisenstein_prime_mask(amax, bmax):
-    """mask[x-1, y-1] for x + yω prime, 1 <= x <= amax, 1 <= y <= bmax."""
-    xs = np.arange(1, amax + 1, dtype=np.int64)[:, None]
-    ys = np.arange(1, bmax + 1, dtype=np.int64)[None, :]
-    N = xs * xs + xs * ys + ys * ys
-    s = rk.sieve(max(int(N.max()), 4))
-    return s.flags[N]
-
-
 def _summand_mask(ring, cone, amax, bmax):
     """(mask, lo): the prime mask over [lo..amax-lo]×[lo..bmax-lo], which
     holds every cone summand of every target in [0..amax]×[0..bmax].
 
-    lo is 1 for the open cone and 0 for the closed one.  The mask is empty
-    when no target in the box has a summand pair.
+    lo is 1 for the open cone, 0 for the closed one and −UNRESTRICTED_WINDOW
+    for the unrestricted one.  The mask is empty when no target in the box
+    has a summand pair.
     """
     if (ring, cone) not in (("gaussian", "open"), ("gaussian", "closed"),
+                            ("gaussian", "unrestricted"),
                             ("eisenstein", "open")):
         raise ValueError(f"no planar count for the {ring} {cone} cone")
-    lo = 1 if cone == "open" else 0
+    lo = {"open": 1, "closed": 0, "unrestricted": -UNRESTRICTED_WINDOW}[cone]
     if amax < 2 * lo or bmax < 2 * lo:
         return np.zeros((0, 0), dtype=bool), lo
-    if ring == "eisenstein":
-        return _eisenstein_prime_mask(amax - 1, bmax - 1), lo
-    return gaussian_prime_mask(lo, amax - lo, lo, bmax - lo), lo
+    build = gaussian_prime_mask if ring == "gaussian" else eisenstein_prime_mask
+    return build(lo, amax - lo, lo, bmax - lo), lo
 
 
 def _fft_counts(mask):
@@ -171,9 +136,10 @@ def _fft_counts(mask):
 def planar_counts(ring, cone, amax, bmax):
     """out[a, b] = r2(a + b·u) for every target 0 <= a <= amax, 0 <= b <= bmax.
 
-    ring/cone is gaussian/open, gaussian/closed (u = i) or eisenstein/open
-    (u = ω).  Every summand of every target in the box lies in one prime
-    mask M, and r2 of target t is the cell of M⋆M at t, so the whole box
+    ring/cone is gaussian/open, gaussian/closed, gaussian/unrestricted
+    (u = i) or eisenstein/open (u = ω).  Every summand of every target in
+    the box lies in one prime mask M over [lo..amax-lo]×[lo..bmax-lo], and
+    r2 of target t is the cell of M⋆M at index t − 2·lo, so the whole box
     costs one mask and one convolution.
 
     Exactness: M⋆M is computed by float64 FFT and rounded to integers.  The
@@ -185,8 +151,10 @@ def planar_counts(ring, cone, amax, bmax):
     mask, lo = _summand_mask(ring, cone, amax, bmax)
     out = np.zeros((amax + 1, bmax + 1), dtype=np.int64)
     if mask.size:
-        conv = _fft_counts(mask)
-        out[2 * lo:, 2 * lo:] = conv[:amax + 1 - 2 * lo, :bmax + 1 - 2 * lo]
+        # targets below 2·lo (open cone) have no summand pair
+        k = max(2 * lo, 0)
+        out[k:, k:] = _fft_counts(mask)[k - 2 * lo:amax + 1 - 2 * lo,
+                                        k - 2 * lo:bmax + 1 - 2 * lo]
     return out
 
 
@@ -268,8 +236,12 @@ def _filtered_out(variant, a, b):
     return variant.parity_filter == "even-only" and (a + b) % 2 == 1
 
 
-def r2(z, variant=OPEN, ring=None, witness_radius=30):
-    """Ordered prime-pair representation count of z under the variant."""
+def r2(z, variant=OPEN, ring=None):
+    """Ordered prime-pair representation count of z under the variant.
+
+    Unrestricted Gaussian counts are those of the window (module docstring):
+    exact for odd coordinate sum, a lower bound for even.
+    """
     if ring is None:
         ring = _infer_ring(z)
     if ring not in ("gaussian", "eisenstein", *_SPECIES_PARITIES):
@@ -281,7 +253,8 @@ def r2(z, variant=OPEN, ring=None, witness_radius=30):
     if _filtered_out(variant, a, b):
         return 0
     if variant.cone == "unrestricted":
-        return _unrestricted_count(a, b, witness_radius)
+        # conjugation and negation carry the window onto the mirror's
+        a, b = abs(a), abs(b)
     return _direct_count(ring, variant, (a, b))
 
 
@@ -319,19 +292,27 @@ def comet(ring, region, variant=OPEN):
     """SweepReport of r2 over a rectangular target region.
 
     region: ((a_lo, a_hi), (b_lo, b_hi)) inclusive target coordinate bounds.
-    Cones that planar_counts covers take one engine grid; the angle cap,
-    which depends on the target, and the unrestricted cone's witness search
-    are counted per cell.
+    Every cone reads one planar_counts grid; only the angle cap, which
+    depends on the target, is counted per cell.  Unrestricted cells count
+    the pairs inside the window of UNRESTRICTED_WINDOW (module docstring):
+    exact for odd a + b, a lower bound for even, and a cell with a negative
+    coordinate reads its mirror (|a|, |b|).
     """
     if ring not in ("gaussian", "eisenstein"):
         raise ValueError(f"comet unsupported for ring {ring!r}")
     _check_variant(ring, variant)
     (alo, ahi), (blo, bhi) = region
     grid = np.zeros((ahi - alo + 1, bhi - blo + 1), dtype=np.int64)
-    if variant.cone == "unrestricted" or variant.angle_cap is not None:
+    if variant.angle_cap is not None:
         for a in range(alo, ahi + 1):
             for b in range(blo, bhi + 1):
                 grid[a - alo, b - blo] = r2(GaussianInt(a, b), variant)
+    elif variant.cone == "unrestricted":
+        a = np.abs(np.arange(alo, ahi + 1))
+        b = np.abs(np.arange(blo, bhi + 1))
+        counts = planar_counts(ring, "unrestricted", int(a.max()),
+                               int(b.max()))
+        grid = counts[np.ix_(a, b)]
     else:
         # targets with a negative coordinate have no cone summands
         counts = planar_counts(ring, variant.cone, max(ahi, 0), max(bhi, 0))
@@ -364,35 +345,36 @@ def quaternion_comet(a, b, cmax, dmax, species="hurwitz"):
     return grid
 
 
-def first_counterexample(ring, variant, bound, witness_radius=30):
+def first_counterexample(ring, variant, bound):
     """Smallest element in scope (norm, then lexicographic) with r2 = 0.
 
     Gaussian unrestricted: scope is the closed first quadrant, norm <= bound.
+    Its odd targets are counted exactly; an even target with no pair inside
+    the window of UNRESTRICTED_WINDOW raises RuntimeError, since that zero
+    proves nothing about the unbounded count.
     Gaussian open/closed/even: scope is 2 <= a,b <= bound (coordinate bound).
     Eisenstein open: scope is row b=3, 2 <= a <= bound.
     Returns None if every element in scope is representable.
     """
     _check_variant(ring, variant)
-    if ring == "gaussian" and variant.cone == "unrestricted":
-        cells = sorted((a * a + b * b, a, b)
-                       for a in range(int(math.isqrt(bound)) + 1)
-                       for b in range(int(math.isqrt(bound)) + 1)
-                       if 0 < a * a + b * b <= bound
-                       and not _filtered_out(variant, a, b))
-        for _n, a, b in cells:
-            if _unrestricted_count(a, b, witness_radius) == 0:
-                return GaussianInt(a, b)
-        return None
     if ring == "gaussian":
-        grid = (planar_counts(ring, variant.cone, bound, bound)
+        unrestricted = variant.cone == "unrestricted"
+        lo, hi = (0, math.isqrt(bound)) if unrestricted else (2, bound)
+        norm_cap = bound if unrestricted else 2 * hi * hi
+        grid = (planar_counts(ring, variant.cone, hi, hi)
                 if variant.angle_cap is None else None)
         cells = sorted((a * a + b * b, a, b)
-                       for a in range(2, bound + 1)
-                       for b in range(2, bound + 1)
-                       if not _filtered_out(variant, a, b))
+                       for a in range(lo, hi + 1)
+                       for b in range(lo, hi + 1)
+                       if 0 < a * a + b * b <= norm_cap
+                       and not _filtered_out(variant, a, b))
         for _n, a, b in cells:
             n = (grid[a, b] if grid is not None
                  else r2(GaussianInt(a, b), variant))
+            if n == 0 and unrestricted and (a + b) % 2 == 0:
+                raise RuntimeError(
+                    f"no pair for even target {a}+{b}i inside the window "
+                    f"{UNRESTRICTED_WINDOW}; its unbounded count is unknown")
             if n == 0:
                 return GaussianInt(a, b)
         return None

@@ -439,6 +439,31 @@ def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
     return mask
 
 
+def eisenstein_prime_mask(a_lo, a_hi, b_lo, b_hi):
+    """Boolean mask of the primes a + b·ω over the box [a_lo..a_hi]×[b_lo..b_hi]
+    (inclusive)."""
+    cells = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
+    # about 9 B per cell: the int64 norms, summed in place, and the mask
+    rk.check_budget(9 * cells, f"Eisenstein prime mask of {cells} cells")
+    a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
+    b = np.arange(b_lo, b_hi + 1, dtype=np.int64)
+    N = np.multiply.outer(a, b)
+    N += (a * a)[:, None]
+    N += b * b
+    s = rk.sieve(max(int(N.max()), 4))
+    mask = s.flags[N]
+    # the units times inert q ≡ 2 mod 3 are (±q, 0), (0, ±q) and (±q, ∓q),
+    # the cells of norm q² on the lines b = 0, a = 0 and a + b = 0
+    qa, qb = np.abs(a), np.abs(b)
+    inert_a = (qa % 3 == 2) & s.flags[qa]
+    mask[:, b == 0] = inert_a[:, None]
+    mask[a == 0, :] = (qb % 3 == 2) & s.flags[qb]
+    j = -a - b_lo
+    on = (j >= 0) & (j < b.size)
+    mask[on, j[on]] = inert_a[on]
+    return mask
+
+
 def prime_row_flags(k, n):
     """flags[j-1] for j + k·i Gaussian prime, 1 <= j <= n (k >= 1), sieved by
     the progressions j ≡ ±k·√−1 mod p — no per-entry primality tests.

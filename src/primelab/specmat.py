@@ -99,28 +99,6 @@ def check_exact_pass(n, entry_bits=0):
                     f"exact pass over a {n}x{n} matrix")
 
 
-def det_minor_expansion(m):
-    """Cofactor-expansion determinant (test oracle, small n only)."""
-    a = np.asarray(m, dtype=object)
-    n = a.shape[0]
-
-    def rec(rows, colmask):
-        if not rows:
-            return 1
-        r = rows[0]
-        total = 0
-        sign = 1
-        for c in range(n):
-            if colmask & (1 << c):
-                continue
-            if a[r][c]:
-                total += sign * a[r][c] * rec(rows[1:], colmask | (1 << c))
-            sign = -sign
-        return total
-
-    return rec(list(range(n)), 0)
-
-
 _RANK_PRIME = 2**31 - 1
 
 

@@ -161,6 +161,35 @@ def test_deterministic_data_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+# sha256 of goldbach.csv and goldbach.json, recorded before the unrestricted
+# cone joined the convolution engine; only unrestricted runs changed bytes
+@pytest.mark.parametrize("args,csv_sha,json_sha", [
+    (["--ring", "gaussian", "--variant", "open-even", "--max", "60"],
+     "35836c575ec15974735a3ebf77425da9f55ec76b98fc263421ae735d766c41f3",
+     "6661b9ff08279f7cb6bb9cdcfe8ca0d9fd8fb43332a41942288a199ad805875a"),
+    (["--ring", "gaussian", "--variant", "open", "--max", "40"],
+     "72dc1d075761ac88ed73c0c57b8638edc4da803dcb90176b7f3a6723572adda6",
+     "7eb4f30a96961c823801ee5e60a7eead1c19495170a9e64c5a846d32fde262b0"),
+    (["--ring", "eisenstein", "--variant", "open", "--max", "40"],
+     "0be04b59bb4891dbb1261d5220ebde3261bb77f98067a785b27ad172ab19f0ea",
+     "f63f8f9c03f3980395ac0542f9366262481433c81322c5f59df96f9b4d447375"),
+])
+def test_goldbach_data_digests(tmp_path, args, csv_sha, json_sha):
+    out = tmp_path / "gb"
+    assert _run(["--out", str(out), "goldbach", *args]) == 0
+    for name, want in (("goldbach.csv", csv_sha), ("goldbach.json", json_sha)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
+def test_goldbach_unrestricted_records_window(tmp_path):
+    out = tmp_path / "gb"
+    assert _run(["--out", str(out), "goldbach", "--variant", "unrestricted",
+                 "--max", "12"]) == 0
+    data = json.loads((out / "goldbach.json").read_text())
+    assert data["window"] == 2
+    assert data["zero_cells"] == []
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
@@ -215,6 +244,8 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
     (["ca", "--window", "100000"], "Gaussian prime mask"),
     (["smith", "--n", "20000"], "exact pass over a 20000x20000 matrix"),
     (["matrix", "--detgrowth", "5000"], "exact pass over a 5000x5000 matrix"),
+    (["goldbach", "--ring", "eisenstein", "--variant", "open", "--max",
+      "20000"], "Eisenstein prime mask"),
 ])
 def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):
@@ -264,6 +295,9 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
     (["matrix", "--scan", "0"], "n >= 1 required"),
     (["matrix", "--spectrum", "0"], "n >= 1 required"),
     (["matrix", "--detgrowth", "0"], "n >= 1 required"),
+    (["goldbach", "--ring", "eisenstein", "--variant", "unrestricted",
+      "--max", "10"], "eisenstein sums are open-cone"),
+    (["goldbach", "--max", "1"], "--max must be >= 2, got 1"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2

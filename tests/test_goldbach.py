@@ -44,16 +44,59 @@ def test_unrestricted_odd_targets():
 
 
 def test_cone_monotonicity():
+    # each cone's summand box holds the one before it, for odd and even a + b
     open_v, closed_v = gb.OPEN, gb.SumVariant(cone="closed")
     for a in range(2, 12):
         for b in range(2, 12):
             z = GaussianInt(a, b)
-            o = gb.r2(z, open_v)
-            c = gb.r2(z, closed_v)
-            u = gb.r2(z, gb.UNRESTRICTED) if (a + b) % 2 else None
-            assert o <= c
-            if u is not None:
-                assert c <= u
+            assert gb.r2(z, open_v) <= gb.r2(z, closed_v) <= gb.r2(
+                z, gb.UNRESTRICTED)
+    assert gb.r2(GaussianInt(10, 10), closed_v) == 28
+    assert gb.r2(GaussianInt(10, 10), gb.UNRESTRICTED) >= 28
+
+
+def _windowed_pair_count(a, b, primes):
+    """Ordered prime pairs p + q = a + bi with both summands in the box
+    spanned by 0 and the target, grown by UNRESTRICTED_WINDOW on every
+    side, by a loop over p."""
+    w = gb.UNRESTRICTED_WINDOW
+    xs = range(min(a, 0) - w, max(a, 0) + w + 1)
+    ys = range(min(b, 0) - w, max(b, 0) + w + 1)
+    return sum(1 for x in xs for y in ys
+               if (x, y) in primes and (a - x, b - y) in primes
+               and a - x in xs and b - y in ys)
+
+
+def test_unrestricted_comet_matches_window_oracle():
+    region = ((-9, 13), (-7, 10))
+    rep = gb.comet("gaussian", region, gb.UNRESTRICTED)
+    span = range(-16, 17)
+    primes = {(x, y) for x in span for y in span
+              if pa.is_gaussian_prime(GaussianInt(x, y))}
+    for a in range(-9, 14):
+        for b in range(-7, 11):
+            got = rep.counts[a + 9, b + 7]
+            assert got == gb.r2(GaussianInt(a, b), gb.UNRESTRICTED)
+            if (a + b) % 2:
+                # one summand has even norm, so it is one of ±1±i
+                want = 2 * sum(
+                    pa.is_gaussian_prime(GaussianInt(a - ea, b - eb))
+                    for ea in (1, -1) for eb in (1, -1))
+            else:
+                want = _windowed_pair_count(a, b, primes)
+            assert got == want, (a, b)
+    assert rep.zero_cells == [(a, b) for a in range(-9, 14)
+                              for b in range(-7, 11)
+                              if rep.counts[a + 9, b + 7] == 0]
+
+
+def test_first_counterexample_refuses_an_even_window_zero(monkeypatch):
+    # with no room outside the closed cone, 2 = (1 + i)(1 − i) has no pair
+    monkeypatch.setattr(gb, "UNRESTRICTED_WINDOW", 0)
+    assert gb.r2(GaussianInt(2, 0), gb.UNRESTRICTED) == 0
+    ev = gb.SumVariant(cone="unrestricted", parity_filter="even-only")
+    with pytest.raises(RuntimeError, match="even target"):
+        gb.first_counterexample("gaussian", ev, 4)
 
 
 def test_r2_ordered_pair_symmetry():
@@ -212,6 +255,7 @@ def test_diagonal_goldbach():
 
 PLANAR = (("gaussian", "open", GaussianInt),
           ("gaussian", "closed", GaussianInt),
+          ("gaussian", "unrestricted", GaussianInt),
           ("eisenstein", "open", EisensteinInt))
 
 

@@ -309,6 +309,21 @@ def test_gaussian_prime_mask_matches_pointwise():
             assert m[a + 10, b + 10] == pa.is_gaussian_prime(GaussianInt(a, b))
 
 
+def test_eisenstein_prime_mask_matches_pointwise():
+    rng = np.random.default_rng(11)
+    boxes = [(-12, 12, -12, 12)]
+    for _ in range(12):
+        a_lo, b_lo = rng.integers(-40, 20, size=2).tolist()
+        da, db = rng.integers(0, 30, size=2).tolist()
+        boxes.append((a_lo, a_lo + da, b_lo, b_lo + db))
+    for a_lo, a_hi, b_lo, b_hi in boxes:
+        m = pa.eisenstein_prime_mask(a_lo, a_hi, b_lo, b_hi)
+        want = [[pa.is_eisenstein_prime(EisensteinInt(a, b))
+                 for b in range(b_lo, b_hi + 1)]
+                for a in range(a_lo, a_hi + 1)]
+        assert m.tolist() == want, (a_lo, a_hi, b_lo, b_hi)
+
+
 def test_mertens_series_consistent():
     series = pa.gaussian_mertens_series(60)
     for x in range(1, 61):

@@ -49,12 +49,12 @@ def test_build_prime_matrix_entries():
             assert a[k - 1, l - 1] == want
 
 
-def test_det_exact_vs_minor_expansion():
+def test_det_exact_vs_minor_expansion(det_minor_expansion):
     rng = np.random.default_rng(7)
     for _ in range(1000):
         n = int(rng.integers(1, 8))
         m = rng.integers(0, 2, size=(n, n))
-        assert sm.det_exact(m) == sm.det_minor_expansion(m)
+        assert sm.det_exact(m) == det_minor_expansion(m)
 
 
 def test_leading_minors_match_per_block_bareiss():
