@@ -89,10 +89,10 @@ def grid_from_gaussian_primes(window):
     return Grid((-window, -window), mask)
 
 
-def step(g, rule=LIFE, cap=_WINDOW_CAP):
+def step(g, rule=LIFE):
     """One synchronous update, window padded by 1 on each side."""
-    if g.width + 2 > cap or g.height + 2 > cap:
-        raise CapacityError(f"window would exceed {cap} cells per side")
+    if g.width + 2 > _WINDOW_CAP or g.height + 2 > _WINDOW_CAP:
+        raise CapacityError(f"window would exceed {_WINDOW_CAP} cells a side")
     cells = np.pad(g.cells, 1)
     kernel = np.ones((3, 3), dtype=np.int64)
     kernel[1, 1] = 0

@@ -26,15 +26,14 @@ rounding is accepted only if every cell lies within 0.25 of an integer;
 otherwise ArithmeticError is raised rather than a wrong count returned.
 comet, first_counterexample, eisenstein_ghosts and r3 are reductions of
 that grid.  Quaternion and octonion targets get one summand mask per summand
-parity of their species, over the doubled-coordinate box below the target;
-quaternion_comet convolves it the same way.  r2 of one target of any ring
-counts its mask against the mask's reflection; only the angle cap, which
-depends on the target, is counted per cell.
+parity of their species, hyperarith.prime_mask over the doubled-coordinate
+box below the target; quaternion_comet convolves it the same way.  r2 of
+one target of any ring counts its mask against the mask's reflection;
+only the angle cap, which depends on the target, is counted per cell.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +41,7 @@ import numpy as np
 from scipy import signal
 
 from . import ratkernel as rk
+from .hyperarith import prime_mask
 from .planarith import (EisensteinInt, GaussianInt, eisenstein_prime_mask,
                         gaussian_prime_mask, is_gaussian_prime)
 
@@ -95,34 +95,40 @@ class SweepReport:
             yield ",".join(map(str, idx)) + f",{int(v)}"
 
 
-def _summand_mask(ring, cone, amax, bmax):
-    """(mask, lo): the prime mask over [lo..amax-lo]×[lo..bmax-lo], which
-    holds every cone summand of every target in [0..amax]×[0..bmax].
-
-    lo is 1 for the open cone, 0 for the closed one and −UNRESTRICTED_WINDOW
-    for the unrestricted one.  The mask is empty when no target in the box
-    has a summand pair.
-    """
-    if (ring, cone) not in (("gaussian", "open"), ("gaussian", "closed"),
-                            ("gaussian", "unrestricted"),
-                            ("eisenstein", "open")):
+def _cone_lo(ring, cone):
+    """lo of the summand box [lo..a-lo]×[lo..b-lo] of target a + b·u."""
+    lo = {"open": 1, "closed": 0, "unrestricted": -UNRESTRICTED_WINDOW}
+    if not (ring == "gaussian" and cone in lo
+            or (ring, cone) == ("eisenstein", "open")):
         raise ValueError(f"no planar count for the {ring} {cone} cone")
-    lo = {"open": 1, "closed": 0, "unrestricted": -UNRESTRICTED_WINDOW}[cone]
+    return lo[cone]
+
+
+def _summand_mask(ring, cone, amax, bmax):
+    """(mask, lo): the prime mask over [lo..amax-lo]×[lo..bmax-lo], holding
+    every cone summand of every target in [0..amax]×[0..bmax]; empty when no
+    target in the box has a summand pair."""
+    lo = _cone_lo(ring, cone)
     if amax < 2 * lo or bmax < 2 * lo:
         return np.zeros((0, 0), dtype=bool), lo
     build = gaussian_prime_mask if ring == "gaussian" else eisenstein_prime_mask
     return build(lo, amax - lo, lo, bmax - lo), lo
 
 
+def _check_fft(shape):
+    # the FFT self-convolution of a mask of this shape takes about 40 B per
+    # cell of the result; callers check it before the mask is built
+    rk.check_budget(40 * math.prod(max(2 * n - 1, 0) for n in shape),
+                    f"FFT convolution of a {shape} mask")
+
+
 def _fft_counts(mask):
     """Integer self-convolution mask⋆mask of a 0/1 mask, by FFT and checked
-    rounding.
+    rounding; callers run _check_fft on its shape first.
 
     Raises ArithmeticError when some cell of the float result lies 0.25 or
     more from an integer, where rounding could pick the wrong count.
     """
-    rk.check_budget(40 * math.prod(2 * n - 1 for n in mask.shape),
-                    f"FFT convolution of a {mask.shape} mask")
     m = mask.astype(float)
     conv = signal.fftconvolve(m, m)
     counts = np.rint(conv)
@@ -148,7 +154,9 @@ def planar_counts(ring, cone, amax, bmax):
     all cells and grows with the number of primes in M, so a box whose error
     could reach a whole count fails this check long before.
     """
-    mask, lo = _summand_mask(ring, cone, amax, bmax)
+    lo = _cone_lo(ring, cone)
+    _check_fft((amax + 1 - 2 * lo, bmax + 1 - 2 * lo))
+    mask = _summand_mask(ring, cone, amax, bmax)[0]
     out = np.zeros((amax + 1, bmax + 1), dtype=np.int64)
     if mask.size:
         # targets below 2·lo (open cone) have no summand pair
@@ -170,27 +178,15 @@ _SPECIES_PARITIES = {
 
 def _hyper_masks(ring, species, box):
     """[(par, mask)] for each summand parity par of a quaternion or octonion
-    species: the prime mask over the doubled coordinates
+    species: the prime_mask over the doubled coordinates
     range(2 - par, 2·box_i, 2), which hold every open-cone summand of that
     parity of every integer target z <= box.
-
-    Quaternion species: hurwitz (half-integer summands), lipschitz (integer
-    summands), any (both), hurwitz+lipschitz (mixed, no summands).
-    Octonion species: kleinian (half-integer), gravesian (integer).
     """
     parities = _SPECIES_PARITIES[ring].get(species)
     if parities is None:
         raise ValueError(f"unknown {ring} species {species!r}")
-    out = []
-    for par in parities:
-        axes = [np.arange(2 - par, 2 * n, 2, dtype=np.int64) for n in box]
-        rk.check_budget(24 * math.prod(len(x) for x in axes),
-                        f"{ring} summand mask over {tuple(box)}")
-        # same-parity doubled coordinates square-sum to a multiple of 4
-        norm = functools.reduce(np.add.outer, [x * x for x in axes]) // 4
-        flags = rk.sieve(max(int(norm.max(initial=0)), 4)).flags
-        out.append((par, flags[norm]))
-    return out
+    return [(par, prime_mask([np.arange(2 - par, 2 * n, 2) for n in box]))
+            for par in parities]
 
 
 def _direct_count(ring, variant, z):
@@ -283,6 +279,7 @@ def r3(z, variant=SumVariant(cone="open", summands=3)):
     if a < 3 or b < 3 or _filtered_out(variant, a, b):
         return 0
     # every summand lies in [1..a-2]×[1..b-2]; pairs[i, j] = r2((i+2)+(j+2)i)
+    _check_fft((a - 2, b - 2))
     mask = gaussian_prime_mask(1, a - 2, 1, b - 2)
     pairs = _fft_counts(mask)[:a - 2, :b - 2]
     return int(np.sum(pairs * mask[::-1, ::-1]))
@@ -336,6 +333,8 @@ def quaternion_comet(a, b, cmax, dmax, species="hurwitz"):
     (checked FFT rounding, as in planar_counts).  Mask index i holds doubled
     coordinate 2 - par + 2i, so target z sits at index z - 2 + par.
     """
+    for par in _SPECIES_PARITIES["quaternion"].get(species, ()):
+        _check_fft(tuple(n - 1 + par for n in (a, b, cmax, dmax)))
     grid = np.zeros((cmax, dmax), dtype=np.int64)
     for par, mask in _hyper_masks("quaternion", species, (a, b, cmax, dmax)):
         if mask.any():
@@ -360,24 +359,18 @@ def first_counterexample(ring, variant, bound):
     if ring == "gaussian":
         unrestricted = variant.cone == "unrestricted"
         lo, hi = (0, math.isqrt(bound)) if unrestricted else (2, bound)
-        norm_cap = bound if unrestricted else 2 * hi * hi
-        grid = (planar_counts(ring, variant.cone, hi, hi)
-                if variant.angle_cap is None else None)
-        cells = sorted((a * a + b * b, a, b)
-                       for a in range(lo, hi + 1)
-                       for b in range(lo, hi + 1)
-                       if 0 < a * a + b * b <= norm_cap
-                       and not _filtered_out(variant, a, b))
-        for _n, a, b in cells:
-            n = (grid[a, b] if grid is not None
-                 else r2(GaussianInt(a, b), variant))
-            if n == 0 and unrestricted and (a + b) % 2 == 0:
-                raise RuntimeError(
-                    f"no pair for even target {a}+{b}i inside the window "
-                    f"{UNRESTRICTED_WINDOW}; its unbounded count is unknown")
-            if n == 0:
-                return GaussianInt(a, b)
-        return None
+        report = comet(ring, ((lo, hi), (lo, hi)), variant)
+        first = min(((a * a + b * b, a, b) for a, b in report.zero_cells
+                     if not unrestricted or 0 < a * a + b * b <= bound),
+                    default=None)
+        if first is None:
+            return None
+        _n, a, b = first
+        if unrestricted and (a + b) % 2 == 0:
+            raise RuntimeError(
+                f"no pair for even target {a}+{b}i inside the window "
+                f"{UNRESTRICTED_WINDOW}; its unbounded count is unknown")
+        return GaussianInt(a, b)
     if ring == "eisenstein":
         ghosts = eisenstein_ghosts(3, bound)
         return EisensteinInt(ghosts[0], 3) if ghosts else None
@@ -407,24 +400,12 @@ def signed_rep_exists(n, search_bound=None):
 
 
 def hurwitz_boundary_comet(n):
-    """r2((2,2,2,n)) with ordered Hurwitz-prime pairs, by a case split.
-
-    Summands are (a,b,c,x)/2 with a,b,c ∈ {1,3}; grouping by the number k of
-    3s, the summand norms become the quadratics 1+2k + t(t+1) with x = 2t+1,
-    so the count is Σ_k C(3,k)·#{t : both quadratics prime}.
-    """
+    """r2((2,2,2,n)) over ordered Hurwitz-prime pairs (a,b,c,x)/2, a,b,c ∈
+    {1,3}: with k of them 3 and x = 2t+1 the norm is 1+2k + t(t+1), so this
+    is the Bunyakovsky pair count Σ_k C(3,k)·#{t : both quadratics prime}."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    total = 0
-    binom = (1, 3, 3, 1)
-    for k in range(4):
-        for t in range(n):  # x = 2t+1 runs over odd 1..2n-1
-            np_ = 1 + 2 * k + t * t + t
-            t2 = n - 1 - t  # 2n - x = 2·t2 + 1
-            nq = 1 + 2 * (3 - k) + t2 * t2 + t2
-            if rk.is_prime(np_) and rk.is_prime(nq):
-                total += binom[k]
-    return total
+    return r2((2, 2, 2, n), SumVariant(species="hurwitz"))
 
 
 def _poly_eval(coeffs, x):

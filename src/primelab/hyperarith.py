@@ -16,6 +16,7 @@ An element is prime in its order iff its norm is a rational prime.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,6 +92,25 @@ def quat_units():
 
 def is_quat_prime(z):
     return rk.is_prime(z.norm())
+
+
+def prime_mask(axes):
+    """Boolean mask over the product of the doubled-coordinate axes, True
+    where the norm Σ xᵢ²/4 is a rational prime.  Condition: all coordinates
+    of a cell share one parity, and odd ones come in a multiple of 4 (4 or 8
+    axes), so each axis is all even or all odd."""
+    axes = [np.asarray(x, dtype=np.int64) for x in axes]
+    shape = tuple(map(len, axes))
+    # the int64 norms and the mask, 9 B per cell (tracemalloc), plus the
+    # int64 partial sum over all but the last axis
+    rk.check_budget(9 * math.prod(shape) + 8 * math.prod(shape[:-1]),
+                    f"doubled-coordinate prime mask over {shape}")
+    # Σ ⌊xᵢ²/4⌋ per axis, plus a quarter per odd axis
+    quarters = [x * x // 4 for x in axes]
+    quarters[0] += sum(int(x[:1].sum()) & 1 for x in axes) // 4
+    norm = functools.reduce(np.add.outer, quarters)
+    limit = sum(int(q.max(initial=0)) for q in quarters)
+    return rk.sieve(max(limit, 4)).flags[norm]
 
 
 def rotate_vector(axis, angle, v):

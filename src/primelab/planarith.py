@@ -388,15 +388,17 @@ def norm_count(n, ring="gaussian"):
 def norm_count_table(nmax, ring="gaussian"):
     """counts[n] = #{z : N(z) = n} for all n <= nmax, by lattice bincount."""
     nmax = int(nmax)
+    # tracemalloc peak per n, n >= 10⁴: 61.7 B (Gaussian), 95.3 B (Eisenstein)
     if ring == "gaussian":
+        rk.check_budget(62 * nmax, f"Gaussian norm count table to {nmax}")
         m = math.isqrt(nmax)
         a = np.arange(-m, m + 1, dtype=np.int64)
         N = (a[:, None] ** 2 + a[None, :] ** 2).ravel()
     elif ring == "eisenstein":
+        rk.check_budget(96 * nmax, f"Eisenstein norm count table to {nmax}")
         m = int(2 * math.sqrt(nmax / 3.0)) + 2
-        a = np.arange(-m, m + 1, dtype=np.int64)
-        A, B = np.meshgrid(a, a, indexing="ij")
-        N = (A * A + A * B + B * B).ravel()
+        a = np.arange(-m, m + 1, dtype=np.int64)[:, None]
+        N = (a * a + a * a.T + a.T * a.T).ravel()
     else:
         raise ValueError(f"unknown ring {ring!r}")
     N = N[(N >= 1) & (N <= nmax)]

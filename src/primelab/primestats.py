@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ratkernel as rk
+from .hyperarith import prime_mask
 from .planarith import prime_row_flags, theta_sequence
 
 
@@ -211,13 +212,8 @@ def hyperplane_prime_count(a, n):
     """#{(x,y,z) ∈ [1,n]³ : a² + x² + y² + z² prime}."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    # n³ int64 values plus one temporary of the same size and the flags
-    rk.check_budget(17 * n ** 3, f"hyperplane count n={n}")
-    sq = np.arange(1, n + 1, dtype=np.int64) ** 2
-    vals = (a * a + sq[:, None, None] + sq[None, :, None]
-            + sq[None, None, :]).ravel()
-    s = rk.sieve(max(int(vals.max()), 4))
-    return int(np.count_nonzero(s.flags[vals]))
+    side = 2 * np.arange(1, n + 1)  # doubled coordinates of 1..n
+    return int(np.count_nonzero(prime_mask([[2 * a], side, side, side])))
 
 
 def hyperplane_normalized(a, n):

@@ -179,16 +179,16 @@ class Spectrum:
 SOLVER_CAP = 4000
 
 
-def check_solver_cap(n, solver_cap=SOLVER_CAP):
-    """Raise CapacityError when an n×n matrix is above the solver cap."""
-    if n > solver_cap:
-        raise rk.CapacityError(f"matrix size {n} above solver cap {solver_cap}")
+def check_solver_cap(n):
+    """Raise CapacityError when an n×n matrix is above SOLVER_CAP."""
+    if n > SOLVER_CAP:
+        raise rk.CapacityError(f"matrix size {n} above solver cap {SOLVER_CAP}")
 
 
-def spectrum(m, solver_cap=SOLVER_CAP):
+def spectrum(m):
     """Eigenvalues with a measured residual bound max‖Av − λv‖₂/‖A‖_max·n."""
     n = np.shape(m)[0]
-    check_solver_cap(n, solver_cap)
+    check_solver_cap(n)
     a = np.asarray(m, dtype=float)
     w, v = np.linalg.eig(a)
     scale = max(float(np.linalg.norm(a)), 1e-300)

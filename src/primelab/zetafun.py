@@ -165,8 +165,8 @@ def explicit_psi(x, zeros, K=None):
     g = zeros.gammas if isinstance(zeros, ZeroTable) else list(zeros)
     if K is None:
         K = len(g)
-    if K > len(g):
-        raise ValueError(f"only {len(g)} zeros available, K={K}")
+    if not 0 <= K <= len(g):
+        raise ValueError(f"K must be in 0..{len(g)}, got {K}")
     total = x
     lx = math.log(x)
     sq = math.sqrt(x)

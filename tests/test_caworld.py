@@ -54,10 +54,11 @@ def test_grid_from_gaussian_primes():
     assert {(-b, a) for a, b in pts} == pts
 
 
-def test_capacity_error():
+def test_capacity_error(monkeypatch):
+    monkeypatch.setattr(ca, "_WINDOW_CAP", 11)
     g = ca.Grid((0, 0), np.zeros((10, 10), dtype=bool))
     with pytest.raises(CapacityError):
-        ca.step(g, cap=11)
+        ca.step(g)
 
 
 def test_dilation_monotone():

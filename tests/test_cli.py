@@ -240,12 +240,17 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args,what", [
-    (["hyperplane", "--a", "1", "--n", "2000"], "hyperplane count n=2000"),
+    (["hyperplane", "--a", "1", "--n", "2000"],
+     "doubled-coordinate prime mask over (1, 2000, 2000, 2000)"),
     (["ca", "--window", "100000"], "Gaussian prime mask"),
     (["smith", "--n", "20000"], "exact pass over a 20000x20000 matrix"),
     (["matrix", "--detgrowth", "5000"], "exact pass over a 5000x5000 matrix"),
     (["goldbach", "--ring", "eisenstein", "--variant", "open", "--max",
-      "20000"], "Eisenstein prime mask"),
+      "20000"], "FFT convolution of a (19999, 19999) mask"),
+    (["goldbach", "--ring", "gaussian", "--variant", "open", "--max", "5000"],
+     "FFT convolution of a (4999, 4999) mask"),
+    (["zeta", "--ring", "eisenstein", "--cutoff", "100000000"],
+     "Eisenstein norm count table to 100000000"),
 ])
 def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):
@@ -298,6 +303,8 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
     (["goldbach", "--ring", "eisenstein", "--variant", "unrestricted",
       "--max", "10"], "eisenstein sums are open-cone"),
     (["goldbach", "--max", "1"], "--max must be >= 2, got 1"),
+    (["zeta", "--explicit", "--zeros", ZEROS, "--K", "-1", "--xmax", "20"],
+     "K must be in 0..100, got -1"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from primelab import goldbach as gb
 from primelab import planarith as pa
+from primelab import ratkernel as rk
 from primelab.planarith import EisensteinInt, GaussianInt
 
 
@@ -193,11 +194,24 @@ def test_signed_rep():
     assert gb.signed_rep_exists(26)
 
 
+def _hurwitz_boundary_oracle(n):
+    """r2((2,2,2,n)) over ordered Hurwitz-prime pairs by the case split:
+    summands (a,b,c,x)/2 with k of a,b,c equal to 3 and x = 2t+1 have norm
+    1+2k + t(t+1), and their partners have 3 − k threes and x' = 2n − x."""
+    total = 0
+    for k, binom in enumerate((1, 3, 3, 1)):
+        for t in range(n):  # x = 2t+1 runs over odd 1..2n-1
+            t2 = n - 1 - t  # 2n - x = 2·t2 + 1
+            if (rk.is_prime(1 + 2 * k + t * t + t)
+                    and rk.is_prime(1 + 2 * (3 - k) + t2 * t2 + t2)):
+                total += binom
+    return total
+
+
 def test_hurwitz_boundary_comet():
     assert gb.hurwitz_boundary_comet(2) == 14
-    hurwitz = gb.SumVariant(species="hurwitz")
-    for n in range(1, 101):
-        assert gb.hurwitz_boundary_comet(n) == gb.r2((2, 2, 2, n), hurwitz)
+    for n in range(1, 120):
+        assert gb.hurwitz_boundary_comet(n) == _hurwitz_boundary_oracle(n)
     assert all(gb.hurwitz_boundary_comet(n) > 0 for n in range(2, 300))
 
 
@@ -290,6 +304,25 @@ def test_fft_exactness_guard(monkeypatch):
         gb.planar_counts("gaussian", "open", 20, 20)
     with pytest.raises(ArithmeticError):
         gb.comet("eisenstein", ((2, 10), (2, 10)))
+
+
+def test_fft_budget_refused_before_the_mask_is_built(monkeypatch):
+    def no_mask(*args):
+        raise AssertionError("mask built for a refused convolution")
+
+    for name in ("gaussian_prime_mask", "eisenstein_prime_mask",
+                 "prime_mask"):
+        monkeypatch.setattr(gb, name, no_mask)
+    refused = [
+        lambda: gb.planar_counts("gaussian", "open", 5000, 5000),
+        lambda: gb.planar_counts("eisenstein", "open", 5000, 5000),
+        lambda: gb.comet("gaussian", ((0, 5000), (0, 5000)), gb.UNRESTRICTED),
+        lambda: gb.r3(GaussianInt(5000, 5000)),
+        lambda: gb.quaternion_comet(1, 1, 5000, 5000),
+    ]
+    for call in refused:
+        with pytest.raises(rk.CapacityError, match="FFT convolution"):
+            call()
 
 
 def test_comet_honours_angle_cap():

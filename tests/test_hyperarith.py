@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,35 @@ def test_is_oct_prime():
     assert ha.is_oct_prime(OctInt.from_ints(1, 1, 1, 1, 1, 1, 1, 0))  # N=7
     assert not ha.is_oct_prime(OctInt.from_ints(1, 0, 0, 0, 0, 0, 0, 0))
     assert not ha.is_oct_prime(OctInt.from_ints(2, 0, 0, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("dim,par,seed", [(4, 0, 0), (4, 1, 1), (8, 0, 2),
+                                          (8, 1, 3)])
+def test_prime_mask_matches_elementwise_primality(dim, par, seed):
+    # seeded axes of one parity, with negative coordinates and unequal lengths
+    rng = np.random.default_rng(seed)
+    make, is_prime = ((QuatInt, ha.is_quat_prime) if dim == 4
+                      else (OctInt, ha.is_oct_prime))
+    axes = [np.sort(rng.choice(np.arange(-9, 10), n, replace=False)) * 2 + par
+            for n in rng.integers(1, 6 if dim == 4 else 4, dim)]
+    mask = ha.prime_mask(axes)
+    assert mask.shape == tuple(len(x) for x in axes)
+    for idx in itertools.product(*(range(len(x)) for x in axes)):
+        z = make(tuple(int(x[i]) for x, i in zip(axes, idx)))
+        assert mask[idx] == is_prime(z)
+
+
+def test_prime_mask_refuses_an_oversized_box_before_allocating():
+    axes = [np.arange(1, 800, 2)] * 4  # 400⁴ cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(rk.CapacityError,
+                           match="doubled-coordinate prime mask"):
+            ha.prime_mask(axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_octavian_membership_closed_under_add_neg():

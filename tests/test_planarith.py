@@ -324,6 +324,12 @@ def test_eisenstein_prime_mask_matches_pointwise():
         assert m.tolist() == want, (a_lo, a_hi, b_lo, b_hi)
 
 
+def test_eisenstein_prime_mask_capacity():
+    # the CLI reaches this mask only behind the larger FFT estimate
+    with pytest.raises(rk.CapacityError, match="Eisenstein prime mask"):
+        pa.eisenstein_prime_mask(0, 20000, 0, 20000)
+
+
 def test_mertens_series_consistent():
     series = pa.gaussian_mertens_series(60)
     for x in range(1, 61):

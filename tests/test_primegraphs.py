@@ -151,3 +151,13 @@ def test_gcd_graph_capacity_refused_before_allocation():
         pg.gcd_graph(10**6)
     with pytest.raises(rk.CapacityError):
         pg.lipschitz_graph(10**3)
+
+
+def test_quaternion_graph_capacity_refused_before_the_mask(monkeypatch):
+    def no_mask(axes):
+        raise AssertionError("mask built for a refused graph")
+
+    monkeypatch.setattr(pg, "prime_mask", no_mask)
+    for build in (pg.lipschitz_graph, pg.hurwitz_graph):
+        with pytest.raises(rk.CapacityError, match="quaternion graph n=130"):
+            build(130)

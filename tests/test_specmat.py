@@ -178,9 +178,10 @@ def test_spectrum_residual_bound():
     assert abs(np.prod(s.eigenvalues) - d) <= 1e-6 * max(1, abs(d))
 
 
-def test_spectrum_capacity():
+def test_spectrum_capacity(monkeypatch):
+    monkeypatch.setattr(sm, "SOLVER_CAP", 5)
     with pytest.raises(rk.CapacityError):
-        sm.spectrum(np.eye(10), solver_cap=5)
+        sm.spectrum(np.eye(10))
 
 
 def test_spectral_symmetry_even_z0():
