@@ -151,6 +151,9 @@ def _run_zeta(args, outdir):
             raise UsageError("--explicit requires --zeros PATH")
         if not args.step > 0:  # the x loop below would never end
             raise UsageError(f"--step must be > 0, got {args.step}")
+        if args.xmax < args.xmin:
+            raise UsageError(f"--xmax must be >= --xmin, got {args.xmax} "
+                             f"< {args.xmin}")
         table = zf.ZeroTable.load(args.zeros)
         lines = ["x,psi,explicit_psi,K"]
         x = args.xmin
@@ -184,6 +187,8 @@ def _parse_rule(text):
 def _run_ca(args, outdir):
     from . import caworld as ca
     rule = _parse_rule(args.rule)
+    if args.steps < 0:
+        raise UsageError(f"--steps must be >= 0, got {args.steps}")
     g = ca.grid_from_gaussian_primes(args.window)
     for _ in range(args.steps):
         g = ca.step(g, rule)
@@ -213,6 +218,8 @@ def _run_angles(args, outdir):
 
 def _run_almostper(args, outdir):
     from . import specmat as sm
+    if args.nmax < 1:
+        raise UsageError(f"--nmax must be >= 1, got {args.nmax}")
     lines = ["n,det_sign,log_abs_det"]
     for n in range(1, args.nmax + 1):
         m = sm.build_almost_period(n, args.alpha, args.beta, args.theta)

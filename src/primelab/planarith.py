@@ -203,19 +203,6 @@ def theta_sequence(count):
             zip(norm[first].tolist(), a[first].tolist(), b[first].tolist())]
 
 
-def _gaussian_prime_counts_by_norm(xmax):
-    """counts[n] = #Gaussian primes of norm exactly n, for n <= xmax.
-
-    Every Gaussian prime has exactly one associate with re >= 1, im >= 0.
-    """
-    m = math.isqrt(xmax)
-    a = np.arange(1, m + 1, dtype=np.int64)
-    b = np.arange(0, m + 1, dtype=np.int64)
-    mask = gaussian_prime_mask(1, m, 0, m)
-    norms = (a[:, None] ** 2 + b[None, :] ** 2)[mask]
-    return 4 * np.bincount(norms[norms <= xmax], minlength=xmax + 1)
-
-
 def pi_G(x):
     """Count of Gaussian primes with N(z) <= x (all associates/conjugates).
 
@@ -224,7 +211,7 @@ def pi_G(x):
     x = int(x)
     if x < 2:
         raise ValueError("x >= 2 required")
-    counts = _gaussian_prime_counts_by_norm(x)
+    counts = _sector_norm_counts(x, "gaussian", gaussian_prime_mask)
     count = int(counts.sum())
     formula = 4 + 8 * rk.pi_mod(x, 1, 4) + 4 * rk.pi_mod(math.isqrt(x), 3, 4)
     return count, count - formula
@@ -233,7 +220,7 @@ def pi_G(x):
 def pi_G_identity_check(xmax):
     """Max |enumeration − formula| of the counting functions over 2 <= x <= xmax."""
     xmax = int(xmax)
-    counts = _gaussian_prime_counts_by_norm(xmax)
+    counts = _sector_norm_counts(xmax, "gaussian", gaussian_prime_mask)
     s = rk.sieve(xmax)
     formula = np.zeros(xmax + 1, dtype=np.int64)
     ps = s.primes()
@@ -353,56 +340,54 @@ def gaussian_mertens_series(nmax):
     return 4 * np.cumsum(_h_table(int(nmax)))
 
 
-def norm_count(n, ring="gaussian"):
-    """#{z : N(z) = n}, cross-checked against the divisor-class formula.
+# per ring: (units, character modulus q, t in the norm form a² + t·ab + b²)
+_NORM_FORMS = {"gaussian": (4, 4, 0), "eisenstein": (6, 3, 1)}
 
-    Gaussian: a(n) = 4(d₁(n) − d₃(n)) with divisor classes mod 4;
-    Eisenstein: 6(d₁(n) − d₂(n)) with divisor classes mod 3.
-    """
+
+def _norm_form(ring):
+    if ring not in _NORM_FORMS:
+        raise ValueError(f"unknown ring {ring!r}")
+    return _NORM_FORMS[ring]
+
+
+def norm_count(n, ring="gaussian"):
+    """#{z : N(z) = n} = units · (d₁(n) − d₋₁(n)), d_k(n) counting the
+    divisors ≡ k mod q: 4(d₁ − d₃) in Z[i] (Hardy & Wright, Thm 278) and
+    6(d₁ − d₂) in Z[ω]."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    count = 0
-    if ring == "gaussian":
-        for a in range(math.isqrt(n) + 1):
-            b2 = n - a * a
-            b = math.isqrt(b2)
-            if b * b == b2:
-                count += (4 if a and b else 2)
-        formula = 4 * (rk.divisors_mod_count(n, 1, 4)
-                       - rk.divisors_mod_count(n, 3, 4))
-    elif ring == "eisenstein":
-        m = 2 * math.isqrt(n // 3 + 1) + 2
-        for a in range(-m, m + 1):
-            for b in range(-m, m + 1):
-                if a * a + a * b + b * b == n:
-                    count += 1
-        formula = 6 * (rk.divisors_mod_count(n, 1, 3)
-                       - rk.divisors_mod_count(n, 2, 3))
-    else:
-        raise ValueError(f"unknown ring {ring!r}")
-    if count != formula:
-        raise AssertionError(f"norm_count({n}) = {count} != formula {formula}")
-    return count
+    units, q, _t = _norm_form(ring)
+    return units * (rk.divisors_mod_count(n, 1, q)
+                    - rk.divisors_mod_count(n, q - 1, q))
+
+
+def _sector_norm_counts(nmax, ring, prime_mask=None):
+    """counts[n] = #{z : N(z) = n} for n <= nmax, z restricted to the cells of
+    prime_mask(1, m, 0, m) when given.  Every nonzero z has exactly one
+    associate a + b·i (a + b·ω) with a >= 1, b >= 0, the sector 0 <= arg < π/2
+    (π/3), so the counts are the units times a bincount of the norms over
+    [1..m]×[0..m], m = isqrt(nmax)."""
+    units, _q, t = _norm_form(ring)
+    nmax = int(nmax)
+    # peak per n (tracemalloc, n >= 10⁵): 15.3 B Gaussian, 13.9 B Eisenstein
+    rk.check_budget(24 * nmax, f"{ring.title()} norm count table to {nmax}")
+    m = math.isqrt(nmax)
+    a = np.arange(1, m + 1, dtype=np.int64)
+    b = np.arange(0, m + 1, dtype=np.int64)
+    N = np.multiply.outer(a, t * b)
+    N += (a * a)[:, None]
+    N += b * b
+    if prime_mask is not None:
+        N = N[prime_mask(1, m, 0, m)]
+    N = N[N <= nmax]
+    counts = np.bincount(N, minlength=nmax + 1)
+    counts *= units
+    return counts
 
 
 def norm_count_table(nmax, ring="gaussian"):
-    """counts[n] = #{z : N(z) = n} for all n <= nmax, by lattice bincount."""
-    nmax = int(nmax)
-    # tracemalloc peak per n, n >= 10⁴: 61.7 B (Gaussian), 95.3 B (Eisenstein)
-    if ring == "gaussian":
-        rk.check_budget(62 * nmax, f"Gaussian norm count table to {nmax}")
-        m = math.isqrt(nmax)
-        a = np.arange(-m, m + 1, dtype=np.int64)
-        N = (a[:, None] ** 2 + a[None, :] ** 2).ravel()
-    elif ring == "eisenstein":
-        rk.check_budget(96 * nmax, f"Eisenstein norm count table to {nmax}")
-        m = int(2 * math.sqrt(nmax / 3.0)) + 2
-        a = np.arange(-m, m + 1, dtype=np.int64)[:, None]
-        N = (a * a + a * a.T + a.T * a.T).ravel()
-    else:
-        raise ValueError(f"unknown ring {ring!r}")
-    N = N[(N >= 1) & (N <= nmax)]
-    return np.bincount(N, minlength=nmax + 1)
+    """counts[n] = #{z : N(z) = n} for all n <= nmax, by sector bincount."""
+    return _sector_norm_counts(nmax, ring)
 
 
 def twins(r):

@@ -44,6 +44,8 @@ class RatioSeries:
 
 def hl_C_naive(a, P):
     """Truncated ∏_{odd p <= P} (1 − (−a|p)/(p−1)); factor 1 when p | a."""
+    if a == 0:
+        raise ValueError("a != 0 required: n² + 0 is never prime")
     if P < 3:
         raise ValueError("P >= 3 required")
     out = 1.0

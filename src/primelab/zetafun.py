@@ -64,9 +64,12 @@ def zeta_E(s):
 
 def lattice_zeta(ring, s, X):
     """Truncated Σ_{0 < N(z) <= X} N(z)^(−s) by direct lattice count."""
-    counts = planarith.norm_count_table(int(X), ring)
-    ns = np.arange(1, int(X) + 1, dtype=float)
-    c = counts[1:int(X) + 1].astype(float)
+    X = int(X)
+    # tracemalloc peak 32.0 B per n: the counts and three float arrays
+    rk.check_budget(32 * X, f"{ring.capitalize()} lattice zeta to {X}")
+    counts = planarith.norm_count_table(X, ring)
+    ns = np.arange(1, X + 1, dtype=float)
+    c = counts[1:].astype(float)
     if np.iscomplexobj(np.asarray(s)) or isinstance(s, complex):
         return complex((c * ns ** (-s)).sum())
     return complex((c * ns ** (-float(s))).sum())

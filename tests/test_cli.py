@@ -250,7 +250,7 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
     (["goldbach", "--ring", "gaussian", "--variant", "open", "--max", "5000"],
      "FFT convolution of a (4999, 4999) mask"),
     (["zeta", "--ring", "eisenstein", "--cutoff", "100000000"],
-     "Eisenstein norm count table to 100000000"),
+     "Eisenstein lattice zeta to 100000000"),
 ])
 def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):
@@ -305,6 +305,11 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
     (["goldbach", "--max", "1"], "--max must be >= 2, got 1"),
     (["zeta", "--explicit", "--zeros", ZEROS, "--K", "-1", "--xmax", "20"],
      "K must be in 0..100, got -1"),
+    (["ca", "--window", "5", "--steps", "-1"], "--steps must be >= 0, got -1"),
+    (["almostper", "--nmax", "0"], "--nmax must be >= 1, got 0"),
+    (["zeta", "--explicit", "--zeros", ZEROS, "--xmin", "30", "--xmax", "20"],
+     "--xmax must be >= --xmin, got 20.0 < 30.0"),
+    (["hl", "-a", "0", "--cutoff", "100"], "a != 0 required"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2

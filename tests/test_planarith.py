@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from primelab import planarith as pa
 from primelab import ratkernel as rk
+from primelab import zetafun as zf
 from primelab.planarith import EisensteinInt, GaussianInt
 
 gi = st.builds(GaussianInt, st.integers(-50, 50), st.integers(-50, 50))
@@ -278,6 +280,71 @@ def test_eisenstein_norm_count():
                     - rk.divisors_mod_count(n, 2, 3))
         assert tab[n] == want
         assert pa.norm_count(n, "eisenstein") == want
+
+
+def _lattice_norm_counts(nmax, ring):
+    """#{z : N(z) = n} for n <= nmax by scanning the full box |a|, |b| <= r;
+    a² + ab + b² >= (a² + b²)/2, so r = √(2·nmax) holds every such z."""
+    t = {"gaussian": 0, "eisenstein": 1}[ring]
+    r = math.isqrt(2 * nmax) + 1
+    counts = [0] * (nmax + 1)
+    for a in range(-r, r + 1):
+        for b in range(-r, r + 1):
+            n = a * a + t * a * b + b * b
+            if 0 < n <= nmax:
+                counts[n] += 1
+    return counts
+
+
+@pytest.mark.parametrize("ring", ["gaussian", "eisenstein"])
+def test_norm_counts_match_lattice_scan(ring):
+    want = _lattice_norm_counts(2000, ring)
+    assert [pa.norm_count(n, ring) for n in range(1, 2001)] == want[1:]
+    tab = pa.norm_count_table(2000, ring)
+    assert tab.dtype == np.int64 and tab.tolist() == want
+
+
+@pytest.mark.parametrize("ring", ["gaussian", "eisenstein"])
+def test_norm_count_table_smallest(ring):
+    for n in range(4):
+        tab = pa.norm_count_table(n, ring)
+        assert tab.dtype == np.int64
+        assert tab.tolist() == _lattice_norm_counts(n, ring)
+
+
+def test_norm_counts_unknown_ring():
+    with pytest.raises(ValueError, match="unknown ring"):
+        pa.norm_count(5, "hurwitz")
+    with pytest.raises(ValueError, match="unknown ring"):
+        pa.norm_count_table(5, "hurwitz")
+
+
+@pytest.mark.parametrize("ring", ["gaussian", "eisenstein"])
+def test_norm_count_table_peak_memory(ring):
+    n = 200_000
+    tracemalloc.start()
+    try:
+        pa.norm_count_table(n, ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n
+
+
+def test_norm_count_budget_checked_before_allocation(monkeypatch):
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
+    # the table alone (24 B per n, 840 KB) would fit; the float arrays not
+    tracemalloc.start()
+    try:
+        with pytest.raises(rk.CapacityError, match="Eisenstein lattice zeta"):
+            zf.lattice_zeta("eisenstein", 2, 35000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(rk.CapacityError,
+                       match="Gaussian norm count table to 50000"):
+        pa.norm_count_table(50000)
 
 
 def test_twins():

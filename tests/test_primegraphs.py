@@ -1,3 +1,5 @@
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -89,9 +91,14 @@ def test_gcd_degrees_paper_fixtures():
     assert pg.gcd_vertex_degree(6, 30) == 19
 
 
+def _gcd_degree_scan(v, n):
+    return sum(1 for k in range(1, n + 1) if k != v and math.gcd(k, v) > 1)
+
+
 def test_gcd_degree_inclusion_exclusion_consistency():
-    for v in range(1, 31):
-        pg.gcd_vertex_degree(v, 100)  # raises on mismatch
+    for n in (1, 2, 30, 100):
+        for v in range(1, n + 1):
+            assert pg.gcd_vertex_degree(v, n) == _gcd_degree_scan(v, n), (v, n)
 
 
 def test_component_count_union_find():
