@@ -66,7 +66,8 @@ def lattice_zeta(ring, s, X):
     """Truncated Σ_{0 < N(z) <= X} N(z)^(−s) by direct lattice count."""
     X = int(X)
     # tracemalloc peak 32.0 B per n: the counts and three float arrays
-    rk.check_budget(32 * X, f"{ring.capitalize()} lattice zeta to {X}")
+    rk.check_budget(32 * X, f"{ring.title()} norm count table to {X} and "
+                    "lattice zeta's float arrays")
     counts = planarith.norm_count_table(X, ring)
     ns = np.arange(1, X + 1, dtype=float)
     c = counts[1:].astype(float)

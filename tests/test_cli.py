@@ -250,7 +250,7 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
     (["goldbach", "--ring", "gaussian", "--variant", "open", "--max", "5000"],
      "FFT convolution of a (4999, 4999) mask"),
     (["zeta", "--ring", "eisenstein", "--cutoff", "100000000"],
-     "Eisenstein lattice zeta to 100000000"),
+     "Eisenstein norm count table to 100000000"),
 ])
 def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):

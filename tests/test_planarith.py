@@ -336,7 +336,9 @@ def test_norm_count_budget_checked_before_allocation(monkeypatch):
     # the table alone (24 B per n, 840 KB) would fit; the float arrays not
     tracemalloc.start()
     try:
-        with pytest.raises(rk.CapacityError, match="Eisenstein lattice zeta"):
+        with pytest.raises(rk.CapacityError,
+                           match="Eisenstein norm count table to 35000 and "
+                                 "lattice zeta's float arrays"):
             zf.lattice_zeta("eisenstein", 2, 35000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
