@@ -220,6 +220,7 @@ def _run_almostper(args, outdir):
     from . import specmat as sm
     if args.nmax < 1:
         raise UsageError(f"--nmax must be >= 1, got {args.nmax}")
+    sm.check_almost_period(args.nmax)
     lines = ["n,det_sign,log_abs_det"]
     for n in range(1, args.nmax + 1):
         m = sm.build_almost_period(n, args.alpha, args.beta, args.theta)

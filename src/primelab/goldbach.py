@@ -42,8 +42,8 @@ from scipy import signal
 
 from . import ratkernel as rk
 from .hyperarith import prime_mask
-from .planarith import (EisensteinInt, GaussianInt, eisenstein_prime_mask,
-                        gaussian_prime_mask, is_gaussian_prime)
+from .planarith import (EisensteinInt, GaussianInt, gaussian_prime_mask,
+                        is_gaussian_prime, planar_prime_mask)
 
 # unrestricted summands of a + b·i lie in [−W..a+W]×[−W..b+W]
 UNRESTRICTED_WINDOW = 2
@@ -111,8 +111,7 @@ def _summand_mask(ring, cone, amax, bmax):
     lo = _cone_lo(ring, cone)
     if amax < 2 * lo or bmax < 2 * lo:
         return np.zeros((0, 0), dtype=bool), lo
-    build = gaussian_prime_mask if ring == "gaussian" else eisenstein_prime_mask
-    return build(lo, amax - lo, lo, bmax - lo), lo
+    return planar_prime_mask(ring, lo, amax - lo, lo, bmax - lo), lo
 
 
 def _check_fft(shape):
@@ -491,10 +490,8 @@ def parity_law_sweep(norm_cap):
 
 def diagonal_goldbach(k):
     """Representations of k(1+i): plain open-cone r2 plus the count of
-    reflection-symmetric pairs p + i·conj(p) (interpretation, see docs)."""
-    z = GaussianInt(k, k)
-    reflect = sum(
-        1 for a in range(1, k)
-        if is_gaussian_prime(GaussianInt(a, k - a))
-        and is_gaussian_prime(GaussianInt(k - a, a)))
-    return r2(z, OPEN), reflect
+    reflection-symmetric pairs p + i·conj(p) (interpretation, see docs); one
+    test per p: i·conj(p) is a unit times conj(p), so prime exactly if p is."""
+    reflect = sum(1 for a in range(1, k)
+                  if is_gaussian_prime(GaussianInt(a, k - a)))
+    return r2(GaussianInt(k, k), OPEN), reflect

@@ -3,11 +3,11 @@
 Z[i] elements are a + b·i with norm N = a² + b²; Eisenstein elements are
 a + b·ω with ω = (1+√−3)/2 (positive imaginary part), norm N = a² + ab + b².
 
-Primality criteria:
-  Gaussian    — N(z) is a rational prime, or z is a unit multiple of a
-                rational prime q ≡ 3 mod 4.
-  Eisenstein  — N(z) is a rational prime, or z is a unit multiple of a
-                rational prime q ≡ 2 mod 3.
+Primality, one rule for both rings (Ireland & Rosen, Ch. 1 §4 and Ch. 9 §1):
+z is prime iff N(z) is a rational prime, or N(z) = r² for a rational prime
+r ≡ −1 mod q (q = 4 in Z[i], 3 in Z[ω]): such an r stays prime in the ring,
+so the elements of norm r² are exactly its unit multiples.  `_is_prime_norm`
+and the prime-norm table of `_prime_norms` are the only two forms of it.
 
 Canonical representatives: the unit×conjugation symmetry group of Z[i] is
 dihedral of order 8, with fundamental octant 0 ≤ arg ≤ π/4, i.e. a ≥ b ≥ 0;
@@ -95,30 +95,19 @@ EISENSTEIN_UNITS = tuple(EisensteinInt(a, b) for a, b in
                          ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)))
 
 
+def _is_prime_norm(n, ring):
+    """Whether the elements of norm n are prime (module docstring)."""
+    _units, q, _t = _norm_form(ring)
+    r = math.isqrt(n)
+    return rk.is_prime(n) or r * r == n and r % q == q - 1 and rk.is_prime(r)
+
+
 def is_gaussian_prime(z):
-    a, b = z.re, z.im
-    n = a * a + b * b
-    if rk.is_prime(n):
-        return True
-    # unit multiples of an inert rational prime q ≡ 3 mod 4
-    if a == 0:
-        a, b = b, a
-    if b == 0 and abs(a) % 4 == 3 and rk.is_prime(abs(a)):
-        return True
-    return False
+    return _is_prime_norm(z.norm(), "gaussian")
 
 
 def is_eisenstein_prime(z):
-    n = z.norm()
-    if rk.is_prime(n):
-        return True
-    # unit multiples of an inert rational prime q ≡ 2 mod 3:
-    # coordinate patterns (±q, 0), (0, ±q), (±q, ∓q)
-    a, b = z.a, z.b
-    q = max(abs(a), abs(b))
-    if q == 0 or not (rk.is_prime(q) and q % 3 == 2):
-        return False
-    return (a, b) in {(q, 0), (-q, 0), (0, q), (0, -q), (q, -q), (-q, q)}
+    return _is_prime_norm(z.norm(), "eisenstein")
 
 
 def octant_rep(z):
@@ -211,7 +200,7 @@ def pi_G(x):
     x = int(x)
     if x < 2:
         raise ValueError("x >= 2 required")
-    counts = _sector_norm_counts(x, "gaussian", gaussian_prime_mask)
+    counts = _sector_norm_counts(x, "gaussian", prime=True)
     count = int(counts.sum())
     formula = 4 + 8 * rk.pi_mod(x, 1, 4) + 4 * rk.pi_mod(math.isqrt(x), 3, 4)
     return count, count - formula
@@ -220,10 +209,9 @@ def pi_G(x):
 def pi_G_identity_check(xmax):
     """Max |enumeration − formula| of the counting functions over 2 <= x <= xmax."""
     xmax = int(xmax)
-    counts = _sector_norm_counts(xmax, "gaussian", gaussian_prime_mask)
-    s = rk.sieve(xmax)
+    counts = _sector_norm_counts(xmax, "gaussian", prime=True)
     formula = np.zeros(xmax + 1, dtype=np.int64)
-    ps = s.primes()
+    ps = rk.sieve(xmax).primes()
     formula[2] += 4  # the four primes ±1±i
     split = ps[ps % 4 == 1]
     np.add.at(formula, split, 8)
@@ -361,25 +349,29 @@ def norm_count(n, ring="gaussian"):
                     - rk.divisors_mod_count(n, q - 1, q))
 
 
-def _sector_norm_counts(nmax, ring, prime_mask=None):
-    """counts[n] = #{z : N(z) = n} for n <= nmax, z restricted to the cells of
-    prime_mask(1, m, 0, m) when given.  Every nonzero z has exactly one
-    associate a + b·i (a + b·ω) with a >= 1, b >= 0, the sector 0 <= arg < π/2
-    (π/3), so the counts are the units times a bincount of the norms over
-    [1..m]×[0..m], m = isqrt(nmax)."""
+def _norm_grid(t, a, b):
+    """N[i, j] = a[i]² + t·a[i]·b[j] + b[j]², int64, summed in place."""
+    N = np.multiply.outer(a, t * b)
+    N += (a * a)[:, None]
+    N += b * b
+    return N
+
+
+def _sector_norm_counts(nmax, ring, prime=False):
+    """counts[n] = #{z : N(z) = n} for n <= nmax, over the primes z only when
+    `prime`.  Every nonzero z has exactly one associate a + b·i (a + b·ω) with
+    a >= 1, b >= 0, the sector 0 <= arg < π/2 (π/3), so the counts are the
+    units times a bincount of the norms over [1..m]×[0..m], m = isqrt(nmax)."""
     units, _q, t = _norm_form(ring)
     nmax = int(nmax)
     # peak per n (tracemalloc, n >= 10⁵): 15.3 B Gaussian, 13.9 B Eisenstein
     rk.check_budget(24 * nmax, f"{ring.title()} norm count table to {nmax}")
     m = math.isqrt(nmax)
-    a = np.arange(1, m + 1, dtype=np.int64)
-    b = np.arange(0, m + 1, dtype=np.int64)
-    N = np.multiply.outer(a, t * b)
-    N += (a * a)[:, None]
-    N += b * b
-    if prime_mask is not None:
-        N = N[prime_mask(1, m, 0, m)]
+    N = _norm_grid(t, np.arange(1, m + 1, dtype=np.int64),
+                   np.arange(0, m + 1, dtype=np.int64))
     N = N[N <= nmax]
+    if prime:
+        N = N[_prime_norms(nmax, ring)[N]]
     counts = np.bincount(N, minlength=nmax + 1)
     counts *= units
     return counts
@@ -410,45 +402,38 @@ def twins(r):
             zip(a[order].tolist(), b[order].tolist(), d[order].tolist())]
 
 
+def _prime_norms(limit, ring):
+    """table[n] for 0 <= n <= limit: whether n is the norm of a prime of the
+    ring, i.e. a rational prime or the square of an inert one, 1 B per norm."""
+    _units, q, _t = _norm_form(ring)
+    flags = rk.sieve(max(limit, 4)).flags
+    table = flags[:limit + 1].copy()
+    r = np.flatnonzero(flags[:math.isqrt(limit) + 1])
+    r = r[r % q == q - 1]
+    table[r * r] = True
+    return table
+
+
+def planar_prime_mask(ring, a_lo, a_hi, b_lo, b_hi):
+    """Boolean mask of the primes a + b·i (a + b·ω) over the box
+    [a_lo..a_hi]×[b_lo..b_hi] (inclusive): the prime-norm table read at
+    every cell's norm."""
+    _units, _q, t = _norm_form(ring)
+    cells = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
+    # the form is positive definite, so the table's limit, the box's largest
+    # norm, is at a corner; 9 B per cell (int64 norms, mask) plus the table
+    limit = max(a * a + t * a * b + b * b
+                for a in (a_lo, a_hi) for b in (b_lo, b_hi))
+    rk.check_budget(9 * cells + limit + 1,
+                    f"{ring.title()} prime mask of {cells} cells")
+    N = _norm_grid(t, np.arange(a_lo, a_hi + 1, dtype=np.int64),
+                   np.arange(b_lo, b_hi + 1, dtype=np.int64))
+    return _prime_norms(limit, ring)[N]
+
+
 def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
     """Boolean mask over the box [re_lo..re_hi]×[im_lo..im_hi] (inclusive)."""
-    cells = max(re_hi - re_lo + 1, 0) * max(im_hi - im_lo + 1, 0)
-    # about 9 B per cell: the int64 norms and the mask (tracemalloc)
-    rk.check_budget(9 * cells, f"Gaussian prime mask of {cells} cells")
-    a = np.arange(re_lo, re_hi + 1, dtype=np.int64)
-    b = np.arange(im_lo, im_hi + 1, dtype=np.int64)
-    s = rk.sieve(max(int((a * a).max() + (b * b).max()), 4))
-    mask = s.flags[a[:, None] ** 2 + b[None, :] ** 2]
-    # on the axes the primes are the units times inert q ≡ 3 mod 4
-    qa, qb = np.abs(a), np.abs(b)
-    mask[a == 0, :] = (qb % 4 == 3) & s.flags[qb]
-    mask[:, b == 0] = ((qa % 4 == 3) & s.flags[qa])[:, None]
-    return mask
-
-
-def eisenstein_prime_mask(a_lo, a_hi, b_lo, b_hi):
-    """Boolean mask of the primes a + b·ω over the box [a_lo..a_hi]×[b_lo..b_hi]
-    (inclusive)."""
-    cells = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
-    # about 9 B per cell: the int64 norms, summed in place, and the mask
-    rk.check_budget(9 * cells, f"Eisenstein prime mask of {cells} cells")
-    a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
-    b = np.arange(b_lo, b_hi + 1, dtype=np.int64)
-    N = np.multiply.outer(a, b)
-    N += (a * a)[:, None]
-    N += b * b
-    s = rk.sieve(max(int(N.max()), 4))
-    mask = s.flags[N]
-    # the units times inert q ≡ 2 mod 3 are (±q, 0), (0, ±q) and (±q, ∓q),
-    # the cells of norm q² on the lines b = 0, a = 0 and a + b = 0
-    qa, qb = np.abs(a), np.abs(b)
-    inert_a = (qa % 3 == 2) & s.flags[qa]
-    mask[:, b == 0] = inert_a[:, None]
-    mask[a == 0, :] = (qb % 3 == 2) & s.flags[qb]
-    j = -a - b_lo
-    on = (j >= 0) & (j < b.size)
-    mask[on, j[on]] = inert_a[on]
-    return mask
+    return planar_prime_mask("gaussian", re_lo, re_hi, im_lo, im_hi)
 
 
 def prime_row_flags(k, n):

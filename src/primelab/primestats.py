@@ -46,6 +46,9 @@ def hl_C_naive(a, P):
     """Truncated ∏_{odd p <= P} (1 − (−a|p)/(p−1)); factor 1 when p | a."""
     if a == 0:
         raise ValueError("a != 0 required: n² + 0 is never prime")
+    if a < 0 and math.isqrt(-a) ** 2 == -a:
+        raise ValueError(f"a = {a} = -k² refused: n² - k² = (n - k)(n + k) "
+                         "is prime at most once")
     if P < 3:
         raise ValueError("P >= 3 required")
     out = 1.0

@@ -251,6 +251,7 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
      "FFT convolution of a (4999, 4999) mask"),
     (["zeta", "--ring", "eisenstein", "--cutoff", "100000000"],
      "Eisenstein norm count table to 100000000"),
+    (["almostper", "--nmax", "20000"], "almost-periodic matrix, order 20000"),
 ])
 def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):
@@ -310,6 +311,8 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
     (["zeta", "--explicit", "--zeros", ZEROS, "--xmin", "30", "--xmax", "20"],
      "--xmax must be >= --xmin, got 20.0 < 30.0"),
     (["hl", "-a", "0", "--cutoff", "100"], "a != 0 required"),
+    (["hl", "-a", "-1", "--cutoff", "100"], "a = -1 = -k² refused"),
+    (["hl", "-a", "-4", "--cutoff", "100"], "a = -4 = -k² refused"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2

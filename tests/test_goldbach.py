@@ -264,7 +264,12 @@ def test_angle_cap_subset():
 def test_diagonal_goldbach():
     r, reflect = gb.diagonal_goldbach(4)
     assert r == gb.r2(GaussianInt(4, 4))
-    assert reflect >= 0
+    # reflect against the loop that tests both p and i·conj(p)
+    for k in range(2, 81):
+        want = sum(1 for a in range(1, k)
+                   if pa.is_gaussian_prime(GaussianInt(a, k - a))
+                   and pa.is_gaussian_prime(GaussianInt(k - a, a)))
+        assert gb.diagonal_goldbach(k)[1] == want, k
 
 
 PLANAR = (("gaussian", "open", GaussianInt),
@@ -310,8 +315,7 @@ def test_fft_budget_refused_before_the_mask_is_built(monkeypatch):
     def no_mask(*args):
         raise AssertionError("mask built for a refused convolution")
 
-    for name in ("gaussian_prime_mask", "eisenstein_prime_mask",
-                 "prime_mask"):
+    for name in ("gaussian_prime_mask", "planar_prime_mask", "prime_mask"):
         monkeypatch.setattr(gb, name, no_mask)
     refused = [
         lambda: gb.planar_counts("gaussian", "open", 5000, 5000),

@@ -371,32 +371,56 @@ def test_twins():
     assert pairs == want
 
 
-def test_gaussian_prime_mask_matches_pointwise():
-    m = pa.gaussian_prime_mask(-10, 10, -10, 10)
-    for a in range(-10, 11):
-        for b in range(-10, 11):
-            assert m[a + 10, b + 10] == pa.is_gaussian_prime(GaussianInt(a, b))
-
-
-def test_eisenstein_prime_mask_matches_pointwise():
+def _check_mask_against_oracle(build, cls, oracle):
+    """build(a_lo, a_hi, b_lo, b_hi) against the oracle at every cell of
+    [-12, 12]² (the origin and the lines a = 0, b = 0, a + b = 0), of boxes
+    on one such line away from the origin, and of seeded boxes reaching
+    negative coordinates."""
     rng = np.random.default_rng(11)
-    boxes = [(-12, 12, -12, 12)]
-    for _ in range(12):
+    boxes = [(-12, 12, -12, 12), (5, 20, -20, -5), (-30, -10, 0, 5),
+             (0, 0, -25, 25)]
+    for _ in range(24):
         a_lo, b_lo = rng.integers(-40, 20, size=2).tolist()
         da, db = rng.integers(0, 30, size=2).tolist()
         boxes.append((a_lo, a_lo + da, b_lo, b_lo + db))
     for a_lo, a_hi, b_lo, b_hi in boxes:
-        m = pa.eisenstein_prime_mask(a_lo, a_hi, b_lo, b_hi)
-        want = [[pa.is_eisenstein_prime(EisensteinInt(a, b))
-                 for b in range(b_lo, b_hi + 1)]
+        want = [[oracle(cls(a, b)) for b in range(b_lo, b_hi + 1)]
                 for a in range(a_lo, a_hi + 1)]
-        assert m.tolist() == want, (a_lo, a_hi, b_lo, b_hi)
+        assert build(a_lo, a_hi, b_lo, b_hi).tolist() == want, \
+            (a_lo, a_hi, b_lo, b_hi)
+
+
+def test_gaussian_prime_mask_matches_pointwise():
+    _check_mask_against_oracle(pa.gaussian_prime_mask, GaussianInt,
+                               _baby_gaussian_prime)
+
+
+def test_eisenstein_prime_mask_matches_pointwise():
+    _check_mask_against_oracle(
+        lambda *box: pa.planar_prime_mask("eisenstein", *box), EisensteinInt,
+        _eisenstein_oracle)
 
 
 def test_eisenstein_prime_mask_capacity():
     # the CLI reaches this mask only behind the larger FFT estimate
     with pytest.raises(rk.CapacityError, match="Eisenstein prime mask"):
-        pa.eisenstein_prime_mask(0, 20000, 0, 20000)
+        pa.planar_prime_mask("eisenstein", 0, 20000, 0, 20000)
+
+
+def test_prime_mask_budget_counts_the_norm_table(monkeypatch):
+    # 100 cells need 900 B, within the budget; their prime-norm table up to
+    # norm ~10⁶ does not fit, and the mask is refused before any array
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10_000)
+    for ring in ("gaussian", "eisenstein"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(rk.CapacityError,
+                               match=f"{ring.title()} prime mask of 100 cells"):
+                pa.planar_prime_mask(ring, 1000, 1009, 0, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, ring
 
 
 def test_mertens_series_consistent():
