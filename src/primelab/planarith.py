@@ -421,10 +421,11 @@ def planar_prime_mask(ring, a_lo, a_hi, b_lo, b_hi):
     _units, _q, t = _norm_form(ring)
     cells = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
     # the form is positive definite, so the table's limit, the box's largest
-    # norm, is at a corner; 9 B per cell (int64 norms, mask) plus the table
+    # norm, is at a corner; 9 B per cell (int64 norms, mask) plus 1 B per
+    # norm each for the table and, when the sieve is cold, its flags
     limit = max(a * a + t * a * b + b * b
                 for a in (a_lo, a_hi) for b in (b_lo, b_hi))
-    rk.check_budget(9 * cells + limit + 1,
+    rk.check_budget(9 * cells + 2 * (limit + 1),
                     f"{ring.title()} prime mask of {cells} cells")
     N = _norm_grid(t, np.arange(a_lo, a_hi + 1, dtype=np.int64),
                    np.arange(b_lo, b_hi + 1, dtype=np.int64))

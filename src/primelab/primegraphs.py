@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import ratkernel as rk
 from .hyperarith import prime_mask
@@ -49,10 +47,27 @@ class Graph:
 
 def component_labels(n, edges):
     """(count, labels) of the connected components of the undirected graph on
-    vertices 0..n-1 with the (E, 2) index array `edges`."""
-    m = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                   shape=(n, n))
-    return connected_components(m, directed=False)
+    vertices 0..n-1 with the (E, 2) index array `edges`, numbered 0..count-1
+    in the order of their smallest vertex.
+
+    Hook-and-jump connectivity (Shiloach & Vishkin, J. Algorithms 3, 1982):
+    every round hooks each edge's larger root to its smaller one, then jumps
+    pointers until every vertex points at a root, and drops the edges whose
+    ends now share a root.  Parents only ever decrease, so each root is its
+    component's smallest vertex.
+    """
+    lab = np.arange(n)
+    u, v = np.asarray(edges, dtype=np.int64).T
+    while u.size:
+        ru, rv = lab[u], lab[v]
+        np.minimum.at(lab, np.maximum(ru, rv), np.minimum(ru, rv))
+        up = lab[lab]
+        while not np.array_equal(up, lab):
+            lab, up = up, up[up]
+        live = lab[u] != lab[v]
+        u, v = u[live], v[live]
+    roots = lab == np.arange(n)
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[lab]
 
 
 def component_count(g):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from primelab import caworld as ca
+from primelab import ratkernel as rk
 from primelab.ratkernel import CapacityError
 
 
@@ -241,3 +244,56 @@ def test_moat_component_is_lexicographic_array():
     pts = [tuple(p) for p in comp.tolist()]
     assert pts == sorted(set(pts))
     assert (1, 1) in pts
+
+
+def _ndimage_grids():
+    rng = np.random.default_rng(15)
+    grids = [np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool),
+             rng.random((1, 30)) < 0.5, rng.random((30, 1)) < 0.5,
+             np.zeros((7, 5), dtype=bool), np.ones((6, 8), dtype=bool),
+             np.indices((9, 9)).sum(axis=0) % 2 == 0]
+    for _ in range(120):
+        shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
+        grids.append(rng.random(shape) < rng.choice([0.1, 0.3, 0.5, 0.7]))
+    return grids
+
+
+def test_step_dilate_components_match_ndimage():
+    # scipy is the oracle here only; caworld is numpy
+    from scipy import ndimage
+    eight = ndimage.generate_binary_structure(2, 2)
+    kernel = np.ones((3, 3), dtype=np.int64)
+    kernel[1, 1] = 0
+    rules = (ca.LIFE, ca.Rule({1}, set()), ca.Rule({0, 8}, {0, 4, 8}))
+    for cells in _ndimage_grids():
+        g = ca.Grid((0, 0), cells)
+        labels, count = ca.components(g)
+        want_labels, want_count = ndimage.label(cells, structure=eight)
+        assert count == want_count == ca.component_count(g)
+        assert np.array_equal(labels, want_labels)
+        padded = np.pad(cells, 1)
+        counts = ndimage.convolve(padded.astype(np.int64), kernel,
+                                  mode="constant", cval=0)
+        for rule in rules:
+            want = np.where(padded, np.isin(counts, sorted(rule.survive)),
+                            np.isin(counts, sorted(rule.birth)))
+            assert np.array_equal(ca.step(g, rule).cells, want)
+        for k in (1, 2, 5):
+            want = ndimage.binary_dilation(np.pad(cells, k), eight,
+                                           iterations=k)
+            assert np.array_equal(ca.dilate(g, k).cells, want)
+
+
+def test_components_budget_refused_before_allocation(monkeypatch):
+    # the 9900 cells fit a 5·10⁵ B budget at 1 B each, not at the ~80 B per
+    # cell that labelling their runs may take
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 5 * 10**5)
+    g = ca.Grid((0, 0), np.ones((100, 99), dtype=bool))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="components of a 100×99 grid"):
+            ca.components(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16

@@ -423,6 +423,30 @@ def test_prime_mask_budget_counts_the_norm_table(monkeypatch):
         assert peak < 2**16, ring
 
 
+def test_prime_mask_budget_covers_a_cold_sieve(monkeypatch):
+    # with a cold sieve the mask builds the sieve's flags next to the table;
+    # the estimate counts both, so the traced peak stays within it up to
+    # numpy's fixed buffers
+    estimates = []
+    check = rk.check_budget
+
+    def recording_check(nbytes, what):
+        estimates.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(rk, "check_budget", recording_check)
+    for ring in ("gaussian", "eisenstein"):
+        rk.sieve.cache_clear()
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            pa.planar_prime_mask(ring, 1, 1000, 1, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimates[0] + 2**17, ring
+
+
 def test_mertens_series_consistent():
     series = pa.gaussian_mertens_series(60)
     for x in range(1, 61):

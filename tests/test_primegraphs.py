@@ -146,6 +146,28 @@ def test_component_count_matches_networkx():
             assert pg.component_count(g) == nx.number_connected_components(h)
 
 
+def test_component_labels_match_csgraph():
+    # scipy is the oracle here only; the library's routine is numpy
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(15)
+    cases = [(1, np.zeros((0, 2), dtype=np.int64)),
+             (1, np.array([[0, 0]])),
+             (6, np.zeros((0, 2), dtype=np.int64)),
+             (5, np.array([[3, 1], [1, 3], [3, 1], [2, 2], [4, 0]]))]
+    for _ in range(300):
+        n = int(rng.integers(1, 120))
+        cases.append((n, rng.integers(0, n, size=(int(rng.integers(0, 2 * n)),
+                                                  2))))
+    for n, edges in cases:
+        m = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                       shape=(n, n))
+        want_count, want_labels = connected_components(m, directed=False)
+        count, labels = pg.component_labels(n, edges)
+        assert count == want_count, (n, edges)
+        assert np.array_equal(labels, want_labels), (n, edges)
+
+
 def test_edges_are_sorted_index_pairs():
     for g in (pg.gaussian_graph(30), pg.gcd_graph(30), pg.hurwitz_graph(5)):
         assert g.edges.dtype == np.int64 and g.edges.shape == (g.E, 2)

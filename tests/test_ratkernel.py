@@ -182,10 +182,15 @@ _IMPORT_DIET = """
 import sys
 import primelab, primelab.cli, primelab.specmat, primelab.primestats
 import primelab.zetafun, primelab.planarith, primelab.hyperarith
+import primelab.primegraphs, primelab.caworld
 
 def scipy_loaded():
     return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
 
+# quaternion orbits, graph components and CA moats all label components
+primelab.hyperarith.u_orbit_lengths(7)
+primelab.primegraphs.gcd_components(30)
+primelab.caworld.moat_component(1, 20)
 assert not scipy_loaded(), scipy_loaded()
 from primelab import ratkernel as rk
 assert abs(rk.li(10**6) - 78626.503996) < 1e-2
