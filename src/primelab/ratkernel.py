@@ -123,19 +123,17 @@ def pi_mod(x, r, m):
 
 
 def li(x):
-    """∫₂ˣ dt/log t by adaptive quadrature, relative tolerance 1e-12.
+    """∫₂ˣ dt/log t, mpmath's offset logarithmic integral Li(x) − Li(2).
 
-    scipy.integrate is imported on the first call, so importing this module
-    (and the CLI) loads no scipy.
+    Evaluated at a pinned 30 digits, so the float returned does not depend
+    on the caller's (or zetafun's) global mpmath precision.  mpmath is
+    imported on the first call, so importing this module loads none.
     """
     if x < 2:
         raise ValueError("li defined for x >= 2")
-    if x == 2:
-        return 0.0
-    from scipy import integrate
-    val, _err = integrate.quad(lambda t: 1.0 / math.log(t), 2.0, x,
-                               epsrel=1e-12, limit=200)
-    return val
+    import mpmath
+    with mpmath.workdps(30):
+        return float(mpmath.li(x, offset=True))
 
 
 def factorize(n):

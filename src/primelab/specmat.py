@@ -320,6 +320,8 @@ def smith_divisor_factor(n):
 
 def smith_det(n, s=1):
     """∏_{k<=n} J_s(k) = det(gcd^s matrix); exact for integer s >= 1."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     return math.prod(rk.jordan_totient(k, s) for k in range(1, n + 1))
 
 
@@ -330,9 +332,11 @@ def smith_det_residual(n, s=1):
 
 def _smith_det_and_residual(n, s=1):
     """(∏_{k<=n} J_s(k), smith_det_residual(n, s)) from one product."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     exact = isinstance(s, int) and s >= 1
     if exact:
-        check_exact_pass(n, s * math.log2(max(n, 1)))
+        check_exact_pass(n, s * math.log2(n))
     a = build_smith(n, s)
     target = smith_det(n, s)
     if exact:

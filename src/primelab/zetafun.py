@@ -65,6 +65,8 @@ def zeta_E(s):
 def lattice_zeta(ring, s, X):
     """Truncated Σ_{0 < N(z) <= X} N(z)^(−s) by direct lattice count."""
     X = int(X)
+    if X < 1:
+        raise ValueError("X >= 1 required")
     # tracemalloc peak 32.0 B per n: the counts and three float arrays
     rk.check_budget(32 * X, f"{ring.title()} norm count table to {X} and "
                     "lattice zeta's float arrays")

@@ -313,6 +313,10 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
     (["hl", "-a", "0", "--cutoff", "100"], "a != 0 required"),
     (["hl", "-a", "-1", "--cutoff", "100"], "a = -1 = -k² refused"),
     (["hl", "-a", "-4", "--cutoff", "100"], "a = -4 = -k² refused"),
+    (["smith", "--n", "-3"], "n >= 1 required"),
+    (["smith", "--n", "0"], "n >= 1 required"),
+    (["zeta", "--cutoff", "-5"], "X >= 1 required"),
+    (["zeta", "--cutoff", "0"], "X >= 1 required"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -118,9 +119,45 @@ def test_clique_euler_characteristic_with_triangle():
     assert pg.clique_euler_characteristic(g) == 1
 
 
-def test_clique_cap():
-    with pytest.raises(rk.CapacityError):
-        pg.clique_euler_characteristic(pg.gcd_graph(100))
+def _networkx_clique_chi(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.V))
+    h.add_edges_from(g.edges.tolist())
+    return sum(1 if len(c) % 2 else -1 for c in nx.enumerate_all_cliques(h))
+
+
+def test_clique_chi_of_gcd_graphs_is_a_prime_count():
+    # the paper's Euler characteristic / prime counting link: for 4 <= n <=
+    # 142 the clique complex of the gcd graph has χ = 2 + π(n) − π(n/2), its
+    # component count; at 143 = 11·13 it first gains one more
+    for n in range(4, 143):
+        assert (pg.clique_euler_characteristic(pg.gcd_graph(n))
+                == pg.gcd_components_formula(n)), n
+    assert pg.clique_euler_characteristic(pg.gcd_graph(143)) == 17
+    assert pg.gcd_components_formula(143) == 16
+    # networkx's clique enumeration is the oracle
+    g = pg.hurwitz_graph(8)
+    assert g.V == 64
+    assert pg.clique_euler_characteristic(g) == _networkx_clique_chi(g) == 49
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        n = int(rng.integers(0, 26))
+        adj = rng.random((n, n)) < rng.uniform(0, 0.75)
+        g = pg.Graph(np.arange(n), np.argwhere(np.triu(adj, 1)))
+        assert pg.clique_euler_characteristic(g) == _networkx_clique_chi(g)
+
+
+def test_clique_chi_memo_refused_by_bytes(monkeypatch):
+    g = pg.gcd_graph(400)
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(rk.CapacityError, match="clique complex memo"):
+            pg.clique_euler_characteristic(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
 
 
 def test_adjacency_symmetric():

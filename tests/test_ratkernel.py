@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -176,35 +177,62 @@ def test_li_value():
     for x in (1.5, 0):
         with pytest.raises(ValueError):
             rk.li(x)
+    # tabulated li(10¹²) from 0 is 37607950280.80; li(2) = 1.0451637801
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(rk.li(10**12) - (37607950280.80 - 1.0451637801)) < 0.05
+    # the bytes do not depend on the global mpmath precision
+    import mpmath
+    old = mpmath.mp.dps
+    try:
+        mpmath.mp.dps = 15
+        low = rk.li(3).hex()
+        mpmath.mp.dps = 30
+        assert rk.li(3).hex() == low
+    finally:
+        mpmath.mp.dps = old
 
 
 _IMPORT_DIET = """
 import sys
-import primelab, primelab.cli, primelab.specmat, primelab.primestats
-import primelab.zetafun, primelab.planarith, primelab.hyperarith
-import primelab.primegraphs, primelab.caworld
 
-def scipy_loaded():
-    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+def loaded(*roots):
+    return sorted(k for k in sys.modules if k.split(".")[0] in roots)
+
+import primelab, primelab.cli, primelab.specmat, primelab.primestats
+import primelab.planarith, primelab.hyperarith
+import primelab.primegraphs, primelab.caworld
+# only zetafun needs mpmath at import time
+assert not loaded("mpmath", "scipy", "networkx"), loaded("mpmath", "scipy", "networkx")
+import primelab.zetafun
 
 # quaternion orbits, graph components and CA moats all label components
 primelab.hyperarith.u_orbit_lengths(7)
 primelab.primegraphs.gcd_components(30)
 primelab.caworld.moat_component(1, 20)
-assert not scipy_loaded(), scipy_loaded()
-from primelab import ratkernel as rk
+from primelab import primegraphs as pg, ratkernel as rk
 assert abs(rk.li(10**6) - 78626.503996) < 1e-2
-assert "scipy.integrate" in sys.modules
+assert pg.clique_euler_characteristic(pg.gcd_graph(30)) == 6
+assert not loaded("scipy", "networkx"), loaded("scipy", "networkx")
+"""
+
+# goldbach is the one module that loads scipy (scipy.signal), and no mpmath
+_GOLDBACH_DIET = """
+import sys
+import primelab.goldbach
+assert "mpmath" not in sys.modules
 """
 
 
 def test_imports_load_no_scipy_until_li():
-    # A child interpreter: the test process has already imported scipy.
+    # Child interpreters: the test process has already imported scipy,
+    # networkx and mpmath.
     src = str(Path(rk.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-c", _IMPORT_DIET],
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
+    for script in (_IMPORT_DIET, _GOLDBACH_DIET):
+        res = subprocess.run([sys.executable, "-c", script],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 
 def test_sqrt_minus_one_mod():
