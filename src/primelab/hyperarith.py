@@ -169,23 +169,37 @@ def lattice_points_norm(p):
     return [QuatInt(tuple(d)) for d in _norm_points(p).tolist()]
 
 
+@functools.cache
+def _unit_matrix(side):
+    """(4, 4, 24) int64 U with U[:, i, j] = eᵢ·uⱼ (uⱼ·eᵢ for side="left"),
+    uⱼ the doubled units: z·u is linear in z, so pts @ U holds z·uⱼ for each
+    row z of pts.  Read-only, built once per side."""
+    e = np.eye(4, dtype=np.int64)[:, :, None]  # (4, 4, 1) against (4, 1, 24)
+    units = _norm_points(1).T[:, None, :]
+    table = np.stack(_hamilton(e, units) if side == "right"
+                     else _hamilton(units, e))
+    table.setflags(write=False)
+    return table
+
+
 def _unit_products(pts, side="right"):
     """(4, M, 24) doubled coordinates of z·u (u·z for side="left") for each
     row z of the (M, 4) array pts and each of the 24 units u."""
-    units = _norm_points(1).T[:, None, :]
-    z = pts.T[:, :, None]  # (4, M, 1) against (4, 1, 24)
-    w = _hamilton(z, units) if side == "right" else _hamilton(units, z)
-    return np.stack(w) // 2
+    return (pts @ _unit_matrix(side)) // 2
+
+
+def _key_place(p):
+    """(m, place values) of the keys of norm-p 4-vectors: each coordinate is
+    offset by m = isqrt(4p) into [0, 2m] and read as a base-(2m+1) digit."""
+    m = math.isqrt(4 * p)
+    return m, [(2 * m + 1) ** k for k in (3, 2, 1, 0)]
 
 
 def _keys(v, p):
     """One int64 key per norm-p 4-vector along axis 0 of v, in lexicographic
-    order: each coordinate is offset by isqrt(4p) into [0, 2·isqrt(4p)]."""
-    m = math.isqrt(4 * p)
-    key = np.zeros(v.shape[1:], dtype=np.int64)
-    for x in v:
-        key = key * (2 * m + 1) + x + m
-    return key
+    order."""
+    m, place = _key_place(p)
+    return sum(w * (x + m) for w, x in zip(place, v))
 
 
 def classes_above(p):
@@ -201,10 +215,14 @@ def _orbit_count(p, side="right"):
     """Number of unit-multiplication orbits on the norm-p sphere.
 
     Each point is labelled by the least key over its orbit {z·u}; the units
-    form a group, so the label is the same for every point of an orbit.
+    form a group, so the label is the same for every point of an orbit.  The
+    keys are linear in z·u, which is linear in z, so the (M, 24) keys are one
+    product of the points with a (4, 24) key matrix.
     """
-    w = _unit_products(_norm_points(p), side)
-    return len(np.unique(_keys(w, p).min(axis=1)))
+    m, place = _key_place(p)
+    key_matrix = sum(w * u for w, u in zip(place, _unit_matrix(side)))
+    keys = (_norm_points(p) @ key_matrix) // 2 + m * sum(place)
+    return len(np.unique(keys.min(axis=1)))
 
 
 def positively_ordered_reps(p):

@@ -99,16 +99,21 @@ def stats(g):
 
 def gaussian_graph(n):
     """G(n): vertices {2..n+1}, a~b iff a+ib Gaussian prime."""
+    return _gaussian_graph_and_mask(n)[0]
+
+
+def _gaussian_graph_and_mask(n):
+    """(G(n), the Gaussian prime flags of a+ib for 2 <= a, b <= n+1)."""
     if n < 2:
         raise ValueError("n >= 2 required")
     mask = gaussian_prime_mask(2, n + 1, 2, n + 1)
-    return Graph(np.arange(2, n + 2), np.argwhere(np.triu(mask, 1)))
+    return Graph(np.arange(2, n + 2), np.argwhere(np.triu(mask, 1))), mask
 
 
 def gaussian_graph_chi_two_ways(n):
-    """χ(G(n)) via the edge list and via the box prime count (E = primes/2)."""
-    g = gaussian_graph(n)
-    mask = gaussian_prime_mask(2, n + 1, 2, n + 1)
+    """χ(G(n)) via the edge list and via the box prime count (E = primes/2),
+    both read from one prime mask."""
+    g, mask = _gaussian_graph_and_mask(n)
     box_primes = int(mask.sum()) - int(np.trace(mask))  # a=b never prime here
     return g.V - g.E, g.V - box_primes // 2
 
@@ -149,8 +154,8 @@ def gcd_graph(n):
     # the int64 gcd table, two bool masks, and the int64 (E, 2) edge array
     # with E ≈ 0.2·n²
     rk.check_budget(13 * n * n, f"gcd graph n={n}")
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    return Graph(idx, np.argwhere(np.triu(np.gcd.outer(idx, idx) > 1, 1)))
+    return Graph(np.arange(1, n + 1, dtype=np.int64),
+                 np.argwhere(np.triu(rk.gcd_table(n) > 1, 1)))
 
 
 def gcd_components(n):

@@ -4,7 +4,7 @@ Sieving, deterministic 64-bit primality, prime counting in residue classes,
 the logarithmic integral li(x) = ∫₂ˣ dt/log t, Jordan totients
 J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), `multiplicative_table` (the one table
 behind μ, φ and planarith's Gaussian h, peeled from the smallest prime
-factors), the Jacobi symbol,
+factors), the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol,
 Fermat two-square decompositions, Euler's composite-detection identity, and
 divisor-class counts d_k(n; m) = #{d | n : d ≡ k mod m}.
 
@@ -256,6 +256,28 @@ def moebius_table(n):
     """μ(1..n) as an int8 array (index 0 unused)."""
     return multiplicative_table(
         n, lambda p, e: np.where(e == 1, -1, 0)).astype(np.int8)
+
+
+def gcd_table(n):
+    """gcd(i, j) for 1 <= i, j <= n as an int64 (n, n) array (entry [i-1, j-1]).
+
+    gcd(i, j) = ∏ p^min(vₚ(i), vₚ(j)), so the table is the product, over the
+    prime powers q = pᵏ <= n, of a factor p on the cells where q divides both
+    i and j: the strided block [q-1::q, q-1::q].  Primes are taken in
+    increasing order, each with all its powers, so the diagonal entry of p is
+    still 1 when p is reached exactly when p is prime.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    check_budget(8 * n * n, f"gcd table n={n}")
+    g = np.ones((n, n), dtype=np.int64)
+    for p in range(2, n + 1):
+        if g[p - 1, p - 1] == 1:
+            q = p
+            while q <= n:
+                g[q - 1 :: q, q - 1 :: q] *= p
+                q *= p
+    return g
 
 
 def mertens(n):

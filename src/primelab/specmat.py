@@ -304,8 +304,7 @@ def build_smith(n, s=1):
     # or a complex copy and its power
     per_cell = 8 + (44 + s * math.log2(max(n, 1)) / 8 if exact else 32)
     rk.check_budget(int(per_cell * max(n, 0) ** 2), f"gcd matrix n={n}")
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    g = np.gcd.outer(idx, idx)
+    g = rk.gcd_table(n)
     if exact:
         return np.array([[int(x) ** s for x in row] for row in g],
                         dtype=object)
@@ -314,6 +313,8 @@ def build_smith(n, s=1):
 
 def smith_divisor_factor(n):
     """E with E_{ij} = 1 iff j | i (lower unitriangular)."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     idx = np.arange(1, n + 1, dtype=np.int64)
     return (idx[:, None] % idx[None, :] == 0).astype(np.int64)
 

@@ -103,6 +103,36 @@ def test_left_right_class_counts_agree():
         assert left == right == p + 1
 
 
+def _broadcast_unit_products(pts, side):
+    """z·u over all 24 units by one broadcast Hamilton product (oracle)."""
+    units = ha._norm_points(1).T[:, None, :]
+    z = pts.T[:, :, None]
+    w = ha._hamilton(z, units) if side == "right" else ha._hamilton(units, z)
+    return np.stack(w) // 2
+
+
+def _horner_keys(v, p):
+    """Coordinates offset by isqrt(4p), read in base 2·isqrt(4p) + 1 (oracle)."""
+    m = math.isqrt(4 * p)
+    key = np.zeros(v.shape[1:], dtype=np.int64)
+    for x in v:
+        key = key * (2 * m + 1) + x + m
+    return key
+
+
+def test_unit_matrix_matches_broadcast_hamilton():
+    for p in (int(q) for q in rk.sieve(100).primes()):
+        pts = ha._norm_points(p)
+        for side in ("right", "left"):
+            want = _broadcast_unit_products(pts, side)
+            got = ha._unit_products(pts, side)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            # the orbit count against the least key over the products
+            keys = _horner_keys(want, p)
+            assert np.array_equal(ha._keys(want, p), keys)
+            assert ha._orbit_count(p, side) == len(np.unique(keys.min(axis=1)))
+
+
 def test_rotate_vector():
     v = ha.rotate_vector((0, 0, 1), np.pi / 2, (1, 0, 0))
     assert np.allclose(v, (0, 1, 0), atol=1e-12)

@@ -44,6 +44,22 @@ def test_chi_two_ways():
         assert a == b
 
 
+def test_chi_two_ways_builds_one_mask(monkeypatch):
+    calls = []
+    real = pg.gaussian_prime_mask
+
+    def counting(*box):
+        calls.append(box)
+        return real(*box)
+
+    monkeypatch.setattr(pg, "gaussian_prime_mask", counting)
+    for n in (2, 9, 40):
+        calls.clear()
+        a, b = pg.gaussian_graph_chi_two_ways(n)
+        assert a == b
+        assert calls == [(2, n + 1, 2, n + 1)]
+
+
 def test_quaternion_graphs():
     h = pg.lipschitz_graph(4)
     edges = _edge_labels(h)
@@ -74,6 +90,16 @@ def test_gcd_graph_structure():
     assert ((2, 4) in edges)
     assert ((3, 9) in edges)
     assert not any(1 in e for e in edges)
+
+
+def test_gcd_graph_matches_euclid():
+    # edges read off the gcd table against numpy's elementwise Euclid
+    for n in range(3, 201):
+        idx = np.arange(1, n + 1)
+        want = np.argwhere(np.triu(np.gcd.outer(idx, idx) > 1, 1))
+        g = pg.gcd_graph(n)
+        assert np.array_equal(g.vertices, idx)
+        assert g.edges.dtype == np.int64 and np.array_equal(g.edges, want), n
 
 
 def test_gcd_components_formula():

@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +83,29 @@ def test_totient_summatory_matches_pointwise():
     phi = [rk.totient(n) for n in range(1, 3001)]
     assert ([rk.totient_summatory(n) for n in range(1, 3001)]
             == list(itertools.accumulate(phi)))
+
+
+def test_gcd_table_matches_euclid():
+    # the prime-power table against numpy's elementwise Euclid
+    for n in [*range(1, 61), 143, 400, 1000]:
+        idx = np.arange(1, n + 1, dtype=np.int64)
+        g = rk.gcd_table(n)
+        assert g.dtype == np.int64
+        assert np.array_equal(g, np.gcd.outer(idx, idx)), n
+
+
+def test_gcd_table_refuses_empty_and_oversized():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1 required"):
+            rk.gcd_table(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(rk.CapacityError):
+            rk.gcd_table(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_multiplicative_tables_refused_before_allocation():

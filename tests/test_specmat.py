@@ -286,6 +286,15 @@ def test_smith_factorization():
         assert sm.smith_inverse_moebius_check(n)
 
 
+def test_smith_refuses_n_below_one():
+    for n in (0, -3):
+        for call in (sm.build_smith, sm.smith_divisor_factor,
+                     sm.smith_factorization_check,
+                     sm.smith_inverse_moebius_check):
+            with pytest.raises(ValueError, match="n >= 1 required"):
+                call(n)
+
+
 def test_smith_complex_s():
     r = sm.smith_det_residual(20, 1.5 + 0.5j)
     assert abs(r) < 1e-8
