@@ -130,9 +130,11 @@ def _sphere_points(dim, total):
     lexicographically sorted int64 (M, dim) array.
 
     Each vector is split into two halves of length dim/2.  The half vectors
-    with square sum <= total (the ball) are sorted by square sum, and every
-    half is joined with the halves whose square sum makes up the rest
-    (searchsorted), so each vector comes out exactly once.
+    with square sum <= total (the ball) are enumerated in lexicographic
+    order, and every half is joined with the halves whose square sum makes
+    up the rest, found by searchsorted in the stable square-sum order and
+    mapped back through it.  Lefts come in lexicographic order and so do the
+    partners of each left, so the vectors come out sorted, each exactly once.
     """
     m = math.isqrt(total)
     half = dim // 2
@@ -142,14 +144,14 @@ def _sphere_points(dim, total):
     ball = np.stack([x.ravel() for x in axes], axis=1)
     sq = np.sum(ball * ball, axis=1)
     order = np.argsort(sq, kind="stable")
-    ball, sq = ball[order], sq[order]
-    lo = np.searchsorted(sq, total - sq, side="left")
-    cnt = np.searchsorted(sq, total - sq, side="right") - lo
+    ssq = sq[order]
+    lo = np.searchsorted(ssq, total - sq, side="left")
+    cnt = np.searchsorted(ssq, total - sq, side="right") - lo
     left = np.repeat(np.arange(len(ball)), cnt)
-    # right partners of each left half: lo, lo+1, ..., lo+cnt-1
-    right = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
-    pts = np.concatenate([ball[left], ball[right]], axis=1)
-    return pts[np.lexsort(pts.T[::-1])]
+    # right partners of each left half: order[lo], ..., order[lo+cnt-1]
+    right = order[np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt,
+                                                    cnt)]
+    return np.concatenate([ball[left], ball[right]], axis=1)
 
 
 def _norm_points(p):
@@ -182,12 +184,6 @@ def _unit_matrix(side):
     return table
 
 
-def _unit_products(pts, side="right"):
-    """(4, M, 24) doubled coordinates of z·u (u·z for side="left") for each
-    row z of the (M, 4) array pts and each of the 24 units u."""
-    return (pts @ _unit_matrix(side)) // 2
-
-
 def _key_place(p):
     """(m, place values) of the keys of norm-p 4-vectors: each coordinate is
     offset by m = isqrt(4p) into [0, 2m] and read as a base-(2m+1) digit."""
@@ -217,12 +213,20 @@ def _orbit_count(p, side="right"):
     Each point is labelled by the least key over its orbit {z·u}; the units
     form a group, so the label is the same for every point of an orbit.  The
     keys are linear in z·u, which is linear in z, so the (M, 24) keys are one
-    product of the points with a (4, 24) key matrix.
+    product of the points with a (4, 24) key matrix.  The orbits are counted
+    as the changes between neighbours in the sorted labels.
     """
     m, place = _key_place(p)
     key_matrix = sum(w * u for w, u in zip(place, _unit_matrix(side)))
     keys = (_norm_points(p) @ key_matrix) // 2 + m * sum(place)
-    return len(np.unique(keys.min(axis=1)))
+    least = np.sort(keys.min(axis=1))
+    return 1 + np.count_nonzero(least[1:] != least[:-1])
+
+
+def _class_keys(pts, p):
+    """Key of the class of each row of the (M, 4) norm-p array pts: its
+    sorted |coordinates|, the positively ordered representative."""
+    return _keys(np.sort(np.abs(pts.T), axis=0), p)
 
 
 def positively_ordered_reps(p):
@@ -232,8 +236,16 @@ def positively_ordered_reps(p):
     """
     if not rk.is_prime(p):
         raise ValueError("prime required")
-    reps = np.unique(np.sort(np.abs(_norm_points(p)), axis=1), axis=0)
+    pts = _norm_points(p)
+    # the first point of each class, in key order; asking for the indices
+    # also keeps np.unique off its numpy.ma check
+    first = np.unique(_class_keys(pts, p), return_index=True)[1]
+    reps = np.sort(np.abs(pts[first]), axis=1)
     return [QuatInt(tuple(d)) for d in reps.tolist()]
+
+
+# Row of ω = (−1+i+j+k)/2, doubled (−1, 1, 1, 1), in _norm_points(1)
+_OMEGA = 8
 
 
 def u_orbit_lengths(p):
@@ -241,19 +253,24 @@ def u_orbit_lengths(p):
 
     Two representatives are linked when some concrete elements differ by a
     right unit factor; lengths come out in {2, 3} in the tested range.
+
+    The 8 Lipschitz units Q₈ = {±1, ±i, ±j, ±k} permute the doubled
+    coordinates of z and flip their signs, so z·q has the class of z.  Q₈ is
+    normal of index 3 in the 24 units 2T, whose cosets are Q₈, ωQ₈ and ω²Q₈
+    (Conway & Smith, On Quaternions and Octonions, 2003).  So z·u has the
+    class of z·ωᵃ for u in ωᵃQ₈, and z·ω² = (z·ω)·ω: the edges z ~ z·ω over
+    all points z already join every class to the classes of all 24 products.
     """
     from .primegraphs import component_labels
     if p == 2 or not rk.is_prime(p):
         raise ValueError("odd prime required")
     pts = _norm_points(p)
-    w = _unit_products(pts)
-    # number each point z and each product z·u by its class, the rank of its
-    # sorted |coordinates| among the representatives
-    reps, zc = np.unique(_keys(np.sort(np.abs(pts.T), axis=0), p),
-                         return_inverse=True)
-    wc = np.searchsorted(reps, _keys(np.sort(np.abs(w), axis=0), p))
-    edges = np.stack([np.repeat(zc, w.shape[2]), wc.ravel()], axis=1)
-    labels = component_labels(len(reps), edges)[1]
+    w = (pts @ _unit_matrix("right")[:, :, _OMEGA].T) // 2
+    # number each point z and its product z·ω by its class, the rank of its
+    # key among the representatives' keys
+    reps, zc = np.unique(_class_keys(pts, p), return_inverse=True)
+    wc = np.searchsorted(reps, _class_keys(w, p))
+    labels = component_labels(len(reps), np.stack([zc, wc], axis=1))[1]
     return sorted(np.bincount(labels).tolist())
 
 

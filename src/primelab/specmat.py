@@ -52,7 +52,12 @@ def leading_minors(m):
     (Bareiss, Math. Comp. 22, 1968), whose pivot e is the minor of order e+1.
     Pivot e is sought only in rows e..n-1 of the block m[:n, :n], so a zero
     minor stalls the pass until a later row brings a nonzero in column e."""
-    a = [[int(x) for x in row] for row in np.asarray(m)]
+    m = np.asarray(m)
+    a = m.tolist()
+    if m.dtype.kind not in "biu":
+        # Python ints throughout: np.int64 entries of an object array would
+        # wrap in the products below
+        a = [list(map(int, row)) for row in a]
     size = len(a)
     if any(len(row) != size for row in a):
         raise ValueError("square matrix required")
@@ -300,14 +305,13 @@ def trace_vs_li(z0, n):
 def build_smith(n, s=1):
     """A_{ij} = gcd(i,j)^s, 1 <= i,j <= n; exact for integer s >= 1."""
     exact = isinstance(s, int) and s >= 1
-    # int64 gcds, then a list and an object array of ints below n^s (exact)
-    # or a complex copy and its power
+    # int64 gcds, then an object array of their ints and its power, ints
+    # below n^s (exact), or a complex copy and its power
     per_cell = 8 + (44 + s * math.log2(max(n, 1)) / 8 if exact else 32)
     rk.check_budget(int(per_cell * max(n, 0) ** 2), f"gcd matrix n={n}")
     g = rk.gcd_table(n)
     if exact:
-        return np.array([[int(x) ** s for x in row] for row in g],
-                        dtype=object)
+        return g.astype(object) ** s
     return np.power(g.astype(complex), s)
 
 

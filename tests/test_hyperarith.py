@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,12 +129,89 @@ def test_unit_matrix_matches_broadcast_hamilton():
         pts = ha._norm_points(p)
         for side in ("right", "left"):
             want = _broadcast_unit_products(pts, side)
-            got = ha._unit_products(pts, side)
+            got = (pts @ ha._unit_matrix(side)) // 2
             assert got.dtype == np.int64 and np.array_equal(got, want)
             # the orbit count against the least key over the products
             keys = _horner_keys(want, p)
             assert np.array_equal(ha._keys(want, p), keys)
             assert ha._orbit_count(p, side) == len(np.unique(keys.min(axis=1)))
+
+
+def _lexsorted_sphere_points(dim, total):
+    """The half-vector join of _sphere_points with the ball in square-sum
+    order, followed by a lexicographic sort of the rows (oracle)."""
+    m = math.isqrt(total)
+    axes = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * (dim // 2),
+                       indexing="ij")
+    ball = np.stack([x.ravel() for x in axes], axis=1)
+    sq = np.sum(ball * ball, axis=1)
+    order = np.argsort(sq, kind="stable")
+    ball, sq = ball[order], sq[order]
+    lo = np.searchsorted(sq, total - sq, side="left")
+    cnt = np.searchsorted(sq, total - sq, side="right") - lo
+    left = np.repeat(np.arange(len(ball)), cnt)
+    right = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    pts = np.concatenate([ball[left], ball[right]], axis=1)
+    # rows as base-(2m+1) numerals: one argsort in place of an 8-key lexsort
+    key = np.zeros(len(pts), dtype=np.int64)
+    for x in pts.T:
+        key = key * (2 * m + 1) + x + m
+    return pts[np.argsort(key)]
+
+
+def test_sphere_points_match_lexsorted_join():
+    totals = [(4, 4 * int(p)) for p in rk.sieve(400).primes()]
+    for dim, total in totals + [(8, t) for t in range(40)]:
+        got = ha._sphere_points(dim, total)
+        want = _lexsorted_sphere_points(dim, total)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _all_unit_orbit_lengths(p):
+    """Component sizes of the class graph with an edge from the class of z
+    to the class of z·u for every norm-p point z and each of the 24 units u,
+    by a union-find over the distinct class pairs (oracle)."""
+    pts = ha._norm_points(p)
+    w = _broadcast_unit_products(pts, "right")
+    z = np.broadcast_to(pts.T[:, :, None], w.shape)
+    base = (2 * math.isqrt(4 * p) + 1) ** 4
+    kz, kw = (_horner_keys(np.sort(np.abs(v), axis=0), p) for v in (z, w))
+    parent = {}
+
+    def find(c):
+        while parent.setdefault(c, c) != c:
+            c = parent[c]
+        return c
+
+    for pair in np.unique(kz * base + kw).tolist():
+        a, b = find(pair // base), find(pair % base)
+        parent[max(a, b)] = min(a, b)
+    sizes = {}
+    for c in list(parent):
+        sizes[find(c)] = sizes.get(find(c), 0) + 1
+    return sorted(sizes.values())
+
+
+def test_u_orbit_lengths_match_all_unit_class_graph():
+    assert ha._norm_points(1)[ha._OMEGA].tolist() == [-1, 1, 1, 1]
+    for p in (int(q) for q in rk.sieve(500).primes()[1:]):
+        assert ha.u_orbit_lengths(p) == _all_unit_orbit_lengths(p), p
+
+
+def test_orbit_kernels_load_no_numpy_ma():
+    # numpy.unique without return_inverse imports numpy.ma, 15-18 ms in a
+    # fresh process; the test process may have loaded it already
+    script = (
+        "import sys\n"
+        "from primelab import hyperarith as ha\n"
+        "ha.classes_above(13), ha.u_orbit_lengths(13)\n"
+        "ha.positively_ordered_reps(13)\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    src = str(Path(ha.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_rotate_vector():

@@ -258,6 +258,34 @@ def test_smith_det_exact():
             assert sm.smith_det_residual(n, s) == 0
 
 
+def test_build_smith_entries_are_python_ints():
+    cases = [(n, s) for n in range(1, 41) for s in (1, 2, 3)] + [(50, 12)]
+    for n, s in cases:
+        a = sm.build_smith(n, s)
+        want = [[int(x) ** s for x in row] for row in rk.gcd_table(n)]
+        assert a.dtype == object and a.shape == (n, n)
+        assert all(type(x) is int for x in a.flat)
+        assert a.tolist() == want
+    assert sm.build_smith(50, 12)[49, 49] == 50**12 > 2**63
+
+
+def test_leading_minors_of_int64_objects_do_not_wrap():
+    ints = sm.build_smith(12, 3)
+    int64s = np.empty(ints.shape, dtype=object)
+    for ij in np.ndindex(ints.shape):
+        int64s[ij] = np.int64(ints[ij])
+    assert type(int64s[0, 0]) is np.int64
+    want = sm.leading_minors(ints)
+    assert abs(want[-1]) > 2**63
+    assert sm.leading_minors(int64s) == want
+    assert all(type(x) is int for x in want)
+    # bool and unsigned matrices read through tolist
+    m = np.random.default_rng(3).integers(0, 2, size=(9, 9))
+    want = sm.leading_minors(m)
+    assert sm.leading_minors(m.astype(bool)) == want
+    assert sm.leading_minors(m.astype(np.uint8)) == want
+
+
 def test_smith_refused_before_build():
     for call in (lambda: sm.build_smith(20000),
                  lambda: sm.build_smith(20000, 0.5),
