@@ -1,8 +1,8 @@
 """Generic Goldbach representation sweeps over the supported integer rings.
 
 r2(z) counts ORDERED pairs (p, q) of primes with p + q = z subject to a
-SumVariant (cone, angle cap, parity filter); r3 counts ordered triples.
-Comets are grids of r2 over rectangular target regions.
+SumVariant (cone, angle cap, parity filter, species); r3 counts ordered
+Gaussian triples.  Comets are grids of r2 over rectangular target regions.
 
 Cone semantics, for a target t = a + b·u with a, b >= 0:
   open         — every coordinate of both summands strictly positive
@@ -19,17 +19,20 @@ exactly: one summand has even norm, so it is one of the four associates
 coordinate sum admit summands arbitrarily far away, so their count is the
 count inside the window, a lower bound on the unbounded one.
 
-Planar counts come from one engine, planar_counts.  Every summand of every
-target in a box lies in one prime mask M, so r2 over the whole box is the
-self-convolution M⋆M, computed once by float64 FFT and rounded.  The
-rounding is accepted only if every cell lies within 0.25 of an integer;
-otherwise ArithmeticError is raised rather than a wrong count returned.
-comet, first_counterexample, eisenstein_ghosts and r3 are reductions of
-that grid.  Quaternion and octonion targets get one summand mask per summand
-parity of their species, hyperarith.prime_mask over the doubled-coordinate
-box below the target; quaternion_comet convolves it the same way.  r2 of
-one target of any ring counts its mask against the mask's reflection;
-only the angle cap, which depends on the target, is counted per cell.
+One summand rule serves every ring.  A summand mask with offset off is the
+prime mask over the summand coordinates off/2 <= x_i <= box_i − off/2, which
+holds every summand of every target t <= box, so t sits at cell t − off of
+its self-convolution M⋆M.  Planar rings have one mask, off = 2·lo, read from
+planar_prime_mask; quaternion and octonion species have one per summand
+parity par, off = 2 − par, read from hyperarith.prime_mask over the doubled
+axes off, off+2, …, 2·box_i − off.  r2 of one target counts each mask of its
+own box against the mask's reflection; only the angle cap, which depends on
+the target, is counted per cell.  grid_counts gives r2 of every target in a
+box from M⋆M, computed by float64 FFT and rounded.  The rounding is accepted
+only if every cell lies within 0.25 of an integer; otherwise ArithmeticError
+is raised rather than a wrong count returned.  comet, quaternion_comet,
+first_counterexample and eisenstein_ghosts read that grid, and r3 is one
+more product of the pair grid with the mask.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from scipy import signal
 
 from . import ratkernel as rk
 from .hyperarith import prime_mask
-from .planarith import (EisensteinInt, GaussianInt, gaussian_prime_mask,
-                        is_gaussian_prime, planar_prime_mask)
+from .planarith import (EisensteinInt, GaussianInt, is_gaussian_prime,
+                        planar_prime_mask)
+from .primestats import _poly_eval
 
 # unrestricted summands of a + b·i lie in [−W..a+W]×[−W..b+W]
 UNRESTRICTED_WINDOW = 2
@@ -54,16 +58,18 @@ class SumVariant:
     cone: str = "open"  # open | closed | unrestricted
     angle_cap: float | None = None
     parity_filter: str = "none"  # none | even-only
-    summands: int = 2
     species: str = "any"  # quaternion/octonion summand species
+    # a constant, not an option: which function is called fixes the number
+    # of summands (r3 counts triples).  It stays a field only because
+    # perfbench's golden digests of comet reports hash every field of the
+    # report's variant.
+    summands: int = field(default=2, init=False)
 
     def __post_init__(self):
         if self.cone not in ("open", "closed", "unrestricted"):
             raise ValueError(f"unknown cone {self.cone!r}")
         if self.parity_filter not in ("none", "even-only"):
             raise ValueError(f"unknown parity filter {self.parity_filter!r}")
-        if self.summands not in (2, 3):
-            raise ValueError("summands must be 2 or 3")
 
 
 OPEN = SumVariant(cone="open")
@@ -104,16 +110,6 @@ def _cone_lo(ring, cone):
     return lo[cone]
 
 
-def _summand_mask(ring, cone, amax, bmax):
-    """(mask, lo): the prime mask over [lo..amax-lo]×[lo..bmax-lo], holding
-    every cone summand of every target in [0..amax]×[0..bmax]; empty when no
-    target in the box has a summand pair."""
-    lo = _cone_lo(ring, cone)
-    if amax < 2 * lo or bmax < 2 * lo:
-        return np.zeros((0, 0), dtype=bool), lo
-    return planar_prime_mask(ring, lo, amax - lo, lo, bmax - lo), lo
-
-
 def _check_fft(shape):
     # the FFT self-convolution of a mask of this shape takes about 40 B per
     # cell of the result; callers check it before the mask is built
@@ -138,33 +134,6 @@ def _fft_counts(mask):
     return counts.astype(np.int64)
 
 
-def planar_counts(ring, cone, amax, bmax):
-    """out[a, b] = r2(a + b·u) for every target 0 <= a <= amax, 0 <= b <= bmax.
-
-    ring/cone is gaussian/open, gaussian/closed, gaussian/unrestricted
-    (u = i) or eisenstein/open (u = ω).  Every summand of every target in
-    the box lies in one prime mask M over [lo..amax-lo]×[lo..bmax-lo], and
-    r2 of target t is the cell of M⋆M at index t − 2·lo, so the whole box
-    costs one mask and one convolution.
-
-    Exactness: M⋆M is computed by float64 FFT and rounded to integers.  The
-    result is returned only if every cell lies within 0.25 of an integer;
-    otherwise ArithmeticError is raised.  FFT rounding error spreads over
-    all cells and grows with the number of primes in M, so a box whose error
-    could reach a whole count fails this check long before.
-    """
-    lo = _cone_lo(ring, cone)
-    _check_fft((amax + 1 - 2 * lo, bmax + 1 - 2 * lo))
-    mask = _summand_mask(ring, cone, amax, bmax)[0]
-    out = np.zeros((amax + 1, bmax + 1), dtype=np.int64)
-    if mask.size:
-        # targets below 2·lo (open cone) have no summand pair
-        k = max(2 * lo, 0)
-        out[k:, k:] = _fft_counts(mask)[k - 2 * lo:amax + 1 - 2 * lo,
-                                        k - 2 * lo:bmax + 1 - 2 * lo]
-    return out
-
-
 # Doubled-coordinate parities of the summands each species allows: 1 for
 # half-integer summands, 0 for integer ones.  Mixed hurwitz+lipschitz pairs
 # never sum to an integer target, so that species has none.
@@ -175,43 +144,52 @@ _SPECIES_PARITIES = {
 }
 
 
-def _hyper_masks(ring, species, box):
-    """[(par, mask)] for each summand parity par of a quaternion or octonion
-    species: the prime_mask over the doubled coordinates
-    range(2 - par, 2·box_i, 2), which hold every open-cone summand of that
-    parity of every integer target z <= box.
-    """
-    parities = _SPECIES_PARITIES[ring].get(species)
+def _offsets(ring, variant):
+    """The offset of each summand mask of the ring and variant."""
+    if ring not in _SPECIES_PARITIES:
+        return [2 * _cone_lo(ring, variant.cone)]
+    parities = _SPECIES_PARITIES[ring].get(variant.species)
     if parities is None:
-        raise ValueError(f"unknown {ring} species {species!r}")
-    return [(par, prime_mask([np.arange(2 - par, 2 * n, 2) for n in box]))
-            for par in parities]
+        raise ValueError(f"unknown {ring} species {variant.species!r}")
+    return [2 - par for par in parities]
+
+
+def _summand_masks(ring, variant, box):
+    """[(off, mask)]: for each offset, the prime mask over the summand
+    coordinates off/2 <= x_i <= box_i − off/2 (module docstring); empty when
+    no target in the box has a summand pair."""
+    out = []
+    for off in _offsets(ring, variant):
+        shape = tuple(max(n + 1 - off, 0) for n in box)
+        if 0 in shape:
+            mask = np.zeros(shape, dtype=bool)
+        elif ring in _SPECIES_PARITIES:
+            mask = prime_mask([np.arange(off, 2 * n - off + 1, 2)
+                               for n in box])
+        else:
+            lo = off // 2
+            mask = planar_prime_mask(ring, lo, box[0] - lo, lo, box[1] - lo)
+        out.append((off, mask))
+    return out
 
 
 def _direct_count(ring, variant, z):
-    """r2 of the single target z: each summand mask counted against its own
-    reflection through the target's midpoint."""
-    if ring in _SPECIES_PARITIES:
-        masks = [mask for _par, mask in _hyper_masks(ring, variant.species, z)]
-    else:
+    """r2 of the single target z: each summand mask of the box z counted
+    against its own reflection through the target's midpoint."""
+    masks = [mask for _off, mask in _summand_masks(ring, variant, z)]
+    if variant.angle_cap is not None:
+        # the Gaussian open cone: one mask over [1..a-1]×[1..b-1]
         a, b = z
-        mask, lo = _summand_mask(ring, variant.cone, a, b)
-        if variant.angle_cap is not None and mask.size:
-            xs = np.arange(lo, a - lo + 1, dtype=float)[:, None]
-            ys = np.arange(lo, b - lo + 1, dtype=float)[None, :]
-            rel = np.abs(np.angle((xs + 1j * ys) / complex(a, b)))
-            mask &= rel <= variant.angle_cap + 1e-12
-        masks = [mask]
+        xs = np.arange(1, a, dtype=float)[:, None]
+        ys = np.arange(1, b, dtype=float)[None, :]
+        rel = np.abs(np.angle((xs + 1j * ys) / complex(a, b)))
+        masks[0] &= rel <= variant.angle_cap + 1e-12
     return sum(int(np.count_nonzero(m & np.flip(m))) for m in masks)
 
 
-def _check_variant(ring, variant, summands=2):
-    """Raise for a variant field the ring/cone pair or the count (pairs or
-    triples) does not implement."""
+def _check_variant(ring, variant):
+    """Raise for a variant field the ring/cone pair does not implement."""
     planar = ring in ("gaussian", "eisenstein")
-    if variant.summands != summands:
-        raise ValueError(f"this count needs summands={summands}, not "
-                         f"{variant.summands}")
     if ring != "gaussian" and variant.cone != "open":
         raise NotImplementedError(f"{ring} sums are open-cone")
     if not planar and variant.parity_filter != "none":
@@ -231,16 +209,13 @@ def _filtered_out(variant, a, b):
     return variant.parity_filter == "even-only" and (a + b) % 2 == 1
 
 
-def r2(z, variant=OPEN, ring=None):
+def r2(z, variant=OPEN):
     """Ordered prime-pair representation count of z under the variant.
 
     Unrestricted Gaussian counts are those of the window (module docstring):
     exact for odd coordinate sum, a lower bound for even.
     """
-    if ring is None:
-        ring = _infer_ring(z)
-    if ring not in ("gaussian", "eisenstein", *_SPECIES_PARITIES):
-        raise ValueError(f"unknown ring {ring!r}")
+    ring = _infer_ring(z)
     _check_variant(ring, variant)
     if ring in _SPECIES_PARITIES:
         return _direct_count(ring, variant, tuple(z))
@@ -265,7 +240,7 @@ def _infer_ring(z):
     raise ValueError(f"cannot infer ring of {z!r}")
 
 
-def r3(z, variant=SumVariant(cone="open", summands=3)):
+def r3(z, variant=OPEN):
     """Ordered prime triples (Gaussian open cone).
 
     The count is the cell (M⋆M⋆M)[a-3, b-3] of the summand mask M, taken as
@@ -273,22 +248,57 @@ def r3(z, variant=SumVariant(cone="open", summands=3)):
     """
     if variant.cone != "open" or variant.angle_cap is not None:
         raise ValueError("r3 counts open-cone triples without an angle cap")
-    _check_variant("gaussian", variant, summands=3)
+    _check_variant("gaussian", variant)
     a, b = z.re, z.im
     if a < 3 or b < 3 or _filtered_out(variant, a, b):
         return 0
-    # every summand lies in [1..a-2]×[1..b-2]; pairs[i, j] = r2((i+2)+(j+2)i)
+    # every summand lies in [1..a-2]×[1..b-2], the open-cone mask of the box
+    # (a-1, b-1); pairs[i, j] = r2((i+2)+(j+2)i)
     _check_fft((a - 2, b - 2))
-    mask = gaussian_prime_mask(1, a - 2, 1, b - 2)
+    [(_off, mask)] = _summand_masks("gaussian", variant, (a - 1, b - 1))
     pairs = _fft_counts(mask)[:a - 2, :b - 2]
     return int(np.sum(pairs * mask[::-1, ::-1]))
+
+
+def grid_counts(ring, variant, box):
+    """out[t] = r2(t, variant) for every target 0 <= t <= box, coordinatewise.
+
+    Each summand mask M with offset off holds every summand of every target
+    in the box, and target t is the cell t − off of M⋆M (module docstring),
+    so the whole box costs one mask and one convolution per offset.  The
+    angle cap depends on the target, so it is counted by r2 alone.
+
+    Exactness: M⋆M is computed by float64 FFT and rounded to integers.  The
+    result is returned only if every cell lies within 0.25 of an integer;
+    otherwise ArithmeticError is raised.  FFT rounding error spreads over
+    all cells and grows with the number of primes in M, so a box whose error
+    could reach a whole count fails this check long before.
+    """
+    _check_variant(ring, variant)
+    if variant.angle_cap is not None:
+        raise ValueError("the angle cap depends on the target; count by r2")
+    for off in _offsets(ring, variant):
+        _check_fft(tuple(n + 1 - off for n in box))
+    grids = []
+    for off, mask in _summand_masks(ring, variant, box):
+        if mask.any():
+            k = max(off, 0)  # targets below off have no summand pair
+            crop = tuple(slice(k - off, n + 1 - off) for n in box)
+            # padded only after the FFT has returned: a grid allocated
+            # before it would add to the convolution's peak
+            grids.append(np.pad(_fft_counts(mask)[crop], [(k, 0)] * len(box)))
+    out = (sum(grids[1:], grids[0]) if grids
+           else np.zeros(tuple(n + 1 for n in box), dtype=np.int64))
+    if variant.parity_filter == "even-only":
+        out[np.add.outer(*map(np.arange, out.shape)) % 2 == 1] = 0
+    return out
 
 
 def comet(ring, region, variant=OPEN):
     """SweepReport of r2 over a rectangular target region.
 
     region: ((a_lo, a_hi), (b_lo, b_hi)) inclusive target coordinate bounds.
-    Every cone reads one planar_counts grid; only the angle cap, which
+    Every cone reads one grid_counts grid; only the angle cap, which
     depends on the target, is counted per cell.  Unrestricted cells count
     the pairs inside the window of UNRESTRICTED_WINDOW (module docstring):
     exact for odd a + b, a lower bound for even, and a cell with a negative
@@ -306,41 +316,27 @@ def comet(ring, region, variant=OPEN):
     elif variant.cone == "unrestricted":
         a = np.abs(np.arange(alo, ahi + 1))
         b = np.abs(np.arange(blo, bhi + 1))
-        counts = planar_counts(ring, "unrestricted", int(a.max()),
-                               int(b.max()))
+        counts = grid_counts(ring, variant, (int(a.max()), int(b.max())))
         grid = counts[np.ix_(a, b)]
     else:
         # targets with a negative coordinate have no cone summands
-        counts = planar_counts(ring, variant.cone, max(ahi, 0), max(bhi, 0))
+        counts = grid_counts(ring, variant, (max(ahi, 0), max(bhi, 0)))
         a0, b0 = max(alo, 0), max(blo, 0)
         grid[a0 - alo:, b0 - blo:] = counts[a0:ahi + 1, b0:bhi + 1]
     in_scope = True
     if variant.parity_filter == "even-only":
         in_scope = np.add.outer(np.arange(alo, ahi + 1),
                                 np.arange(blo, bhi + 1)) % 2 == 0
-        grid[~in_scope] = 0
     zero = np.argwhere(in_scope & (grid == 0)) + (alo, blo)
     return SweepReport(ring, variant, region, grid,
                        [tuple(c) for c in zero.tolist()])
 
 
 def quaternion_comet(a, b, cmax, dmax, species="hurwitz"):
-    """G(a,b): grid of r2((a,b,c,d)) for 1 <= c <= cmax, 1 <= d <= dmax.
-
-    For each summand parity, every summand of every target lies in the mask
-    over the box (a, b, cmax, dmax), so the grid is a slice of mask⋆mask
-    (checked FFT rounding, as in planar_counts).  Mask index i holds doubled
-    coordinate 2 - par + 2i, so target z sits at index z - 2 + par.
-    """
-    for par in _SPECIES_PARITIES["quaternion"].get(species, ()):
-        _check_fft(tuple(n - 1 + par for n in (a, b, cmax, dmax)))
-    grid = np.zeros((cmax, dmax), dtype=np.int64)
-    for par, mask in _hyper_masks("quaternion", species, (a, b, cmax, dmax)):
-        if mask.any():
-            s = 1 - par  # integer summands leave the c = 1 and d = 1 rows
-            grid[s:, s:] += _fft_counts(mask)[a - 1 - s, b - 1 - s,
-                                               :cmax - s, :dmax - s]
-    return grid
+    """G(a,b): grid of r2((a,b,c,d)) for 1 <= c <= cmax, 1 <= d <= dmax,
+    read off the grid_counts box (a, b, cmax, dmax)."""
+    return grid_counts("quaternion", SumVariant(species=species),
+                       (a, b, cmax, dmax))[a, b, 1:, 1:]
 
 
 def first_counterexample(ring, variant, bound):
@@ -378,7 +374,7 @@ def first_counterexample(ring, variant, bound):
 
 def eisenstein_ghosts(bmax_row, amax):
     """All a <= amax with r2(a + row·ω, open cone) = 0 on the given row."""
-    column = planar_counts("eisenstein", "open", amax, bmax_row)[:, bmax_row]
+    column = grid_counts("eisenstein", OPEN, (amax, bmax_row))[:, bmax_row]
     return [a for a in range(2, amax + 1) if column[a] == 0]
 
 
@@ -405,13 +401,6 @@ def hurwitz_boundary_comet(n):
     if n < 1:
         raise ValueError("n >= 1 required")
     return r2((2, 2, 2, n), SumVariant(species="hurwitz"))
-
-
-def _poly_eval(coeffs, x):
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 def pair_coverage(f, g, N):
@@ -446,33 +435,6 @@ def gaussian_boundary_comet(c):
         raise ValueError("c >= 2 required")
     # the open-cone summands of c + 2i are a + i and (c - a) + i
     return r2(GaussianInt(c, 2))
-
-
-def bunyakovsky_admissible(f):
-    """(admissible, reason) for an integer polynomial (ascending coeffs).
-
-    Checks: nonconstant, positive leading coefficient, fixed divisor of the
-    value sequence equal to 1; irreducibility certified for degree <= 2 via
-    the discriminant.
-    """
-    deg = len(f) - 1
-    while deg > 0 and f[deg] == 0:
-        deg -= 1
-    if deg < 1:
-        return False, "constant polynomial"
-    if f[deg] <= 0:
-        return False, "leading coefficient not positive"
-    content = 0
-    for x in range(deg + 2):
-        content = math.gcd(content, abs(_poly_eval(f, x)))
-    if content != 1:
-        return False, f"all values divisible by {content}"
-    if deg == 2:
-        a, b, c = f[2], f[1], f[0]
-        disc = b * b - 4 * a * c
-        if disc >= 0 and math.isqrt(disc) ** 2 == disc:
-            return False, "reducible (discriminant is a perfect square)"
-    return True, "admissible"
 
 
 def parity_law_sweep(norm_cap):

@@ -274,14 +274,17 @@ def spectral_stats(s, n):
 
 
 def row_cov_sign_table(K, n):
-    """Sign matrix of Cov(R_k, R_l) for 1 <= k,l <= K."""
-    rows = [prime_row_flags(k, n).astype(float) for k in range(1, K + 1)]
+    """Sign matrix of Cov(R_k, R_l) for 1 <= k,l <= K, exactly.
+
+    n²·Cov(R_k, R_l) = n·|R_k ∧ R_l| − |R_k|·|R_l| on the 0/1 rows, so each
+    sign is read from Python ints and a covariance of exactly 0 gives 0.
+    """
+    rows = [prime_row_flags(k, n) for k in range(1, K + 1)]
+    both = [[int(np.count_nonzero(x & y)) for y in rows] for x in rows]
     table = np.zeros((K, K), dtype=np.int64)
-    for i in range(K):
-        for j in range(K):
-            cov = ((rows[i] - rows[i].mean())
-                   * (rows[j] - rows[j].mean())).mean()
-            table[i, j] = int(np.sign(cov))
+    for i, j in np.ndindex(K, K):
+        cov = n * both[i][j] - both[i][i] * both[j][j]
+        table[i, j] = (cov > 0) - (cov < 0)
     return table
 
 

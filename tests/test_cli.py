@@ -252,6 +252,7 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
     (["zeta", "--ring", "eisenstein", "--cutoff", "100000000"],
      "Eisenstein norm count table to 100000000"),
     (["almostper", "--nmax", "20000"], "almost-periodic matrix, order 20000"),
+    (["hl", "--empirical", "1000000000"], "empirical ratio to 1000000000"),
 ])
 def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from primelab import goldbach as gb
 from primelab import planarith as pa
+from primelab import primestats as ps
 from primelab import ratkernel as rk
 from primelab.planarith import EisensteinInt, GaussianInt
 
@@ -119,11 +120,10 @@ def test_r2_ordered_pair_symmetry():
 
 
 def test_r3_composition():
-    v3 = gb.SumVariant(cone="open", summands=3)
-    assert gb.r3(GaussianInt(4, 5), v3) > 0
+    assert gb.r3(GaussianInt(4, 5)) > 0
     # r3(z) >= r2(z - (1+i)) since 1+i is prime
     z = GaussianInt(6, 6)
-    assert gb.r3(z, v3) >= gb.r2(GaussianInt(5, 5))
+    assert gb.r3(z) >= gb.r2(GaussianInt(5, 5))
 
 
 def test_comet_matches_r2():
@@ -233,11 +233,11 @@ def test_gaussian_boundary_comet():
 
 
 def test_bunyakovsky():
-    ok, _ = gb.bunyakovsky_admissible([1, 0, 1])
+    ok, _ = ps.bunyakovsky_admissible([1, 0, 1])
     assert ok
-    ok, reason = gb.bunyakovsky_admissible([2, 1, 1])
+    ok, reason = ps.bunyakovsky_admissible([2, 1, 1])
     assert not ok and "2" in reason
-    ok, _ = gb.bunyakovsky_admissible([1, 1, 1])
+    ok, _ = ps.bunyakovsky_admissible([1, 1, 1])
     assert ok
 
 
@@ -272,22 +272,30 @@ def test_diagonal_goldbach():
         assert gb.diagonal_goldbach(k)[1] == want, k
 
 
-PLANAR = (("gaussian", "open", GaussianInt),
-          ("gaussian", "closed", GaussianInt),
-          ("gaussian", "unrestricted", GaussianInt),
-          ("eisenstein", "open", EisensteinInt))
+# (ring, variant, target type, dimension, largest box side)
+GRIDS = (("gaussian", gb.OPEN, GaussianInt, 2, 24),
+         ("gaussian", gb.SumVariant(cone="closed"), GaussianInt, 2, 24),
+         ("gaussian", gb.UNRESTRICTED, GaussianInt, 2, 24),
+         ("gaussian", gb.SumVariant(parity_filter="even-only"), GaussianInt,
+          2, 24),
+         ("eisenstein", gb.OPEN, EisensteinInt, 2, 24),
+         *(("quaternion", gb.SumVariant(species=s), tuple, 4, 4)
+           for s in ("hurwitz", "lipschitz", "any", "hurwitz+lipschitz")),
+         *(("octonion", gb.SumVariant(species=s), tuple, 8, 3)
+           for s in ("kleinian", "gravesian")))
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(PLANAR), st.integers(0, 24), st.integers(0, 24))
-def test_planar_counts_match_direct_count(pair, amax, bmax):
-    ring, cone, make = pair
-    out = gb.planar_counts(ring, cone, amax, bmax)
-    assert out.shape == (amax + 1, bmax + 1)
-    v = gb.SumVariant(cone=cone)
-    want = [[gb.r2(make(a, b), v) for b in range(bmax + 1)]
-            for a in range(amax + 1)]
-    assert out.tolist() == want
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GRIDS), st.data())
+def test_planar_counts_match_direct_count(case, data):
+    ring, v, kind, dim, side = case
+    box = tuple(data.draw(st.lists(st.integers(1, side), min_size=dim,
+                                   max_size=dim)))
+    out = gb.grid_counts(ring, v, box)
+    assert out.shape == tuple(n + 1 for n in box)
+    make = (lambda *t: t) if kind is tuple else kind
+    for t in np.ndindex(out.shape):
+        assert out[t] == gb.r2(make(*t), v), t
 
 
 def test_r3_matches_loop_over_r2():
@@ -297,8 +305,7 @@ def test_r3_matches_loop_over_r2():
             for y in range(1, b - 1):
                 if pa.is_gaussian_prime(GaussianInt(x, y)):
                     want += gb.r2(GaussianInt(a - x, b - y))
-        assert gb.r3(GaussianInt(a, b),
-                     gb.SumVariant(cone="open", summands=3)) == want
+        assert gb.r3(GaussianInt(a, b)) == want
 
 
 def test_fft_exactness_guard(monkeypatch):
@@ -306,7 +313,7 @@ def test_fft_exactness_guard(monkeypatch):
     monkeypatch.setattr(gb.signal, "fftconvolve",
                         lambda x, y: real(x, y) + 0.3)
     with pytest.raises(ArithmeticError):
-        gb.planar_counts("gaussian", "open", 20, 20)
+        gb.grid_counts("gaussian", gb.OPEN, (20, 20))
     with pytest.raises(ArithmeticError):
         gb.comet("eisenstein", ((2, 10), (2, 10)))
 
@@ -315,11 +322,11 @@ def test_fft_budget_refused_before_the_mask_is_built(monkeypatch):
     def no_mask(*args):
         raise AssertionError("mask built for a refused convolution")
 
-    for name in ("gaussian_prime_mask", "planar_prime_mask", "prime_mask"):
+    for name in ("planar_prime_mask", "prime_mask"):
         monkeypatch.setattr(gb, name, no_mask)
     refused = [
-        lambda: gb.planar_counts("gaussian", "open", 5000, 5000),
-        lambda: gb.planar_counts("eisenstein", "open", 5000, 5000),
+        lambda: gb.grid_counts("gaussian", gb.OPEN, (5000, 5000)),
+        lambda: gb.grid_counts("eisenstein", gb.OPEN, (5000, 5000)),
         lambda: gb.comet("gaussian", ((0, 5000), (0, 5000)), gb.UNRESTRICTED),
         lambda: gb.r3(GaussianInt(5000, 5000)),
         lambda: gb.quaternion_comet(1, 1, 5000, 5000),
@@ -332,6 +339,8 @@ def test_fft_budget_refused_before_the_mask_is_built(monkeypatch):
 def test_comet_honours_angle_cap():
     capped = gb.SumVariant(cone="open", angle_cap=np.pi / 16)
     rep = gb.comet("gaussian", ((2, 12), (2, 12)), capped)
+    with pytest.raises(ValueError, match="angle cap"):
+        gb.grid_counts("gaussian", capped, (12, 12))
     assert rep.counts[8, 8] == gb.r2(GaussianInt(10, 10), capped) == 4
     for a in range(2, 13):
         for b in range(2, 13):
@@ -356,9 +365,9 @@ def test_angle_cap_on_eisenstein_raises():
 
 def test_r3_rejects_unimplemented_variants():
     z = GaussianInt(6, 6)
-    for v in (gb.SumVariant(cone="closed", summands=3),
-              gb.SumVariant(cone="unrestricted", summands=3),
-              gb.SumVariant(cone="open", summands=3, angle_cap=np.pi / 4)):
+    for v in (gb.SumVariant(cone="closed"),
+              gb.SumVariant(cone="unrestricted"),
+              gb.SumVariant(cone="open", angle_cap=np.pi / 4)):
         with pytest.raises(ValueError):
             gb.r3(z, v)
 
@@ -377,7 +386,7 @@ def test_species_on_planar_target_raises():
     with pytest.raises(ValueError):
         gb.comet("gaussian", ((2, 12), (2, 12)), v)
     with pytest.raises(ValueError):
-        gb.r3(GaussianInt(6, 6), gb.SumVariant(summands=3, species="hurwitz"))
+        gb.r3(GaussianInt(6, 6), gb.SumVariant(species="hurwitz"))
 
 
 def test_hypercomplex_cone_other_than_open_raises():
@@ -397,10 +406,9 @@ def test_even_only_filter_in_r2_and_r3():
     assert gb.r2(EisensteinInt(5, 5), ev) == gb.r2(EisensteinInt(5, 5))
     closed_ev = gb.SumVariant(cone="closed", parity_filter="even-only")
     assert gb.r2(GaussianInt(3, 4), closed_ev) == 0
-    ev3 = gb.SumVariant(cone="open", parity_filter="even-only", summands=3)
     assert gb.r3(GaussianInt(6, 7)) > 0
-    assert gb.r3(GaussianInt(6, 7), ev3) == 0
-    assert gb.r3(GaussianInt(7, 7), ev3) == gb.r3(GaussianInt(7, 7))
+    assert gb.r3(GaussianInt(6, 7), ev) == 0
+    assert gb.r3(GaussianInt(7, 7), ev) == gb.r3(GaussianInt(7, 7))
     # agrees with the comet of the same variant
     rep = gb.comet("gaussian", ((2, 12), (2, 12)), ev)
     for a in range(2, 13):
@@ -438,20 +446,6 @@ def test_quaternion_counts_match_pair_loop(species):
                (2, 2, 2, 9), (1, 5, 2, 7), (4, 4, 4, 4), (6, 1, 3, 5)]
     for z in targets:
         assert gb.r2(z, v) == _quaternion_pair_oracle(z, species), z
-
-
-def test_summands_other_than_two_raise():
-    v3 = gb.SumVariant(summands=3)
-    z = GaussianInt(10, 10)
-    assert gb.r2(z) == 20
-    with pytest.raises(ValueError):
-        gb.r2(z, v3)
-    with pytest.raises(ValueError):
-        gb.comet("gaussian", ((2, 12), (2, 12)), v3)
-    with pytest.raises(ValueError):
-        gb.first_counterexample("gaussian", v3, 50)
-    with pytest.raises(ValueError):
-        gb.r3(GaussianInt(6, 6), gb.SumVariant())
 
 
 def _octonion_pair_oracle(z, species):

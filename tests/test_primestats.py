@@ -5,6 +5,7 @@ import pytest
 
 from primelab import primestats as ps
 from primelab import ratkernel as rk
+from primelab.planarith import prime_row_flags
 
 
 def test_hl_naive_single_factor():
@@ -40,6 +41,28 @@ def test_empirical_ratio_matches_brute_force():
                    if p % 4 == 3)
     assert (num, den) == (want_num, want_den)
     assert ratio == num / den
+
+
+def _cumsum_ratio_rows(n, checkpoints):
+    """The checkpoint rows from cumulative sums of both flag arrays, padded
+    to index a directly."""
+    num_flags = np.zeros(n + 1, dtype=bool)
+    num_flags[1:] = prime_row_flags(1, n)
+    ps_ = rk.sieve(n).primes()
+    den_flags = np.zeros(n + 1, dtype=bool)
+    den_flags[ps_[ps_ % 4 == 3]] = True
+    num_cum, den_cum = np.cumsum(num_flags), np.cumsum(den_flags)
+    rows = []
+    for c in checkpoints:
+        num, den = int(num_cum[c]), int(den_cum[c])
+        rows.append((c, num, den, num / den if den else math.inf))
+    return rows
+
+
+def test_empirical_ratio_matches_cumsum_oracle():
+    checkpoints = [2, 3, 10, 99, 100, 10**4, 65537, 10**6]
+    series = ps.empirical_ratio(10**6, checkpoints)
+    assert series.checkpoints == _cumsum_ratio_rows(10**6, checkpoints)
 
 
 def test_ratio_series_csv():

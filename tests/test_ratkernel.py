@@ -237,6 +237,7 @@ primelab.caworld.moat_component(1, 20)
 from primelab import primegraphs as pg, ratkernel as rk
 assert abs(rk.li(10**6) - 78626.503996) < 1e-2
 assert pg.clique_euler_characteristic(pg.gcd_graph(30)) == 6
+primelab.primestats.bateman_horn_C([1, 0, 1], 100)
 assert not loaded("scipy", "networkx"), loaded("scipy", "networkx")
 """
 

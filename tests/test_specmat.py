@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import sympy
 
 from primelab import ratkernel as rk
 from primelab import specmat as sm
-from primelab.planarith import GaussianInt
+from primelab.planarith import GaussianInt, is_gaussian_prime
 
 
 def _bareiss_det(m):
@@ -242,6 +243,28 @@ def test_row_cov_sign_table_small():
     t = sm.row_cov_sign_table(4, 10**5)
     want = np.array([[(-1) ** (k - l) for l in range(4)] for k in range(4)])
     assert (t == want).mean() >= 0.9
+
+
+def test_row_cov_sign_table_is_exact():
+    # n³·Cov(R_k, R_l) = Σ (n·x − Σx)(n·y − Σy) over the rows' 0/1 entries
+    rows = [[int(is_gaussian_prime(GaussianInt(j, k))) for j in range(1, 400)]
+            for k in range(1, 7)]
+    zeros = 0
+    for n in range(1, 400):
+        want = np.zeros((6, 6), dtype=np.int64)
+        for k, l in np.ndindex(6, 6):
+            x, y = rows[k][:n], rows[l][:n]
+            sx, sy = sum(x), sum(y)
+            cov = Fraction(sum((n * a - sx) * (n * b - sy)
+                               for a, b in zip(x, y)), n**3)
+            want[k, l] = (cov > 0) - (cov < 0)
+        zeros += int(np.count_nonzero(want == 0))
+        for K in range(1, 7):
+            assert sm.row_cov_sign_table(K, n).tolist() == \
+                want[:K, :K].tolist(), (K, n)
+    assert zeros > 0
+    assert sm.row_cov_sign_table(4, 52)[1, 3] == 0
+    assert sm.row_cov_sign_table(6, 35)[1, 5] == 0
 
 
 def test_trace_vs_li():
