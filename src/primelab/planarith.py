@@ -200,7 +200,8 @@ def pi_G(x):
     x = int(x)
     if x < 2:
         raise ValueError("x >= 2 required")
-    counts = _sector_norm_counts(x, "gaussian", prime=True)
+    counts = norm_count_table(x)
+    counts *= _prime_norms(x, "gaussian")
     count = int(counts.sum())
     formula = 4 + 8 * rk.pi_mod(x, 1, 4) + 4 * rk.pi_mod(math.isqrt(x), 3, 4)
     return count, count - formula
@@ -209,7 +210,8 @@ def pi_G(x):
 def pi_G_identity_check(xmax):
     """Max |enumeration − formula| of the counting functions over 2 <= x <= xmax."""
     xmax = int(xmax)
-    counts = _sector_norm_counts(xmax, "gaussian", prime=True)
+    counts = norm_count_table(xmax)
+    counts *= _prime_norms(xmax, "gaussian")
     formula = np.zeros(xmax + 1, dtype=np.int64)
     ps = rk.sieve(xmax).primes()
     formula[2] += 4  # the four primes ±1±i
@@ -357,11 +359,12 @@ def _norm_grid(t, a, b):
     return N
 
 
-def _sector_norm_counts(nmax, ring, prime=False):
-    """counts[n] = #{z : N(z) = n} for n <= nmax, over the primes z only when
-    `prime`.  Every nonzero z has exactly one associate a + b·i (a + b·ω) with
-    a >= 1, b >= 0, the sector 0 <= arg < π/2 (π/3), so the counts are the
-    units times a bincount of the norms over [1..m]×[0..m], m = isqrt(nmax)."""
+def norm_count_table(nmax, ring="gaussian"):
+    """counts[n] = #{z : N(z) = n} for all n <= nmax.  Every nonzero z has
+    exactly one associate a + b·i (a + b·ω) with a >= 1, b >= 0, the sector
+    0 <= arg < π/2 (π/3), so the counts are the units times a bincount of the
+    norms over [1..m]×[0..m], m = isqrt(nmax).  Primality depends on the norm
+    alone, so the prime counts are this table times `_prime_norms`."""
     units, _q, t = _norm_form(ring)
     nmax = int(nmax)
     # peak per n (tracemalloc, n >= 10⁵): 15.3 B Gaussian, 13.9 B Eisenstein
@@ -370,16 +373,9 @@ def _sector_norm_counts(nmax, ring, prime=False):
     N = _norm_grid(t, np.arange(1, m + 1, dtype=np.int64),
                    np.arange(0, m + 1, dtype=np.int64))
     N = N[N <= nmax]
-    if prime:
-        N = N[_prime_norms(nmax, ring)[N]]
     counts = np.bincount(N, minlength=nmax + 1)
     counts *= units
     return counts
-
-
-def norm_count_table(nmax, ring="gaussian"):
-    """counts[n] = #{z : N(z) = n} for all n <= nmax, by sector bincount."""
-    return _sector_norm_counts(nmax, ring)
 
 
 def twins(r):
@@ -437,12 +433,23 @@ def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
     return planar_prime_mask("gaussian", re_lo, re_hi, im_lo, im_hi)
 
 
+def _row_bytes(n, limit, rows=1):
+    """Bytes of `rows` prime rows to n sieved by primes up to `limit`: per row
+    its flags, a cold sieve (the sieve cache keeps one per limit √(n² + k²))
+    and 2 KiB of objects; per call 24 B per sieving prime (the primes, their
+    copy and residue temporaries), π(x) < 1.25506·x/ln x (Rosser–Schoenfeld)."""
+    return (rows * (n + limit + 2050)
+            + 24 * int(1.25506 * limit / math.log(limit) + 1))
+
+
 def prime_row_flags(k, n):
     """flags[j-1] for j + k·i Gaussian prime, 1 <= j <= n (k >= 1), sieved by
-    the progressions j ≡ ±k·√−1 mod p — no per-entry primality tests.
+    the progressions of the primes that strike the row — no primality tests.
 
-    A composite j² + k² <= n² + k² has a prime factor p <= √(n² + k²), so
-    sieving by those p leaves exactly the primes.
+    A composite j² + k² has a prime factor p <= L = √(n² + k²), and
+    p | j² + k² iff p = 2 and j ≡ k mod 2, or p | k and p | j, or p ≡ 1 mod 4
+    and j ≡ ±k·√−1 mod p.  A struck j² + k² <= L may be the striking prime
+    itself; those few j are read off the sieve.
 
     This row does not go through gaussian_prime_mask: the row's norms reach
     n² + k² (10¹⁴ for the a² + 1 ratio at n = 10⁷), far beyond a flag sieve,
@@ -450,24 +457,18 @@ def prime_row_flags(k, n):
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    limit = math.isqrt(n * n + k * k)
-    flags = np.zeros(n + 1, dtype=bool)
-    flags[1:] = True
-    # parity: j²+k² ≡ j+k mod 2, so even (and > 2, composite) iff j ≡ k mod 2
-    start = 2 if k % 2 == 0 else 1
-    flags[start::2] = False
-    for p in rk.sieve(max(limit, 2)).primes().tolist():
-        if p == 2:
-            continue
-        if k % p == 0:
-            flags[p::p] = False
-            continue
-        if p % 4 != 1:
-            continue
+    limit = max(math.isqrt(n * n + k * k), 2)
+    rk.check_budget(_row_bytes(n, limit), f"Gaussian prime row to {n}")
+    s = rk.sieve(limit)
+    flags = np.ones(n + 1, dtype=bool)
+    flags[2 - k % 2 :: 2] = False
+    odd = s.primes()[1:]
+    for p in map(int, odd[k % odd == 0]):
+        flags[p::p] = False
+    for p in map(int, odd[(odd % 4 == 1) & (k % odd != 0)]):
         r = rk.sqrt_minus_one_mod(p) * k % p
-        for st in (r, p - r):
-            flags[st::p] = False
-    # values j²+k² <= limit may equal a sieving prime: recheck directly
-    for j in range(1, min(n, math.isqrt(limit)) + 1):
-        flags[j] = rk.is_prime(j * j + k * k)
+        flags[r::p] = False
+        flags[p - r :: p] = False
+    j = np.arange(1, min(n, math.isqrt(max(limit - k * k, 0))) + 1)
+    flags[j] = s.flags[j * j + k * k]
     return flags[1:]

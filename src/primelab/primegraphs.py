@@ -166,7 +166,11 @@ def gcd_components(n):
 
 
 def gcd_components_formula(n):
-    s = rk.sieve(max(n, 4))
+    """2 + π(n) − π(n/2): the isolated 1, the isolated primes in (n/2, n] and
+    the one blob, which is nonempty from n = 4 on."""
+    if n < 4:
+        raise ValueError("n >= 4 required")
+    s = rk.sieve(n)
     return 2 + s.pi(n) - s.pi(n // 2)
 
 

@@ -3,8 +3,8 @@
 Sieving, deterministic 64-bit primality, prime counting in residue classes,
 the logarithmic integral li(x) = ∫₂ˣ dt/log t, Jordan totients
 J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), `multiplicative_table` (the one table
-behind μ, φ and planarith's Gaussian h, peeled from the smallest prime
-factors), the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol,
+behind μ, φ and planarith's Gaussian h, strided over the primes <= √n of the
+one sieve), the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol,
 Fermat two-square decompositions, Euler's composite-detection identity, and
 divisor-class counts d_k(n; m) = #{d | n : d ≡ k mod m}.
 
@@ -206,49 +206,29 @@ def moebius(n):
     return mu
 
 
-def spf_table(n):
-    """Smallest prime factor of 0..n as an int64 array (entries 0 and 1 are 0).
-
-    Only primes p <= √n are sieved, each from p²; whatever they leave
-    unmarked is prime and is its own smallest factor.
-    """
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p :: p]
-            multiples[multiples == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    return spf
-
-
 def multiplicative_table(n, local):
     """f(0..n) as int64 for the multiplicative f with f(pᵉ) = local(p, e).
 
-    `local` maps int64 arrays of primes p and exponents e >= 1 to the local
-    factors.  k = pᵉ·rest(k), p = spf(k), is split by stripping p from the k
-    that still hold it (at most log₂ n passes); f(k) multiplies the local
-    factors along k → rest(k) → … → 1, one link per table pass.  f(0) = 0.
+    `local` is evaluated with numpy broadcasting: for each prime p <= √n of
+    `sieve` on the exponents of p in p, 2p, 3p, …, counted by one strided
+    pass per power of p, then with e = 1 on the one prime above √n left of
+    each k once its primes <= √n are divided out.  f(0) = 0.
     """
+    # peak per n (tracemalloc, n = 10⁶): 27.5 B μ, 35.4 B h, 38.0 B φ
     check_budget(48 * (n + 1), f"multiplicative table to {n}")
-    spf = spf_table(n)
+    f = np.zeros(n + 1, dtype=np.int64)
+    f[1:] = 1
     rest = np.arange(n + 1)
-    rest[2:] //= spf[2:]
-    e = np.ones(n + 1, dtype=np.int64)
-    live = np.flatnonzero(rest[2:] % spf[2:] == 0) + 2
-    while live.size:
-        rest[live] //= spf[live]
-        e[live] += 1
-        live = live[rest[live] % spf[live] == 0]
-    loc = np.zeros(n + 1, dtype=np.int64)
-    loc[1:2] = 1  # f(1) = 1; the slice is empty when n = 0
-    loc[2:] = local(spf[2:], e[2:])
-    del spf, e
-    # loc(1) = 1 and rest(1) = 1, so finished entries multiply by 1
-    f, link = loc.copy(), rest
-    while link.max() > 1:
-        f *= loc[link]
-        link = rest[link]
+    for p in sieve(max(math.isqrt(n), 2)).primes().tolist():
+        e = np.zeros(n // p, dtype=np.int64)
+        q = p
+        while q <= n:
+            e[q // p - 1 :: q // p] += 1
+            rest[q::q] //= p
+            q *= p
+        f[p::p] *= local(p, e)
+    big = rest > 1
+    f[big] *= local(rest[big], 1)
     return f
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ratkernel as rk
-from .planarith import GaussianInt, gaussian_prime_mask, prime_row_flags
+from .planarith import (GaussianInt, _row_bytes, gaussian_prime_mask,
+                        prime_row_flags)
 
 
 def _as_gaussian(z0):
@@ -279,6 +280,10 @@ def row_cov_sign_table(K, n):
     n²·Cov(R_k, R_l) = n·|R_k ∧ R_l| − |R_k|·|R_l| on the 0/1 rows, so each
     sign is read from Python ints and a covariance of exactly 0 gives 0.
     """
+    if K < 1 or n < 1:
+        raise ValueError("K >= 1 and n >= 1 required")
+    limit = max(math.isqrt(n * n + K * K), 2)
+    rk.check_budget(_row_bytes(n, limit, K), f"{K} Gaussian prime rows to {n}")
     rows = [prime_row_flags(k, n) for k in range(1, K + 1)]
     both = [[int(np.count_nonzero(x & y)) for y in rows] for x in rows]
     table = np.zeros((K, K), dtype=np.int64)

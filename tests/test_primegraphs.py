@@ -107,6 +107,14 @@ def test_gcd_components_formula():
         assert pg.gcd_components(n) == pg.gcd_components_formula(n)
 
 
+def test_gcd_components_formula_needs_a_blob():
+    # below n = 4 the formula's one blob is empty: gcd_components(3) is 3
+    assert pg.gcd_components(3) == 3
+    for n in (3, 2, 1, 0):
+        with pytest.raises(ValueError, match="n >= 4 required"):
+            pg.gcd_components_formula(n)
+
+
 def test_gcd_edge_count_formula():
     for n in range(3, 1001, 53):
         assert pg.gcd_edge_count(n) == pg.gcd_edge_count_formula(n)

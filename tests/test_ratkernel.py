@@ -65,13 +65,6 @@ def test_moebius_divisor_sum():
         assert total == (1 if n == 1 else 0)
 
 
-def test_spf_table_matches_factorize():
-    spf = rk.spf_table(5000)
-    assert spf[0] == spf[1] == 0
-    for n in range(2, 5001):
-        assert spf[n] == rk.factorize(n)[0][0], n
-
-
 def test_moebius_table_matches_pointwise():
     tab = rk.moebius_table(3000)
     for n in range(1, 3001):

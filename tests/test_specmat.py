@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+from primelab import planarith as pa
 from primelab import ratkernel as rk
 from primelab import specmat as sm
 from primelab.planarith import GaussianInt, is_gaussian_prime
@@ -227,7 +228,9 @@ def test_char_poly_function_normalization():
 
 def test_prime_row_flags_sieved_matches_direct():
     from primelab.planarith import is_gaussian_prime
-    for k in (1, 2, 3, 6):
+    # 5 and 13 are primes ≡ 1 mod 4 dividing k; at k = 4, j = 1 the value
+    # 1 + 16 = 17 is itself a sieving prime
+    for k in (1, 2, 3, 4, 5, 6, 10, 13):
         flags = sm.prime_row_flags(k, 20001)
         for j in range(1, 2000):
             assert flags[j - 1] == is_gaussian_prime(GaussianInt(j, k)), (j, k)
@@ -237,6 +240,39 @@ def test_prime_row_flags_sieved_matches_direct():
     flags = sm.prime_row_flags(k, 20001)
     for j in range(1, 20002):
         assert flags[j - 1] == rk.is_prime(j * j + k * k), (j, k)
+
+
+def test_prime_row_bytes_cover_traced_peak():
+    # a cold sieve, so its flags are traced too
+    for k, n in ((1, 10**5), (6, 3 * 10**4), (20001, 20001)):
+        rk.sieve.cache_clear()
+        tracemalloc.start()
+        try:
+            sm.prime_row_flags(k, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= pa._row_bytes(n, math.isqrt(n * n + k * k)), (k, n)
+
+
+def test_prime_rows_refused_before_allocation(monkeypatch):
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
+    for call in (lambda: sm.prime_row_flags(1, 10**7),
+                 lambda: sm.row_cov_sign_table(6, 10**6)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(rk.CapacityError):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def test_row_cov_sign_table_refuses_empty():
+    for K, n in ((0, 10), (2, 0), (-1, 5)):
+        with pytest.raises(ValueError, match="K >= 1 and n >= 1 required"):
+            sm.row_cov_sign_table(K, n)
 
 
 def test_row_cov_sign_table_small():
