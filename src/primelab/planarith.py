@@ -122,12 +122,8 @@ def hexant_rep(z):
     """Canonical representative in the 30° Eisenstein sector (a >= b >= 0)."""
     if z.a == 0 and z.b == 0:
         raise ValueError("hexant_rep undefined at 0")
-    orbit = []
-    for u in EISENSTEIN_UNITS:
-        for w in (z * u, z.conj() * u):
-            if w.a >= w.b >= 0:
-                orbit.append((w.a, w.b))
-    return EisensteinInt(*min(orbit))
+    return EisensteinInt(*min((w.a, w.b) for u in EISENSTEIN_UNITS for w in
+                              (z * u, z.conj() * u) if w.a >= w.b >= 0))
 
 
 def prime_above(p, ring="gaussian"):
@@ -135,32 +131,23 @@ def prime_above(p, ring="gaussian"):
     if not rk.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if ring == "gaussian":
-        if p == 2:
-            return GaussianInt(1, 1)
         if p % 4 == 3:
             return GaussianInt(p, 0)
-        a, b = rk.two_square(p)
-        return GaussianInt(a, b)
+        (a,), (b,) = rk.two_square(np.array([p]))
+        return GaussianInt(int(a), int(b))
     if ring == "eisenstein":
-        if p == 3:
-            return EisensteinInt(1, 1)
         if p % 3 == 2:
             return EisensteinInt(p, 0)
-        # split case: a² + ab + b² = p with a >= b >= 1
+        # split case: 4p = (2a + b)² + 3b² with a >= b >= 1, so r >= 3b
         for b in range(1, math.isqrt(p) + 1):
-            disc = 4 * p - 3 * b * b
-            if disc < 0:
-                break
-            r = math.isqrt(disc)
-            if r * r == disc and (r - b) % 2 == 0:
-                a = (r - b) // 2
-                if a >= b >= 1:
-                    return hexant_rep(EisensteinInt(a, b))
+            r = math.isqrt(4 * p - 3 * b * b)
+            if r * r == 4 * p - 3 * b * b and (r - b) % 2 == 0 and r >= 3 * b:
+                return hexant_rep(EisensteinInt((r - b) // 2, b))
         raise ValueError(f"no split representation found for {p}")
     raise ValueError(f"unknown ring {ring!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeAngle:
     p: int
     theta: float
@@ -170,26 +157,24 @@ def theta_sequence(count):
     """Angles θ = arg(a+ib) − π/8 for the first `count` primes ≡ 1 mod 4.
 
     Each such prime p has exactly one Gaussian prime a + bi of norm p in the
-    open octant a > b > 0, so θ ∈ (−π/8, π/8).  The octant cells of the prime
-    mask on [1, m]² with norm <= m² are every such prime up to m², sorted by
-    norm; m doubles until there are `count` of them.
+    open octant a > b > 0, so θ ∈ (−π/8, π/8): with the dihedral symmetry
+    factored out, the angles are indexed by the rational primes, and a, b
+    come from `rk.two_square` on the sieve's primes.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
-    m = 8
-    while True:
-        a, b = np.nonzero(gaussian_prime_mask(1, m, 1, m))
-        a, b = a + 1, b + 1
-        norm = a * a + b * b
-        keep = (a > b) & (norm <= m * m)
-        if np.count_nonzero(keep) >= count:
-            break
-        m *= 2
-    a, b, norm = a[keep], b[keep], norm[keep]
-    first = np.argsort(norm)[:count]
+    # above the m-th prime for m >= 6 (Rosser 1939); a sieve to 4.8·10⁸ puts
+    # it >= 5 % above the count-th prime ≡ 1 mod 4 for all counts <= 1.2·10⁷
+    m = 2 * count + 6
+    limit = int(m * (math.log(m) + math.log(math.log(m))))
+    # tracemalloc peak: the sieve's flags plus 153 B per angle (10³ to 10⁶)
+    rk.check_budget(limit + 160 * count, f"{count} prime angles")
+    ps = rk.sieve(limit).primes()
+    ps = ps[ps % 4 == 1][:count]
+    a, b = rk.two_square(ps)
     # math.atan2, not np.arctan2: the two differ in the last ulp
-    return [PrimeAngle(p, math.atan2(y, x) - PI8) for p, x, y in
-            zip(norm[first].tolist(), a[first].tolist(), b[first].tolist())]
+    theta = [math.atan2(y, x) - PI8 for x, y in zip(a.tolist(), b.tolist())]
+    return list(map(PrimeAngle, ps.tolist(), theta))
 
 
 def pi_G(x):
@@ -259,48 +244,22 @@ def kubilius_expected(r, alpha, beta):
     return 4 * (beta - alpha) / (2 * math.pi) * rk.li(r * r)
 
 
-def _exact_divide(z, w):
-    """z / w in Z[i], or None when w does not divide z."""
-    n = w.norm()
-    t = z * w.conj()
-    if t.re % n or t.im % n:
-        return None
-    return GaussianInt(t.re // n, t.im // n)
-
-
 def gaussian_moebius(z):
     """μ_G: 0 on non-squarefree, else (−1)^(#distinct Gaussian prime factors).
 
-    Units get μ_G = 1 (empty factorization).
+    Units get μ_G = 1 (empty factorization).  Read off N(z) = ∏ pᵉ: 1 + i
+    divides z e times and an inert p e/2 times; a split p = ππ̄ divides z
+    as πᵃπ̄ᵇ with a + b = e, where a = b = 1 exactly when p | z.
     """
     n = z.norm()
     if n == 0:
         raise ValueError("μ_G undefined at 0")
-    if n == 1:
-        return 1
     omega = 0
     for p, e in rk.factorize(n):
-        if p == 2 or p % 4 == 3:
-            # ramified / inert: multiplicity e (ramified) or e/2 (inert)
-            mult = e if p == 2 else e // 2
-            if p % 4 == 3 and e % 2:
-                raise AssertionError("odd inert exponent in a norm")
-            if mult >= 2:
-                return 0
-            omega += mult
-        else:
-            pi = prime_above(p)
-            a = 0
-            w = z
-            while True:
-                w2 = _exact_divide(w, pi)
-                if w2 is None:
-                    break
-                w, a = w2, a + 1
-            b = e - a
-            if a >= 2 or b >= 2:
-                return 0
-            omega += (a > 0) + (b > 0)
+        mult = e // 2 if p % 4 == 3 else e
+        if mult > 2 or mult == 2 and (p % 4 != 1 or z.re % p or z.im % p):
+            return 0
+        omega += mult
     return -1 if omega % 2 else 1
 
 
@@ -436,10 +395,10 @@ def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
 def _row_bytes(n, limit, rows=1):
     """Bytes of `rows` prime rows to n sieved by primes up to `limit`: per row
     its flags, a cold sieve (the sieve cache keeps one per limit √(n² + k²))
-    and 2 KiB of objects; per call 24 B per sieving prime (the primes, their
-    copy and residue temporaries), π(x) < 1.25506·x/ln x (Rosser–Schoenfeld)."""
+    and 2 KiB of objects; per call 24 B per sieving prime, with π(x) <
+    1.25506·x/ln x (Rosser–Schoenfeld), and 1 MiB for one √−1 kernel block."""
     return (rows * (n + limit + 2050)
-            + 24 * int(1.25506 * limit / math.log(limit) + 1))
+            + 24 * int(1.25506 * limit / math.log(limit) + 1) + 2**20)
 
 
 def prime_row_flags(k, n):
@@ -463,10 +422,11 @@ def prime_row_flags(k, n):
     flags = np.ones(n + 1, dtype=bool)
     flags[2 - k % 2 :: 2] = False
     odd = s.primes()[1:]
-    for p in map(int, odd[k % odd == 0]):
-        flags[p::p] = False
-    for p in map(int, odd[(odd % 4 == 1) & (k % odd != 0)]):
-        r = rk.sqrt_minus_one_mod(p) * k % p
+    odd = odd[(odd % 4 == 1) | (k % odd == 0)]
+    roots = np.zeros_like(odd)  # p | k strikes j ≡ 0, a split p j ≡ ±k·√−1
+    split = k % odd != 0
+    roots[split] = rk.sqrt_minus_one_mod(odd[split]) * k % odd[split]
+    for p, r in zip(map(int, odd), map(int, roots)):
         flags[r::p] = False
         flags[p - r :: p] = False
     j = np.arange(1, min(n, math.isqrt(max(limit - k * k, 0))) + 1)

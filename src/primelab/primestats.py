@@ -153,9 +153,9 @@ def empirical_ratio(n, checkpoints=None):
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints[-1] != n:
         raise ValueError("largest checkpoint must equal n")
-    # the row and the sieve, 1 B per n each, and the int64 primes with their
-    # residue temporaries; 3.2-3.4 B per n traced at n = 10⁶..10⁷
-    rk.check_budget(6 * n, f"empirical ratio to {n}")
+    # the row, the sieve, the int64 primes and one block of the row's √−1
+    # kernel: 3.4-3.8 B per n traced at n = 10⁶..10⁷
+    rk.check_budget(6 * n + 2**20, f"empirical ratio to {n}")
     # row[a-1]: a + i is a Gaussian prime iff a² + 1 is prime (a >= 1)
     row = prime_row_flags(1, n)
     ps = rk.sieve(n).primes()

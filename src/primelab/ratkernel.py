@@ -5,14 +5,16 @@ the logarithmic integral li(x) = ∫₂ˣ dt/log t, Jordan totients
 J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), `multiplicative_table` (the one table
 behind μ, φ and planarith's Gaussian h, strided over the primes <= √n of the
 one sieve), the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol,
-Fermat two-square decompositions, Euler's composite-detection identity, and
-divisor-class counts d_k(n; m) = #{d | n : d ≡ k mod m}.
+one array kernel for √−1 mod p and Fermat's two squares p = a² + b²
+(Cornacchia), Euler's composite-detection identity, and divisor-class
+counts d_k(n; m) = #{d | n : d ≡ k mod m}.
 
 Everything here is exact integer arithmetic except li().
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -94,11 +96,8 @@ def is_prime(n):
     if n < 1_000_000:
         # trial division already covered sqrt(1e6) = 1000
         return True
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n − 1 = d·2ʳ, d odd
+    d = (n - 1) >> r
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -285,24 +284,77 @@ def jacobi(a, n):
     return result if n == 1 else 0
 
 
-def two_square(p):
-    """(a, b) with a² + b² = p, a >= b >= 0, by bounded search.
+# int64 products of two residues mod p are exact while p² < 2⁶³
+_EXACT_P = 3_037_000_499
+# base a: ψ, the least composite passing the strong test to a and all smaller
+# bases (Pomerance, Selfridge & Wagstaff, Math. Comp. 35 (1980)); ψ > _EXACT_P
+_SPRP_PSI = {2: 2047, 3: 1_373_653, 5: 25_326_001, 7: 3_215_031_751}
 
-    Unique with a > b > 0 for p ≡ 1 mod 4; p=2 gives (1,1).
+
+def _powmod(a, e, p):
+    """a^e mod p elementwise for an int a >= 2 and int64 arrays e, p: left to
+    right by w-bit windows of e, every multiplier aʲ (j < 2ʷ) <= _EXACT_P."""
+    w = max(w for w in range(1, 6) if a ** (2**w - 1) <= _EXACT_P)
+    powers = a ** np.arange(2**w, dtype=np.int64)
+    c = np.ones_like(p)
+    for k in range((int(e.max(initial=0)).bit_length() - 1) // w * w, -1, -w):
+        for _ in range(w):
+            np.remainder(c * c, p, out=c)
+        np.remainder(c * powers[e >> k & 2**w - 1], p, out=c)
+    return c
+
+
+def sqrt_minus_one_mod(ps):
+    """r with r² ≡ −1 mod p for each p of an int64 array of primes p = 2 or
+    p ≡ 1 mod 4 at most _EXACT_P: r = a^((p−1)/4) mod p for the least
+    non-residue a, tried a = 2, 3, 5, … on the entries still without a root.
+
+    Each a computes the strong test's chain yᵢ = a^(d·2ⁱ), p − 1 = d·2ˢ with
+    d odd, up to y_(s−2) = a^((p−1)/4); the bases of _SPRP_PSI that the
+    largest entry needs run on every entry and prove it prime, so the search
+    ends.  Any other entry raises ValueError.
     """
-    if p == 2:
-        return (1, 1)
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError(f"{p} has no two-square representation")
-    b = 1
-    while True:
-        a2 = p - b * b
-        a = math.isqrt(a2)
-        if a < b:
-            raise ValueError(f"no representation found for {p}")
-        if a * a == a2:
-            return (a, b)
-        b += 1
+    p = np.asarray(ps, dtype=np.int64)
+    if p.size > 2**13:  # blocks that stay in cache, and bound the memory
+        return np.concatenate([sqrt_minus_one_mod(p[i:i + 2**13])
+                               for i in range(0, p.size, 2**13)])
+    bad = (p < 2) | (p > _EXACT_P) | (p % 4 != 1) & (p != 2)
+    bases = [a for a, below in zip(_SPRP_PSI, (0, *_SPRP_PSI.values()))
+             if below <= p.max(initial=0)]
+    e = (p - 1) >> 2
+    low = np.maximum(e & -e, 1)  # 2^(s−2), and 1 for p = 2
+    r = np.zeros_like(p)
+    for a in filter(is_prime, itertools.count(2)):
+        if bad.any():
+            raise ValueError(f"{p[bad][0]} is not 2 or a prime ≡ 1 mod 4 "
+                             f"at most {_EXACT_P}")
+        on = np.flatnonzero((r == 0) | (a in bases))
+        if not on.size:
+            return r
+        q, lo = p[on], low[on]
+        y = _powmod(a, e[on] // lo, q)
+        prp, up = y == 1, np.flatnonzero(lo > 1)
+        for i in range(int(lo.max(initial=1)).bit_length() - 1):
+            prp[up] |= y[up] == q[up] - 1
+            up = up[lo[up] > 1 << i]
+            y[up] = y[up] * y[up] % q[up]
+        y2 = y * y % q
+        prp |= (y == q - 1) | (y2 == q - 1)
+        bad[on] |= ~prp & (q != a)
+        r[on] = np.where((r[on] == 0) & (y2 == q - 1), y, r[on])
+
+
+def two_square(ps):
+    """(a, b) int64 arrays with a² + b² = p, a > b > 0 ((1, 1) for p = 2), for
+    primes as in sqrt_minus_one_mod: Euclid on (p, √−1 mod p), on all entries
+    at once, stops at the first remainder a < √p (Brillhart, Cornacchia)."""
+    p = np.asarray(ps, dtype=np.int64)
+    x, y = p.copy(), sqrt_minus_one_mod(p)
+    on = np.flatnonzero(y * y >= p)
+    while on.size:
+        x[on], y[on] = y[on], x[on] % y[on]
+        on = on[y[on] * y[on] >= p[on]]
+    return y, np.sqrt(p - y * y).astype(np.int64)
 
 
 def _gauss_gcd(z, w):
@@ -364,15 +416,3 @@ def totient_summatory(n):
         raise ValueError("n >= 1 required")
     return int(multiplicative_table(
         n, lambda p, e: p ** (e - 1) * (p - 1)).sum())
-
-
-def sqrt_minus_one_mod(p):
-    """r with r² ≡ -1 mod p, for p = 2 or p ≡ 1 mod 4."""
-    if p == 2:
-        return 1
-    if p % 4 != 1:
-        raise ValueError("-1 is not a square mod " + str(p))
-    a = 2
-    while jacobi(a, p) != -1:
-        a += 1
-    return pow(a, (p - 1) // 4, p)

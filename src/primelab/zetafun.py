@@ -67,15 +67,16 @@ def lattice_zeta(ring, s, X):
     X = int(X)
     if X < 1:
         raise ValueError("X >= 1 required")
-    # tracemalloc peak 32.0 B per n: the counts and three float arrays
-    rk.check_budget(32 * X, f"{ring.title()} norm count table to {X} and "
-                    "lattice zeta's float arrays")
+    cplx = np.iscomplexobj(s)
+    # tracemalloc peak: int64 counts, float (complex) terms, a cast buffer
+    rk.check_budget((24 if cplx else 16) * X + 2**18,
+                    f"{ring.title()} norm count table to {X} and lattice "
+                    "zeta's terms")
     counts = planarith.norm_count_table(X, ring)
-    ns = np.arange(1, X + 1, dtype=float)
-    c = counts[1:].astype(float)
-    if np.iscomplexobj(np.asarray(s)) or isinstance(s, complex):
-        return complex((c * ns ** (-s)).sum())
-    return complex((c * ns ** (-float(s))).sum())
+    terms = np.arange(1, X + 1, dtype=complex if cplx else float)
+    np.power(terms, -s if cplx else -float(s), out=terms)
+    terms *= counts[1:]
+    return complex(terms.sum())
 
 
 def functional_eq_residual(which, s):
@@ -113,8 +114,6 @@ def mangoldt(n):
     """Λ(n): log p at prime powers, else 0."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if n == 1:
-        return 0.0
     fac = rk.factorize(n)
     if len(fac) == 1:
         return math.log(fac[0][0])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,28 @@ def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):
     assert _run(["--out", str(tmp_path / "cap"), *args]) == 3
     assert f"capacity error: {what}" in capsys.readouterr().err
+
+
+def test_angles_count_refused_before_allocation_exit_3(tmp_path, monkeypatch,
+                                                      capsys):
+    from primelab import ratkernel as rk
+
+    def no_sieve(*args):
+        raise AssertionError("sieve built for a refused angle count")
+
+    # 10⁹ angles need a 4.6·10¹⁰ sieve and 1.6·10¹¹ B of angles
+    monkeypatch.setattr(rk, "sieve", no_sieve)
+    tracemalloc.start()
+    try:
+        code = _run(["--out", str(tmp_path / "cap"), "angles", "--count",
+                     "1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert ("capacity error: 1000000000 prime angles"
+            in capsys.readouterr().err)
+    assert peak < 2**20
 
 
 # sha256 of the ca/angles data files, recorded before these outputs were

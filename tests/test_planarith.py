@@ -167,20 +167,20 @@ def test_theta_sequence():
 
 
 
-def _theta_oracle(count):
+def _theta_oracle(count, two_square):
     """The per-prime loop: two_square(p) for each p ≡ 1 mod 4 in order."""
     out, p = [], 5
     while len(out) < count:
         if p % 4 == 1 and rk.is_prime(p):
-            a, b = rk.two_square(p)
+            a, b = two_square(p)
             out.append(pa.PrimeAngle(p, math.atan2(b, a) - pa.PI8))
         p += 4
     return out
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 50, 2000])
-def test_theta_sequence_matches_two_square_loop(count):
-    assert pa.theta_sequence(count) == _theta_oracle(count)
+def test_theta_sequence_matches_two_square_loop(count, two_square_oracle):
+    assert pa.theta_sequence(count) == _theta_oracle(count, two_square_oracle)
 
 
 def test_pi_G_matches_brute_force():
@@ -333,13 +333,14 @@ def test_norm_count_table_peak_memory(ring):
 
 def test_norm_count_budget_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
-    # the table alone (24 B per n, 840 KB) would fit; the float arrays not
+    # the table alone (24 B per n, 840 KB) would fit; with the complex terms
+    # (24 B per n in all) it does not
     tracemalloc.start()
     try:
         with pytest.raises(rk.CapacityError,
                            match="Eisenstein norm count table to 35000 and "
-                                 "lattice zeta's float arrays"):
-            zf.lattice_zeta("eisenstein", 2, 35000)
+                                 "lattice zeta's terms"):
+            zf.lattice_zeta("eisenstein", 0.5 + 2j, 35000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -445,6 +446,30 @@ def test_prime_mask_budget_covers_a_cold_sieve(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= estimates[0] + 2**17, ring
+
+
+def test_theta_sequence_budget_covers_its_traced_peak(monkeypatch):
+    # the estimate counts the cold sieve's flags, the kernel's arrays and
+    # the PrimeAngle objects, which are the peak
+    estimates = []
+    check = rk.check_budget
+
+    def recording_check(nbytes, what):
+        estimates.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(rk, "check_budget", recording_check)
+    for count in (1, 20000):
+        rk.sieve.cache_clear()
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            seq = pa.theta_sequence(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seq) == count
+        assert peak <= estimates[0] + 2**13, count
 
 
 def test_mertens_series_consistent():

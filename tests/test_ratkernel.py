@@ -145,20 +145,62 @@ def test_jacobi_fixtures():
         rk.jacobi(3, 4)
 
 
-def test_two_square_reconstructs():
-    s = rk.sieve(10**6)
-    for p in s.primes():
-        p = int(p)
-        if p != 2 and p % 4 != 1:
-            continue
-        a, b = rk.two_square(p)
-        assert a * a + b * b == p and a >= b >= 0
+def test_two_square_reconstructs(two_square_oracle):
+    ps = rk.sieve(10**6).primes()
+    ps = ps[(ps == 2) | (ps % 4 == 1)]
+    a, b = rk.two_square(ps)
+    assert np.array_equal(a * a + b * b, ps) and (a >= b).all() and b.min() > 0
+    assert list(zip(a.tolist(), b.tolist())) == [two_square_oracle(p)
+                                                 for p in ps.tolist()]
 
 
 def test_two_square_fixtures():
-    assert rk.two_square(2) == (1, 1)
-    assert rk.two_square(5) == (2, 1)
-    assert rk.two_square(13) == (3, 2)
+    a, b = rk.two_square(np.array([2, 5, 13]))
+    assert list(zip(a.tolist(), b.tolist())) == [(1, 1), (2, 1), (3, 2)]
+
+
+def _largest_split_primes(count):
+    """The `count` largest primes ≡ 1 mod 4 at or below the kernel's bound."""
+    out, p = [], rk._EXACT_P - rk._EXACT_P % 4 + 1
+    while len(out) < count:
+        if rk.is_prime(p):
+            out.append(p)
+        p -= 4
+    return out
+
+
+def test_two_square_kernel_at_the_exactness_bound(sqrt_minus_one_oracle,
+                                                  two_square_oracle):
+    # 3037000499² < 2⁶³ <= 3037000500²: int64 squares are exact up to here
+    assert rk._EXACT_P ** 2 < 2**63 <= (rk._EXACT_P + 1) ** 2
+    ps = _largest_split_primes(20)
+    assert ps[0] == 3037000493
+    roots = rk.sqrt_minus_one_mod(np.array(ps))
+    assert roots.tolist() == [sqrt_minus_one_oracle(p) for p in ps]
+    a, b = rk.two_square(np.array(ps[:3]))
+    assert list(zip(a.tolist(), b.tolist())) == [two_square_oracle(p)
+                                                 for p in ps[:3]]
+
+
+@pytest.mark.parametrize("entries,refused", [
+    # 3277, 1373653 and 25326001 pass the strong test to every base below
+    # the one that exposes them; 1729 is a Carmichael number
+    ([5, 65, 13], 65),
+    ([1729], 1729),
+    ([3277], 3277),
+    ([1373653], 1373653),
+    ([25326001, 29], 25326001),
+    ([7], 7),
+    ([5, 13, 19], 19),
+    ([1], 1),
+    ([3037000537], 3037000537),
+])
+def test_two_square_kernel_refuses(entries, refused):
+    # composites, primes ≡ 3 mod 4 and entries outside 2..3037000499
+    for kernel in (rk.sqrt_minus_one_mod, rk.two_square):
+        with pytest.raises(ValueError,
+                           match=f"^{refused} is not 2 or a prime ≡ 1 mod 4"):
+            kernel(np.array(entries))
 
 
 def test_factorize_roundtrip():
@@ -253,10 +295,19 @@ def test_imports_load_no_scipy_until_li():
         assert res.returncode == 0, res.stderr
 
 
-def test_sqrt_minus_one_mod():
-    for p in (5, 13, 17, 29, 101, 1000033):
-        r = rk.sqrt_minus_one_mod(p)
-        assert (r * r + 1) % p == 0
+def test_sqrt_minus_one_mod(sqrt_minus_one_oracle):
+    ps = np.array([5, 13, 17, 29, 101, 1000033])
+    r = rk.sqrt_minus_one_mod(ps)
+    assert ((r * r + 1) % ps == 0).all()
+    assert r.tolist() == [sqrt_minus_one_oracle(p) for p in ps.tolist()]
+
+
+def test_sqrt_minus_one_mod_matches_jacobi_search(sqrt_minus_one_oracle):
+    ps = rk.sieve(10**6).primes()
+    ps = ps[(ps == 2) | (ps % 4 == 1)]
+    assert rk.sqrt_minus_one_mod(ps).tolist() == [sqrt_minus_one_oracle(p)
+                                                  for p in ps.tolist()]
+    assert rk.sqrt_minus_one_mod(np.array([], dtype=np.int64)).size == 0
 
 
 def test_euler_composite_factor():
