@@ -10,6 +10,7 @@ errors exit 3.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -32,7 +33,9 @@ def _json_dumps(obj):
 
 
 def _emit(outdir, name, lines):
-    return _write(Path(outdir) / name, "\n".join(lines) + "\n")
+    with open(Path(outdir) / name, "w") as f:  # each line as it comes
+        f.writelines(line + "\n" for line in lines)
+    return f.name
 
 
 # ---------------------------------------------------------------- subcommands
@@ -47,7 +50,7 @@ def _run_goldbach(args, outdir):
     if args.max < 2:
         raise UsageError(f"--max must be >= 2, got {args.max}")
     report = gb.comet(args.ring, ((2, args.max), (2, args.max)), variant)
-    files = [_emit(outdir, "goldbach.csv", list(report.csv_lines()))]
+    files = [_emit(outdir, "goldbach.csv", report.csv_lines())]
     summary = {
         "ring": report.ring,
         "variant": args.variant,
@@ -74,7 +77,7 @@ def _run_hl(args, outdir):
         checkpoints = [10 ** k for k in range(2, 30)
                        if 10 ** k <= args.empirical] + [args.empirical]
         series = ps.empirical_ratio(args.empirical, sorted(set(checkpoints)))
-        files.append(_emit(outdir, "ratio.csv", list(series.csv_lines())))
+        files.append(_emit(outdir, "ratio.csv", series.csv_lines()))
     else:
         c = ps.hl_C_naive(args.a, args.cutoff)
         files.append(_write(Path(outdir) / "hl.json", _json_dumps(
@@ -206,10 +209,10 @@ def _run_ca(args, outdir):
 def _run_angles(args, outdir):
     from . import primestats as ps
     from .planarith import theta_sequence
-    pas = theta_sequence(args.count)
-    lines = ["p,theta"] + [f"{pa.p},{pa.theta!r}" for pa in pas]
-    files = [_emit(outdir, "angles.csv", lines)]
-    st = ps.theta_statistics(np.array([pa.theta for pa in pas]))
+    p, theta = theta_sequence(args.count)
+    lines = map("{},{!r}".format, map(int, p), map(float, theta))
+    files = [_emit(outdir, "angles.csv", itertools.chain(["p,theta"], lines))]
+    st = ps.theta_statistics(theta)
     files.append(_write(Path(outdir) / "angles.json", _json_dumps(
         {"count": args.count, "ks_uniform": st.ks_uniform,
          "autocorr": st.autocorr, "split_corr": st.split_corr})))

@@ -387,8 +387,7 @@ def signed_rep_exists(n, search_bound=None):
     if n % 2:
         # one summand must be ±2, the only even prime
         return rk.is_prime(abs(n - 2)) or rk.is_prime(abs(n + 2))
-    for q in rk.sieve(search_bound).primes():
-        q = int(q)
+    for q in rk.sieve(search_bound).primes().tolist():
         if rk.is_prime(abs(n - q)) or rk.is_prime(abs(n + q)):
             return True
     return False

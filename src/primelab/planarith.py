@@ -147,14 +147,9 @@ def prime_above(p, ring="gaussian"):
     raise ValueError(f"unknown ring {ring!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeAngle:
-    p: int
-    theta: float
-
-
 def theta_sequence(count):
-    """Angles θ = arg(a+ib) − π/8 for the first `count` primes ≡ 1 mod 4.
+    """(p, θ): the first `count` primes p ≡ 1 mod 4 (int64) and their angles
+    θ = arg(a+ib) − π/8 (float64).
 
     Each such prime p has exactly one Gaussian prime a + bi of norm p in the
     open octant a > b > 0, so θ ∈ (−π/8, π/8): with the dihedral symmetry
@@ -167,14 +162,14 @@ def theta_sequence(count):
     # it >= 5 % above the count-th prime ≡ 1 mod 4 for all counts <= 1.2·10⁷
     m = 2 * count + 6
     limit = int(m * (math.log(m) + math.log(math.log(m))))
-    # tracemalloc peak: the sieve's flags plus 153 B per angle (10³ to 10⁶)
-    rk.check_budget(limit + 160 * count, f"{count} prime angles")
+    # tracemalloc peak: the sieve's flags, 64.4 B per angle and one √−1
+    # kernel block of 2¹³ primes (10³ to 2·10⁶)
+    rk.check_budget(limit + 65 * count + 2**19, f"{count} prime angles")
     ps = rk.sieve(limit).primes()
     ps = ps[ps % 4 == 1][:count]
     a, b = rk.two_square(ps)
     # math.atan2, not np.arctan2: the two differ in the last ulp
-    theta = [math.atan2(y, x) - PI8 for x, y in zip(a.tolist(), b.tolist())]
-    return list(map(PrimeAngle, ps.tolist(), theta))
+    return ps, np.fromiter(map(math.atan2, b, a), float, count) - PI8
 
 
 def pi_G(x):
@@ -394,10 +389,10 @@ def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
 
 def _row_bytes(n, limit, rows=1):
     """Bytes of `rows` prime rows to n sieved by primes up to `limit`: per row
-    its flags, a cold sieve (the sieve cache keeps one per limit √(n² + k²))
-    and 2 KiB of objects; per call 24 B per sieving prime, with π(x) <
-    1.25506·x/ln x (Rosser–Schoenfeld), and 1 MiB for one √−1 kernel block."""
-    return (rows * (n + limit + 2050)
+    its flags and 2 KiB of objects; per call a cold sieve, 24 B per sieving
+    prime, with π(x) < 1.25506·x/ln x (Rosser–Schoenfeld), and 1 MiB for one
+    √−1 kernel block."""
+    return (rows * (n + 2050) + limit
             + 24 * int(1.25506 * limit / math.log(limit) + 1) + 2**20)
 
 
@@ -416,19 +411,29 @@ def prime_row_flags(k, n):
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    limit = max(math.isqrt(n * n + k * k), 2)
-    rk.check_budget(_row_bytes(n, limit), f"Gaussian prime row to {n}")
+    return next(_prime_rows([k], n))
+
+
+def _prime_rows(ks, n):
+    """Yield prime_row_flags(k, n) for each k of ks, from one sieve to
+    L = √(n² + max k²) and one set of √−1 roots: a sieving prime that divides
+    j² + k² proves it composite unless it equals it, and those j are read off
+    the sieve."""
+    limit = max(math.isqrt(n * n + max(ks) ** 2), 2)
+    rk.check_budget(_row_bytes(n, limit, len(ks)),
+                    f"{len(ks)} Gaussian prime rows to {n}")
     s = rk.sieve(limit)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[2 - k % 2 :: 2] = False
-    odd = s.primes()[1:]
-    odd = odd[(odd % 4 == 1) | (k % odd == 0)]
-    roots = np.zeros_like(odd)  # p | k strikes j ≡ 0, a split p j ≡ ±k·√−1
-    split = k % odd != 0
-    roots[split] = rk.sqrt_minus_one_mod(odd[split]) * k % odd[split]
-    for p, r in zip(map(int, odd), map(int, roots)):
-        flags[r::p] = False
-        flags[p - r :: p] = False
-    j = np.arange(1, min(n, math.isqrt(max(limit - k * k, 0))) + 1)
-    flags[j] = s.flags[j * j + k * k]
-    return flags[1:]
+    split = s.primes()
+    split = split[split % 4 == 1]
+    root = rk.sqrt_minus_one_mod(split)
+    for k in ks:
+        flags = np.ones(n + 1, dtype=bool)
+        flags[2 - k % 2 :: 2] = False
+        for p, _e in rk.factorize(k):  # p | k strikes j ≡ 0
+            flags[::p] = False
+        for p, r in zip(map(int, split), map(int, root * k % split)):
+            flags[r::p] = False  # a split p strikes j ≡ ±k·√−1
+            flags[p - r :: p] = False
+        j = np.arange(1, min(n, math.isqrt(max(limit - k * k, 0))) + 1)
+        flags[j] = s.flags[j * j + k * k]
+        yield flags[1:]

@@ -52,8 +52,7 @@ def hl_C_naive(a, P):
     if P < 3:
         raise ValueError("P >= 3 required")
     out = 1.0
-    for p in rk.sieve(int(P)).primes()[1:]:
-        p = int(p)
+    for p in rk.sieve(int(P)).primes()[1:].tolist():
         if a % p == 0:
             continue
         jac = rk.jacobi(-a % p, p)
@@ -75,8 +74,7 @@ def hl_C_western(P):
     # prefactor 3/2: the 3/4 sometimes quoted is off by exactly 2 against
     # both the naive product and Shanks' value 1.37281346
     out = 1.5 * zeta6 / (beta2 * zeta3)
-    for p in rk.sieve(int(P)).primes():
-        p = int(p)
+    for p in rk.sieve(int(P)).primes().tolist():
         if p % 4 == 1:
             out *= (1 + 2 / (p**3 - 1)) * (1 - 2 / (p * (p - 1) ** 2))
     return out
@@ -131,15 +129,11 @@ def bateman_horn_C(f, P):
     if not ok:
         raise ValueError(f"inadmissible polynomial: {reason}")
     out = 1.0
-    for p in rk.sieve(int(P)).primes():
-        p = int(p)
+    for p in rk.sieve(int(P)).primes().tolist():
         omega = _omega_poly_mod(f, p)
         if omega == p:
             raise ValueError(f"ω_f({p}) = {p}: inadmissible polynomial")
-        if p == 2:
-            out *= (2 - omega) / 1
-        else:
-            out *= (p - omega) / (p - 1)
+        out *= (p - omega) / (p - 1)
     return out
 
 
@@ -202,7 +196,7 @@ def theta_statistics(thetas, lag=1):
     if isinstance(thetas, int):
         if thetas < 10:
             raise ValueError("N >= 10 required")
-        thetas = np.array([pa.theta for pa in theta_sequence(thetas)])
+        thetas = theta_sequence(thetas)[1]
     x = np.asarray(thetas, dtype=float)
     n = len(x)
     lo, hi = -math.pi / 8, math.pi / 8
@@ -235,12 +229,8 @@ def hurwitz_frogger(a, half=False, cap=1000):
     for x in range(cap + 1):
         for y in range(cap + 1):
             for z in range(cap + 1):
-                if half:
-                    v = (a * a + x * x + y * y + z * z
-                         + a + x + y + z + 1)
-                else:
-                    v = a * a + x * x + y * y + z * z
-                if rk.is_prime(v):
+                v = a * a + x * x + y * y + z * z
+                if rk.is_prime(v + (a + x + y + z + 1 if half else 0)):
                     return (x, y, z)
     raise RuntimeError(f"no triple within cap {cap} for a={a}")
 

@@ -153,22 +153,18 @@ def factorize(n):
                 n //= p
                 e += 1
             out.append((p, e))
-    if n > 1:
+    p = 1009
+    while n > 1:
         if is_prime(n):
             out.append((n, 1))
-        else:
-            p = 1009
-            while n > 1:
-                if is_prime(n):
-                    out.append((n, 1))
-                    break
-                while n % p:
-                    p += 2
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
+            break
+        while n % p:
+            p += 2
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
     return out
 
 

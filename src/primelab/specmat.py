@@ -22,13 +22,14 @@ entry norms throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ratkernel as rk
-from .planarith import (GaussianInt, _row_bytes, gaussian_prime_mask,
-                        prime_row_flags)
+from .planarith import (GaussianInt, gaussian_prime_mask, prime_row_flags,
+                        _prime_rows)
 
 
 def _as_gaussian(z0):
@@ -278,19 +279,15 @@ def row_cov_sign_table(K, n):
     """Sign matrix of Cov(R_k, R_l) for 1 <= k,l <= K, exactly.
 
     n²·Cov(R_k, R_l) = n·|R_k ∧ R_l| − |R_k|·|R_l| on the 0/1 rows, so each
-    sign is read from Python ints and a covariance of exactly 0 gives 0.
+    sign is read from int64 counts (exact while n² < 2⁶³) and a covariance of
+    exactly 0 gives 0.
     """
     if K < 1 or n < 1:
         raise ValueError("K >= 1 and n >= 1 required")
-    limit = max(math.isqrt(n * n + K * K), 2)
-    rk.check_budget(_row_bytes(n, limit, K), f"{K} Gaussian prime rows to {n}")
-    rows = [prime_row_flags(k, n) for k in range(1, K + 1)]
-    both = [[int(np.count_nonzero(x & y)) for y in rows] for x in rows]
-    table = np.zeros((K, K), dtype=np.int64)
-    for i, j in np.ndindex(K, K):
-        cov = n * both[i][j] - both[i][i] * both[j][j]
-        table[i, j] = (cov > 0) - (cov < 0)
-    return table
+    rows = list(_prime_rows(range(1, K + 1), n))
+    both = np.array([[np.count_nonzero(x & y) for y in rows] for x in rows],
+                    dtype=np.int64)
+    return np.sign(n * both - np.outer(both.diagonal(), both.diagonal()))
 
 
 def qr_column_means(m):
@@ -401,23 +398,37 @@ def build_vdm(n, alpha, beta):
     return np.exp(1j * (np.outer(k, k) * alpha + k[None, :] * beta))
 
 
+def vdm_log_det(nmax, alpha):
+    """out[n] = log|det B(n)| for 0 <= n <= nmax (float64).  B is van der
+    Monde in the nodes z^k, z = e^{iα} (α in radians: the rotation number is
+    α/2π; β and |w| = 1 leave the modulus unchanged), so |det B(n)| =
+    ∏_{m<n} |(z; z)_m| is a product of Sudler products: the first cumulative
+    sum of log|2 sin(dα/2)| is log|(z; z)_m|, and the second is out[n]."""
+    if nmax < 0:
+        raise ValueError("nmax >= 0 required")
+    # tracemalloc peak: the output and two work arrays, 8 B per n each
+    rk.check_budget(24 * (nmax + 1), f"van der Monde log|det| to n={nmax}")
+    out = np.zeros(nmax + 1)
+    with np.errstate(divide="ignore"):  # a repeated node: det = 0, log −inf
+        log_sin = np.log(np.abs(2 * np.sin(np.arange(1.0, nmax) * alpha / 2)))
+    np.cumsum(np.cumsum(log_sin), out=out[2:])
+    return out
+
+
 def vdm_product_modulus(n, alpha, beta):
-    """|∏_{k<l}(z^l − z^k)|·|w|^{n(n+1)/2}·… — the exact |det B| via the
-    van der Monde structure B_{km} = w^m (z^k)^m with z=e^{iα}, w=e^{iβ}."""
-    z = np.exp(1j * alpha)
-    nodes = z ** np.arange(1, n + 1)
-    out = 1.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            out *= abs(nodes[l] - nodes[k])
-    return out * abs(np.prod(nodes)) * 1.0  # |w|=1 and |∏ z^k| = 1 anyway
+    """|det B(n)| = exp(vdm_log_det(n, α)[n]), β aside; ArithmeticError where
+    it lies outside the normal floats, rather than 0.0 or inf."""
+    log_det = float(vdm_log_det(n, alpha)[n])
+    lo, hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    if log_det != -math.inf and not lo <= log_det <= hi:
+        raise ArithmeticError(f"|det B({n})| = e^{log_det:.6g} is outside the "
+                              f"float range; read log|det| off vdm_log_det")
+    return math.exp(log_det)
 
 
 def vdm_det_growth(nmax, alpha=GOLDEN, beta=0.0):
-    """Series log|det B(n)| / log(2ⁿ·n!) for n = 2..nmax."""
-    out = []
-    for n in range(2, nmax + 1):
-        b = build_vdm(n, alpha, beta)
-        _sign, logdet = np.linalg.slogdet(b)
-        out.append((n, float(logdet / math.log(2**n * math.factorial(n)))))
-    return out
+    """[(n, log|det B(n)| / log(2ⁿ·n!)) for n = 2..nmax] off vdm_log_det."""
+    n = np.arange(2, nmax + 1)
+    log_bound = n * math.log(2) + np.cumsum(np.log(n))
+    ratio = vdm_log_det(nmax, alpha)[2:] / log_bound
+    return list(zip(n.tolist(), ratio.tolist()))

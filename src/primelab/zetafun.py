@@ -128,10 +128,7 @@ def chebyshev_psi(x):
     n = int(x)
     s = rk.sieve(max(n, 4))
     total = 0.0
-    for p in s.primes():
-        p = int(p)
-        if p > n:
-            break
+    for p in s.primes()[:s.pi(n)].tolist():
         lp = math.log(p)
         q = p
         while q <= n:
@@ -191,8 +188,7 @@ def hurwitz_class_zeta(s, P):
     each odd p, one above 2)."""
     s = mp.mpmathify(s)
     out = mp.mpf(2) ** (-s)
-    for p in rk.sieve(int(P)).primes()[1:]:
-        p = int(p)
+    for p in rk.sieve(int(P)).primes()[1:].tolist():
         out += (p + 1) * mp.mpf(p) ** (-s)
     return float(out) if mp.im(s) == 0 else complex(out)
 

@@ -268,7 +268,7 @@ def test_angles_count_refused_before_allocation_exit_3(tmp_path, monkeypatch,
     def no_sieve(*args):
         raise AssertionError("sieve built for a refused angle count")
 
-    # 10⁹ angles need a 4.6·10¹⁰ sieve and 1.6·10¹¹ B of angles
+    # 10⁹ angles need a 4.6·10¹⁰ sieve and 6.5·10¹⁰ B of angles
     monkeypatch.setattr(rk, "sieve", no_sieve)
     tracemalloc.start()
     try:

@@ -158,29 +158,33 @@ def test_prime_above():
 
 
 def test_theta_sequence():
-    seq = pa.theta_sequence(3)
-    assert [a.p for a in seq] == [5, 13, 17]
-    assert abs(seq[0].theta - (math.atan2(1, 2) - math.pi / 8)) < 1e-12
-    assert abs(seq[1].theta - (math.atan2(2, 3) - math.pi / 8)) < 1e-12
-    for a in pa.theta_sequence(500):
-        assert -math.pi / 8 < a.theta < math.pi / 8
+    p, theta = pa.theta_sequence(3)
+    assert p.dtype == np.int64 and theta.dtype == np.float64
+    assert p.tolist() == [5, 13, 17]
+    assert abs(theta[0] - (math.atan2(1, 2) - math.pi / 8)) < 1e-12
+    assert abs(theta[1] - (math.atan2(2, 3) - math.pi / 8)) < 1e-12
+    theta = pa.theta_sequence(500)[1]
+    assert ((-math.pi / 8 < theta) & (theta < math.pi / 8)).all()
 
 
 
 def _theta_oracle(count, two_square):
     """The per-prime loop: two_square(p) for each p ≡ 1 mod 4 in order."""
-    out, p = [], 5
-    while len(out) < count:
+    ps, thetas, p = [], [], 5
+    while len(ps) < count:
         if p % 4 == 1 and rk.is_prime(p):
             a, b = two_square(p)
-            out.append(pa.PrimeAngle(p, math.atan2(b, a) - pa.PI8))
+            ps.append(p)
+            thetas.append(math.atan2(b, a) - pa.PI8)
         p += 4
-    return out
+    return ps, thetas
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 50, 2000])
 def test_theta_sequence_matches_two_square_loop(count, two_square_oracle):
-    assert pa.theta_sequence(count) == _theta_oracle(count, two_square_oracle)
+    p, theta = pa.theta_sequence(count)
+    assert (p.tolist(), theta.tolist()) == \
+        _theta_oracle(count, two_square_oracle)
 
 
 def test_pi_G_matches_brute_force():
@@ -449,8 +453,8 @@ def test_prime_mask_budget_covers_a_cold_sieve(monkeypatch):
 
 
 def test_theta_sequence_budget_covers_its_traced_peak(monkeypatch):
-    # the estimate counts the cold sieve's flags, the kernel's arrays and
-    # the PrimeAngle objects, which are the peak
+    # the estimate counts the cold sieve's flags, the prime and angle arrays
+    # and one block of the √−1 kernel
     estimates = []
     check = rk.check_budget
 
@@ -468,7 +472,7 @@ def test_theta_sequence_budget_covers_its_traced_peak(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(seq) == count
+        assert len(seq[0]) == len(seq[1]) == count
         assert peak <= estimates[0] + 2**13, count
 
 

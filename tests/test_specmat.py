@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -412,6 +413,69 @@ def test_vdm_growth_bounded():
     series = sm.vdm_det_growth(100)
     for n, v in series:
         assert v <= 1.0 + 1e-12
+
+
+def _vdm_log_det_mpmath(n, alpha):
+    """Σ_{d<n} (n − d)·log|2 sin(dα/2)| at 50 digits, α the float exactly."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        return sum((n - d) * mpmath.log(abs(2 * mpmath.sin(d * a / 2)))
+                   for d in range(1, n))
+
+
+@pytest.mark.parametrize("alpha", [sm.GOLDEN, 2 * math.pi * sm.GOLDEN])
+def test_vdm_log_det_matches_mpmath_sum(alpha):
+    out = sm.vdm_log_det(10**4, alpha)
+    assert out.dtype == np.float64 and out.shape == (10**4 + 1,)
+    assert out[0] == out[1] == 0.0
+    for n in (10, 200, 10**4):
+        want = _vdm_log_det_mpmath(n, alpha)
+        assert abs(out[n] - want) <= 1e-7 * abs(want), n
+
+
+@pytest.mark.parametrize("alpha", [sm.GOLDEN, 2 * math.pi * sm.GOLDEN])
+def test_vdm_log_det_matches_slogdet(alpha):
+    out = sm.vdm_log_det(100, alpha)
+    for n in range(1, 101):
+        _sign, want = np.linalg.slogdet(sm.build_vdm(n, alpha, 0.3))
+        assert abs(out[n] - want) <= 1e-9 * max(1.0, abs(want)), n
+
+
+def test_vdm_product_modulus_refuses_what_a_float_cannot_hold():
+    # e^−738.0 underflows and e^3393.8 overflows a float
+    for n, alpha in ((300, sm.GOLDEN), (1000, sm.GOLDEN),
+                     (1000, 2 * math.pi * sm.GOLDEN)):
+        with pytest.raises(ArithmeticError, match="vdm_log_det"):
+            sm.vdm_product_modulus(n, alpha, 0.0)
+    assert sm.vdm_product_modulus(0, sm.GOLDEN, 0.0) == 1.0
+    assert sm.vdm_product_modulus(5, 0.0, 0.0) == 0.0  # every node is 1
+
+
+def test_vdm_log_det_budget(monkeypatch):
+    for nmax in (10**3, 10**5):
+        tracemalloc.start()
+        try:
+            sm.vdm_log_det(nmax, sm.GOLDEN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * (nmax + 1) + 2**12, nmax
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(rk.CapacityError):
+            sm.vdm_log_det(10**6, sm.GOLDEN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_vdm_golden_mean_growth():
+    # rotation number α/2π = golden mean: log|det B(n)| / log(2ⁿ n!) → ~1/2
+    series = dict(sm.vdm_det_growth(10**6, 2 * math.pi * sm.GOLDEN))
+    for n in (10**3, 10**4, 10**5, 10**6):
+        assert 0.50 <= series[n] <= 0.52, n
 
 
 def test_vdm_rational_alpha_degenerate():
