@@ -92,13 +92,18 @@ def leading_minors(m):
 
 
 def det_exact(m):
-    """Exact determinant: the last of leading_minors(m), 1 for 0×0."""
+    """Exact determinant: the last of leading_minors(m), 1 for 0×0; refused
+    by check_exact_pass, from m's order and largest |entry|, before the pass
+    starts."""
+    m = np.asarray(m)
+    top = max(int(m.max()), -int(m.min())) if m.size else 0
+    check_exact_pass(len(m), math.log2(max(top, 1)))
     return (leading_minors(m) or [1])[-1]
 
 
 def check_exact_pass(n, entry_bits=0):
     """Raise CapacityError before leading_minors runs on an n×n matrix with
-    entries below 2**entry_bits: n² list pointers, and n²/2 minors below
+    |entries| <= 2**entry_bits: n² list pointers, and n²/2 minors below
     n^(n/2)·2^(n·entry_bits) (Hadamard's bound) on and above the diagonal."""
     n = max(n, 0)
     bits = n * (math.log2(max(n, 1)) / 2 + entry_bits)
@@ -133,7 +138,7 @@ def _leading_ranks_mod(m, p):
 
 def is_singular_exact(m):
     """Exact singularity test: full rank mod p proves invertibility; a rank
-    drop mod p is confirmed or refuted by the exact pass."""
+    drop mod p is confirmed or refuted by det_exact's exact pass."""
     n = len(m)
     if n and _leading_ranks_mod(m, _RANK_PRIME)[-1] == n:
         return False
@@ -379,15 +384,11 @@ def smith_inverse_moebius_check(n):
 GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-def check_almost_period(n):
-    """Raise CapacityError before build_almost_period(n) allocates: it peaks
-    at 16 B per entry (tracemalloc, n = 500-2000), two float n×n arrays."""
-    rk.check_budget(16 * max(n, 0) ** 2, f"almost-periodic matrix, order {n}")
-
-
 def build_almost_period(n, alpha, beta, theta=0.0):
-    """A_{km} = cos(kmα + mβ + θ), k,m = 1..n."""
-    check_almost_period(n)
+    """A_{km} = cos(kmα + mβ + θ), k,m = 1..n; refused before it allocates
+    the 16 B per entry it peaks at (tracemalloc, n = 500-2000), two float
+    n×n arrays."""
+    rk.check_budget(16 * max(n, 0) ** 2, f"almost-periodic matrix, order {n}")
     k = np.arange(1, n + 1, dtype=float)
     return np.cos(np.outer(k, k) * alpha + k[None, :] * beta + theta)
 

@@ -197,6 +197,14 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_hl_methods_are_exclusive_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path / "hl"), "hl", "--western",
+                  "--empirical", "1000"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_capacity_error_exit_3(tmp_path, monkeypatch, capsys):
     from primelab import specmat as sm
 
@@ -341,6 +349,9 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
     (["smith", "--n", "0"], "n >= 1 required"),
     (["zeta", "--cutoff", "-5"], "X >= 1 required"),
     (["zeta", "--cutoff", "0"], "X >= 1 required"),
+    (["hl", "--empirical", "0"], "n >= 2 required"),
+    (["matrix", "--z0", "2"],
+     "one of --scan, --spectrum, --detgrowth required"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2
@@ -363,3 +374,40 @@ def test_smith_computes_the_product_once(tmp_path, monkeypatch):
     assert sorted(calls) == [1, 2, 3, 4, 5, 6, 7]
     data = json.loads((out / "smith.json").read_text())
     assert data["det"] == "192" and data["residual"] == "0"
+
+
+# The README's ten commands, with the sha256 of each data file that no other
+# test pins, recorded before one writer wrote every CLI output
+@pytest.mark.parametrize("args,digests", [
+    (["goldbach", "--ring", "gaussian", "--variant", "open-even", "--max",
+      "60"], {}),
+    (["hl", "--western", "--cutoff", "1000"], {
+        "hl.json":
+        "2886a87e8f0ca28860634f0b522b92d1b94855f09dfb07f4a79fd4e215537400"}),
+    (["matrix", "--z0", "1", "--scan", "60", "--detgrowth", "10"], {}),
+    (["smith", "--n", "7"], {
+        "smith.json":
+        "896d0c79ffbb919b6399d4fec4e7dc36cb3ccf875bb48bc13ac53571cabd3592"}),
+    (["graphs", "--kind", "gcd", "--n", "30"], {}),
+    (["zeta", "--explicit", "--zeros", ZEROS, "--K", "20", "--xmax", "20"], {
+        "psi.csv":
+        "7302a268a8aa9da0ad2a3b14109b171f4980bf54761c8ce8ab1eb4ba16cdfeaa"}),
+    (["ca", "--window", "12", "--steps", "1", "--moat", "0"], {}),
+    (["angles", "--count", "50"], {
+        "angles.json":
+        "00640383ba456e9c5c9537dca44991c68eac9764ab693451fe848724bf9134c0"}),
+    (["almostper", "--nmax", "6"], {
+        "almostper.csv":
+        "26645a9cf201a1af680092d415c8ecfc8f3a0313b91922881a7872af1c347664"}),
+    (["hyperplane", "--a", "1", "--n", "4"], {
+        "hyperplane.json":
+        "f944457412c4e6431df2306b3081b0bfcd51c4d6e63ec4eefc136e820ea585db"}),
+])
+def test_readme_command_outputs(tmp_path, args, digests):
+    out = tmp_path / "run"
+    assert _run(["--out", str(out), *args]) == 0
+    files = sorted(p.name for p in out.iterdir())
+    files.remove("manifest.json")
+    assert _manifest(out)["outputs"] == files
+    for name, want in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want

@@ -88,6 +88,25 @@ def test_leading_minors_match_per_block_bareiss():
             sm.det_exact(np.ones(shape, dtype=np.int64))
 
 
+def test_exact_pass_refused_before_it_starts(monkeypatch):
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10_000)
+    assert sm.det_exact(np.eye(4, dtype=np.int64)) == 1  # 356 B estimate
+
+    def no_pass(m):
+        raise AssertionError("leading_minors entered for a refused matrix")
+
+    monkeypatch.setattr(sm, "leading_minors", no_pass)
+    # the same order with entries near 2**4000: a 16 kB estimate
+    big = np.array([[2**4000 - i - j for j in range(4)] for i in range(4)],
+                   dtype=object)
+    with pytest.raises(rk.CapacityError, match="exact pass over a 4x4"):
+        sm.det_exact(big)
+    ones = np.ones((30, 30), dtype=np.int64)  # rank 1 mod p: a drop
+    for exact in (sm.det_exact, sm.is_singular_exact):
+        with pytest.raises(rk.CapacityError, match="exact pass over a 30x30"):
+            exact(ones)
+
+
 def test_det_exact_vs_float():
     rng = np.random.default_rng(3)
     for _ in range(50):
