@@ -38,6 +38,17 @@ def _emit(outdir, files):
                 f.writelines(line + "\n" for line in data)
 
 
+def _mode(args, mode, unread, **defaults):
+    """Refuse each option of `unread` given on the command line, which the
+    mode would ignore, and fill in the defaults of the options it reads."""
+    for flag in unread:
+        if getattr(args, flag.lstrip("-")) is not None:
+            raise ValueError(f"{mode} does not read {flag}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 # ---------------------------------------------------------------- subcommands
 
 def _run_goldbach(args):
@@ -67,15 +78,18 @@ def _run_goldbach(args):
 def _run_hl(args):
     from . import primestats as ps
     if args.empirical is not None:
+        _mode(args, "hl --empirical", ("-a", "--cutoff"))
         checkpoints = [10 ** k for k in range(2, 30)
                        if 10 ** k <= args.empirical]
         series = ps.empirical_ratio(args.empirical,
                                     checkpoints + [args.empirical])
         return {"ratio.csv": series.csv_lines()}, {}
     if args.western:
+        _mode(args, "hl --western", ("-a",), cutoff=1000)
         hl = {"method": "western", "cutoff": args.cutoff,
               "C": ps.hl_C_western(args.cutoff)}
     else:
+        _mode(args, "hl", (), a=1, cutoff=1000)
         hl = {"method": "naive", "a": args.a, "cutoff": args.cutoff,
               "C": ps.hl_C_naive(args.a, args.cutoff)}
     return {"hl.json": hl}, {"C": hl["C"]}
@@ -98,7 +112,7 @@ def _run_matrix(args):
         m = sm.build_prime_matrix(args.z0, args.spectrum)
         s = sm.spectrum(m)
         files["spectrum.csv"] = ["re,im"] + [
-            f"{ev.real!r},{ev.imag!r}"
+            f"{float(ev.real)!r},{float(ev.imag)!r}"
             for ev in sorted(s.eigenvalues, key=lambda z: (z.real, z.imag))]
     if args.detgrowth is not None:
         lines = ["n,det_sign,log_abs_det"]
@@ -140,6 +154,8 @@ def _run_graphs(args):
 def _run_zeta(args):
     from . import zetafun as zf
     if args.explicit:
+        _mode(args, "zeta --explicit", ("--ring", "--s", "--cutoff"),
+              K=100, xmin=5.0, xmax=100.0, step=1.0)
         if not args.zeros:
             raise ValueError("--explicit requires --zeros PATH")
         if not args.step > 0:  # the x loop below would never end
@@ -155,6 +171,9 @@ def _run_zeta(args):
                          f"{zf.explicit_psi(x, table, args.K)!r},{args.K}")
             x += args.step
         return {"psi.csv": lines}, {}
+    _mode(args, "zeta without --explicit",
+          ("--zeros", "--K", "--xmin", "--xmax", "--step"),
+          ring="gaussian", s=2.0, cutoff=10**4)
     val = zf.lattice_zeta(args.ring, args.s, args.cutoff)
     closed = zf.zeta_G(args.s) if args.ring == "gaussian" \
         else zf.zeta_E(args.s)
@@ -254,8 +273,9 @@ def build_parser():
     method = s.add_mutually_exclusive_group()
     method.add_argument("--western", action="store_true")
     method.add_argument("--empirical", type=int, default=None)
-    s.add_argument("-a", type=int, default=1)
-    s.add_argument("--cutoff", type=int, default=1000)
+    # mode options stay None until the runner fills in its mode's defaults
+    s.add_argument("-a", type=int)
+    s.add_argument("--cutoff", type=int)
 
     s = command("matrix", _run_matrix)
     s.add_argument("--z0", type=int, default=1)
@@ -274,15 +294,14 @@ def build_parser():
 
     s = command("zeta", _run_zeta)
     s.add_argument("--explicit", action="store_true")
-    s.add_argument("--zeros", default=None)
-    s.add_argument("--K", type=int, default=100)
-    s.add_argument("--xmin", type=float, default=5.0)
-    s.add_argument("--xmax", type=float, default=100.0)
-    s.add_argument("--step", type=float, default=1.0)
-    s.add_argument("--ring", choices=["gaussian", "eisenstein"],
-                   default="gaussian")
-    s.add_argument("--s", type=float, default=2.0)
-    s.add_argument("--cutoff", type=int, default=10**4)
+    s.add_argument("--zeros")  # mode options, as for hl
+    s.add_argument("--K", type=int)
+    s.add_argument("--xmin", type=float)
+    s.add_argument("--xmax", type=float)
+    s.add_argument("--step", type=float)
+    s.add_argument("--ring", choices=["gaussian", "eisenstein"])
+    s.add_argument("--s", type=float)
+    s.add_argument("--cutoff", type=int)
 
     s = command("ca", _run_ca)
     s.add_argument("--window", type=int, required=True)
@@ -313,8 +332,6 @@ def main(argv=None):
         args.min = args.n
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("out", "run") and v is not None}
     t0 = time.monotonic()
     try:
         files, extra = args.run(args)
@@ -326,6 +343,9 @@ def main(argv=None):
         print(f"capacity error: {e}", file=sys.stderr)
         return 3
     wall = time.monotonic() - t0
+    # read after the run, which filled in the defaults of its mode's options
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("out", "run") and v is not None}
     manifest = {
         "schema": 1,
         "subcommand": args.subcommand,

@@ -92,22 +92,13 @@ class SweepReport:
     def max_count(self):
         return int(self.counts.max())
 
-    def csv_lines(self, coord_names=("re", "im")):
-        yield ",".join(coord_names) + ",count"
+    def csv_lines(self):
+        yield "re,im,count"
         it = np.nditer(self.counts, flags=["multi_index"])
         for v in it:
             idx = tuple(i + lo for i, (lo, _hi) in
                         zip(it.multi_index, self.region))
             yield ",".join(map(str, idx)) + f",{int(v)}"
-
-
-def _cone_lo(ring, cone):
-    """lo of the summand box [lo..a-lo]×[lo..b-lo] of target a + b·u."""
-    lo = {"open": 1, "closed": 0, "unrestricted": -UNRESTRICTED_WINDOW}
-    if not (ring == "gaussian" and cone in lo
-            or (ring, cone) == ("eisenstein", "open")):
-        raise ValueError(f"no planar count for the {ring} {cone} cone")
-    return lo[cone]
 
 
 def _check_fft(shape):
@@ -145,21 +136,39 @@ _SPECIES_PARITIES = {
 
 
 def _offsets(ring, variant):
-    """The offset of each summand mask of the ring and variant."""
+    """The offset of each summand mask of the ring and variant: the one rule
+    for which pairs have a count.  Any other pair raises NotImplementedError
+    (a cone or parity filter the ring lacks) or ValueError."""
+    planar = ring in ("gaussian", "eisenstein")
+    if ring != "gaussian" and variant.cone != "open":
+        raise NotImplementedError(f"{ring} sums are open-cone")
+    if not planar and variant.parity_filter != "none":
+        raise NotImplementedError(f"no parity filter for {ring} targets")
+    if planar and variant.species != "any":
+        raise ValueError(f"species {variant.species!r} applies only to "
+                         f"quaternion and octonion summands, not {ring}")
+    if variant.angle_cap is not None and (
+            ring != "gaussian" or variant.cone != "open"):
+        raise ValueError(f"angle_cap is implemented only for the Gaussian "
+                         f"open cone, not {ring} {variant.cone}")
+    if planar:
+        # lo of the summand box [lo..a−lo]×[lo..b−lo] of target a + b·u
+        lo = {"open": 1, "closed": 0, "unrestricted": -UNRESTRICTED_WINDOW}
+        return [2 * lo[variant.cone]]
     if ring not in _SPECIES_PARITIES:
-        return [2 * _cone_lo(ring, variant.cone)]
+        raise ValueError(f"unsupported ring {ring!r}")
     parities = _SPECIES_PARITIES[ring].get(variant.species)
     if parities is None:
         raise ValueError(f"unknown {ring} species {variant.species!r}")
     return [2 - par for par in parities]
 
 
-def _summand_masks(ring, variant, box):
+def _summand_masks(ring, offsets, box):
     """[(off, mask)]: for each offset, the prime mask over the summand
     coordinates off/2 <= x_i <= box_i − off/2 (module docstring); empty when
     no target in the box has a summand pair."""
     out = []
-    for off in _offsets(ring, variant):
+    for off in offsets:
         shape = tuple(max(n + 1 - off, 0) for n in box)
         if 0 in shape:
             mask = np.zeros(shape, dtype=bool)
@@ -173,36 +182,6 @@ def _summand_masks(ring, variant, box):
     return out
 
 
-def _direct_count(ring, variant, z):
-    """r2 of the single target z: each summand mask of the box z counted
-    against its own reflection through the target's midpoint."""
-    masks = [mask for _off, mask in _summand_masks(ring, variant, z)]
-    if variant.angle_cap is not None:
-        # the Gaussian open cone: one mask over [1..a-1]×[1..b-1]
-        a, b = z
-        xs = np.arange(1, a, dtype=float)[:, None]
-        ys = np.arange(1, b, dtype=float)[None, :]
-        rel = np.abs(np.angle((xs + 1j * ys) / complex(a, b)))
-        masks[0] &= rel <= variant.angle_cap + 1e-12
-    return sum(int(np.count_nonzero(m & np.flip(m))) for m in masks)
-
-
-def _check_variant(ring, variant):
-    """Raise for a variant field the ring/cone pair does not implement."""
-    planar = ring in ("gaussian", "eisenstein")
-    if ring != "gaussian" and variant.cone != "open":
-        raise NotImplementedError(f"{ring} sums are open-cone")
-    if not planar and variant.parity_filter != "none":
-        raise NotImplementedError(f"no parity filter for {ring} targets")
-    if planar and variant.species != "any":
-        raise ValueError(f"species {variant.species!r} applies only to "
-                         f"quaternion and octonion summands, not {ring}")
-    if variant.angle_cap is not None and (
-            ring != "gaussian" or variant.cone != "open"):
-        raise ValueError(f"angle_cap is implemented only for the Gaussian "
-                         f"open cone, not {ring} {variant.cone}")
-
-
 def _filtered_out(variant, a, b):
     """True when the even-only parity filter puts target a + b·u out of
     scope, which counts as 0 as in comet."""
@@ -213,19 +192,26 @@ def r2(z, variant=OPEN):
     """Ordered prime-pair representation count of z under the variant.
 
     Unrestricted Gaussian counts are those of the window (module docstring):
-    exact for odd coordinate sum, a lower bound for even.
+    exact for odd coordinate sum, a lower bound for even.  Each summand mask
+    of the target's box counts against its reflection through the midpoint.
     """
     ring = _infer_ring(z)
-    _check_variant(ring, variant)
-    if ring in _SPECIES_PARITIES:
-        return _direct_count(ring, variant, tuple(z))
-    a, b = (z.re, z.im) if ring == "gaussian" else (z.a, z.b)
-    if _filtered_out(variant, a, b):
-        return 0
-    if variant.cone == "unrestricted":
+    offsets = _offsets(ring, variant)
+    box = z
+    if ring not in _SPECIES_PARITIES:
+        a, b = (z.re, z.im) if ring == "gaussian" else (z.a, z.b)
+        if _filtered_out(variant, a, b):
+            return 0
         # conjugation and negation carry the window onto the mirror's
-        a, b = abs(a), abs(b)
-    return _direct_count(ring, variant, (a, b))
+        box = (abs(a), abs(b)) if variant.cone == "unrestricted" else (a, b)
+    masks = [mask for _off, mask in _summand_masks(ring, offsets, box)]
+    if variant.angle_cap is not None:
+        # the Gaussian open cone: one mask over [1..a-1]×[1..b-1]
+        xs = np.arange(1, a, dtype=float)[:, None]
+        ys = np.arange(1, b, dtype=float)[None, :]
+        rel = np.abs(np.angle((xs + 1j * ys) / complex(a, b)))
+        masks[0] &= rel <= variant.angle_cap + 1e-12
+    return sum(int(np.count_nonzero(m & np.flip(m))) for m in masks)
 
 
 def _infer_ring(z):
@@ -248,14 +234,14 @@ def r3(z, variant=OPEN):
     """
     if variant.cone != "open" or variant.angle_cap is not None:
         raise ValueError("r3 counts open-cone triples without an angle cap")
-    _check_variant("gaussian", variant)
+    offsets = _offsets("gaussian", variant)
     a, b = z.re, z.im
     if a < 3 or b < 3 or _filtered_out(variant, a, b):
         return 0
     # every summand lies in [1..a-2]×[1..b-2], the open-cone mask of the box
     # (a-1, b-1); pairs[i, j] = r2((i+2)+(j+2)i)
     _check_fft((a - 2, b - 2))
-    [(_off, mask)] = _summand_masks("gaussian", variant, (a - 1, b - 1))
+    [(_off, mask)] = _summand_masks("gaussian", offsets, (a - 1, b - 1))
     pairs = _fft_counts(mask)[:a - 2, :b - 2]
     return int(np.sum(pairs * mask[::-1, ::-1]))
 
@@ -274,13 +260,13 @@ def grid_counts(ring, variant, box):
     all cells and grows with the number of primes in M, so a box whose error
     could reach a whole count fails this check long before.
     """
-    _check_variant(ring, variant)
+    offsets = _offsets(ring, variant)
     if variant.angle_cap is not None:
         raise ValueError("the angle cap depends on the target; count by r2")
-    for off in _offsets(ring, variant):
+    for off in offsets:
         _check_fft(tuple(n + 1 - off for n in box))
     grids = []
-    for off, mask in _summand_masks(ring, variant, box):
+    for off, mask in _summand_masks(ring, offsets, box):
         if mask.any():
             k = max(off, 0)  # targets below off have no summand pair
             crop = tuple(slice(k - off, n + 1 - off) for n in box)
@@ -306,7 +292,7 @@ def comet(ring, region, variant=OPEN):
     """
     if ring not in ("gaussian", "eisenstein"):
         raise ValueError(f"comet unsupported for ring {ring!r}")
-    _check_variant(ring, variant)
+    _offsets(ring, variant)  # raises for a variant the ring has no count of
     (alo, ahi), (blo, bhi) = region
     grid = np.zeros((ahi - alo + 1, bhi - blo + 1), dtype=np.int64)
     if variant.angle_cap is not None:
@@ -350,7 +336,7 @@ def first_counterexample(ring, variant, bound):
     Eisenstein open: scope is row b=3, 2 <= a <= bound.
     Returns None if every element in scope is representable.
     """
-    _check_variant(ring, variant)
+    _offsets(ring, variant)  # raises for a variant the ring has no count of
     if ring == "gaussian":
         unrestricted = variant.cone == "unrestricted"
         lo, hi = (0, math.isqrt(bound)) if unrestricted else (2, bound)

@@ -172,35 +172,36 @@ def theta_sequence(count):
     return ps, np.fromiter(map(math.atan2, b, a), float, count) - PI8
 
 
+def _pi_G_tables(xmax):
+    """(enumerated, formula) for 0 <= x <= xmax: the number of Gaussian primes
+    with N(z) <= x, and 4 + 8·π₁(x) + 4·π₃(√x) from the sieve's primes."""
+    counts = norm_count_table(xmax)
+    counts *= _prime_norms(xmax, "gaussian")
+    formula = np.zeros(xmax + 1, dtype=np.int64)
+    ps = rk.sieve(xmax).primes()
+    # the four primes ±1±i, eight above each p ≡ 1 mod 4, four of norm p²
+    formula[2] = 4
+    formula[ps[ps % 4 == 1]] = 8
+    inert = ps[(ps % 4 == 3) & (ps * ps <= xmax)]
+    formula[inert * inert] = 4
+    return np.cumsum(counts), np.cumsum(formula)
+
+
 def pi_G(x):
     """Count of Gaussian primes with N(z) <= x (all associates/conjugates).
 
     Returns (count, identity_residual) against 4 + 8·π₁(x) + 4·π₃(√x).
     """
-    x = int(x)
     if x < 2:
         raise ValueError("x >= 2 required")
-    counts = norm_count_table(x)
-    counts *= _prime_norms(x, "gaussian")
-    count = int(counts.sum())
-    formula = 4 + 8 * rk.pi_mod(x, 1, 4) + 4 * rk.pi_mod(math.isqrt(x), 3, 4)
+    count, formula = (int(t[-1]) for t in _pi_G_tables(int(x)))
     return count, count - formula
 
 
 def pi_G_identity_check(xmax):
     """Max |enumeration − formula| of the counting functions over 2 <= x <= xmax."""
-    xmax = int(xmax)
-    counts = norm_count_table(xmax)
-    counts *= _prime_norms(xmax, "gaussian")
-    formula = np.zeros(xmax + 1, dtype=np.int64)
-    ps = rk.sieve(xmax).primes()
-    formula[2] += 4  # the four primes ±1±i
-    split = ps[ps % 4 == 1]
-    np.add.at(formula, split, 8)
-    inert = ps[(ps % 4 == 3) & (ps * ps <= xmax)]
-    np.add.at(formula, inert * inert, 4)
-    diff = np.cumsum(counts) - np.cumsum(formula)
-    return int(np.abs(diff[2:]).max())
+    enumerated, formula = _pi_G_tables(int(xmax))
+    return int(np.abs(enumerated - formula)[2:].max())
 
 
 def _gaussian_prime_disk(r):

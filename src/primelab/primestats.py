@@ -1,13 +1,14 @@
 """Hardy–Littlewood / Bateman–Horn constants and empirical prime densities.
 
 The quadratic constant C_a = ∏_{p odd} (1 − (−a|p)/(p − 1)) governs the
-density of primes n² + a² against the baseline of primes ≡ 3 mod 4; Western's
+density of primes n² + a against the baseline of primes ≡ 3 mod 4; Western's
 rearrangement
 
     C = (3/2) · ζ(6)/(β(2)ζ(3)) · ∏_{p ≡ 1 mod 4} (1 + 2/(p³−1))(1 − 2/(p(p−1)²))
 
 converges fast enough for 8 decimals at p ≤ 1000.  Bateman–Horn generalizes to
-∏_p (1 − ω_f(p)/p)/(1 − 1/p) with ω_f(p) the number of roots of f mod p.
+∏_p (1 − ω_f(p)/p)/(1 − 1/p) with ω_f(p) the number of roots of f mod p; for
+f = x² + a it is C_a: p − ω_f(p) = p − 1 − (−a|p) at odd p ∤ a, else p − 1.
 
 empirical_ratio counts #{a ≤ n : a²+1 prime} against #{p ≤ n : p ≡ 3 mod 4};
 the numerator is the Gaussian prime row a + i of planarith.prime_row_flags,
@@ -43,7 +44,7 @@ class RatioSeries:
 
 
 def hl_C_naive(a, P):
-    """Truncated ∏_{odd p <= P} (1 − (−a|p)/(p−1)); factor 1 when p | a."""
+    """C_a cut at p <= P: the Bateman–Horn product of x² + a."""
     if a == 0:
         raise ValueError("a != 0 required: n² + 0 is never prime")
     if a < 0 and math.isqrt(-a) ** 2 == -a:
@@ -51,13 +52,7 @@ def hl_C_naive(a, P):
                          "is prime at most once")
     if P < 3:
         raise ValueError("P >= 3 required")
-    out = 1.0
-    for p in rk.sieve(int(P)).primes()[1:].tolist():
-        if a % p == 0:
-            continue
-        jac = rk.jacobi(-a % p, p)
-        out *= (p - 1 - jac) / (p - 1)
-    return out
+    return bateman_horn_C((a, 0, 1), P)
 
 
 def hl_C_western(P):
@@ -81,7 +76,11 @@ def hl_C_western(P):
 
 
 def _omega_poly_mod(coeffs, p):
-    """#roots of f mod p by exhaustive evaluation."""
+    """#roots of f mod p: 1 + (disc | p) for a quadratic at an odd p that does
+    not divide its leading coefficient, else by exhaustive evaluation."""
+    if len(coeffs) == 3 and p > 2 and coeffs[2] % p:
+        c, b, a = coeffs
+        return 1 + rk.jacobi(b * b - 4 * a * c, p)
     xs = np.arange(p, dtype=np.int64)
     vals = np.zeros(p, dtype=np.int64)
     for c in reversed(coeffs):

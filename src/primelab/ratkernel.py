@@ -73,7 +73,9 @@ class PrimeSieve:
         return int(np.count_nonzero(self.flags[: int(x) + 1]))
 
 
-@lru_cache(maxsize=8)
+# one sieve is kept: each cached sieve holds its limit's bytes of flags, and
+# eight at the byte budget would not fit in memory together
+@lru_cache(maxsize=1)
 def sieve(limit):
     return PrimeSieve(limit)
 

@@ -22,6 +22,7 @@ entry norms throughout.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -33,11 +34,10 @@ from .planarith import (GaussianInt, gaussian_prime_mask, prime_row_flags,
 
 
 def _as_gaussian(z0):
+    """z0 as a GaussianInt: an int is z0 + 0i; a float or complex raises."""
     if isinstance(z0, GaussianInt):
         return z0
-    if isinstance(z0, complex):
-        return GaussianInt(int(z0.real), int(z0.imag))
-    return GaussianInt(int(z0), 0)
+    return GaussianInt(operator.index(z0), 0)
 
 
 def build_prime_matrix(z0, n):

@@ -25,13 +25,15 @@ import numpy as np
 from . import ratkernel as rk
 from . import planarith
 
-mp.mp.dps = 30
 
-
+# each mpmath evaluation pins its own 30 digits, as rk.li does, so the
+# caller's global mpmath precision is neither read nor changed
+@mp.workdps(30)
 def zeta(s):
     return complex(mp.zeta(s))
 
 
+@mp.workdps(30)
 def _hurwitz_diff(s, q, a1, a2):
     """q^(−s) (ζ(s, a1/q) − ζ(s, a2/q)); at s=1 the Hurwitz poles cancel
     and the value is the digamma difference."""
@@ -79,6 +81,7 @@ def lattice_zeta(ring, s, X):
     return complex(terms.sum())
 
 
+@mp.workdps(30)
 def functional_eq_residual(which, s):
     """|lhs − rhs| of the completed functional equation at s.
 
@@ -182,6 +185,7 @@ def explicit_psi(x, zeros, K=None):
     return total
 
 
+@mp.workdps(30)
 def hurwitz_class_zeta(s, P):
     """1/2^s + Σ_{odd p <= P} (p+1)/p^s over rational primes: the truncated
     Dirichlet series of prime classes in the Hurwitz order (p+1 classes above

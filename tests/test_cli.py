@@ -352,6 +352,12 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
     (["hl", "--empirical", "0"], "n >= 2 required"),
     (["matrix", "--z0", "2"],
      "one of --scan, --spectrum, --detgrowth required"),
+    (["hl", "--western", "-a", "5", "--cutoff", "100"],
+     "hl --western does not read -a"),
+    (["zeta", "--explicit", "--zeros", ZEROS, "--ring", "eisenstein",
+      "--s", "7"], "zeta --explicit does not read --ring"),
+    (["zeta", "--K", "5", "--xmin", "3"],
+     "zeta without --explicit does not read --K"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2
@@ -411,3 +417,31 @@ def test_readme_command_outputs(tmp_path, args, digests):
     assert _manifest(out)["outputs"] == files
     for name, want in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
+# sha256 recorded before the runners refused options their mode does not read
+@pytest.mark.parametrize("args,name,digest", [
+    (["zeta", "--ring", "gaussian", "--s", "2", "--cutoff", "10000"],
+     "zeta.json",
+     "20d282070ea303e5538d864ef6376ee812dd53b2a09efd3e23fc8a9a6cda6647"),
+    (["zeta", "--ring", "eisenstein", "--s", "3"], "zeta.json",
+     "83530e2abd5d6f8cf37b4b1c896a8f90d6ee69adcb111c96754a164834ca4e37"),
+    (["hl", "--empirical", "1000000"], "ratio.csv",
+     "e8ab1701e5fc70b091eca0cff2d404ebf3060fae585f5930d17f97d3709a4ed0"),
+])
+def test_lattice_zeta_and_empirical_ratio_digests(tmp_path, args, name,
+                                                   digest):
+    out = tmp_path / "run"
+    assert _run(["--out", str(out), *args]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_spectrum_csv_rows_are_numbers(tmp_path):
+    out = tmp_path / "m"
+    assert _run(["--out", str(out), "matrix", "--spectrum", "40"]) == 0
+    header, *rows = (out / "spectrum.csv").read_text().splitlines()
+    assert header == "re,im" and len(rows) == 40
+    for row in rows:
+        assert len(list(map(float, row.split(",")))) == 2
+    assert hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest() \
+        == "6bdfc1cd7612550824fe0b426176cc769555f1fdae837500d176bf4653eab7d4"

@@ -27,6 +27,32 @@ def test_bateman_horn_matches_naive_bitwise():
         assert ps.bateman_horn_C([1, 0, 1], P) == ps.hl_C_naive(1, P)
 
 
+def _jacobi_product(a, P):
+    """∏_{odd p <= P, p ∤ a} (p − 1 − (−a|p))/(p − 1), the Hardy–Littlewood
+    product by its own loop."""
+    out = 1.0
+    for p in rk.sieve(P).primes()[1:].tolist():
+        if a % p:
+            out *= (p - 1 - rk.jacobi(-a % p, p)) / (p - 1)
+    return out
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 5, 6, 7, 10, 12, -2, -3, -5])
+def test_hl_naive_is_the_jacobi_product_bitwise(a):
+    for P in (3, 1000, 10**5):
+        assert ps.hl_C_naive(a, P).hex() == _jacobi_product(a, P).hex()
+
+
+def test_omega_of_a_quadratic_matches_the_scan():
+    def scan(f, p):
+        return sum(1 for x in range(p) if ps._poly_eval(f, x) % p == 0)
+
+    for f in ((1, 0, 1), (1, 1, 1), (7, 3, 5), (-6, 1, 1), (0, 0, 3),
+              (4, 4, 1), (1, 2, 2)):
+        for p in rk.sieve(200).primes().tolist():
+            assert ps._omega_poly_mod(f, p) == scan(f, p), (f, p)
+
+
 def test_bateman_horn_rejects_inadmissible():
     with pytest.raises(ValueError):
         ps.bateman_horn_C([2, 1, 1], 100)  # x²+x+2 always even

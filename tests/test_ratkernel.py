@@ -212,6 +212,22 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
+def test_factorize_trial_division_above_1009():
+    # every prime factor above the small-prime table, one of them repeated
+    assert rk.factorize(1009 * 1013) == [(1009, 1), (1013, 1)]
+    assert rk.factorize(1009 ** 2) == [(1009, 2)]
+    assert rk.factorize(1013 * 10007) == [(1013, 1), (10007, 1)]
+    assert rk.factorize(2 ** 3 * 1013 ** 2 * 10007) == [
+        (2, 3), (1013, 2), (10007, 1)]
+
+
+def test_sieve_cache_keeps_one_sieve():
+    rk.sieve(1000)
+    last = rk.sieve(2000)
+    assert rk.sieve.cache_info().currsize == 1
+    assert rk.sieve(2000) is last
+
+
 def test_totient_summatory():
     assert rk.totient_summatory(1) == 1
     assert rk.totient_summatory(2) == 2

@@ -52,6 +52,13 @@ def test_build_prime_matrix_entries():
             assert a[k - 1, l - 1] == want
 
 
+def test_non_integer_z0_raises():
+    # refused, not truncated: 1.5+2j is no 1+2i
+    for z0 in (1.5 + 2j, 2j, 1.5):
+        with pytest.raises(TypeError):
+            sm.build_prime_matrix(z0, 5)
+
+
 def test_det_exact_vs_minor_expansion(det_minor_expansion):
     rng = np.random.default_rng(7)
     for _ in range(1000):
@@ -222,6 +229,18 @@ def test_char_poly_consistency():
     M = sympy.Matrix(a.astype(int).tolist())
     want = [int(c) for c in M.charpoly().all_coeffs()]
     assert coeffs == want
+
+
+def test_char_poly_float_path_matches_exact(monkeypatch):
+    # above _CHAR_POLY_EXACT_CAP the coefficients come from float eigenvalues
+    a = sm.build_prime_matrix(1, 65)
+    approx = sm.char_poly(a)
+    monkeypatch.setattr(sm, "_CHAR_POLY_EXACT_CAP", 65)
+    exact = sm.char_poly(a)
+    assert len(approx) == len(exact) == 66 and all(exact)
+    for f, e in zip(approx, exact):
+        assert (f > 0) == (e > 0)
+        assert abs(math.log(abs(f)) - math.log(abs(e))) < 1e-6
 
 
 def test_char_poly_2x2_symbolic():

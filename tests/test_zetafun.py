@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +12,31 @@ from primelab import ratkernel as rk
 from primelab import zetafun as zf
 
 ZEROS = Path(__file__).parent / "data" / "zeta_zeros_100.txt"
+
+
+_DPS = """
+import mpmath
+mpmath.mp.dps = 15
+from primelab import zetafun as zf
+assert mpmath.mp.dps == 15, mpmath.mp.dps
+values = [zf.zeta(3), zf.zeta_E(2), zf.functional_eq_residual("xi_G", 0.3 + 2j),
+          zf.hurwitz_class_zeta(2, 100)]
+assert mpmath.mp.dps == 15, mpmath.mp.dps
+mpmath.mp.dps = 50
+assert values == [zf.zeta(3), zf.zeta_E(2),
+                  zf.functional_eq_residual("xi_G", 0.3 + 2j),
+                  zf.hurwitz_class_zeta(2, 100)]
+assert mpmath.mp.dps == 50, mpmath.mp.dps
+"""
+
+
+def test_mpmath_precision_is_left_alone():
+    # a fresh interpreter: this one imported zetafun long ago
+    src = str(Path(zf.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", _DPS],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_zeta_direct_sum():
