@@ -28,11 +28,17 @@ parity par, off = 2 − par, read from hyperarith.prime_mask over the doubled
 axes off, off+2, …, 2·box_i − off.  r2 of one target counts each mask of its
 own box against the mask's reflection; only the angle cap, which depends on
 the target, is counted per cell.  grid_counts gives r2 of every target in a
-box from M⋆M, computed by float64 FFT and rounded.  The rounding is accepted
-only if every cell lies within 0.25 of an integer; otherwise ArithmeticError
-is raised rather than a wrong count returned.  comet, quaternion_comet,
-first_counterexample and eisenstein_ghosts read that grid, and r3 is one
-more product of the pair grid with the mask.
+box from M⋆M, computed by FFT and rounded.  The FFT runs in float32 when
+3·K·2⁻²⁴·log₂ L <= 1/4, with K the number of primes in M and L the number of
+cells of M⋆M, and in float64 otherwise: FFT convolution error grows like
+K·u·log₂ L at unit roundoff u (Percival, Math. Comp. 72 (2003); Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 24), and the largest
+float32 error measured was 0.24·K·u·log₂ L (an all-ones mask; planar and
+quaternion prime masks 0.03–0.12), under 1/12 of the bound.  On both paths the rounding is
+accepted only if every cell lies within 0.25 of an integer; otherwise
+ArithmeticError is raised rather than a wrong count returned.  comet,
+quaternion_comet, first_counterexample and eisenstein_ghosts read that
+grid, and r3 is one more product of the pair grid with the mask.
 """
 
 from __future__ import annotations
@@ -108,21 +114,34 @@ def _check_fft(shape):
                     f"FFT convolution of a {shape} mask")
 
 
+def _fft_dtype(mask):
+    """float32 when 3·K·2⁻²⁴·log₂ L <= 1/4 for the K ones of the mask and the
+    L cells of its self-convolution, else float64 (module docstring).  The
+    bound also gives K < 2²⁴, so every count is exact in float32."""
+    cells = math.prod(2 * n - 1 for n in mask.shape)
+    bound = 3 * np.count_nonzero(mask) * 2.0**-24 * math.log2(max(cells, 2))
+    return np.float32 if bound <= 0.25 else np.float64
+
+
 def _fft_counts(mask):
-    """Integer self-convolution mask⋆mask of a 0/1 mask, by FFT and checked
-    rounding; callers run _check_fft on its shape first.
+    """Integer self-convolution mask⋆mask of a 0/1 mask, by FFT in the
+    precision of _fft_dtype and checked rounding; callers run _check_fft on
+    its shape first.
 
     Raises ArithmeticError when some cell of the float result lies 0.25 or
     more from an integer, where rounding could pick the wrong count.
     """
-    m = mask.astype(float)
+    m = mask.astype(_fft_dtype(mask))
     conv = signal.fftconvolve(m, m)
-    counts = np.rint(conv)
-    err = float(np.abs(conv - counts).max(initial=0.0))
+    counts = np.empty(conv.shape, dtype=np.int64)
+    np.rint(conv, out=counts, casting="unsafe")
+    # the distance to the nearest integer, in the convolution's own buffer
+    np.subtract(conv, counts, out=conv)
+    err = float(np.abs(conv, out=conv).max(initial=0.0))
     if err >= 0.25:
         raise ArithmeticError(
             f"FFT convolution is {err:.3g} off an integer; counts not exact")
-    return counts.astype(np.int64)
+    return counts
 
 
 # Doubled-coordinate parities of the summands each species allows: 1 for
@@ -254,11 +273,14 @@ def grid_counts(ring, variant, box):
     so the whole box costs one mask and one convolution per offset.  The
     angle cap depends on the target, so it is counted by r2 alone.
 
-    Exactness: M⋆M is computed by float64 FFT and rounded to integers.  The
-    result is returned only if every cell lies within 0.25 of an integer;
-    otherwise ArithmeticError is raised.  FFT rounding error spreads over
-    all cells and grows with the number of primes in M, so a box whose error
-    could reach a whole count fails this check long before.
+    Exactness: M⋆M is computed by FFT and rounded to integers, in float32
+    when 3·K·2⁻²⁴·log₂ L <= 1/4 (K primes in M, L cells of M⋆M) and in
+    float64 otherwise; the largest float32 error measured is under 1/12 of
+    that bound (module docstring).  The result is returned only if every
+    cell lies within 0.25 of an integer; otherwise ArithmeticError is
+    raised.  FFT rounding error spreads over all cells and grows with the
+    number of primes in M, so a box whose error could reach a whole count
+    fails this check long before.
     """
     offsets = _offsets(ring, variant)
     if variant.angle_cap is not None:
@@ -276,8 +298,16 @@ def grid_counts(ring, variant, box):
     out = (sum(grids[1:], grids[0]) if grids
            else np.zeros(tuple(n + 1 for n in box), dtype=np.int64))
     if variant.parity_filter == "even-only":
-        out[np.add.outer(*map(np.arange, out.shape)) % 2 == 1] = 0
+        _clear_odd(out, 0)
     return out
+
+
+def _clear_odd(cells, shift):
+    """Zero every cell (i, j) of a 2-D array with i + j + shift odd: the
+    targets the even-only filter puts out of scope."""
+    s = shift % 2
+    cells[1 - s::2, ::2] = 0
+    cells[s::2, 1::2] = 0
 
 
 def comet(ring, region, variant=OPEN):
@@ -309,11 +339,10 @@ def comet(ring, region, variant=OPEN):
         counts = grid_counts(ring, variant, (max(ahi, 0), max(bhi, 0)))
         a0, b0 = max(alo, 0), max(blo, 0)
         grid[a0 - alo:, b0 - blo:] = counts[a0:ahi + 1, b0:bhi + 1]
-    in_scope = True
+    zero = grid == 0
     if variant.parity_filter == "even-only":
-        in_scope = np.add.outer(np.arange(alo, ahi + 1),
-                                np.arange(blo, bhi + 1)) % 2 == 0
-    zero = np.argwhere(in_scope & (grid == 0)) + (alo, blo)
+        _clear_odd(zero, alo + blo)
+    zero = np.argwhere(zero) + (alo, blo)
     return SweepReport(ring, variant, region, grid,
                        [tuple(c) for c in zero.tolist()])
 

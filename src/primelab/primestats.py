@@ -77,15 +77,62 @@ def hl_C_western(P):
 
 def _omega_poly_mod(coeffs, p):
     """#roots of f mod p: 1 + (disc | p) for a quadratic at an odd p that does
-    not divide its leading coefficient, else by exhaustive evaluation."""
+    not divide its leading coefficient, p where f ≡ 0 mod p, else
+    deg gcd(f mod p, xᵖ − x), since xᵖ − x is the product of x − r over the
+    residues r."""
     if len(coeffs) == 3 and p > 2 and coeffs[2] % p:
         c, b, a = coeffs
         return 1 + rk.jacobi(b * b - 4 * a * c, p)
-    xs = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        vals = (vals * xs + c) % p
-    return int(np.count_nonzero(vals == 0))
+    g = _monic_mod(coeffs, p)
+    if not g:
+        return p
+    # xᵖ mod (g, p) by square-and-multiply over the bits of p
+    r = [1]
+    for bit in bin(p)[2:]:
+        r = _mul_mod(r, r, g, p)
+        if bit == "1":
+            r = _rem_mod([0] + r, g, p)
+    r += [0] * (2 - len(r))
+    r[1] -= 1
+    h = _rem_mod(r, g, p)  # xᵖ − x mod g
+    while True:  # Euclid: (g, h) -> (h, g mod h)
+        h = _monic_mod(h, p)
+        if not h:
+            return len(g) - 1
+        g, h = h, _rem_mod(g, h, p)
+
+
+def _monic_mod(a, p):
+    """a mod p, leading zeros stripped, scaled to leading coefficient 1;
+    [] for the zero polynomial.  Coefficients ascend, as everywhere here."""
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _rem_mod(a, g, p):
+    """a mod (g, p) for a monic g: the deg g low coefficients."""
+    a = [c % p for c in a]
+    d = len(g) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(d + 1):
+                a[i - d + j] = (a[i - d + j] - c * g[j]) % p
+    return a[:d]
+
+
+def _mul_mod(a, b, g, p):
+    """a·b mod (g, p) for a monic g."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _rem_mod(prod, g, p)
 
 
 def _poly_eval(coeffs, x):

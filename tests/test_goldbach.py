@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import fftconvolve
 
 from primelab import goldbach as gb
 from primelab import planarith as pa
@@ -473,3 +474,104 @@ def test_octonion_counts_match_pair_loop():
         assert gb.r2(z, gb.SumVariant(species=species)) == want
     assert gb.r2((2, 2, 3, 3, 3, 3, 3, 3),
                  gb.SumVariant(species="gravesian")) == 32
+
+
+def _fft64(*masks):
+    """The float64 FFT convolution of the masks, rounded: the oracle of the
+    float32 path.  fftconvolve is bound at import, so a spy on goldbach's
+    call does not see this one."""
+    out = masks[0].astype(np.float64)
+    for m in masks[1:]:
+        out = fftconvolve(out, m.astype(np.float64))
+    return np.rint(out).astype(np.int64)
+
+
+@pytest.fixture
+def fft_dtypes(monkeypatch):
+    """The dtypes passed to goldbach's one FFT convolution, in call order."""
+    seen = []
+    real = gb.signal.fftconvolve
+
+    def spy(x, y):
+        seen.append(x.dtype)
+        return real(x, y)
+
+    monkeypatch.setattr(gb.signal, "fftconvolve", spy)
+    return seen
+
+
+def test_float32_grids_equal_the_float64_oracle(fft_dtypes):
+    n = 300
+    # lo of each cone's summand box; target t sits at cell t − 2·lo
+    for cone, lo in (("closed", 0), ("unrestricted", -2)):
+        m = pa.planar_prime_mask("gaussian", lo, n - lo, lo, n - lo)
+        want = _fft64(m, m)[-2 * lo:, -2 * lo:][:n + 1, :n + 1]
+        got = gb.grid_counts("gaussian", gb.SumVariant(cone=cone), (n, n))
+        assert np.array_equal(got, want), cone
+    for ring in ("gaussian", "eisenstein"):
+        m = pa.planar_prime_mask(ring, 1, n - 1, 1, n - 1)
+        want = _fft64(m, m)[:n - 1, :n - 1]  # targets 2..n
+        variant = (gb.SumVariant(parity_filter="even-only")
+                   if ring == "gaussian" else gb.OPEN)
+        if ring == "gaussian":
+            want[1::2, ::2] = want[::2, 1::2] = 0
+        report = gb.comet(ring, ((2, n), (2, n)), variant)
+        assert np.array_equal(report.counts, want), ring
+        zero = [(a + 2, b + 2) for a, b in np.argwhere(want == 0).tolist()
+                if variant.parity_filter == "none" or (a + b) % 2 == 0]
+        assert report.zero_cells == zero
+    for a, b in ((5, 6), (39, 40), (80, 79), (150, 151), (300, 300)):
+        m = pa.planar_prime_mask("gaussian", 1, a - 2, 1, b - 2)
+        assert gb.r3(GaussianInt(a, b)) == _fft64(m, m, m)[a - 3, b - 3]
+    box = (3, 3, 60, 60)
+    m = gb.prime_mask([np.arange(1, 2 * k, 2) for k in box])
+    want = _fft64(m, m)[2, 2, :60, :60]  # hurwitz: target t at cell t − 1
+    assert np.array_equal(gb.quaternion_comet(*box), want)
+    assert fft_dtypes == [np.float32] * 10
+
+
+def test_float64_above_the_bound(fft_dtypes, monkeypatch):
+    def ones(ring, xlo, xhi, ylo, yhi):
+        return np.ones((xhi - xlo + 1, yhi - ylo + 1), dtype=bool)
+
+    # 299² ones: 3·K·2⁻²⁴·log₂ 597² = 0.295 > 1/4
+    monkeypatch.setattr(gb, "planar_prime_mask", ones)
+    got = gb.grid_counts("gaussian", gb.OPEN, (300, 300))
+    assert fft_dtypes == [np.float64]
+    # the open-cone pairs of t = a + b·i among all of [1..299]²
+    a = np.minimum(np.arange(301) - 1, 599 - np.arange(301)).clip(0)
+    assert np.array_equal(got, np.multiply.outer(a, a))
+
+
+def test_float32_error_has_tenfold_headroom():
+    masks = [pa.planar_prime_mask("gaussian", 1, n, 1, n)
+             for n in (50, 300, 804)]
+    masks += [pa.planar_prime_mask("eisenstein", 1, n, 1, n)
+              for n in (50, 300, 712)]
+    masks.append(np.ones((276, 276), dtype=bool))
+    for m in masks:
+        assert gb._fft_dtype(m) is np.float32
+        k = np.count_nonzero(m)
+        bound = 3 * k * 2.0**-24 * np.log2((2 * m.shape[0] - 1) ** 2)
+        x = m.astype(np.float32)
+        err = np.abs(fftconvolve(x, x) - _fft64(m, m)).max()
+        assert err <= bound / 10, (m.shape, err, bound)
+    # one row or column more passes the switch
+    for ring, n in (("gaussian", 805), ("eisenstein", 713)):
+        m = pa.planar_prime_mask(ring, 1, n, 1, n)
+        assert gb._fft_dtype(m) is np.float64
+    assert gb._fft_dtype(np.ones((277, 277), dtype=bool)) is np.float64
+
+
+def test_float64_fft_peak_is_under_the_budget_estimate():
+    import tracemalloc
+
+    mask = np.ones((300, 300), dtype=bool)
+    assert gb._fft_dtype(mask) is np.float64
+    tracemalloc.start()
+    try:
+        gb._fft_counts(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 599**2  # _check_fft's estimate for this shape

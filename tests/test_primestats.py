@@ -53,6 +53,44 @@ def test_omega_of_a_quadratic_matches_the_scan():
             assert ps._omega_poly_mod(f, p) == scan(f, p), (f, p)
 
 
+def _omega_scan(f, p):
+    """#roots of f mod p by evaluating f at every residue."""
+    xs = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(f):
+        vals = (vals * xs + c) % p
+    return int(np.count_nonzero(vals == 0))
+
+
+HIGHER = [(2, 0, 0, 1), (-2, 0, 0, 1), (1, 1, 0, 1), (3, -1, 2, 5),
+          (7, 0, 0, 2), (6, 11, 6, 1), (0, -1, 0, 1), (1, 0, 0, 0, 1),
+          (2, 0, 0, 0, 1), (1, 1, 1, 1, 1), (3, 1, 0, 0, 2), (4, 0, 0, 0, 1)]
+
+
+def test_omega_of_higher_degree_matches_the_scan():
+    # cubics and quartics, split, irreducible and with leading coefficients
+    # 2 and 5, which some p divide; x³ − x vanishes at every residue mod 2, 3
+    for f in HIGHER:
+        for p in rk.sieve(2000).primes().tolist():
+            assert ps._omega_poly_mod(f, p) == _omega_scan(f, p), (f, p)
+    for f in ((1, 2), (2, 3), (1, 0, 1), (0, 0, 3), (1, 2, 2), (2, 0, 0)):
+        for p in (2, 3, 5, 7):
+            assert ps._omega_poly_mod(f, p) == _omega_scan(f, p), (f, p)
+
+
+def _scan_product(f, P):
+    out = 1.0
+    for p in rk.sieve(P).primes().tolist():
+        out *= (p - _omega_scan(f, p)) / (p - 1)
+    return out
+
+
+@pytest.mark.parametrize("f", [(2, 0, 0, 1), (3, -1, 2, 5), (1, 1, 1, 1, 1)])
+def test_bateman_horn_of_higher_degree_is_the_scan_product_bitwise(f):
+    for P in (1000, 2 * 10**4):
+        assert ps.bateman_horn_C(f, P).hex() == _scan_product(f, P).hex()
+
+
 def test_bateman_horn_rejects_inadmissible():
     with pytest.raises(ValueError):
         ps.bateman_horn_C([2, 1, 1], 100)  # x²+x+2 always even
