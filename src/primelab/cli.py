@@ -111,6 +111,7 @@ def _run_matrix(args):
         sm.check_solver_cap(args.spectrum)
         m = sm.build_prime_matrix(args.z0, args.spectrum)
         s = sm.spectrum(m)
+        extra["residual_bound"] = s.residual_bound
         files["spectrum.csv"] = ["re,im"] + [
             f"{float(ev.real)!r},{float(ev.imag)!r}"
             for ev in sorted(s.eigenvalues, key=lambda z: (z.real, z.imag))]

@@ -14,9 +14,11 @@ Almost-periodic matrices A_{km} = cos(kmα + mβ) = Re B_{km} with
 B_{km} = exp(i(kmα + mβ)); |det B| is a van der Monde product.
 
 One fraction-free (Bareiss) pass over the big integers gives every leading
-minor det A[:n, :n] (`leading_minors`): `det_exact`, the invertibility scan's
-confirmations and determinant growth all read it.  Residual norms are max-abs
-entry norms throughout.
+minor det A[:n, :n] of an integer matrix (`leading_minors`): `det_exact`, the
+invertibility scan's confirmations and determinant growth all read it.  A row
+whose pivot-column entry is 0 is not updated: it is rescaled once, by
+prevs[e]/prevs[t], when next needed, t being the step it is stored at.
+Residual norms are max-abs entry norms throughout.
 """
 
 from __future__ import annotations
@@ -53,19 +55,34 @@ def leading_minors(m):
     """[det m[:n, :n] for n = 1..N] from one fraction-free elimination
     (Bareiss, Math. Comp. 22, 1968), whose pivot e is the minor of order e+1.
     Pivot e is sought only in rows e..n-1 of the block m[:n, :n], so a zero
-    minor stalls the pass until a later row brings a nonzero in column e."""
+    minor stalls the pass until a later row brings a nonzero in column e.
+
+    Step k of Bareiss maps a row with a[r][k] = 0 to p_k·a[r] / p_(k-1), with
+    p_k the pivot of step k and p_(-1) = 1.  Over steps t..e-1 that skip the
+    row the factors telescope:
+
+        a^(e)[r] = a^(t)[r] · p_(e-1) / p_(t-1),
+
+    an exact division, since every Bareiss entry is a minor.  So a row is
+    stored as of step t[r] and left alone while its pivot-column entry is 0;
+    it is rescaled once, by prevs[e] / prevs[t[r]] (prevs[k+1] = p_k), when
+    next needed: as the pivot row, or when its entry in pivot column e is
+    nonzero.  Only the tail [e+1:] of a row is updated, and its entry in
+    column e is cleared, so the pass holds no more big integers than before.
+    Entries must be integers: a float or complex matrix raises TypeError."""
     m = np.asarray(m)
     a = m.tolist()
     if m.dtype.kind not in "biu":
         # Python ints throughout: np.int64 entries of an object array would
         # wrap in the products below
-        a = [list(map(int, row)) for row in a]
+        a = [list(map(operator.index, row)) for row in a]
     size = len(a)
     if any(len(row) != size for row in a):
         raise ValueError("square matrix required")
     minors = []
     sign = 1
-    prev = 1
+    prevs = [1]  # prevs[k+1] = pivot of step k
+    t = [0] * size  # row r holds its entries as of step t[r]
     e = 0  # pivots taken so far
     for n in range(1, size + 1):
         while e < n:
@@ -73,21 +90,33 @@ def leading_minors(m):
                 for r in range(e + 1, n):
                     if a[r][e] != 0:
                         a[e], a[r] = a[r], a[e]
+                        t[e], t[r] = t[r], t[e]
                         sign = -sign
                         break
                 else:
                     break  # stalled: det m[:n, :n] = 0
-            pkk = a[e][e]
+            prev = prevs[e]
             row_e = a[e]
+            if t[e] < e:
+                q = prevs[t[e]]
+                row_e[e:] = [x * prev // q for x in row_e[e:]]
+            pkk = row_e[e]
+            tail_e = row_e[e + 1:]
             for r in range(e + 1, size):
-                ark = a[r][e]
                 row_r = a[r]
-                for c in range(e + 1, size):
-                    row_r[c] = (pkk * row_r[c] - ark * row_e[c]) // prev
+                if row_r[e] == 0:
+                    continue  # p_e·a[r] / p_(e-1): folded into t[r]
+                if t[r] < e:
+                    q = prevs[t[r]]
+                    row_r[e:] = [x * prev // q for x in row_r[e:]]
+                ark = row_r[e]
+                row_r[e + 1:] = [(pkk * x - ark * y) // prev
+                                 for x, y in zip(row_r[e + 1:], tail_e)]
                 row_r[e] = 0
-            prev = pkk
+                t[r] = e + 1
+            prevs.append(pkk)
             e += 1
-        minors.append(sign * prev if e == n else 0)
+        minors.append(sign * prevs[e] if e == n else 0)
     return minors
 
 
@@ -96,6 +125,8 @@ def det_exact(m):
     by check_exact_pass, from m's order and largest |entry|, before the pass
     starts."""
     m = np.asarray(m)
+    if m.dtype.kind in "fc":  # int() below would truncate
+        raise TypeError(f"integer matrix required, got {m.dtype}")
     top = max(int(m.max()), -int(m.min())) if m.size else 0
     check_exact_pass(len(m), math.log2(max(top, 1)))
     return (leading_minors(m) or [1])[-1]
@@ -119,8 +150,10 @@ def _leading_ranks_mod(m, p):
     pass without row swaps: rank m[:i, :j] = #{k < i : lead[k] < j}, with
     lead[k] the leading column of reduced row k, n for a zero row (Dumas,
     Pernet & Sultan, "Computing the rank profile matrix", ISSAC 2015).
-    Works over int64: p < 2^31 keeps every product below 2^62."""
-    a = np.array(m, dtype=np.int64) % p
+    Works over int64: p < 2^31 keeps every product below 2^62.  An object
+    matrix is reduced mod p in Python ints first, so entries of any size fit."""
+    m = np.asarray(m)
+    a = (m % p if m.dtype == object else m).astype(np.int64) % p
     n = a.shape[0]
     lead = np.full(n, n, dtype=np.int64)
     for k in range(n):

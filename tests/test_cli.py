@@ -445,3 +445,12 @@ def test_spectrum_csv_rows_are_numbers(tmp_path):
         assert len(list(map(float, row.split(",")))) == 2
     assert hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest() \
         == "6bdfc1cd7612550824fe0b426176cc769555f1fdae837500d176bf4653eab7d4"
+
+
+def test_spectrum_residual_bound_in_manifest(tmp_path):
+    from primelab import specmat as sm
+    out = tmp_path / "m"
+    assert _run(["--out", str(out), "matrix", "--spectrum", "40"]) == 0
+    bound = _manifest(out)["residual_bound"]
+    assert bound == sm.spectrum(sm.build_prime_matrix(1, 40)).residual_bound
+    assert 0 <= bound < 1e-8

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -94,6 +96,80 @@ def test_leading_minors_match_per_block_bareiss():
         with pytest.raises(ValueError):
             sm.det_exact(np.ones(shape, dtype=np.int64))
 
+
+
+def test_leading_minors_of_gcd_matrices_are_jordan_products():
+    # the leading block of a gcd^s matrix is a gcd^s matrix: every leading
+    # minor is a product of J_s(1..n)
+    for s in (1, 2, 3):
+        want = list(itertools.accumulate(
+            (rk.jordan_totient(k, s) for k in range(1, 61)), operator.mul))
+        assert sm.leading_minors(sm.build_smith(60, s)) == want
+    assert sm.leading_minors(sm.build_smith(8, 1))[-1] == 768
+
+
+def test_skipped_row_swapped_in_as_pivot_on_a_stall():
+    """Row 3 has zeros in columns 0 and 1, so steps 0 and 1 leave it stored
+    as of step 0, while row 2 is updated at step 0 only.  The 3x3 minor is
+    0, so pivot 2 stalls until n = 4 brings row 3, which is swapped in with
+    row 2 (and their steps with them) and rescaled by p_1 / p_(-1).  Row 5,
+    updated at every step, reads that pivot row; row 4 skips steps 0-2."""
+    m = np.array([[2, 1, 0, 0, 1, 0],
+                  [0, 3, 1, 0, 2, 0],
+                  [4, 2, 0, 5, 1, 1],
+                  [0, 0, 3, 1, 1, 0],
+                  [0, 0, 0, 2, 7, 1],
+                  [1, 0, 2, 1, 0, 3]])
+    want = [int(sympy.Matrix(m[:k, :k].tolist()).det()) for k in range(1, 7)]
+    assert want == [2, 6, 0, -90, -666, -2006]
+    assert sm.leading_minors(m) == want
+
+
+def _block_permuted(rng, n):
+    """A block-diagonal matrix of random dense blocks (orders 1-4) with its
+    rows and its columns each permuted at random."""
+    m = np.zeros((n, n), dtype=np.int64)
+    i = 0
+    while i < n:
+        k = min(int(rng.integers(1, 5)), n - i)
+        m[i:i + k, i:i + k] = rng.integers(-4, 5, size=(k, k))
+        i += k
+    return m[rng.permutation(n)][:, rng.permutation(n)]
+
+
+def test_leading_minors_of_sparse_matrices_match_per_block_bareiss():
+    rng = np.random.default_rng(26)
+    skipped = 0
+    for _ in range(80):
+        n = int(rng.integers(2, 25))
+        density = rng.uniform(0.05, 0.2)
+        sparse = (rng.integers(-6, 7, size=(n, n))
+                  * (rng.random((n, n)) < density))
+        for m in (sparse, _block_permuted(rng, n)):
+            want = [_bareiss_det(m[:k, :k]) for k in range(1, n + 1)]
+            assert sm.leading_minors(m) == want
+            skipped += want.count(0)
+    assert skipped > 500  # stalls, and rows left alone across them
+
+
+def test_non_integer_entries_raise():
+    # refused, not truncated: int(0.5) = 0 would give the minors [0, -1]
+    for m in (np.array([[0.5, 1], [1, 2]]), np.array([[1.0, 0], [0, 1]]),
+              np.array([[1 + 1j, 0], [0, 1]]),
+              np.array([[Fraction(1, 2), 1], [1, 2]], dtype=object)):
+        with pytest.raises(TypeError):
+            sm.leading_minors(m)
+        with pytest.raises(TypeError):
+            sm.det_exact(m)
+
+
+def test_is_singular_exact_on_big_integers():
+    # entries past int64 are reduced mod p in Python ints, not cast
+    assert sm.is_singular_exact([[2**70, 1], [1, 2**70]]) is False
+    assert sm.is_singular_exact([[2**70, 2**70], [1, 1]]) is True
+    big = np.array([[2**70, 2**70], [1, 1]], dtype=object)
+    assert sm._leading_ranks_mod(big, sm._RANK_PRIME).tolist() == [1, 1]
+    assert sm.is_singular_exact(-big) is True
 
 def test_exact_pass_refused_before_it_starts(monkeypatch):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10_000)
