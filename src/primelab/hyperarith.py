@@ -125,6 +125,26 @@ def rotate_vector(axis, angle, v):
     return np.array(_hamilton(_hamilton(r, q), rc))[1:]
 
 
+def _half_ball(dim, total):
+    """The half-ball pass of _sphere_points: (ball, order, lo, cnt), each
+    half's partners being ball[order[lo:lo + cnt]]; cnt.sum() is the size."""
+    m = math.isqrt(total)
+    half = dim // 2
+    # the meshgrid axes, the ball, its square sums and the sorted and
+    # searchsorted arrays: (8·dim + 48) B per half vector (tracemalloc)
+    rk.check_budget((8 * dim + 48) * (2 * m + 1) ** half,
+                    f"norm-{total} sphere")
+    axes = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * half,
+                       indexing="ij")
+    ball = np.stack([x.ravel() for x in axes], axis=1)
+    sq = np.sum(ball * ball, axis=1)
+    order = np.argsort(sq, kind="stable")
+    ssq = sq[order]
+    lo = np.searchsorted(ssq, total - sq, side="left")
+    cnt = np.searchsorted(ssq, total - sq, side="right") - lo
+    return ball, order, lo, cnt
+
+
 def _sphere_points(dim, total):
     """All integer vectors v of even length dim with Σ vᵢ² = total, as a
     lexicographically sorted int64 (M, dim) array.
@@ -136,21 +156,15 @@ def _sphere_points(dim, total):
     mapped back through it.  Lefts come in lexicographic order and so do the
     partners of each left, so the vectors come out sorted, each exactly once.
     """
-    m = math.isqrt(total)
-    half = dim // 2
-    rk.check_budget(8 * dim * (2 * m + 1) ** half, f"norm-{total} sphere")
-    axes = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * half,
-                       indexing="ij")
-    ball = np.stack([x.ravel() for x in axes], axis=1)
-    sq = np.sum(ball * ball, axis=1)
-    order = np.argsort(sq, kind="stable")
-    ssq = sq[order]
-    lo = np.searchsorted(ssq, total - sq, side="left")
-    cnt = np.searchsorted(ssq, total - sq, side="right") - lo
+    ball, order, lo, cnt = _half_ball(dim, total)
+    size = int(cnt.sum())
+    # the (4·dim + 24) B per half vector still held, then the indices, their
+    # row gathers and the joined rows: 16·(dim + 1) B per point (tracemalloc)
+    rk.check_budget((4 * dim + 24) * len(ball) + 16 * (dim + 1) * size,
+                    f"norm-{total} sphere join of {size} points")
     left = np.repeat(np.arange(len(ball)), cnt)
     # right partners of each left half: order[lo], ..., order[lo+cnt-1]
-    right = order[np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt,
-                                                    cnt)]
+    right = order[np.arange(size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
     return np.concatenate([ball[left], ball[right]], axis=1)
 
 
@@ -172,61 +186,36 @@ def lattice_points_norm(p):
 
 
 @functools.cache
-def _unit_matrix(side):
-    """(4, 4, 24) int64 U with U[:, i, j] = eᵢ·uⱼ (uⱼ·eᵢ for side="left"),
-    uⱼ the doubled units: z·u is linear in z, so pts @ U holds z·uⱼ for each
-    row z of pts.  Read-only, built once per side."""
+def _unit_matrix():
+    """(4, 4, 24) int64 U with U[:, i, j] = eᵢ·uⱼ, uⱼ the doubled units: z·u
+    is linear in z, so pts @ U holds z·uⱼ for each row z of pts."""
     e = np.eye(4, dtype=np.int64)[:, :, None]  # (4, 4, 1) against (4, 1, 24)
-    units = _norm_points(1).T[:, None, :]
-    table = np.stack(_hamilton(e, units) if side == "right"
-                     else _hamilton(units, e))
+    table = np.stack(_hamilton(e, _norm_points(1).T[:, None, :]))
     table.setflags(write=False)
     return table
 
 
-def _key_place(p):
-    """(m, place values) of the keys of norm-p 4-vectors: each coordinate is
-    offset by m = isqrt(4p) into [0, 2m] and read as a base-(2m+1) digit."""
-    m = math.isqrt(4 * p)
-    return m, [(2 * m + 1) ** k for k in (3, 2, 1, 0)]
-
-
-def _keys(v, p):
-    """One int64 key per norm-p 4-vector along axis 0 of v, in lexicographic
-    order."""
-    m, place = _key_place(p)
-    return sum(w * (x + m) for w, x in zip(place, v))
-
-
 def classes_above(p):
-    """Number of right-unit-multiplication orbits on {N(z) = p}."""
-    if p == 2:
-        return 1
-    if not rk.is_prime(p) or p % 2 == 0:
-        raise ValueError("odd prime required")
-    return _orbit_count(p, side="right")
-
-
-def _orbit_count(p, side="right"):
-    """Number of unit-multiplication orbits on the norm-p sphere.
-
-    Each point is labelled by the least key over its orbit {z·u}; the units
-    form a group, so the label is the same for every point of an orbit.  The
-    keys are linear in z·u, which is linear in z, so the (M, 24) keys are one
-    product of the points with a (4, 24) key matrix.  The orbits are counted
-    as the changes between neighbours in the sorted labels.
-    """
-    m, place = _key_place(p)
-    key_matrix = sum(w * u for w, u in zip(place, _unit_matrix(side)))
-    keys = (_norm_points(p) @ key_matrix) // 2 + m * sum(place)
-    least = np.sort(keys.min(axis=1))
-    return 1 + np.count_nonzero(least[1:] != least[:-1])
+    """Number of right-unit-multiplication orbits on S = {N(z) = p}: |S|/24,
+    since the 24 units act freely (z·u = z ≠ 0 forces u = 1; Conway & Smith,
+    On Quaternions and Octonions, 2003).  |S| is read off the half-ball
+    pass's partner counts, so the points are never joined."""
+    if not rk.is_prime(p):
+        raise ValueError("prime required")
+    size = int(_half_ball(4, 4 * p)[3].sum())
+    if size % 24:
+        raise ArithmeticError(f"{size} norm-{p} points, not whole unit orbits")
+    return size // 24
 
 
 def _class_keys(pts, p):
     """Key of the class of each row of the (M, 4) norm-p array pts: its
-    sorted |coordinates|, the positively ordered representative."""
-    return _keys(np.sort(np.abs(pts.T), axis=0), p)
+    sorted |coordinates|, the positively ordered representative, offset by
+    m = isqrt(4p) into [0, 2m] and read as base-(2m+1) digits (so key order
+    is lexicographic order)."""
+    m = math.isqrt(4 * p)
+    rep = np.sort(np.abs(pts.T), axis=0)
+    return sum((2 * m + 1) ** k * (x + m) for k, x in zip((3, 2, 1, 0), rep))
 
 
 def positively_ordered_reps(p):
@@ -265,7 +254,7 @@ def u_orbit_lengths(p):
     if p == 2 or not rk.is_prime(p):
         raise ValueError("odd prime required")
     pts = _norm_points(p)
-    w = (pts @ _unit_matrix("right")[:, :, _OMEGA].T) // 2
+    w = (pts @ _unit_matrix()[:, :, _OMEGA].T) // 2
     # number each point z and its product z·ω by its class, the rank of its
     # key among the representatives' keys
     reps, zc = np.unique(_class_keys(pts, p), return_inverse=True)

@@ -10,11 +10,13 @@ and (a²+b²+c²+d²)/4 is prime.  Both read their edges from
 hyperarith.prime_mask, the one builder of quaternion prime flags.
 
 GCD graphs on {1..n}: a~b iff gcd(a,b) > 1.  Components are 2 + π(n) − π(n/2)
-and edges n(n−1)/2 − Φ(n) + 1 with Φ the totient summatory function.  The
-Euler characteristic of the clique complex equals the component count,
-2 + π(n) − π(n/2), for 4 <= n <= 142.  At n = 143 = 11·13 it is one more,
-so the giant component's clique complex is not always contractible; for
-n <= 420 the excess is 0, 1 or 2 and nonzero for 174 of the 417 values.
+and edges n(n−1)/2 − Φ(n) + 1 with Φ the totient summatory function; both are
+counted without the edge list, the components on the prime stars (each prime
+p <= n/2 joined to its multiples), which span a subgraph with the same ones.
+The clique complex's Euler characteristic equals the component count for
+4 <= n <= 200 except at 143 = 11·13 <= n <= 153, where it is one more, so the
+giant component's clique complex is not always contractible; for n <= 420 the
+excess is 0, 1 or 2 and nonzero for 174 of the 417 values.
 """
 
 from __future__ import annotations
@@ -99,23 +101,20 @@ def stats(g):
 
 def gaussian_graph(n):
     """G(n): vertices {2..n+1}, a~b iff a+ib Gaussian prime."""
-    return _gaussian_graph_and_mask(n)[0]
-
-
-def _gaussian_graph_and_mask(n):
-    """(G(n), the Gaussian prime flags of a+ib for 2 <= a, b <= n+1)."""
     if n < 2:
         raise ValueError("n >= 2 required")
     mask = gaussian_prime_mask(2, n + 1, 2, n + 1)
-    return Graph(np.arange(2, n + 2), np.argwhere(np.triu(mask, 1))), mask
+    return Graph(np.arange(2, n + 2), np.argwhere(np.triu(mask, 1)))
 
 
 def gaussian_graph_chi_two_ways(n):
-    """χ(G(n)) via the edge list and via the box prime count (E = primes/2),
-    both read from one prime mask."""
-    g, mask = _gaussian_graph_and_mask(n)
+    """χ(G(n)) = V − E from one prime mask over 2 <= a, b <= n+1, with E as
+    its flags above the diagonal and as half its off-diagonal prime count."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    mask = gaussian_prime_mask(2, n + 1, 2, n + 1)
     box_primes = int(mask.sum()) - int(np.trace(mask))  # a=b never prime here
-    return g.V - g.E, g.V - box_primes // 2
+    return n - int(np.count_nonzero(np.triu(mask, 1))), n - box_primes // 2
 
 
 def lipschitz_graph(n):
@@ -159,10 +158,19 @@ def gcd_graph(n):
 
 
 def gcd_components(n):
-    """Components of the gcd graph: 1 is isolated, primes in (n/2, n] are
-    isolated, everything else falls in one blob (for n >= 4)."""
-    g = gcd_graph(n)
-    return component_count(g)
+    """Components of the gcd graph, counted on its prime stars (each prime
+    p <= n/2 joined to 2p, 3p, ... <= n): a spanning subgraph with the same
+    components, since two vertices that share a prime p both join p."""
+    if n < 3:
+        raise ValueError("n >= 3 required")
+    primes = rk.sieve(n).primes()
+    arms = n // primes - 1  # none above n/2
+    # the hub and multiple arrays, the (E, 2) edges and component_labels'
+    # copies of them: 77-79 B per edge (tracemalloc, n = 10³-10⁶)
+    rk.check_budget(80 * int(arms.sum()), f"gcd prime stars n={n}")
+    hub = np.repeat(primes, arms)
+    factor = np.arange(len(hub)) - np.repeat(np.cumsum(arms) - arms, arms) + 2
+    return component_labels(n, np.stack([hub, factor * hub], axis=1) - 1)[0]
 
 
 def gcd_components_formula(n):
@@ -175,7 +183,10 @@ def gcd_components_formula(n):
 
 
 def gcd_edge_count(n):
-    return gcd_graph(n).E
+    """Edges of the gcd graph: the gcd table's off-diagonal cells above 1
+    (gcd(v, v) = v > 1 for v >= 2), halved."""
+    rk.check_budget(9 * n * n, f"gcd edge count n={n}")  # table and mask
+    return (int(np.count_nonzero(rk.gcd_table(n) > 1)) - (n - 1)) // 2
 
 
 def gcd_edge_count_formula(n):

@@ -100,13 +100,6 @@ def test_u_orbit_lengths_pinned():
     assert {p: ha.u_orbit_lengths(p) for p in want} == want
 
 
-def test_left_right_class_counts_agree():
-    for p in (3, 5, 7, 11, 13, 17):
-        left = ha._orbit_count(p, side="left")
-        right = ha._orbit_count(p, side="right")
-        assert left == right == p + 1
-
-
 def _broadcast_unit_products(pts, side):
     """z·u over all 24 units by one broadcast Hamilton product (oracle)."""
     units = ha._norm_points(1).T[:, None, :]
@@ -124,17 +117,76 @@ def _horner_keys(v, p):
     return key
 
 
+def _orbit_count(p, side="right"):
+    """Number of unit-multiplication orbits on the norm-p sphere (oracle).
+
+    Each point is labelled by the least key over its orbit {z·u}; the units
+    form a group, so the label is the same for every point of an orbit.  The
+    keys are linear in z·u, which is linear in z, so the (M, 24) keys are one
+    product of the points with a (4, 24) key matrix, built from the products
+    of the basis quaternions with the units.  The orbits are counted as the
+    changes between neighbours in the sorted labels.
+    """
+    m = math.isqrt(4 * p)
+    place = [(2 * m + 1) ** k for k in (3, 2, 1, 0)]
+    basis_products = _broadcast_unit_products(2 * np.eye(4, dtype=np.int64),
+                                              side)
+    key_matrix = sum(w * u for w, u in zip(place, basis_products))
+    keys = (ha._norm_points(p) @ key_matrix) // 2 + m * sum(place)
+    least = np.sort(keys.min(axis=1))
+    return 1 + np.count_nonzero(least[1:] != least[:-1])
+
+
+def test_left_right_class_counts_agree():
+    for p in (3, 5, 7, 11, 13, 17):
+        left = _orbit_count(p, side="left")
+        right = _orbit_count(p, side="right")
+        assert left == right == p + 1
+
+
+def test_classes_above_is_the_least_key_orbit_count():
+    # |S|/24 (the units act freely) against the orbits counted one by one
+    for p in (int(q) for q in rk.sieve(2000).primes()[1:]):
+        assert ha.classes_above(p) == _orbit_count(p) == p + 1, p
+    assert ha.classes_above(2) == _orbit_count(2) == 1
+    for bad in (0, 1, 4, 9, 15):
+        with pytest.raises(ValueError, match="prime required"):
+            ha.classes_above(bad)
+
+
+def test_classes_above_refuses_a_sphere_of_partial_orbits(monkeypatch):
+    real = ha._half_ball
+
+    def one_point_short(dim, total):
+        ball, order, lo, cnt = real(dim, total)
+        cnt = cnt.copy()
+        cnt[np.flatnonzero(cnt)[0]] -= 1
+        return ball, order, lo, cnt
+
+    monkeypatch.setattr(ha, "_half_ball", one_point_short)
+    with pytest.raises(ArithmeticError, match="95 norm-3 points"):
+        ha.classes_above(3)
+
+
 def test_unit_matrix_matches_broadcast_hamilton():
+    # u·z = conj(conj(z)·conj(u)): the left products from the right matrix
+    conj = np.array([1, -1, -1, -1])
+    units = ha._norm_points(1)
+    conj_unit = [units.tolist().index(u) for u in (units * conj).tolist()]
     for p in (int(q) for q in rk.sieve(100).primes()):
         pts = ha._norm_points(p)
-        for side in ("right", "left"):
+        assert np.array_equal(ha._class_keys(pts, p), _horner_keys(
+            np.sort(np.abs(pts.T), axis=0), p))
+        right = (pts @ ha._unit_matrix()) // 2
+        left = np.empty_like(right)
+        left[:, :, conj_unit] = ((pts * conj) @ ha._unit_matrix()) // 2
+        left *= conj[:, None, None]
+        for side, got in (("right", right), ("left", left)):
             want = _broadcast_unit_products(pts, side)
-            got = (pts @ ha._unit_matrix(side)) // 2
             assert got.dtype == np.int64 and np.array_equal(got, want)
             # the orbit count against the least key over the products
             keys = _horner_keys(want, p)
-            assert np.array_equal(ha._keys(want, p), keys)
-            assert ha._orbit_count(p, side) == len(np.unique(keys.min(axis=1)))
+            assert _orbit_count(p, side) == len(np.unique(keys.min(axis=1)))
 
 
 def _lexsorted_sphere_points(dim, total):
@@ -165,6 +217,43 @@ def test_sphere_points_match_lexsorted_join():
         got = ha._sphere_points(dim, total)
         want = _lexsorted_sphere_points(dim, total)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_sphere_points_peak_is_under_its_checked_bytes(monkeypatch):
+    # the half ball and then the join are each checked for their whole peak
+    asked = []
+    check = rk.check_budget
+    monkeypatch.setattr(rk, "check_budget",
+                        lambda nbytes, what: (asked.append(nbytes),
+                                              check(nbytes, what)))
+    for dim, total in ((4, 4 * 1009), (4, 4 * 10007), (8, 20)):
+        asked.clear()
+        tracemalloc.start()
+        try:
+            ha._sphere_points(dim, total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(asked) == 2
+        assert 0.95 * max(asked) < peak < max(asked) + 2**12, (dim, total)
+
+
+def test_sphere_join_refused_before_it_allocates(monkeypatch):
+    # norm 10007: the half ball needs 12.9 MB, the join of its 240 192
+    # points 25.6 MB; classes_above never joins, so it still answers
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 20 * 10**6)
+    for points in (ha.lattice_points_norm, ha.positively_ordered_reps,
+                   ha.u_orbit_lengths):
+        tracemalloc.start()
+        try:
+            with pytest.raises(rk.CapacityError,
+                               match="norm-40028 sphere join of 240192"):
+                points(10007)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 10**6
+    assert ha.classes_above(10007) == 10008
 
 
 def _all_unit_orbit_lengths(p):

@@ -39,9 +39,10 @@ def test_gaussian_graph_edges_match_primality():
 
 
 def test_chi_two_ways():
-    for n in range(2, 120, 11):
+    for n in range(2, 301):
+        g = pg.gaussian_graph(n)
         a, b = pg.gaussian_graph_chi_two_ways(n)
-        assert a == b
+        assert a == g.V - g.E == b, n
 
 
 def test_chi_two_ways_builds_one_mask(monkeypatch):
@@ -103,8 +104,31 @@ def test_gcd_graph_matches_euclid():
 
 
 def test_gcd_components_formula():
-    for n in range(4, 1001, 37):
+    for n in [*range(4, 1001, 37), 10**5]:
         assert pg.gcd_components(n) == pg.gcd_components_formula(n)
+
+
+def test_gcd_counts_match_the_built_graph():
+    # prime stars and the gcd table's flags against the whole edge list
+    for n in range(3, 421):
+        g = pg.gcd_graph(n)
+        assert pg.gcd_components(n) == pg.component_count(g), n
+        assert pg.gcd_edge_count(n) == g.E, n
+
+
+def test_gcd_prime_stars_refused_by_bytes(monkeypatch):
+    # 256 808 star edges at n = 10⁵
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(rk.CapacityError,
+                           match="gcd prime stars n=100000 needs about "
+                                 "20544640 B"):
+            pg.gcd_components(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_gcd_components_formula_needs_a_blob():
@@ -162,11 +186,12 @@ def _networkx_clique_chi(g):
 
 def test_clique_chi_of_gcd_graphs_is_a_prime_count():
     # the paper's Euler characteristic / prime counting link: for 4 <= n <=
-    # 142 the clique complex of the gcd graph has χ = 2 + π(n) − π(n/2), its
-    # component count; at 143 = 11·13 it first gains one more
-    for n in range(4, 143):
-        assert (pg.clique_euler_characteristic(pg.gcd_graph(n))
-                == pg.gcd_components_formula(n)), n
+    # 200 the clique complex of the gcd graph has χ = 2 + π(n) − π(n/2), its
+    # component count, but for 143 = 11·13 <= n <= 153, where it is one more
+    excess = {n: pg.clique_euler_characteristic(pg.gcd_graph(n))
+              - pg.gcd_components_formula(n) for n in range(4, 201)}
+    assert {n: e for n, e in excess.items() if e} == dict.fromkeys(
+        range(143, 154), 1)
     assert pg.clique_euler_characteristic(pg.gcd_graph(143)) == 17
     assert pg.gcd_components_formula(143) == 16
     # networkx's clique enumeration is the oracle
@@ -249,6 +274,8 @@ def test_edges_are_sorted_index_pairs():
 def test_gcd_graph_capacity_refused_before_allocation():
     with pytest.raises(rk.CapacityError):
         pg.gcd_graph(10**6)
+    with pytest.raises(rk.CapacityError, match="gcd edge count n=1000000"):
+        pg.gcd_edge_count(10**6)
     with pytest.raises(rk.CapacityError):
         pg.lipschitz_graph(10**3)
 
