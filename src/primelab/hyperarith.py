@@ -1,15 +1,16 @@
 """Quaternion and octonion integer lattices.
 
-Elements are stored in DOUBLED coordinates: a QuatInt holds d = 2·(a,b,c,d)
-so that Lipschitz integers (all coordinates integral) have all-even d and
-Hurwitz integers (all coordinates in Z+1/2) have all-odd d.  The norm is
-N = (Σ dᵢ²)/4, always a nonnegative integer for valid parity.
-
-Octonions use the Cayley–Dickson doubling (z,w)·(u,v) = (zu − v*w, vz + wu*):
-Gravesian integers have all-even doubled coordinates, Kleinian all-odd, and
-the Octavian order is the E₈-style lattice whose doubled coordinates reduce
-mod 2 to a codeword of the [8,4] extended Hamming code with basis
-{11110000, 00111100, 00001111, 01010101}.
+Elements are stored in DOUBLED coordinates d = 2·(a, b, c, ...), and QuatInt
+and OctInt share one element class: the parity word of d (the bits dᵢ mod 2,
+d₀ highest) lies in the order's code (Conway & Smith, On Quaternions and
+Octonions, 2003).  Quaternions use {0000, 1111}: Lipschitz integers have
+all-even d, Hurwitz all-odd.  Octonions multiply by the Cayley–Dickson
+doubling (z,w)·(u,v) = (zu − v*w, vz + wu*) and use the [8,4] extended
+Hamming code with basis {11110000, 00111100, 00001111, 01010101}: Gravesian
+integers have word 0, Kleinian 0 or 11111111, Octavian (the E₈-style
+lattice) any codeword.  The norm N = (Σ dᵢ²)/4 is an integer, since every
+codeword has weight 0, 4 or 8.  Point sets are lexicographically sorted int64
+(M, 4) / (M, 8) arrays of doubled coordinates, one row per element.
 
 An element is prime in its order iff its norm is a rational prime.
 """
@@ -17,61 +18,13 @@ An element is prime in its order iff its norm is a rational prime.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ratkernel as rk
-
-
-@dataclass(frozen=True)
-class QuatInt:
-    d: tuple  # four doubled coordinates
-
-    def __post_init__(self):
-        if len(self.d) != 4:
-            raise ValueError("four coordinates required")
-        parities = {x & 1 for x in self.d}
-        if len(parities) != 1:
-            raise ValueError(f"mixed parity doubled coordinates {self.d}")
-
-    @classmethod
-    def from_ints(cls, a, b, c, d):
-        return cls((2 * a, 2 * b, 2 * c, 2 * d))
-
-    @classmethod
-    def from_halves(cls, a, b, c, d):
-        """Element (a+b i+c j+d k)/2 from doubled coordinates directly."""
-        return cls((a, b, c, d))
-
-    @property
-    def parity(self):
-        return "hurwitz" if self.d[0] & 1 else "lipschitz"
-
-    def norm(self):
-        q, r = divmod(sum(x * x for x in self.d), 4)
-        assert r == 0
-        return q
-
-    def conj(self):
-        a, b, c, d = self.d
-        return QuatInt((a, -b, -c, -d))
-
-    def __add__(self, other):
-        return QuatInt(tuple(x + y for x, y in zip(self.d, other.d)))
-
-    def __sub__(self, other):
-        return QuatInt(tuple(x - y for x, y in zip(self.d, other.d)))
-
-    def __neg__(self):
-        return QuatInt(tuple(-x for x in self.d))
-
-    def __mul__(self, other):
-        prod = _hamilton(self.d, other.d)
-        if any(x & 1 for x in prod):
-            raise ValueError("product leaves the doubled lattice")
-        return QuatInt(tuple(x // 2 for x in prod))
 
 
 def _hamilton(p, q):
@@ -84,10 +37,97 @@ def _hamilton(p, q):
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
 
+def _quat_conj_raw(p):
+    return (p[0], -p[1], -p[2], -p[3])
+
+
+def _cayley_dickson(x, y):
+    """(z,w)·(u,v) = (zu − v*w, vz + wu*) on raw 8-vectors."""
+    z, w = x[:4], x[4:]
+    u, v = y[:4], y[4:]
+    first = tuple(a - b for a, b in
+                  zip(_hamilton(z, u), _hamilton(_quat_conj_raw(v), w)))
+    second = tuple(a + b for a, b in
+                   zip(_hamilton(v, z), _hamilton(w, _quat_conj_raw(u))))
+    return first + second
+
+
+def _parity_word(d):
+    return sum((x & 1) << (len(d) - 1 - i) for i, x in enumerate(d))
+
+
+# the [8,4] extended Hamming code: the sums of subsets of its basis
+_HAMMING_CODE = frozenset(
+    (0b11110000 * a) ^ (0b00111100 * b) ^ (0b00001111 * c) ^ (0b01010101 * d)
+    for a, b, c, d in itertools.product((0, 1), repeat=4))
+
+
+@dataclass(frozen=True)
+class _OrderInt:
+    """An element of an order in doubled coordinates d; a subclass sets the
+    dimension `dim`, the parity `code` and the raw `_product` of d-vectors."""
+    d: tuple
+
+    def __post_init__(self):
+        if len(self.d) != self.dim:
+            raise ValueError(f"{self.dim} coordinates required")
+        if _parity_word(self.d) not in self.code:
+            raise ValueError(f"doubled coordinates {self.d} outside the order")
+
+    @classmethod
+    def from_ints(cls, *coords):
+        return cls(tuple(2 * x for x in coords))
+
+    @classmethod
+    def from_halves(cls, *coords):
+        """Element (c₀ + c₁e₁ + ...)/2 from doubled coordinates directly."""
+        return cls(tuple(coords))
+
+    def norm(self):
+        q, r = divmod(sum(x * x for x in self.d), 4)
+        assert r == 0
+        return q
+
+    def conj(self):
+        return type(self)((self.d[0],) + tuple(-x for x in self.d[1:]))
+
+    def __add__(self, other):
+        return type(self)(tuple(x + y for x, y in zip(self.d, other.d)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(x - y for x, y in zip(self.d, other.d)))
+
+    def __neg__(self):
+        return type(self)(tuple(-x for x in self.d))
+
+    def __mul__(self, other):
+        prod = self._product(self.d, other.d)
+        if any(x & 1 for x in prod):
+            raise ValueError("product leaves the doubled lattice")
+        return type(self)(tuple(x // 2 for x in prod))
+
+
+class QuatInt(_OrderInt):
+    dim, code, _product = 4, frozenset({0, 0b1111}), staticmethod(_hamilton)
+
+    @property
+    def parity(self):
+        return "hurwitz" if self.d[0] & 1 else "lipschitz"
+
+
+class OctInt(_OrderInt):
+    dim, code, _product = 8, _HAMMING_CODE, staticmethod(_cayley_dickson)
+
+    @property
+    def oct_class(self):
+        return {0: "gravesian", 0xFF: "kleinian"}.get(_parity_word(self.d),
+                                                      "octavian")
+
+
 def quat_units():
     """The 24 units: 8 Lipschitz (±1, ±i, ±j, ±k) and 16 Hurwitz (±1±i±j±k)/2,
-    in lexicographic order of doubled coordinates."""
-    return [QuatInt(tuple(d)) for d in _norm_points(1).tolist()]
+    as a lexicographically sorted (24, 4) array of doubled coordinates."""
+    return lattice_points_norm(1)
 
 
 def is_quat_prime(z):
@@ -130,18 +170,21 @@ def _half_ball(dim, total):
     half's partners being ball[order[lo:lo + cnt]]; cnt.sum() is the size."""
     m = math.isqrt(total)
     half = dim // 2
-    # the meshgrid axes, the ball, its square sums and the sorted and
-    # searchsorted arrays: (8·dim + 48) B per half vector (tracemalloc)
-    rk.check_budget((8 * dim + 48) * (2 * m + 1) ** half,
+    # the ball, its square sums, their sorted copy, the order and the two
+    # searchsorted arrays: (4·dim + 40) B per half vector (tracemalloc)
+    rk.check_budget((4 * dim + 40) * (2 * m + 1) ** half,
                     f"norm-{total} sphere")
-    axes = np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * half,
-                       indexing="ij")
-    ball = np.stack([x.ravel() for x in axes], axis=1)
+    # stacking the meshgrid's broadcast views allocates only the ball
+    ball = np.stack(
+        np.meshgrid(*[np.arange(-m, m + 1, dtype=np.int64)] * half,
+                    indexing="ij", copy=False), axis=-1).reshape(-1, half)
     sq = np.sum(ball * ball, axis=1)
     order = np.argsort(sq, kind="stable")
     ssq = sq[order]
-    lo = np.searchsorted(ssq, total - sq, side="left")
-    cnt = np.searchsorted(ssq, total - sq, side="right") - lo
+    rest = np.subtract(total, sq, out=sq)  # the last read of sq
+    lo = np.searchsorted(ssq, rest, side="left")
+    cnt = np.searchsorted(ssq, rest, side="right")
+    cnt -= lo
     return ball, order, lo, cnt
 
 
@@ -168,7 +211,7 @@ def _sphere_points(dim, total):
     return np.concatenate([ball[left], ball[right]], axis=1)
 
 
-def _norm_points(p):
+def lattice_points_norm(p):
     """Doubled coordinates of all Lipschitz and Hurwitz elements with norm p,
     as a lexicographically sorted int64 (M, 4) array.
 
@@ -180,17 +223,12 @@ def _norm_points(p):
     return _sphere_points(4, 4 * p)
 
 
-def lattice_points_norm(p):
-    """All Lipschitz and Hurwitz elements with norm p, deterministic order."""
-    return [QuatInt(tuple(d)) for d in _norm_points(p).tolist()]
-
-
 @functools.cache
 def _unit_matrix():
     """(4, 4, 24) int64 U with U[:, i, j] = eᵢ·uⱼ, uⱼ the doubled units: z·u
     is linear in z, so pts @ U holds z·uⱼ for each row z of pts."""
     e = np.eye(4, dtype=np.int64)[:, :, None]  # (4, 4, 1) against (4, 1, 24)
-    table = np.stack(_hamilton(e, _norm_points(1).T[:, None, :]))
+    table = np.stack(_hamilton(e, lattice_points_norm(1).T[:, None, :]))
     table.setflags(write=False)
     return table
 
@@ -214,26 +252,28 @@ def _class_keys(pts, p):
     m = isqrt(4p) into [0, 2m] and read as base-(2m+1) digits (so key order
     is lexicographic order)."""
     m = math.isqrt(4 * p)
-    rep = np.sort(np.abs(pts.T), axis=0)
-    return sum((2 * m + 1) ** k * (x + m) for k, x in zip((3, 2, 1, 0), rep))
+    rep = np.abs(pts.T)
+    rep.sort(axis=0)
+    place = np.array([(2 * m + 1) ** k for k in (3, 2, 1, 0)])
+    key = place @ rep
+    key += m * place.sum()
+    return key
 
 
 def positively_ordered_reps(p):
-    """One representative per S₄×sign orbit: sorted nonnegative coordinates.
-
-    Returned as QuatInt values sorted by doubled-coordinate tuple.
+    """One representative per S₄×sign orbit: sorted nonnegative coordinates,
+    as a lexicographically sorted int64 (M, 4) array of doubled coordinates.
     """
     if not rk.is_prime(p):
         raise ValueError("prime required")
-    pts = _norm_points(p)
+    pts = lattice_points_norm(p)
     # the first point of each class, in key order; asking for the indices
     # also keeps np.unique off its numpy.ma check
     first = np.unique(_class_keys(pts, p), return_index=True)[1]
-    reps = np.sort(np.abs(pts[first]), axis=1)
-    return [QuatInt(tuple(d)) for d in reps.tolist()]
+    return np.sort(np.abs(pts[first]), axis=1)
 
 
-# Row of ω = (−1+i+j+k)/2, doubled (−1, 1, 1, 1), in _norm_points(1)
+# Row of ω = (−1+i+j+k)/2, doubled (−1, 1, 1, 1), in lattice_points_norm(1)
 _OMEGA = 8
 
 
@@ -253,12 +293,17 @@ def u_orbit_lengths(p):
     from .primegraphs import component_labels
     if p == 2 or not rk.is_prime(p):
         raise ValueError("odd prime required")
-    pts = _norm_points(p)
-    w = (pts @ _unit_matrix()[:, :, _OMEGA].T) // 2
+    pts = lattice_points_norm(p)
+    # the points held, the products z·ω, their |coordinates| and keys (104 B
+    # per point at the first key), then the keys, class numbers and edge
+    # pairs held through component_labels: 106 B per point (tracemalloc)
+    rk.check_budget(106 * len(pts),
+                    f"unit-orbit class graph of {len(pts)} norm-{p} points")
     # number each point z and its product z·ω by its class, the rank of its
     # key among the representatives' keys
+    kw = _class_keys(pts @ _unit_matrix()[:, :, _OMEGA].T // 2, p)
     reps, zc = np.unique(_class_keys(pts, p), return_inverse=True)
-    wc = np.searchsorted(reps, _class_keys(w, p))
+    wc = np.searchsorted(reps, kw)
     labels = component_labels(len(reps), np.stack([zc, wc], axis=1))[1]
     return sorted(np.bincount(labels).tolist())
 
@@ -267,116 +312,42 @@ def u_orbit_lengths(p):
 # Octonions
 # ---------------------------------------------------------------------------
 
-_HAMMING_BASIS = (0b11110000, 0b00111100, 0b00001111, 0b01010101)
-_HAMMING_CODE = frozenset(
-    b0 ^ b1 ^ b2 ^ b3
-    for b0 in (0, _HAMMING_BASIS[0])
-    for b1 in (0, _HAMMING_BASIS[1])
-    for b2 in (0, _HAMMING_BASIS[2])
-    for b3 in (0, _HAMMING_BASIS[3])
-)
-
-
-def _parity_word(e):
-    return sum((x & 1) << (7 - i) for i, x in enumerate(e))
-
-
-@dataclass(frozen=True)
-class OctInt:
-    e: tuple  # eight doubled coordinates
-
-    def __post_init__(self):
-        if len(self.e) != 8:
-            raise ValueError("eight coordinates required")
-        if _parity_word(self.e) not in _HAMMING_CODE:
-            raise ValueError(f"doubled coordinates {self.e} outside the order")
-
-    @classmethod
-    def from_ints(cls, *coords):
-        return cls(tuple(2 * x for x in coords))
-
-    @classmethod
-    def from_halves(cls, *coords):
-        return cls(tuple(coords))
-
-    @property
-    def oct_class(self):
-        w = _parity_word(self.e)
-        if w == 0:
-            return "gravesian"
-        if w == 0xFF:
-            return "kleinian"
-        return "octavian"
-
-    def norm(self):
-        q, r = divmod(sum(x * x for x in self.e), 4)
-        assert r == 0
-        return q
-
-    def conj(self):
-        return OctInt((self.e[0],) + tuple(-x for x in self.e[1:]))
-
-    def __add__(self, other):
-        return OctInt(tuple(x + y for x, y in zip(self.e, other.e)))
-
-    def __sub__(self, other):
-        return OctInt(tuple(x - y for x, y in zip(self.e, other.e)))
-
-    def __neg__(self):
-        return OctInt(tuple(-x for x in self.e))
-
-
-def _quat_conj_raw(p):
-    return (p[0], -p[1], -p[2], -p[3])
-
-
-def _cayley_dickson(x, y):
-    """(z,w)·(u,v) = (zu − v*w, vz + wu*) on raw 8-vectors."""
-    z, w = x[:4], x[4:]
-    u, v = y[:4], y[4:]
-    first = tuple(a - b for a, b in
-                  zip(_hamilton(z, u), _hamilton(_quat_conj_raw(v), w)))
-    second = tuple(a + b for a, b in
-                   zip(_hamilton(v, z), _hamilton(w, _quat_conj_raw(u))))
-    return first + second
-
-
-def oct_mul(z, w):
-    prod = _cayley_dickson(z.e, w.e)
-    if any(x & 1 for x in prod):
-        raise ValueError("product leaves the doubled lattice")
-    return OctInt(tuple(x // 2 for x in prod))
-
-
-def is_octavian(e):
-    """Membership of a raw doubled-coordinate 8-vector in the Octavian lattice."""
-    return len(e) == 8 and _parity_word(e) in _HAMMING_CODE
-
-
-def oct_units(which="octavian"):
-    """Norm-1 elements of the given order, in lexicographic order of doubled
-    coordinates.
-
-    Gravesian and Kleinian: the 16 vectors ±2eᵢ (doubled).  Octavian: 240
-    (E₈ roots), the norm-1 vectors whose parity word is a codeword.
-    """
+def _order_words(which):
+    """Parity words of the order `which`; every OctInt is Octavian."""
     words = {"gravesian": (0,), "kleinian": (0, 0xFF),
              "octavian": tuple(_HAMMING_CODE)}.get(which)
     if words is None:
         raise ValueError(f"unknown class {which!r}")
+    return words
+
+
+def oct_mul(z, w):
+    return z * w
+
+
+def is_octavian(e):
+    """Membership of a raw doubled-coordinate 8-vector in the Octavian lattice."""
+    return len(e) == OctInt.dim and _parity_word(e) in OctInt.code
+
+
+def oct_units(which="octavian"):
+    """Norm-1 elements of the given order, as a lexicographically sorted
+    int64 (M, 8) array of doubled coordinates.
+
+    Gravesian and Kleinian: the 16 vectors ±2eᵢ (doubled).  Octavian: 240
+    (E₈ roots), the norm-1 vectors whose parity word is a codeword.
+    """
+    words = _order_words(which)
     pts = _sphere_points(8, 4)
     parity = (pts & 1) @ (1 << np.arange(7, -1, -1))
-    return [OctInt(tuple(e)) for e in pts[np.isin(parity, words)].tolist()]
+    return pts[np.isin(parity, words)]
 
 
 def is_oct_prime(z, which=None):
-    """Prime in its order: prime norm (units are excluded automatically)."""
-    if which is not None:
-        cls = z.oct_class
-        if which == "gravesian" and cls != "gravesian":
-            return False
-        if which == "kleinian" and cls not in ("gravesian", "kleinian"):
-            return False
+    """Prime in the order `which` (default: its own): z lies in that order
+    and has prime norm (units are excluded automatically)."""
+    if which is not None and _parity_word(z.d) not in _order_words(which):
+        return False
     return rk.is_prime(z.norm())
 
 

@@ -51,7 +51,7 @@ def test_acceptance_2_quaternion_fixtures():
     for p in (int(q) for q in rk.sieve(199).primes()[1:]):
         ok &= ha.classes_above(p) == p + 1
         ok &= set(ha.u_orbit_lengths(p)) <= {2, 3}
-    ok &= sorted(q.d for q in ha.positively_ordered_reps(13)) == [
+    ok &= sorted(map(tuple, ha.positively_ordered_reps(13).tolist())) == [
         (0, 0, 4, 6), (1, 1, 1, 7), (1, 1, 5, 5), (2, 4, 4, 4), (3, 3, 3, 5)]
     v = gb.SumVariant(cone="open", species="hurwitz")
     ok &= gb.r2((2, 2, 2, 2), v) == 14

@@ -24,7 +24,7 @@ hquat = st.builds(
 def test_quat_units():
     us = ha.quat_units()
     assert len(us) == 24
-    assert all(u.norm() == 1 for u in us)
+    assert all(QuatInt(tuple(u)).norm() == 1 for u in us.tolist())
 
 
 def test_norm_points_match_brute_force():
@@ -36,7 +36,7 @@ def test_norm_points_match_brute_force():
             d = math.isqrt(max(d2, 0))
             if d2 >= 0 and d * d == d2:
                 want |= {(a, b, c, d), (a, b, c, -d)}
-        pts = ha._norm_points(p)
+        pts = ha.lattice_points_norm(p)
         assert pts.dtype == np.int64 and pts.shape == (len(want), 4)
         assert [tuple(r) for r in pts.tolist()] == sorted(want)
 
@@ -50,6 +50,14 @@ def test_quat_norm_multiplicative(z, w):
 def test_hurwitz_product_stays_integral(z, w):
     p = z * w
     assert p.norm() == z.norm() * w.norm()
+
+
+@given(st.one_of(quat, hquat), st.one_of(quat, hquat))
+def test_octonion_product_extends_the_quaternion_product(z, w):
+    # the quaternions embed as (z, 0) under Cayley–Dickson doubling
+    def embed(q):
+        return OctInt((*q.d, 0, 0, 0, 0))
+    assert embed(z) * embed(w) == embed(z * w)
 
 
 @given(quat)
@@ -70,19 +78,19 @@ def test_classes_above_small():
 
 
 def test_positively_ordered_reps_fixtures():
-    assert sorted(q.d for q in ha.positively_ordered_reps(13)) == [
+    assert sorted(map(tuple, ha.positively_ordered_reps(13).tolist())) == [
         (0, 0, 4, 6), (1, 1, 1, 7), (1, 1, 5, 5), (2, 4, 4, 4), (3, 3, 3, 5)]
-    assert sorted(q.d for q in ha.positively_ordered_reps(3)) == [
+    assert sorted(map(tuple, ha.positively_ordered_reps(3).tolist())) == [
         (0, 2, 2, 2), (1, 1, 1, 3)]
-    assert sorted(q.d for q in ha.positively_ordered_reps(2)) == [
+    assert sorted(map(tuple, ha.positively_ordered_reps(2).tolist())) == [
         (0, 0, 2, 2)]
 
 
 def test_lattice_points_norm_unique_rep():
     for p in (5, 13, 29):
         pts = ha.lattice_points_norm(p)
-        reps = {tuple(sorted(abs(x) for x in e.d)) for e in pts}
-        want = {q.d for q in ha.positively_ordered_reps(p)}
+        reps = {tuple(sorted(abs(x) for x in e)) for e in pts.tolist()}
+        want = set(map(tuple, ha.positively_ordered_reps(p).tolist()))
         assert reps == want
 
 
@@ -102,7 +110,7 @@ def test_u_orbit_lengths_pinned():
 
 def _broadcast_unit_products(pts, side):
     """z·u over all 24 units by one broadcast Hamilton product (oracle)."""
-    units = ha._norm_points(1).T[:, None, :]
+    units = ha.lattice_points_norm(1).T[:, None, :]
     z = pts.T[:, :, None]
     w = ha._hamilton(z, units) if side == "right" else ha._hamilton(units, z)
     return np.stack(w) // 2
@@ -132,7 +140,7 @@ def _orbit_count(p, side="right"):
     basis_products = _broadcast_unit_products(2 * np.eye(4, dtype=np.int64),
                                               side)
     key_matrix = sum(w * u for w, u in zip(place, basis_products))
-    keys = (ha._norm_points(p) @ key_matrix) // 2 + m * sum(place)
+    keys = (ha.lattice_points_norm(p) @ key_matrix) // 2 + m * sum(place)
     least = np.sort(keys.min(axis=1))
     return 1 + np.count_nonzero(least[1:] != least[:-1])
 
@@ -171,10 +179,10 @@ def test_classes_above_refuses_a_sphere_of_partial_orbits(monkeypatch):
 def test_unit_matrix_matches_broadcast_hamilton():
     # u·z = conj(conj(z)·conj(u)): the left products from the right matrix
     conj = np.array([1, -1, -1, -1])
-    units = ha._norm_points(1)
+    units = ha.lattice_points_norm(1)
     conj_unit = [units.tolist().index(u) for u in (units * conj).tolist()]
     for p in (int(q) for q in rk.sieve(100).primes()):
-        pts = ha._norm_points(p)
+        pts = ha.lattice_points_norm(p)
         assert np.array_equal(ha._class_keys(pts, p), _horner_keys(
             np.sort(np.abs(pts.T), axis=0), p))
         right = (pts @ ha._unit_matrix()) // 2
@@ -238,8 +246,31 @@ def test_sphere_points_peak_is_under_its_checked_bytes(monkeypatch):
         assert 0.95 * max(asked) < peak < max(asked) + 2**12, (dim, total)
 
 
+@pytest.mark.parametrize("points", [ha.lattice_points_norm,
+                                    ha.positively_ordered_reps,
+                                    ha.u_orbit_lengths])
+def test_point_set_peaks_are_under_their_checked_bytes(monkeypatch, points):
+    # every array made after the join, up to the orbit lengths' components,
+    # is checked before the first of them is allocated
+    asked = []
+    check = rk.check_budget
+    monkeypatch.setattr(rk, "check_budget",
+                        lambda nbytes, what: (asked.append(nbytes),
+                                              check(nbytes, what)))
+    for p in (1009, 10007):
+        points(p)  # the cached unit matrix is built outside the trace
+        asked.clear()
+        tracemalloc.start()
+        try:
+            points(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(asked) + 2**12, (points.__name__, p)
+
+
 def test_sphere_join_refused_before_it_allocates(monkeypatch):
-    # norm 10007: the half ball needs 12.9 MB, the join of its 240 192
+    # norm 10007: the half ball needs 9.0 MB, the join of its 240 192
     # points 25.6 MB; classes_above never joins, so it still answers
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 20 * 10**6)
     for points in (ha.lattice_points_norm, ha.positively_ordered_reps,
@@ -260,7 +291,7 @@ def _all_unit_orbit_lengths(p):
     """Component sizes of the class graph with an edge from the class of z
     to the class of z·u for every norm-p point z and each of the 24 units u,
     by a union-find over the distinct class pairs (oracle)."""
-    pts = ha._norm_points(p)
+    pts = ha.lattice_points_norm(p)
     w = _broadcast_unit_products(pts, "right")
     z = np.broadcast_to(pts.T[:, :, None], w.shape)
     base = (2 * math.isqrt(4 * p) + 1) ** 4
@@ -282,7 +313,7 @@ def _all_unit_orbit_lengths(p):
 
 
 def test_u_orbit_lengths_match_all_unit_class_graph():
-    assert ha._norm_points(1)[ha._OMEGA].tolist() == [-1, 1, 1, 1]
+    assert ha.lattice_points_norm(1)[ha._OMEGA].tolist() == [-1, 1, 1, 1]
     for p in (int(q) for q in rk.sieve(500).primes()[1:]):
         assert ha.u_orbit_lengths(p) == _all_unit_orbit_lengths(p), p
 
@@ -331,8 +362,8 @@ AXIS_SHA = "cb65df203f548a19dada199f229697635fd43f84b281d8ad75bd5b4693fdeae4"
 def test_oct_unit_counts():
     assert len(ha.oct_units("octavian")) == 240
     assert len(ha.oct_units("gravesian")) == 16
-    for u in ha.oct_units("octavian"):
-        assert u.norm() == 1
+    for u in ha.oct_units("octavian").tolist():
+        assert OctInt(tuple(u)).norm() == 1
     with pytest.raises(ValueError):
         ha.oct_units("bogus")
 
@@ -343,7 +374,7 @@ def test_oct_unit_counts():
     ("kleinian", 16, AXIS_SHA),
 ])
 def test_oct_units_pinned(which, count, sha):
-    es = [u.e for u in ha.oct_units(which)]
+    es = list(map(tuple, ha.oct_units(which).tolist()))
     assert len(es) == count
     assert hashlib.sha256(repr(es).encode()).hexdigest() == sha
 
@@ -392,6 +423,8 @@ def test_is_oct_prime():
     assert ha.is_oct_prime(OctInt.from_ints(1, 1, 1, 1, 1, 1, 1, 0))  # N=7
     assert not ha.is_oct_prime(OctInt.from_ints(1, 0, 0, 0, 0, 0, 0, 0))
     assert not ha.is_oct_prime(OctInt.from_ints(2, 0, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="unknown class 'bogus'"):
+        ha.is_oct_prime(OctInt.from_ints(1, 1, 1, 1, 1, 1, 1, 0), "bogus")
 
 
 @pytest.mark.parametrize("dim,par,seed", [(4, 0, 0), (4, 1, 1), (8, 0, 2),
@@ -424,7 +457,7 @@ def test_prime_mask_refuses_an_oversized_box_before_allocating():
 
 
 def test_octavian_membership_closed_under_add_neg():
-    units = [u.e for u in ha.oct_units("octavian")]
+    units = list(map(tuple, ha.oct_units("octavian").tolist()))
     for a, b in itertools.islice(itertools.combinations(units, 2), 500):
         s = tuple(x + y for x, y in zip(a, b))
         assert ha.is_octavian(s)
