@@ -85,7 +85,9 @@ class _OrderInt:
 
     def norm(self):
         q, r = divmod(sum(x * x for x in self.d), 4)
-        assert r == 0
+        if r:
+            raise ArithmeticError(f"doubled coordinates {self.d}: square sum "
+                                  f"not a multiple of 4")
         return q
 
     def conj(self):

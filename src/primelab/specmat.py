@@ -16,8 +16,13 @@ B_{km} = exp(i(kmα + mβ)); |det B| is a van der Monde product.
 One fraction-free (Bareiss) pass over the big integers gives every leading
 minor det A[:n, :n] of an integer matrix (`leading_minors`): `det_exact`, the
 invertibility scan's confirmations and determinant growth all read it.  A row
-whose pivot-column entry is 0 is not updated: it is rescaled once, by
-prevs[e]/prevs[t], when next needed, t being the step it is stored at.
+whose pivot-column entry is 0 is not updated; when it is, it is updated
+straight from the step t it is stored at, dividing by p_(t−1).  A prime
+matrix splits by index parity into two half-size blocks B and C (Gaussian
+primes of even coordinate sum are associates of 1 + i): for odd-sum z0 it is
+block diagonal, det A_n = det B_⌈n/2⌉ · det C_⌊n/2⌋; for even-sum z0 block
+anti-diagonal, det A_n = (−1)^(n/2) · det B_(n/2) · det C_(n/2) for even n
+and 0 for odd n.  The pass runs on the blocks whenever the zero pattern holds.
 Residual norms are max-abs entry norms throughout.
 """
 
@@ -59,26 +64,63 @@ def leading_minors(m):
 
     Step k of Bareiss maps a row with a[r][k] = 0 to p_k·a[r] / p_(k-1), with
     p_k the pivot of step k and p_(-1) = 1.  Over steps t..e-1 that skip the
-    row the factors telescope:
+    row the factors telescope to a^(e)[r] = a^(t)[r] · p_(e-1) / p_(t-1), so
+    a row is stored as of step t[r] and left alone while its pivot-column
+    entry is 0.  Step e then updates it straight from its stored entries:
 
-        a^(e)[r] = a^(t)[r] · p_(e-1) / p_(t-1),
+        a^(e+1)[r] = (p_e·a^(t)[r] − a^(t)[r][e]·a^(e)[e]) / p_(t-1),
 
-    an exact division, since every Bareiss entry is a minor.  So a row is
-    stored as of step t[r] and left alone while its pivot-column entry is 0;
-    it is rescaled once, by prevs[e] / prevs[t[r]] (prevs[k+1] = p_k), when
-    next needed: as the pivot row, or when its entry in pivot column e is
-    nonzero.  Only the tail [e+1:] of a row is updated, and its entry in
-    column e is cleared, so the pass holds no more big integers than before.
+    an exact division, since every Bareiss entry is a minor (prevs[k+1] = p_k,
+    so p_(t-1) = prevs[t]).  Only a pivot row stored at an older step is
+    rescaled first, by p_(e-1) / p_(t-1), since its pivot is the minor.
+
+    When m splits by index parity (_parity_blocks), the one elimination runs
+    on each block B, C and the minors are joined: det m[:n, :n] =
+    det B_⌈n/2⌉ · det C_⌊n/2⌋ ("diag"), or (−1)^(n/2) · det B_(n/2) ·
+    det C_(n/2) for even n and 0 for odd n ("anti").
     Entries must be integers: a float or complex matrix raises TypeError."""
     m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("square matrix required")
+    split = _parity_blocks(m)
+    if split is None:
+        return _eliminate(m)
+    kind, b, c = split
+    pb, pc = [1] + _eliminate(b), [1] + _eliminate(c)
+    size = len(m)
+    if kind == "diag":
+        return [pb[(n + 1) // 2] * pc[n // 2] for n in range(1, size + 1)]
+    return [0 if n % 2 else (-1) ** (n // 2) * pb[n // 2] * pc[n // 2]
+            for n in range(1, size + 1)]
+
+
+def _parity_blocks(m):
+    """(kind, B, C) when the square array m of order N >= 2 splits by index
+    parity, else None.  Ordered by parity (even indices first), m is
+    "diag": [[B, 0], [0, C]], B = m[0::2, 0::2], C = m[1::2, 1::2], orders
+    ⌈N/2⌉ and ⌊N/2⌋; or "anti": [[0, B], [C, 0]], B = m[0::2, 1::2] and
+    C = m[1::2, 0::2], both cut to order ⌊N/2⌋ (no even leading block reads
+    the rest).  The permutation acts on rows and columns alike, so it keeps
+    every determinant."""
+    n = len(m)
+    if n < 2:
+        return None
+    if not (m[0::2, 1::2].any() or m[1::2, 0::2].any()):
+        return "diag", m[0::2, 0::2], m[1::2, 1::2]
+    if not (m[0::2, 0::2].any() or m[1::2, 1::2].any()):
+        h = n // 2
+        return "anti", m[0:2 * h:2, 1::2], m[1::2, 0:2 * h:2]
+    return None
+
+
+def _eliminate(m):
+    """leading_minors of the square array m by the one Bareiss pass, unsplit."""
     a = m.tolist()
     if m.dtype.kind not in "biu":
         # Python ints throughout: np.int64 entries of an object array would
         # wrap in the products below
         a = [list(map(operator.index, row)) for row in a]
     size = len(a)
-    if any(len(row) != size for row in a):
-        raise ValueError("square matrix required")
     minors = []
     sign = 1
     prevs = [1]  # prevs[k+1] = pivot of step k
@@ -95,22 +137,19 @@ def leading_minors(m):
                         break
                 else:
                     break  # stalled: det m[:n, :n] = 0
-            prev = prevs[e]
             row_e = a[e]
             if t[e] < e:
-                q = prevs[t[e]]
+                prev, q = prevs[e], prevs[t[e]]
                 row_e[e:] = [x * prev // q for x in row_e[e:]]
             pkk = row_e[e]
             tail_e = row_e[e + 1:]
             for r in range(e + 1, size):
                 row_r = a[r]
-                if row_r[e] == 0:
-                    continue  # p_e·a[r] / p_(e-1): folded into t[r]
-                if t[r] < e:
-                    q = prevs[t[r]]
-                    row_r[e:] = [x * prev // q for x in row_r[e:]]
                 ark = row_r[e]
-                row_r[e + 1:] = [(pkk * x - ark * y) // prev
+                if ark == 0:
+                    continue  # p_e·a[r] / p_(e-1): folded into t[r]
+                q = prevs[t[r]]
+                row_r[e + 1:] = [(pkk * x - ark * y) // q
                                  for x, y in zip(row_r[e + 1:], tail_e)]
                 row_r[e] = 0
                 t[r] = e + 1
@@ -182,17 +221,36 @@ def invertibility_scan(z0, nmax):
     """{singular_ns, threshold}: all singular n <= nmax, and the least n0 with
     every n0 < n <= nmax invertible.  One rank pass mod p gives the rank of
     every leading block, and full rank proves n invertible; one exact pass
-    over the block of the last rank drop confirms or refutes every drop."""
+    over the block of the last rank drop confirms or refutes every drop.
+    When the matrix splits by parity (_parity_blocks) the rank passes run on
+    the blocks B and C, rank A_n being rank B_⌈n/2⌉ + rank C_⌊n/2⌋ ("diag")
+    or rank B_(n/2) + rank C_(n/2) for even n ("anti"); under "anti" every
+    odd n is singular by counting, so the exact pass covers the last even
+    drop only."""
     # int64 matrix, mod-p copy, update block, sieve: ~27 B/cell (tracemalloc)
     rk.check_budget(27 * max(nmax, 0) ** 2, f"invertibility scan to n={nmax}")
     full = build_prime_matrix(z0, nmax)
-    ranks = _leading_ranks_mod(full, _RANK_PRIME)
+    split = _parity_blocks(full)
+    counted = []  # singular by the zero pattern alone
+    if split is None:
+        ranks = _leading_ranks_mod(full, _RANK_PRIME).tolist()
+    else:
+        kind, b, c = split
+        rb, rc = ([0] + _leading_ranks_mod(x, _RANK_PRIME).tolist()
+                  for x in (b, c))
+        if kind == "diag":
+            ranks = [rb[(n + 1) // 2] + rc[n // 2] for n in range(1, nmax + 1)]
+        else:  # odd n is singular by counting, no drop to confirm
+            counted = list(range(1, nmax + 1, 2))
+            ranks = [n if n % 2 else rb[n // 2] + rc[n // 2]
+                     for n in range(1, nmax + 1)]
     drops = [n for n in range(1, nmax + 1) if ranks[n - 1] < n]
     singular = []
     if drops:
         check_exact_pass(drops[-1])
         minors = leading_minors(full[:drops[-1], :drops[-1]])
         singular = [n for n in drops if minors[n - 1] == 0]
+    singular = sorted(counted + singular)
     return {"singular_ns": singular, "threshold": max(singular, default=0)}
 
 
@@ -256,23 +314,25 @@ def char_poly(m):
     """Coefficients of det(xI − A), descending (leading 1).
 
     Exact integers via Faddeev–LeVerrier up to order _CHAR_POLY_EXACT_CAP,
-    float beyond.
+    float beyond.  Entries must be integers: a float or complex matrix
+    raises TypeError.
     """
-    a = np.asarray(m)
-    n = a.shape[0]
+    A = np.array([list(map(operator.index, row))
+                  for row in np.asarray(m).tolist()], dtype=object)
+    n = A.shape[0]
     if n <= _CHAR_POLY_EXACT_CAP:
-        A = np.array([[int(x) for x in row] for row in a], dtype=object)
         M = np.eye(n, dtype=object)
         coeffs = [1]
         for k in range(1, n + 1):
             N = A @ M
-            ck = -sum(N[i, i] for i in range(n))
-            assert ck % k == 0
-            ck //= k
+            ck, r = divmod(-sum(N[i, i] for i in range(n)), k)
+            if r:
+                raise ArithmeticError(f"Faddeev–LeVerrier: c_{k} is not an "
+                                      f"integer")
             coeffs.append(ck)
             M = N + ck * np.eye(n, dtype=object)
         return coeffs
-    w = np.linalg.eigvals(a.astype(float))
+    w = np.linalg.eigvals(A.astype(float))
     return list(np.poly(w))
 
 

@@ -71,6 +71,15 @@ def test_mixed_parity_rejected():
         QuatInt((1, 2, 1, 1))
 
 
+def test_norm_of_coordinates_outside_every_order_raises():
+    class Loose(QuatInt):  # admits every parity word
+        code = frozenset(range(16))
+
+    assert Loose((1, 1, 1, 1)).norm() == 1
+    with pytest.raises(ArithmeticError, match="not a multiple of 4"):
+        Loose((1, 0, 0, 0)).norm()
+
+
 def test_classes_above_small():
     for p in (3, 5, 7, 11, 13):
         assert ha.classes_above(p) == p + 1

@@ -152,6 +152,102 @@ def test_leading_minors_of_sparse_matrices_match_per_block_bareiss():
     assert skipped > 500  # stalls, and rows left alone across them
 
 
+def _planted(rng, n, kind):
+    """A random integer matrix with the parity zero pattern `kind` planted:
+    m[i, j] = 0 unless i + j is even ("diag") or odd ("anti")."""
+    m = rng.integers(-4, 5, size=(n, n)) * (rng.random((n, n)) < 0.7)
+    i = np.arange(n)
+    m[(i[:, None] + i[None, :]) % 2 == (kind == "diag")] = 0
+    return m
+
+
+@pytest.mark.parametrize("z0,kind", [(1, "diag"), (3, "diag"), (2, "anti"),
+                                     (4, "anti"), (GaussianInt(2, 2), "anti")])
+def test_parity_split_of_prime_matrices(z0, kind):
+    """A(z0, n) is nonzero only where k + l has the parity z0 fixes, so the
+    minors come from two half-size blocks.  Every leading minor of the split
+    pass equals the unsplit one; the per-block oracle pins the stall region
+    and n = 147..150 (all of n mod 4: the anti sign (−1)^(n/2) and the zero
+    odd minors)."""
+    m = sm.build_prime_matrix(z0, 150)
+    assert sm._parity_blocks(m)[0] == kind
+    got = sm.leading_minors(m)
+    assert got == sm._eliminate(m)
+    for n in [*range(1, 41), *range(147, 151)]:
+        assert got[n - 1] == _bareiss_det(m[:n, :n]), n
+    if kind == "anti":
+        assert not any(got[0::2])  # odd n: singular by counting
+
+
+@pytest.mark.parametrize("z0", [0, -1, GaussianInt(-1, -1)])
+def test_parity_split_falls_back(z0):
+    # 0 + 1 + i, −1 + 2 + i and −1 − i + 2 + 2i are associates of 1 + i, one
+    # entry off either pattern: the one pass runs on the whole matrix
+    m = sm.build_prime_matrix(z0, 60)
+    assert sm._parity_blocks(m) is None
+    assert sm.leading_minors(m) == [_bareiss_det(m[:n, :n])
+                                    for n in range(1, 61)]
+
+
+def test_parity_split_of_planted_patterns():
+    rng = np.random.default_rng(29)
+    zeros = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 22))
+        for kind in ("diag", "anti"):
+            m = _planted(rng, n, kind)
+            assert sm._parity_blocks(m)[0] == kind
+            want = [_bareiss_det(m[:k, :k]) for k in range(1, n + 1)]
+            assert sm.leading_minors(m) == want
+            assert sm.det_exact(m) == want[-1]
+            zeros += want.count(0)
+    assert zeros > 300
+    # a full matrix and one entry off the pattern do not split
+    assert sm._parity_blocks(np.ones((5, 5), dtype=np.int64)) is None
+    m = _planted(rng, 9, "anti")
+    m[4, 6] = 1
+    assert sm._parity_blocks(m) is None
+    assert sm.leading_minors(m) == [_bareiss_det(m[:k, :k])
+                                    for k in range(1, 10)]
+
+
+def test_parity_split_edge_orders():
+    assert sm.leading_minors(np.zeros((0, 0), dtype=np.int64)) == []
+    for x in (5, 0, -3):
+        m = np.array([[x]])
+        assert sm._parity_blocks(m) is None  # n <= 1 does not split
+        assert sm.leading_minors(m) == [x]
+    assert sm.leading_minors([[0, 2], [3, 0]]) == [0, -6]
+    assert sm.leading_minors([[2, 0], [0, 3]]) == [2, 6]
+    # non-square input raises before any split, patterned or not
+    for m in (np.eye(2, 3, dtype=np.int64), np.eye(3, 2, dtype=np.int64),
+              np.ones((3, 0), dtype=np.int64), np.ones(4, dtype=np.int64)):
+        with pytest.raises(ValueError, match="square matrix required"):
+            sm.leading_minors(m)
+
+
+@pytest.mark.parametrize("m", [sm.build_prime_matrix(1, 150),
+                               sm.build_prime_matrix(2, 150),
+                               sm.build_prime_matrix(0, 150),
+                               sm.build_smith(60, 3)],
+                         ids=["A(1,150)", "A(2,150)", "A(0,150)", "gcd(60)^3"])
+def test_exact_pass_estimate_bounds_the_traced_peak(monkeypatch, m):
+    """check_exact_pass stays an upper bound on leading_minors' traced peak,
+    split or not (peak / estimate at n = 150: 0.11, 0.11, 0.42; 0.18)."""
+    seen = []
+    monkeypatch.setattr(rk, "check_budget",
+                        lambda nbytes, what: seen.append(nbytes))
+    top = max(int(m.max()), -int(m.min()))
+    sm.check_exact_pass(len(m), math.log2(top))
+    tracemalloc.start()
+    try:
+        sm.leading_minors(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= seen[0]
+
+
 def test_non_integer_entries_raise():
     # refused, not truncated: int(0.5) = 0 would give the minors [0, -1]
     for m in (np.array([[0.5, 1], [1, 2]]), np.array([[1.0, 0], [0, 1]]),
@@ -219,10 +315,13 @@ def test_scan_matches_bareiss_on_every_leading_block(z0):
 
 
 @pytest.mark.parametrize("z0,nmax,blocks",
-                         [(1, 60, [28]), (2, 60, [59]), (1, 4, [])])
+                         [(1, 60, [28]), (2, 60, [28]), (1, 4, [])])
 def test_scan_runs_one_exact_pass(monkeypatch, z0, nmax, blocks):
     """One leading_minors call over the block of the last rank drop, none
-    when no leading block drops rank mod p (z0 = 1 up to n = 4)."""
+    when no leading block drops rank mod p (z0 = 1 up to n = 4).  A(2, n)
+    is block anti-diagonal by parity, so every odd n is singular by
+    counting: the pass covers the last even drop, 28, and the threshold is
+    the odd n = 59."""
     passes = []
     real = sm.leading_minors
 
@@ -233,7 +332,7 @@ def test_scan_runs_one_exact_pass(monkeypatch, z0, nmax, blocks):
     monkeypatch.setattr(sm, "leading_minors", counting)
     res = sm.invertibility_scan(z0, nmax)
     assert passes == blocks
-    assert res["threshold"] == (blocks[0] if blocks else 0)
+    assert res["threshold"] == (59 if z0 == 2 else max(blocks, default=0))
 
 
 def test_leading_ranks_mod_vs_sympy():
@@ -317,6 +416,25 @@ def test_char_poly_float_path_matches_exact(monkeypatch):
     for f, e in zip(approx, exact):
         assert (f > 0) == (e > 0)
         assert abs(math.log(abs(f)) - math.log(abs(e))) < 1e-6
+
+
+def test_char_poly_refuses_non_integers(monkeypatch):
+    # refused, not truncated: int() made this [1, -3, 2]
+    for m in ([[1.7, 0], [0, 2.9]], np.array([[1.0, 0], [0, 1]]),
+              np.array([[1 + 1j, 0], [0, 1]]),
+              np.array([[Fraction(1, 2), 1], [1, 2]], dtype=object)):
+        with pytest.raises(TypeError):
+            sm.char_poly(m)
+    assert sm.char_poly(np.array([[1, 2], [3, 4]], dtype=object)) == [1, -5, -2]
+    assert sm.char_poly(np.eye(2, dtype=bool)) == [1, -2, 1]
+
+    # integer entries always give integer coefficients, so the division
+    # check is reached only by entries that get past the conversion
+    monkeypatch.setattr(sm, "operator", type("Op", (), {
+        "index": staticmethod(lambda x: x)}))
+    halves = np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object)
+    with pytest.raises(ArithmeticError, match="c_1 is not an integer"):
+        sm.char_poly(halves)
 
 
 def test_char_poly_2x2_symbolic():
