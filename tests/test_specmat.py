@@ -226,14 +226,15 @@ def test_parity_split_edge_orders():
             sm.leading_minors(m)
 
 
-@pytest.mark.parametrize("m", [sm.build_prime_matrix(1, 150),
-                               sm.build_prime_matrix(2, 150),
-                               sm.build_prime_matrix(0, 150),
-                               sm.build_smith(60, 3)],
+@pytest.mark.parametrize("build", [lambda: sm.build_prime_matrix(1, 150),
+                                   lambda: sm.build_prime_matrix(2, 150),
+                                   lambda: sm.build_prime_matrix(0, 150),
+                                   lambda: sm.build_smith(60, 3)],
                          ids=["A(1,150)", "A(2,150)", "A(0,150)", "gcd(60)^3"])
-def test_exact_pass_estimate_bounds_the_traced_peak(monkeypatch, m):
+def test_exact_pass_estimate_bounds_the_traced_peak(monkeypatch, build):
     """check_exact_pass stays an upper bound on leading_minors' traced peak,
     split or not (peak / estimate at n = 150: 0.11, 0.11, 0.42; 0.18)."""
+    m = build()
     seen = []
     monkeypatch.setattr(rk, "check_budget",
                         lambda nbytes, what: seen.append(nbytes))
