@@ -14,15 +14,17 @@ Almost-periodic matrices A_{km} = cos(kmα + mβ) = Re B_{km} with
 B_{km} = exp(i(kmα + mβ)); |det B| is a van der Monde product.
 
 One fraction-free (Bareiss) pass over the big integers gives every leading
-minor det A[:n, :n] of an integer matrix (`leading_minors`): `det_exact`, the
-invertibility scan's confirmations and determinant growth all read it.  A row
-whose pivot-column entry is 0 is not updated; when it is, it is updated
-straight from the step t it is stored at, dividing by p_(t−1).  A prime
-matrix splits by index parity into two half-size blocks B and C (Gaussian
-primes of even coordinate sum are associates of 1 + i): for odd-sum z0 it is
-block diagonal, det A_n = det B_⌈n/2⌉ · det C_⌊n/2⌋; for even-sum z0 block
+minor det A[:n, :n] of an integer matrix (`leading_minors`); a row whose
+pivot-column entry is 0 is not updated until it is, then straight from the
+step t it is stored at, dividing by p_(t−1).  The scan and
+`is_singular_exact` prove full-rank leading blocks by a rank pass mod p and
+confirm the drops by one Bareiss pass.  A prime matrix splits by index
+parity into two half-size blocks B and C (Gaussian primes of even
+coordinate sum are associates of 1 + i): for odd-sum z0 it is block
+diagonal, det A_n = det B_⌈n/2⌉ · det C_⌊n/2⌋; for even-sum z0 block
 anti-diagonal, det A_n = (−1)^(n/2) · det B_(n/2) · det C_(n/2) for even n
-and 0 for odd n.  The pass runs on the blocks whenever the zero pattern holds.
+and 0 for odd n.  One split-and-join serves the minors, the scan and the
+singularity test.
 Residual norms are max-abs entry norms throughout.
 """
 
@@ -73,20 +75,24 @@ def leading_minors(m):
     an exact division, since every Bareiss entry is a minor (prevs[k+1] = p_k,
     so p_(t-1) = prevs[t]).  Only a pivot row stored at an older step is
     rescaled first, by p_(e-1) / p_(t-1), since its pivot is the minor.
-
-    When m splits by index parity (_parity_blocks), the one elimination runs
-    on each block B, C and the minors are joined: det m[:n, :n] =
-    det B_⌈n/2⌉ · det C_⌊n/2⌋ ("diag"), or (−1)^(n/2) · det B_(n/2) ·
-    det C_(n/2) for even n and 0 for odd n ("anti").
+    The pass runs on each parity block when m splits (_by_blocks).
     Entries must be integers: a float or complex matrix raises TypeError."""
+    return _by_blocks(m, _eliminate)
+
+
+def _by_blocks(m, per_block):
+    """per_block(m), a list whose x_n stands for det m[:n, :n] (a minor or a
+    nonzero flag), for square m.  When m splits (_parity_blocks) per_block
+    runs on B and C, joined as minors: x_n = b_⌈n/2⌉ · c_⌊n/2⌋ ("diag"), or
+    (−1)^(n/2) · b_(n/2) · c_(n/2) for even n, 0 for odd n ("anti")."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
     split = _parity_blocks(m)
     if split is None:
-        return _eliminate(m)
+        return per_block(m)
     kind, b, c = split
-    pb, pc = [1] + _eliminate(b), [1] + _eliminate(c)
+    pb, pc = [1] + per_block(b), [1] + per_block(c)
     size = len(m)
     if kind == "diag":
         return [pb[(n + 1) // 2] * pc[n // 2] for n in range(1, size + 1)]
@@ -189,10 +195,14 @@ def _leading_ranks_mod(m, p):
     pass without row swaps: rank m[:i, :j] = #{k < i : lead[k] < j}, with
     lead[k] the leading column of reduced row k, n for a zero row (Dumas,
     Pernet & Sultan, "Computing the rank profile matrix", ISSAC 2015).
-    Works over int64: p < 2^31 keeps every product below 2^62.  An object
-    matrix is reduced mod p in Python ints first, so entries of any size fit."""
+    Works over int64: p < 2^31 keeps every product below 2^62.  Other than
+    bool or integer entries go through operator.index (a float raises
+    TypeError, as in _eliminate) and mod p in Python ints, so any size fits."""
     m = np.asarray(m)
-    a = (m % p if m.dtype == object else m).astype(np.int64) % p
+    if m.dtype.kind not in "biu":
+        m = np.array([[operator.index(x) % p for x in row]
+                      for row in m.tolist()], dtype=np.int64).reshape(m.shape)
+    a = (m % p).astype(np.int64, copy=False)
     n = a.shape[0]
     lead = np.full(n, n, dtype=np.int64)
     for k in range(n):
@@ -208,49 +218,35 @@ def _leading_ranks_mod(m, p):
                                  minlength=n + 1))[:n]
 
 
+def _nonsingular(b):
+    """[det b[:n, :n] != 0 for n = 1..N]: full rank mod p proves n, and one
+    exact pass over the block of the last rank drop, refused by
+    check_exact_pass before it starts, confirms or refutes every drop."""
+    flags = (_leading_ranks_mod(b, _RANK_PRIME)
+             == np.arange(1, len(b) + 1)).tolist()
+    if all(flags):
+        return flags
+    d = len(flags) - flags[::-1].index(False)
+    head = b[:d, :d]
+    check_exact_pass(d, math.log2(max(int(head.max()), -int(head.min()), 1)))
+    return [x != 0 for x in _eliminate(head)] + flags[d:]
+
+
 def is_singular_exact(m):
-    """Exact singularity test: full rank mod p proves invertibility; a rank
-    drop mod p is confirmed or refuted by det_exact's exact pass."""
-    n = len(m)
-    if n and _leading_ranks_mod(m, _RANK_PRIME)[-1] == n:
-        return False
-    return det_exact(m) == 0
+    """det m == 0, exactly: the last flag of _by_blocks over _nonsingular,
+    as in invertibility_scan."""
+    flags = _by_blocks(m, _nonsingular)
+    return bool(flags) and not flags[-1]
 
 
 def invertibility_scan(z0, nmax):
     """{singular_ns, threshold}: all singular n <= nmax, and the least n0 with
-    every n0 < n <= nmax invertible.  One rank pass mod p gives the rank of
-    every leading block, and full rank proves n invertible; one exact pass
-    over the block of the last rank drop confirms or refutes every drop.
-    When the matrix splits by parity (_parity_blocks) the rank passes run on
-    the blocks B and C, rank A_n being rank B_⌈n/2⌉ + rank C_⌊n/2⌋ ("diag")
-    or rank B_(n/2) + rank C_(n/2) for even n ("anti"); under "anti" every
-    odd n is singular by counting, so the exact pass covers the last even
-    drop only."""
+    every n0 < n <= nmax invertible, from the flags of _by_blocks over
+    _nonsingular.  For even-sum z0 every odd n is singular by counting."""
     # int64 matrix, mod-p copy, update block, sieve: ~27 B/cell (tracemalloc)
     rk.check_budget(27 * max(nmax, 0) ** 2, f"invertibility scan to n={nmax}")
-    full = build_prime_matrix(z0, nmax)
-    split = _parity_blocks(full)
-    counted = []  # singular by the zero pattern alone
-    if split is None:
-        ranks = _leading_ranks_mod(full, _RANK_PRIME).tolist()
-    else:
-        kind, b, c = split
-        rb, rc = ([0] + _leading_ranks_mod(x, _RANK_PRIME).tolist()
-                  for x in (b, c))
-        if kind == "diag":
-            ranks = [rb[(n + 1) // 2] + rc[n // 2] for n in range(1, nmax + 1)]
-        else:  # odd n is singular by counting, no drop to confirm
-            counted = list(range(1, nmax + 1, 2))
-            ranks = [n if n % 2 else rb[n // 2] + rc[n // 2]
-                     for n in range(1, nmax + 1)]
-    drops = [n for n in range(1, nmax + 1) if ranks[n - 1] < n]
-    singular = []
-    if drops:
-        check_exact_pass(drops[-1])
-        minors = leading_minors(full[:drops[-1], :drops[-1]])
-        singular = [n for n in drops if minors[n - 1] == 0]
-    singular = sorted(counted + singular)
+    flags = _by_blocks(build_prime_matrix(z0, nmax), _nonsingular)
+    singular = [n for n, x in enumerate(flags, 1) if not x]
     return {"singular_ns": singular, "threshold": max(singular, default=0)}
 
 
@@ -337,13 +333,16 @@ def char_poly(m):
 
 
 def char_poly_function(m, x):
-    """f_n(x) = log|p_[nx]| / log|det A| on x ∈ [0,1]; f_n(1) = 1."""
+    """f_n(x) = log|p_[nx]| / log|det A| on x ∈ [0,1]; f_n(1) = 1.  An x
+    outside [0, 1], or NaN, raises ValueError."""
+    if not 0 <= x <= 1:
+        raise ValueError(f"x in [0, 1] required, got {x}")
     coeffs = char_poly(m)
     n = len(coeffs) - 1
     det = coeffs[-1]  # |constant term| = |det|
     if det == 0:
         raise ValueError("determinant zero: normalization undefined")
-    j = min(int(n * x), n)
+    j = int(n * x)
     p = coeffs[j]
     if p == 0:
         return -math.inf

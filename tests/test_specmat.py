@@ -200,6 +200,7 @@ def test_parity_split_of_planted_patterns():
             want = [_bareiss_det(m[:k, :k]) for k in range(1, n + 1)]
             assert sm.leading_minors(m) == want
             assert sm.det_exact(m) == want[-1]
+            assert sm.is_singular_exact(m) == (want[-1] == 0)
             zeros += want.count(0)
     assert zeros > 300
     # a full matrix and one entry off the pattern do not split
@@ -258,6 +259,13 @@ def test_non_integer_entries_raise():
             sm.leading_minors(m)
         with pytest.raises(TypeError):
             sm.det_exact(m)
+        with pytest.raises(TypeError):
+            sm.is_singular_exact(m)
+    # singular (2.5·2 − 1·5 = 0): an int64 cast would read [[2, 1], [5, 2]]
+    for m in ([[2.5, 1], [5, 2]], [[2.5, 1], [5, 2 + 0j]],
+              np.array([[Fraction(5, 2), 1], [5, 2]], dtype=object)):
+        with pytest.raises(TypeError):
+            sm.is_singular_exact(m)
 
 
 def test_is_singular_exact_on_big_integers():
@@ -273,9 +281,10 @@ def test_exact_pass_refused_before_it_starts(monkeypatch):
     assert sm.det_exact(np.eye(4, dtype=np.int64)) == 1  # 356 B estimate
 
     def no_pass(m):
-        raise AssertionError("leading_minors entered for a refused matrix")
+        raise AssertionError("exact pass entered for a refused matrix")
 
-    monkeypatch.setattr(sm, "leading_minors", no_pass)
+    # every exact pass, split or not, runs _eliminate
+    monkeypatch.setattr(sm, "_eliminate", no_pass)
     # the same order with entries near 2**4000: a 16 kB estimate
     big = np.array([[2**4000 - i - j for j in range(4)] for i in range(4)],
                    dtype=object)
@@ -308,32 +317,50 @@ def test_singularity_matches_exact_det():
         assert sm.is_singular_exact(mask[:n, :n]) == (d == 0)
 
 
-@pytest.mark.parametrize("z0", [1, 2, 3, GaussianInt(2, 2)])
+@pytest.mark.parametrize("z0", [1, 2, 3, GaussianInt(2, 2), 0, -1])
 def test_scan_matches_bareiss_on_every_leading_block(z0):
     full = sm.build_prime_matrix(z0, 60)
     want = [n for n in range(1, 61) if _bareiss_det(full[:n, :n]) == 0]
     assert sm.invertibility_scan(z0, 60)["singular_ns"] == want
+    assert [n for n in range(1, 61)
+            if sm.is_singular_exact(full[:n, :n])] == want
 
 
 @pytest.mark.parametrize("z0,nmax,blocks",
-                         [(1, 60, [28]), (2, 60, [28]), (1, 4, [])])
+                         [(1, 60, [14, 9]), (2, 60, [9, 14]), (1, 4, [])])
 def test_scan_runs_one_exact_pass(monkeypatch, z0, nmax, blocks):
-    """One leading_minors call over the block of the last rank drop, none
-    when no leading block drops rank mod p (z0 = 1 up to n = 4).  A(2, n)
-    is block anti-diagonal by parity, so every odd n is singular by
-    counting: the pass covers the last even drop, 28, and the threshold is
-    the odd n = 59."""
+    """One _eliminate call per parity block, over that block's last rank
+    drop, none when no leading block drops rank mod p (z0 = 1 up to n = 4).
+    A(1, 60) is block diagonal, so its last drop n = 28 is B_14 · C_14 with
+    C's last drop at 9.  A(2, n) is block anti-diagonal by parity, so every
+    odd n is singular by counting, with no pass, and the threshold is the
+    odd n = 59."""
     passes = []
-    real = sm.leading_minors
+    real = sm._eliminate
 
     def counting(m):
         passes.append(len(m))
         return real(m)
 
-    monkeypatch.setattr(sm, "leading_minors", counting)
+    monkeypatch.setattr(sm, "_eliminate", counting)
     res = sm.invertibility_scan(z0, nmax)
     assert passes == blocks
-    assert res["threshold"] == (59 if z0 == 2 else max(blocks, default=0))
+    assert res["threshold"] == {(1, 60): 28, (2, 60): 59, (1, 4): 0}[z0, nmax]
+
+
+def test_is_singular_exact_reads_the_parity_blocks(monkeypatch):
+    """A(2, 399) is singular by counting (odd order, block anti-diagonal):
+    the exact passes cover the blocks' last rank drops only."""
+    passes = []
+    real = sm._eliminate
+
+    def counting(m):
+        passes.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(sm, "_eliminate", counting)
+    assert sm.is_singular_exact(sm.build_prime_matrix(2, 399)) is True
+    assert passes and max(passes) <= 14
 
 
 def test_leading_ranks_mod_vs_sympy():
@@ -458,6 +485,11 @@ def test_char_poly_2x2_symbolic():
 def test_char_poly_function_normalization():
     a = sm.build_prime_matrix(1, 30)
     assert sm.char_poly_function(a, 1.0) == 1.0
+    assert sm.char_poly_function(a, 0.0) == 0.0  # p_0 = 1
+    # outside [0, 1]: refused, not read off coeffs[-1] or clamped to 1
+    for x in (-0.5, 1.5, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"x in \[0, 1\] required"):
+            sm.char_poly_function(a, x)
 
 
 def test_prime_row_flags_sieved_matches_direct():
