@@ -151,11 +151,6 @@ def dilate(g, steps=1):
     return Grid((g.origin[0] - steps, g.origin[1] - steps), cells)
 
 
-def _ranges(lo, k):
-    """lo[0], ..., lo[0] + k[0] - 1, lo[1], ...: the concatenated ranges."""
-    return np.arange(k.sum()) - np.repeat(np.cumsum(k) - k - lo, k)
-
-
 def _run_components(cells):
     """(starts, ends, stride, count, labels) of the 8-connected components of
     a bool array, found on its row runs of live cells.
@@ -179,8 +174,8 @@ def _run_components(cells):
     # a - 1 and start by column b; the dead column keeps both in that row
     lo = np.searchsorted(ends, starts - stride, side="left")
     k = np.maximum(np.searchsorted(starts, ends - stride, side="right") - lo, 0)
-    pairs = np.stack([np.repeat(np.arange(len(starts)), k), _ranges(lo, k)],
-                     axis=1)
+    pairs = np.stack([np.repeat(np.arange(len(starts)), k),
+                      rk.concat_ranges(lo, k)], axis=1)
     return (starts, ends, stride) + component_labels(len(starts), pairs)
 
 
@@ -211,7 +206,7 @@ def moat_component(m, window):
     if run < 0 or at >= ends[run]:
         raise ValueError("1+i is dead in this grid")
     mine = labels == labels[run]
-    cells = _ranges(starts[mine], ends[mine] - starts[mine])
+    cells = rk.concat_ranges(starts[mine], ends[mine] - starts[mine])
     return np.stack(np.divmod(cells, stride), axis=1) + g.origin
 
 

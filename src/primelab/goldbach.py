@@ -218,7 +218,7 @@ def r2(z, variant=OPEN):
     offsets = _offsets(ring, variant)
     box = z
     if ring not in _SPECIES_PARITIES:
-        a, b = (z.re, z.im) if ring == "gaussian" else (z.a, z.b)
+        a, b = z.coords
         if _filtered_out(variant, a, b):
             return 0
         # conjugation and negation carry the window onto the mirror's
@@ -234,14 +234,10 @@ def r2(z, variant=OPEN):
 
 
 def _infer_ring(z):
-    if isinstance(z, GaussianInt):
-        return "gaussian"
-    if isinstance(z, EisensteinInt):
-        return "eisenstein"
-    if isinstance(z, tuple) and len(z) == 4:
-        return "quaternion"
-    if isinstance(z, tuple) and len(z) == 8:
-        return "octonion"
+    if isinstance(z, (GaussianInt, EisensteinInt)):
+        return z.ring
+    if isinstance(z, tuple) and len(z) in (4, 8):
+        return "quaternion" if len(z) == 4 else "octonion"
     raise ValueError(f"cannot infer ring of {z!r}")
 
 

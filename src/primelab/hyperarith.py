@@ -208,8 +208,7 @@ def _sphere_points(dim, total):
     rk.check_budget((4 * dim + 24) * len(ball) + 16 * (dim + 1) * size,
                     f"norm-{total} sphere join of {size} points")
     left = np.repeat(np.arange(len(ball)), cnt)
-    # right partners of each left half: order[lo], ..., order[lo+cnt-1]
-    right = order[np.arange(size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+    right = order[rk.concat_ranges(lo, cnt)]  # partners of each left half
     return np.concatenate([ball[left], ball[right]], axis=1)
 
 

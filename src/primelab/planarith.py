@@ -1,7 +1,8 @@
 """Gaussian and Eisenstein integer rings.
 
-Z[i] elements are a + b·i with norm N = a² + b²; Eisenstein elements are
-a + b·ω with ω = (1+√−3)/2 (positive imaginary part), norm N = a² + ab + b².
+Both are Z[u] with u² = t·u − 1, so conj(u) = t − u and N = a² + t·ab + b²:
+u = i with t = 0, and u = ω = (1+√−3)/2 (Im ω > 0) with t = 1.  One element
+class, `_PlanarInt`, holds the arithmetic of `GaussianInt` and `EisensteinInt`.
 
 Primality, one rule for both rings (Ireland & Rosen, Ch. 1 §4 and Ch. 9 §1):
 z is prime iff N(z) is a rational prime, or N(z) = r² for a rational prime
@@ -9,16 +10,18 @@ r ≡ −1 mod q (q = 4 in Z[i], 3 in Z[ω]): such an r stays prime in the ring,
 so the elements of norm r² are exactly its unit multiples.  `_is_prime_norm`
 and the prime-norm table of `_prime_norms` are the only two forms of it.
 
-Canonical representatives: the unit×conjugation symmetry group of Z[i] is
-dihedral of order 8, with fundamental octant 0 ≤ arg ≤ π/4, i.e. a ≥ b ≥ 0;
-for the Eisenstein hexant (order-12 symmetry, 30°) the sector is likewise
-a ≥ b ≥ 0 in ω-coordinates.
+Canonical representatives, one rule for both rings: the least image under
+units × conjugation (8 or 12 maps) with a ≥ b ≥ 0.  The prime above a split
+p is x + yi or x + y√−3 = (x − y) + 2y·ω from one Cornacchia Euclid on
+p = x² + d·y², with d = 1 and √−1 mod p, or d = 3 and 2w + 1 (w³ = 1 ≠ w).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import add, attrgetter, neg, sub
 
 import numpy as np
 
@@ -27,65 +30,57 @@ from . import ratkernel as rk
 PI8 = math.pi / 8
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    re: int
-    im: int
+# per ring: (units, character modulus q, t in the norm form a² + t·ab + b²)
+_NORM_FORMS = {"gaussian": (4, 4, 0), "eisenstein": (6, 3, 1)}
+
+
+class _PlanarInt:
+    """a + b·u (module docstring) in the ring `ring`; a subclass is a frozen
+    dataclass of the two coordinates, which `coords` reads in order."""
+
+    def __init_subclass__(cls, ring, letter):
+        cls.ring, cls._t, cls._letter = ring, _NORM_FORMS[ring][2], letter
 
     def __add__(self, other):
-        return GaussianInt(self.re + other.re, self.im + other.im)
+        return type(self)(*map(add, self.coords, other.coords))
 
     def __sub__(self, other):
-        return GaussianInt(self.re - other.re, self.im - other.im)
+        return type(self)(*map(sub, self.coords, other.coords))
 
     def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianInt(a * c - b * d, a * d + b * c)
+        (a, b), (c, d) = self.coords, other.coords
+        return type(self)(a * c - b * d, a * d + b * c + self._t * b * d)
 
     def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
+        return type(self)(*map(neg, self.coords))
 
     def conj(self):
-        return GaussianInt(self.re, -self.im)
+        a, b = self.coords
+        return type(self)(a + self._t * b, -b)
 
     def norm(self):
-        return self.re * self.re + self.im * self.im
+        a, b = self.coords
+        return a * a + self._t * a * b + b * b
 
     def __repr__(self):
-        return f"({self.re}{self.im:+d}i)"
+        return "({}{:+d}{})".format(*self.coords, self._letter)
 
 
-@dataclass(frozen=True)
-class EisensteinInt:
+@dataclass(frozen=True, repr=False)
+class GaussianInt(_PlanarInt, ring="gaussian", letter="i"):
+    re: int
+    im: int
+    coords = property(attrgetter("re", "im"))
+
+
+@dataclass(frozen=True, repr=False)
+class EisensteinInt(_PlanarInt, ring="eisenstein", letter="w"):
     a: int
     b: int
-
-    def __add__(self, other):
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        # ω² = ω − 1, so (a+bω)(c+dω) = (ac − bd) + (ad + bc + bd)ω
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c + b * d)
-
-    def __neg__(self):
-        return EisensteinInt(-self.a, -self.b)
-
-    def conj(self):
-        # conj(ω) = 1 − ω
-        return EisensteinInt(self.a + self.b, -self.b)
-
-    def norm(self):
-        return self.a * self.a + self.a * self.b + self.b * self.b
+    coords = property(attrgetter("a", "b"))
 
     def complex_value(self):
         return complex(self.a + self.b / 2, self.b * math.sqrt(3) / 2)
-
-    def __repr__(self):
-        return f"({self.a}{self.b:+d}w)"
 
 
 GAUSSIAN_UNITS = (GaussianInt(1, 0), GaussianInt(0, 1),
@@ -110,24 +105,26 @@ def is_eisenstein_prime(z):
     return _is_prime_norm(z.norm(), "eisenstein")
 
 
+def _sector_rep(z, units, name):
+    """The least image of z under units × conjugation with a >= b >= 0."""
+    if z.coords == (0, 0):
+        raise ValueError(f"{name} undefined at 0")
+    return type(z)(*min((a, b) for u in units for w in (z * u, z.conj() * u)
+                        for a, b in (w.coords,) if a >= b >= 0))
+
+
 def octant_rep(z):
     """Canonical orbit representative with 0 <= arg <= π/4 (a >= b >= 0)."""
-    if z.re == 0 and z.im == 0:
-        raise ValueError("octant_rep undefined at 0")
-    a, b = abs(z.re), abs(z.im)
-    return GaussianInt(max(a, b), min(a, b))
+    return _sector_rep(z, GAUSSIAN_UNITS, "octant_rep")
 
 
 def hexant_rep(z):
     """Canonical representative in the 30° Eisenstein sector (a >= b >= 0)."""
-    if z.a == 0 and z.b == 0:
-        raise ValueError("hexant_rep undefined at 0")
-    return EisensteinInt(*min((w.a, w.b) for u in EISENSTEIN_UNITS for w in
-                              (z * u, z.conj() * u) if w.a >= w.b >= 0))
+    return _sector_rep(z, EISENSTEIN_UNITS, "hexant_rep")
 
 
 def prime_above(p, ring="gaussian"):
-    """Canonical prime representative above a rational prime p."""
+    """Canonical prime above a rational prime p, a split p <= 3037000499."""
     if not rk.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if ring == "gaussian":
@@ -138,12 +135,12 @@ def prime_above(p, ring="gaussian"):
     if ring == "eisenstein":
         if p % 3 == 2:
             return EisensteinInt(p, 0)
-        # split case: 4p = (2a + b)² + 3b² with a >= b >= 1, so r >= 3b
-        for b in range(1, math.isqrt(p) + 1):
-            r = math.isqrt(4 * p - 3 * b * b)
-            if r * r == 4 * p - 3 * b * b and (r - b) % 2 == 0 and r >= 3 * b:
-                return hexant_rep(EisensteinInt((r - b) // 2, b))
-        raise ValueError(f"no split representation found for {p}")
+        if p == 3:  # ramified: 3 = −ω²·(1 + ω)²
+            return EisensteinInt(1, 1)
+        w = next(w for w in (pow(a, (p - 1) // 3, p) for a in
+                             itertools.count(2)) if w != 1)
+        (x,), (y,) = rk._cornacchia(np.array([p]), np.array([2 * w + 1]), 3)
+        return hexant_rep(EisensteinInt(int(x - y), int(2 * y)))
     raise ValueError(f"unknown ring {ring!r}")
 
 
@@ -283,10 +280,6 @@ def gaussian_mertens(x):
 def gaussian_mertens_series(nmax):
     """M_G(0..nmax) as an int64 array (M_G(0) = 0)."""
     return 4 * np.cumsum(_h_table(int(nmax)))
-
-
-# per ring: (units, character modulus q, t in the norm form a² + t·ab + b²)
-_NORM_FORMS = {"gaussian": (4, 4, 0), "eisenstein": (6, 3, 1)}
 
 
 def _norm_form(ring):

@@ -169,8 +169,8 @@ def gcd_components(n):
     # copies of them: 77-79 B per edge (tracemalloc, n = 10³-10⁶)
     rk.check_budget(80 * int(arms.sum()), f"gcd prime stars n={n}")
     hub = np.repeat(primes, arms)
-    factor = np.arange(len(hub)) - np.repeat(np.cumsum(arms) - arms, arms) + 2
-    return component_labels(n, np.stack([hub, factor * hub], axis=1) - 1)[0]
+    edges = np.stack([hub, rk.concat_ranges(2, arms) * hub], axis=1)
+    return component_labels(n, edges - 1)[0]
 
 
 def gcd_components_formula(n):

@@ -4,10 +4,10 @@ Sieving, deterministic 64-bit primality, prime counting in residue classes,
 the logarithmic integral li(x) = ∫₂ˣ dt/log t, Jordan totients
 J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), `multiplicative_table` (the one table
 behind μ, φ and planarith's Gaussian h, strided over the primes <= √n of the
-one sieve), the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol,
-one array kernel for √−1 mod p and Fermat's two squares p = a² + b²
-(Cornacchia), Euler's composite-detection identity, and divisor-class
-counts d_k(n; m) = #{d | n : d ≡ k mod m}.
+one sieve), concatenated ranges, the gcd table gcd(i, j) for 1 <= i, j <= n,
+the Jacobi symbol, one array kernel for √−1 mod p, Cornacchia's Euclid for
+p = x² + d·y² (two squares at d = 1), Euler's composite-detection identity,
+and divisor-class counts d_k(n; m) = #{d | n : d ≡ k mod m}.
 
 Everything here is exact integer arithmetic except li().
 """
@@ -235,6 +235,11 @@ def moebius_table(n):
         n, lambda p, e: np.where(e == 1, -1, 0)).astype(np.int8)
 
 
+def concat_ranges(lo, k):
+    """lo[0], ..., lo[0] + k[0] − 1, lo[1], ...: ranges of int64 lengths k."""
+    return np.arange(k.sum()) - np.repeat(np.cumsum(k) - k - lo, k)
+
+
 def gcd_table(n):
     """gcd(i, j) for 1 <= i, j <= n as an int64 (n, n) array (entry [i-1, j-1]).
 
@@ -342,17 +347,28 @@ def sqrt_minus_one_mod(ps):
         r[on] = np.where((r[on] == 0) & (y2 == q - 1), y, r[on])
 
 
-def two_square(ps):
-    """(a, b) int64 arrays with a² + b² = p, a > b > 0 ((1, 1) for p = 2), for
-    primes as in sqrt_minus_one_mod: Euclid on (p, √−1 mod p), on all entries
-    at once, stops at the first remainder a < √p (Brillhart, Cornacchia)."""
-    p = np.asarray(ps, dtype=np.int64)
-    x, y = p.copy(), sqrt_minus_one_mod(p)
+def _cornacchia(p, r, d):
+    """(x, y) with x² + d·y² = p for int64 arrays of primes p <= _EXACT_P and
+    roots r² ≡ −d mod p: Euclid on (p, r mod p) stops at the first remainder
+    x < √p (Cornacchia; Brillhart, Math. Comp. 26 (1972), for d = 1)."""
+    if (p > _EXACT_P).any():
+        raise ValueError(f"{p.max()} is above {_EXACT_P}")
+    x, y = p.copy(), r % p
     on = np.flatnonzero(y * y >= p)
     while on.size:
         x[on], y[on] = y[on], x[on] % y[on]
         on = on[y[on] * y[on] >= p[on]]
-    return y, np.sqrt(p - y * y).astype(np.int64)
+    x, y = y, np.sqrt((p - y * y) // d).astype(np.int64)
+    if (x * x + d * y * y != p).any():
+        raise ArithmeticError(f"a root of −{d} gave no x² + {d}·y² = p")
+    return x, y
+
+
+def two_square(ps):
+    """(a, b) int64 arrays with a² + b² = p, a > b > 0 ((1, 1) for p = 2), for
+    primes as in sqrt_minus_one_mod: _cornacchia on (p, √−1 mod p), d = 1."""
+    p = np.asarray(ps, dtype=np.int64)
+    return _cornacchia(p, sqrt_minus_one_mod(p), 1)
 
 
 def _gauss_gcd(z, w):

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ratkernel as rk
-from .planarith import (GaussianInt, gaussian_prime_mask, prime_row_flags,
-                        _prime_rows)
+from .planarith import GaussianInt, gaussian_prime_mask, _prime_rows
 
 
 def _as_gaussian(z0):
@@ -288,7 +287,7 @@ def spectrum(m):
     """Eigenvalues with a measured residual bound max‖Av − λv‖₂/‖A‖_max·n."""
     n = np.shape(m)[0]
     check_solver_cap(n)
-    a = np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     w, v = np.linalg.eig(a)
     scale = max(float(np.linalg.norm(a)), 1e-300)
     res = np.linalg.norm(a @ v - v * w[None, :], axis=0)
@@ -389,7 +388,8 @@ def row_cov_sign_table(K, n):
 
 def qr_column_means(m):
     """Column means of Q in the QR factorization."""
-    q, _r = np.linalg.qr(np.asarray(m, dtype=float))
+    a = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+    q, _r = np.linalg.qr(a)
     return q.mean(axis=0)
 
 

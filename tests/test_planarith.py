@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -39,6 +40,35 @@ def test_eisenstein_norm_multiplicative(z, w):
 @given(ei)
 def test_eisenstein_conj_norm(z):
     assert z * z.conj() == EisensteinInt(z.norm(), 0)
+
+
+def _complex(z):
+    return complex(z.re, z.im) if isinstance(z, GaussianInt) \
+        else z.complex_value()
+
+
+@given(st.one_of(st.tuples(gi, gi), st.tuples(ei, ei)))
+def test_arithmetic_matches_complex_numbers(pair):
+    z, w = pair
+    for got, want in ((z * w, _complex(z) * _complex(w)),
+                      (z + w, _complex(z) + _complex(w)),
+                      (z - w, _complex(z) - _complex(w)),
+                      (-z, -_complex(z)),
+                      (z.conj(), _complex(z).conjugate())):
+        assert type(got) is type(z)
+        assert abs(_complex(got) - want) <= 1e-9 * (1 + abs(want))
+    assert abs(z.norm() - abs(_complex(z)) ** 2) <= 1e-9 * (1 + z.norm())
+
+
+def test_the_two_rings_stay_apart():
+    assert GaussianInt(1, 1) != EisensteinInt(1, 1)
+    assert len({GaussianInt(1, 1), EisensteinInt(1, 1)}) == 2
+    assert [f.name for f in dataclasses.fields(GaussianInt)] == ["re", "im"]
+    assert [f.name for f in dataclasses.fields(EisensteinInt)] == ["a", "b"]
+    assert repr(GaussianInt(4, -13)) == "(4-13i)"
+    assert repr(EisensteinInt(2, 3)) == "(2+3w)"
+    assert GaussianInt(re=4, im=-13).coords == (4, -13)
+    assert EisensteinInt(a=2, b=3).coords == (2, 3)
 
 
 def test_eisenstein_units():
@@ -143,7 +173,7 @@ def test_hexant_rep_idempotent(z):
         assert pa.hexant_rep((z * u).conj()) == r
 
 
-def test_prime_above():
+def test_prime_above(two_square_oracle):
     assert pa.prime_above(2) == GaussianInt(1, 1)
     assert pa.prime_above(5) == GaussianInt(2, 1)
     assert pa.prime_above(7) == GaussianInt(7, 0)
@@ -155,6 +185,38 @@ def test_prime_above():
         ze = pa.prime_above(p, "eisenstein")
         assert pa.is_eisenstein_prime(ze)
         assert ze.norm() == (p * p if p % 3 == 2 else p)
+        if p % 4 == 1 or p == 2:
+            assert zg == GaussianInt(*two_square_oracle(p))
+        if p % 3 == 1 or p == 3:
+            assert ze == _eisenstein_search(p)
+
+
+def _eisenstein_search(p):
+    """The prime of norm p above a split or ramified p, by a search over b:
+    4p = (2a + b)² + 3b² with a >= b >= 1, so r = 2a + b >= 3b."""
+    for b in range(1, math.isqrt(p) + 1):
+        r = math.isqrt(4 * p - 3 * b * b)
+        if r * r == 4 * p - 3 * b * b and (r - b) % 2 == 0 and r >= 3 * b:
+            return pa.hexant_rep(EisensteinInt((r - b) // 2, b))
+    raise ValueError(f"no split representation found for {p}")
+
+
+def test_prime_above_at_the_int64_bound(two_square_oracle):
+    # the largest and the least primes ≡ 1 mod 12 around 3037000499 split
+    # in both rings; the Euclid's int64 squares hold only below it
+    below, above = 3037000453, 3037000537
+    assert pa.prime_above(below) == GaussianInt(*two_square_oracle(below))
+    assert pa.prime_above(below, "eisenstein") == _eisenstein_search(below)
+    for ring in ("gaussian", "eisenstein"):
+        with pytest.raises(ValueError, match="3037000499"):
+            pa.prime_above(above, ring)
+
+
+@pytest.mark.parametrize("d, root", [(1, 4), (3, 5)])
+def test_cornacchia_checks_its_equation(d, root):
+    # 4² ≡ 3 and 5² ≡ 12 mod 13: neither is a root of −d
+    with pytest.raises(ArithmeticError, match=f"no x² \\+ {d}·y² = p"):
+        rk._cornacchia(np.array([13]), np.array([root]), d)
 
 
 def test_theta_sequence():

@@ -410,6 +410,19 @@ def test_spectrum_residual_bound():
     assert abs(np.prod(s.eigenvalues) - d) <= 1e-6 * max(1, abs(d))
 
 
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+def test_complex_matrices_keep_their_imaginary_part():
+    # a gcd^s matrix with complex s, whose spectrum spirals
+    m = sm.build_smith(6, 0.5 + 1j)
+    s = sm.spectrum(m)
+    want = np.linalg.eigvals(m)
+    assert np.abs(np.sort_complex(s.eigenvalues)
+                  - np.sort_complex(want)).max() < 1e-9
+    assert s.residual_bound < 1e-10
+    q, _r = np.linalg.qr(m)
+    assert np.allclose(sm.qr_column_means(m), q.mean(axis=0))
+
+
 def test_spectrum_capacity(monkeypatch):
     monkeypatch.setattr(sm, "SOLVER_CAP", 5)
     with pytest.raises(rk.CapacityError):
@@ -497,13 +510,13 @@ def test_prime_row_flags_sieved_matches_direct():
     # 5 and 13 are primes ≡ 1 mod 4 dividing k; at k = 4, j = 1 the value
     # 1 + 16 = 17 is itself a sieving prime
     for k in (1, 2, 3, 4, 5, 6, 10, 13):
-        flags = sm.prime_row_flags(k, 20001)
+        flags = pa.prime_row_flags(k, 20001)
         for j in range(1, 2000):
             assert flags[j - 1] == is_gaussian_prime(GaussianInt(j, k)), (j, k)
     # a row longer than k²: composites j² + k² with every prime factor above
     # n need sieving primes up to √(n² + k²), e.g. 6674² + k² = 20593·21589
     k = 20001
-    flags = sm.prime_row_flags(k, 20001)
+    flags = pa.prime_row_flags(k, 20001)
     for j in range(1, 20002):
         assert flags[j - 1] == rk.is_prime(j * j + k * k), (j, k)
 
@@ -514,7 +527,7 @@ def test_prime_row_bytes_cover_traced_peak():
         rk.sieve.cache_clear()
         tracemalloc.start()
         try:
-            sm.prime_row_flags(k, n)
+            pa.prime_row_flags(k, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -523,7 +536,7 @@ def test_prime_row_bytes_cover_traced_peak():
 
 def test_prime_rows_refused_before_allocation(monkeypatch):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
-    for call in (lambda: sm.prime_row_flags(1, 10**7),
+    for call in (lambda: pa.prime_row_flags(1, 10**7),
                  lambda: sm.row_cov_sign_table(6, 10**6)):
         tracemalloc.start()
         try:
