@@ -28,17 +28,26 @@ parity par, off = 2 − par, read from hyperarith.prime_mask over the doubled
 axes off, off+2, …, 2·box_i − off.  r2 of one target counts each mask of its
 own box against the mask's reflection; only the angle cap, which depends on
 the target, is counted per cell.  grid_counts gives r2 of every target in a
-box from M⋆M, computed by FFT and rounded.  The FFT runs in float32 when
-3·K·2⁻²⁴·log₂ L <= 1/4, with K the number of primes in M and L the number of
-cells of M⋆M, and in float64 otherwise: FFT convolution error grows like
-K·u·log₂ L at unit roundoff u (Percival, Math. Comp. 72 (2003); Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 24), and the largest
-float32 error measured was 0.24·K·u·log₂ L (an all-ones mask; planar and
-quaternion prime masks 0.03–0.12), under 1/12 of the bound.  On both paths the rounding is
-accepted only if every cell lies within 0.25 of an integer; otherwise
-ArithmeticError is raised rather than a wrong count returned.  comet,
-quaternion_comet, first_counterexample and eisenstein_ghosts read that
-grid, and r3 is one more product of the pair grid with the mask.
+box from M⋆M, computed by FFT and rounded.  Only the mask's own box, the
+cells t < M.shape, is ever read, so the FFT computes no more: on M's longest
+axis, with N cells and h = ⌈N/2⌉, a pair with both summands at index >= h
+lands at index >= N, so the box is that of lo ⋆ w, with lo the first h
+slices of M and w the mask with its slices >= h doubled (the two orders of a
+mixed pair).  That axis spans h + N − 1 cells instead of 2N − 1, 3/4 of the
+points of M⋆M in 2-D.  The FFT runs in float32 when
+3·‖lo‖₂·‖w‖₂·2⁻²⁴·log₂ L <= 1/4, with ‖lo‖₂² = K_lo and ‖w‖₂² = K_lo + 4·K_hi
+for the K_lo primes of M in lo and the K_hi others, and L the number of
+cells of lo ⋆ w; it runs in float64 otherwise.  FFT convolution error grows
+like ‖lo‖₂·‖w‖₂·u·log₂ L at unit roundoff u (Percival, Math. Comp. 72
+(2003); Higham, Accuracy and Stability of Numerical Algorithms, ch. 24); for
+an untruncated mask that is K·u·log₂ L with K primes.  The largest float32
+error measured on lo ⋆ w was 0.069 of the bound (all ones, 265²), 0.026
+(Gaussian primes, 50² to 764²) and 0.021 (Eisenstein, 50² to 677²), under
+1/10 of it.  On both paths the rounding is accepted only if every cell of
+the box lies within 0.25 of an integer; otherwise ArithmeticError is raised
+rather than a wrong count returned.  comet, quaternion_comet,
+first_counterexample and eisenstein_ghosts read that grid, and r3 is one
+more product of the pair grid with the mask.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
+from scipy import fft, signal
 
 from . import ratkernel as rk
 from .hyperarith import prime_mask
@@ -107,33 +116,66 @@ class SweepReport:
             yield ",".join(map(str, idx)) + f",{int(v)}"
 
 
+def _halves(shape):
+    """(axis, h): the first longest axis of a mask of this shape, with N
+    cells, and h = ⌈N/2⌉; lo is the mask's first h slices along it."""
+    axis = max(range(len(shape)), key=shape.__getitem__)
+    return axis, -(-shape[axis] // 2)
+
+
+def _conv_shape(shape):
+    """Shape of lo ⋆ w for a mask of this shape: h + N − 1 on the halved
+    axis and 2n − 1 on every other."""
+    axis, h = _halves(shape)
+    return tuple(max(n + (h if i == axis else n) - 1, 0)
+                 for i, n in enumerate(shape))
+
+
 def _check_fft(shape):
-    # the FFT self-convolution of a mask of this shape takes about 40 B per
-    # cell of the result; callers check it before the mask is built
-    rk.check_budget(40 * math.prod(max(2 * n - 1, 0) for n in shape),
+    # the float64 path of _fft_counts traces at most 40 B per cell of the
+    # padded real FFT, each axis of lo ⋆ w at fftconvolve's next_fast_len,
+    # plus the 12 B per mask cell of lo and w; callers check it before the
+    # mask is built
+    padded = math.prod(fft.next_fast_len(n, True) for n in _conv_shape(shape))
+    rk.check_budget(40 * padded + 12 * math.prod(shape),
                     f"FFT convolution of a {shape} mask")
 
 
 def _fft_dtype(mask):
-    """float32 when 3·K·2⁻²⁴·log₂ L <= 1/4 for the K ones of the mask and the
-    L cells of its self-convolution, else float64 (module docstring).  The
-    bound also gives K < 2²⁴, so every count is exact in float32."""
-    cells = math.prod(2 * n - 1 for n in mask.shape)
-    bound = 3 * np.count_nonzero(mask) * 2.0**-24 * math.log2(max(cells, 2))
+    """float32 when 3·‖lo‖₂·‖w‖₂·2⁻²⁴·log₂ L <= 1/4 for the inputs lo, w of
+    _fft_counts and the L cells of lo ⋆ w, else float64 (module docstring).
+    With K_lo ones of the mask in lo and K_hi in the rest, ‖lo‖₂² = K_lo and
+    ‖w‖₂² = K_lo + 4·K_hi.  Every cell of lo ⋆ w is at most ‖lo‖₂·‖w‖₂ <
+    2²⁴ under the bound, so every count is exact in float32."""
+    axis, h = _halves(mask.shape)
+    k_lo = np.count_nonzero(mask[(slice(None),) * axis + (slice(h),)])
+    k_hi = np.count_nonzero(mask) - k_lo
+    bound = (3 * math.sqrt(k_lo * (k_lo + 4 * k_hi)) * 2.0**-24
+             * math.log2(max(math.prod(_conv_shape(mask.shape)), 2)))
     return np.float32 if bound <= 0.25 else np.float64
 
 
 def _fft_counts(mask):
-    """Integer self-convolution mask⋆mask of a 0/1 mask, by FFT in the
-    precision of _fft_dtype and checked rounding; callers run _check_fft on
-    its shape first.
+    """(mask⋆mask)[t] for every t < mask.shape, the mask's own box, of a
+    0/1 mask, by FFT in the precision of _fft_dtype and checked rounding;
+    callers run _check_fft on its shape first.
 
-    Raises ArithmeticError when some cell of the float result lies 0.25 or
-    more from an integer, where rounding could pick the wrong count.
+    On the mask's longest axis, with N cells and h = ⌈N/2⌉, a pair whose
+    summands both sit at index >= h lands at index >= N, outside the box.
+    So the box is that of lo ⋆ w, where lo is the first h slices of the
+    mask and w is the mask with its slices >= h doubled, for the two orders
+    of a mixed pair: the FFT spans h + N − 1 cells on that axis, not 2N − 1.
+
+    Raises ArithmeticError when some cell of the box lies 0.25 or more from
+    an integer, where rounding could pick the wrong count.
     """
-    m = mask.astype(_fft_dtype(mask))
-    conv = signal.fftconvolve(m, m)
-    counts = np.empty(conv.shape, dtype=np.int64)
+    axis, h = _halves(mask.shape)
+    head = (slice(None),) * axis
+    w = mask.astype(_fft_dtype(mask))
+    lo = w[head + (slice(h),)].copy()
+    w[head + (slice(h, None),)] *= 2
+    conv = signal.fftconvolve(lo, w)[tuple(slice(n) for n in mask.shape)]
+    counts = np.empty(mask.shape, dtype=np.int64)
     np.rint(conv, out=counts, casting="unsafe")
     # the distance to the nearest integer, in the convolution's own buffer
     np.subtract(conv, counts, out=conv)
@@ -254,11 +296,10 @@ def r3(z, variant=OPEN):
     if a < 3 or b < 3 or _filtered_out(variant, a, b):
         return 0
     # every summand lies in [1..a-2]×[1..b-2], the open-cone mask of the box
-    # (a-1, b-1); pairs[i, j] = r2((i+2)+(j+2)i)
+    # (a-1, b-1); the pair grid's cell [i, j] is r2((i+2)+(j+2)i)
     _check_fft((a - 2, b - 2))
     [(_off, mask)] = _summand_masks("gaussian", offsets, (a - 1, b - 1))
-    pairs = _fft_counts(mask)[:a - 2, :b - 2]
-    return int(np.sum(pairs * mask[::-1, ::-1]))
+    return int(np.sum(_fft_counts(mask) * mask[::-1, ::-1]))
 
 
 def grid_counts(ring, variant, box):
@@ -269,14 +310,15 @@ def grid_counts(ring, variant, box):
     so the whole box costs one mask and one convolution per offset.  The
     angle cap depends on the target, so it is counted by r2 alone.
 
-    Exactness: M⋆M is computed by FFT and rounded to integers, in float32
-    when 3·K·2⁻²⁴·log₂ L <= 1/4 (K primes in M, L cells of M⋆M) and in
-    float64 otherwise; the largest float32 error measured is under 1/12 of
+    Exactness: M⋆M is computed on M's own box only, as the truncated
+    convolution lo ⋆ w of _fft_counts, by FFT rounded to integers, in
+    float32 when 3·‖lo‖₂·‖w‖₂·2⁻²⁴·log₂ L <= 1/4 (L cells of lo ⋆ w) and in
+    float64 otherwise; the largest float32 error measured is under 1/10 of
     that bound (module docstring).  The result is returned only if every
-    cell lies within 0.25 of an integer; otherwise ArithmeticError is
-    raised.  FFT rounding error spreads over all cells and grows with the
-    number of primes in M, so a box whose error could reach a whole count
-    fails this check long before.
+    cell of the box lies within 0.25 of an integer; otherwise
+    ArithmeticError is raised.  FFT rounding error spreads over all cells
+    and grows with the number of primes in M, so a box whose error could
+    reach a whole count fails this check long before.
     """
     offsets = _offsets(ring, variant)
     if variant.angle_cap is not None:
@@ -287,10 +329,11 @@ def grid_counts(ring, variant, box):
     for off, mask in _summand_masks(ring, offsets, box):
         if mask.any():
             k = max(off, 0)  # targets below off have no summand pair
-            crop = tuple(slice(k - off, n + 1 - off) for n in box)
-            # padded only after the FFT has returned: a grid allocated
-            # before it would add to the convolution's peak
-            grids.append(np.pad(_fft_counts(mask)[crop], [(k, 0)] * len(box)))
+            # cells below −off are targets below 0; padded only after the
+            # FFT has returned: a grid allocated before it would add to the
+            # convolution's peak
+            counts = _fft_counts(mask)[(slice(k - off, None),) * len(box)]
+            grids.append(np.pad(counts, [(k, 0)] * len(box)))
     out = (sum(grids[1:], grids[0]) if grids
            else np.zeros(tuple(n + 1 for n in box), dtype=np.int64))
     if variant.parity_filter == "even-only":

@@ -48,9 +48,12 @@ class PrimeSieve:
         check_budget(limit + 1, f"sieve limit {limit}")
         flags = np.ones(limit + 1, dtype=bool)
         flags[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
+        flags[4::2] = False
+        # the odd primes up to √limit strike their odd multiples from p²
+        root = math.isqrt(limit)
+        if root >= 3:
+            for p in PrimeSieve(root).primes()[1:].tolist():
+                flags[p * p :: 2 * p] = False
         self.limit = limit
         self.flags = flags
         self.flags.setflags(write=False)
@@ -317,11 +320,14 @@ def sqrt_minus_one_mod(ps):
     largest entry needs run on every entry and prove it prime, so the search
     ends.  Any other entry raises ValueError.
     """
-    p = np.asarray(ps, dtype=np.int64)
-    if p.size > 2**13:  # blocks that stay in cache, and bound the memory
-        return np.concatenate([sqrt_minus_one_mod(p[i:i + 2**13])
-                               for i in range(0, p.size, 2**13)])
-    bad = (p < 2) | (p > _EXACT_P) | (p % 4 != 1) & (p != 2)
+    ps = np.asarray(ps)
+    if ps.size > 2**13:  # blocks that stay in cache, and bound the memory
+        return np.concatenate([sqrt_minus_one_mod(ps[i:i + 2**13])
+                               for i in range(0, ps.size, 2**13)])
+    # tested before the int64 cast, which would wrap an entry of 2⁶³ or more
+    # or overflow on one of 2⁶⁴ or more; refused entries enter as 2
+    bad = (ps < 2) | (ps > _EXACT_P) | (ps % 4 != 1) & (ps != 2)
+    p = np.where(bad, 2, ps).astype(np.int64)
     bases = [a for a, below in zip(_SPRP_PSI, (0, *_SPRP_PSI.values()))
              if below <= p.max(initial=0)]
     e = (p - 1) >> 2
@@ -329,7 +335,7 @@ def sqrt_minus_one_mod(ps):
     r = np.zeros_like(p)
     for a in filter(is_prime, itertools.count(2)):
         if bad.any():
-            raise ValueError(f"{p[bad][0]} is not 2 or a prime ≡ 1 mod 4 "
+            raise ValueError(f"{ps[bad][0]} is not 2 or a prime ≡ 1 mod 4 "
                              f"at most {_EXACT_P}")
         on = np.flatnonzero((r == 0) | (a in bases))
         if not on.size:
@@ -367,8 +373,8 @@ def _cornacchia(p, r, d):
 def two_square(ps):
     """(a, b) int64 arrays with a² + b² = p, a > b > 0 ((1, 1) for p = 2), for
     primes as in sqrt_minus_one_mod: _cornacchia on (p, √−1 mod p), d = 1."""
-    p = np.asarray(ps, dtype=np.int64)
-    return _cornacchia(p, sqrt_minus_one_mod(p), 1)
+    r = sqrt_minus_one_mod(ps)  # refuses ps out of range before any cast
+    return _cornacchia(np.asarray(ps, dtype=np.int64), r, 1)
 
 
 def _gauss_gcd(z, w):

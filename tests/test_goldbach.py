@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.signal import fftconvolve
 
 from primelab import goldbach as gb
@@ -319,6 +320,17 @@ def test_fft_exactness_guard(monkeypatch):
         gb.comet("eisenstein", ((2, 10), (2, 10)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4).flatmap(
+    lambda shape: hnp.arrays(bool, tuple(shape))))
+def test_fft_counts_is_the_corner_of_the_full_self_convolution(mask):
+    # axes of length 1, 2, odd and even, halved or not
+    m = mask.astype(np.float64)
+    want = np.rint(fftconvolve(m, m))[tuple(slice(n) for n in mask.shape)]
+    got = gb._fft_counts(mask)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_fft_budget_refused_before_the_mask_is_built(monkeypatch):
     def no_mask(*args):
         raise AssertionError("mask built for a refused convolution")
@@ -543,35 +555,59 @@ def test_float64_above_the_bound(fft_dtypes, monkeypatch):
     assert np.array_equal(got, np.multiply.outer(a, a))
 
 
-def test_float32_error_has_tenfold_headroom():
+def test_float32_error_has_tenfold_headroom(monkeypatch):
+    # the float32 convolution _fft_counts runs, lo ⋆ w, caught by a spy
+    runs = []
+    real = gb.signal.fftconvolve
+
+    def spy(x, y):
+        runs.append((x, y, real(x, y)))
+        return runs[-1][2].copy()
+
+    monkeypatch.setattr(gb.signal, "fftconvolve", spy)
     masks = [pa.planar_prime_mask("gaussian", 1, n, 1, n)
-             for n in (50, 300, 804)]
+             for n in (50, 300, 764)]
     masks += [pa.planar_prime_mask("eisenstein", 1, n, 1, n)
-              for n in (50, 300, 712)]
-    masks.append(np.ones((276, 276), dtype=bool))
+              for n in (50, 300, 677)]
+    masks.append(np.ones((265, 265), dtype=bool))
     for m in masks:
         assert gb._fft_dtype(m) is np.float32
-        k = np.count_nonzero(m)
-        bound = 3 * k * 2.0**-24 * np.log2((2 * m.shape[0] - 1) ** 2)
-        x = m.astype(np.float32)
-        err = np.abs(fftconvolve(x, x) - _fft64(m, m)).max()
+        gb._fft_counts(m)
+        x, y, conv = runs.pop()
+        assert x.dtype == y.dtype == np.float32
+        bound = (3 * np.linalg.norm(x.astype(np.float64))
+                 * np.linalg.norm(y.astype(np.float64))
+                 * 2.0**-24 * np.log2(conv.size))
+        box = tuple(slice(n) for n in m.shape)
+        err = np.abs(conv[box] - _fft64(m, m)[box]).max()
         assert err <= bound / 10, (m.shape, err, bound)
     # one row or column more passes the switch
-    for ring, n in (("gaussian", 805), ("eisenstein", 713)):
+    for ring, n in (("gaussian", 765), ("eisenstein", 678)):
         m = pa.planar_prime_mask(ring, 1, n, 1, n)
         assert gb._fft_dtype(m) is np.float64
-    assert gb._fft_dtype(np.ones((277, 277), dtype=bool)) is np.float64
+    assert gb._fft_dtype(np.ones((266, 266), dtype=bool)) is np.float64
 
 
-def test_float64_fft_peak_is_under_the_budget_estimate():
+def test_float64_fft_peak_is_under_the_budget_estimate(monkeypatch):
     import tracemalloc
 
+    estimates = []
+    monkeypatch.setattr(gb.rk, "check_budget",
+                        lambda nbytes, what: estimates.append(nbytes))
+    # 300² ones take float64 on their own; the rest are forced to it.  217²
+    # pads lo ⋆ w the most of the squares up to 1400² (1.15×), and the 8-D
+    # mask pads its 7-cell axes to 8
     mask = np.ones((300, 300), dtype=bool)
     assert gb._fft_dtype(mask) is np.float64
-    tracemalloc.start()
-    try:
-        gb._fft_counts(mask)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * 599**2  # _check_fft's estimate for this shape
+    monkeypatch.setattr(gb, "_fft_dtype", lambda m: np.float64)
+    for shape in ((300, 300), (217, 217), (100000,), (3, 3, 80, 80),
+                  (2, 3, 4, 5, 4, 3, 2, 3)):
+        mask = np.ones(shape, dtype=bool)
+        gb._check_fft(shape)
+        tracemalloc.start()
+        try:
+            gb._fft_counts(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimates.pop(), shape

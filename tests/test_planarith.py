@@ -212,6 +212,16 @@ def test_prime_above_at_the_int64_bound(two_square_oracle):
             pa.prime_above(above, ring)
 
 
+@pytest.mark.parametrize("p", [9223372036854775837, 1180591620717411303529])
+def test_prime_above_names_primes_past_int64(p):
+    # the least primes ≡ 1 mod 12 above 2⁶³ and 2⁷⁰ split in both rings;
+    # an int64 cast would wrap the first and overflow on the second
+    assert rk.is_prime(p) and p % 12 == 1
+    for ring in ("gaussian", "eisenstein"):
+        with pytest.raises(ValueError, match=f"^{p} "):
+            pa.prime_above(p, ring)
+
+
 @pytest.mark.parametrize("d, root", [(1, 4), (3, 5)])
 def test_cornacchia_checks_its_equation(d, root):
     # 4² ≡ 3 and 5² ≡ 12 mod 13: neither is a root of −d

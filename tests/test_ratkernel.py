@@ -31,6 +31,17 @@ def test_sieve_matches_trial_division():
         assert s.is_prime(n) == _trial_is_prime(n)
 
 
+def test_sieve_flags_at_the_squares_of_primes():
+    # the root sieve's last prime p strikes first at p², so limits p² − 1,
+    # p² and p² + 1 cross each root; 2 and 3 have a root below 2
+    limits = [2, 3] + [p * p + d for p in (2, 3, 5, 7, 11, 13, 31, 47)
+                       for d in (-1, 0, 1)]
+    for limit in limits:
+        flags = rk.PrimeSieve(limit).flags
+        assert flags.tolist() == [_trial_is_prime(n)
+                                  for n in range(limit + 1)], limit
+
+
 def test_is_prime_agrees_with_sieve():
     s = rk.sieve(10**5)
     for n in range(0, 10**5 + 1, 7):
@@ -194,6 +205,9 @@ def test_two_square_kernel_at_the_exactness_bound(sqrt_minus_one_oracle,
     ([5, 13, 19], 19),
     ([1], 1),
     ([3037000537], 3037000537),
+    # uint64 and object arrays, named before the int64 cast
+    ([9223372036854775837], 9223372036854775837),
+    ([1180591620717411303529, 13], 1180591620717411303529),
 ])
 def test_two_square_kernel_refuses(entries, refused):
     # composites, primes ≡ 3 mod 4 and entries outside 2..3037000499
