@@ -218,14 +218,17 @@ def clique_euler_characteristic(g):
     the cliques through v are v itself and v joined to the cliques of its
     link N(v) ∩ (S − v).  Vertex sets are int bitsets; a memo dict
     computes each χ once and an explicit stack replaces V-deep recursion.
-    The memo is refused above the byte budget as it grows (about
-    100 + V/8 B per entry, traced).
+    The memo is refused above the byte budget as it grows: 120 B per entry
+    plus 4 B per 30-bit digit of its V-bit key, for the key's 24 B header
+    and the 90 B of the old and new dict tables right after the memo
+    doubles (traced: at most 112 B plus the digits, gcd graphs of
+    V = 20..420).
     """
     bits = np.zeros((g.V, (g.V + 7) // 8), dtype=np.uint8)
     for u, v in (g.edges.T, g.edges.T[::-1]):
         np.bitwise_or.at(bits, (u, v // 8), (1 << v % 8).astype(np.uint8))
     nbr = [int.from_bytes(row.tobytes(), "little") for row in bits]
-    entry = 100 + g.V // 8
+    entry = 120 + 4 * (g.V // 30 + 1)
     full = (1 << g.V) - 1
     memo = {0: 0}
     stack = [full]

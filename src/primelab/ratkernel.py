@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +35,20 @@ def check_budget(nbytes, what):
     if nbytes > _BYTE_BUDGET:
         raise CapacityError(f"{what} needs about {nbytes} B, above the "
                             f"{_BYTE_BUDGET} B budget")
+
+
+def _exact_integers(a):
+    """a as an array of exact integers: a bool or integer array unchanged,
+    anything else as Python ints of an object array, entry by entry through
+    operator.index.  So a sequence never passes through float64 and np.int64
+    entries of an object array never wrap in products; a float, complex or
+    Fraction entry, or a float or complex array, raises TypeError."""
+    if isinstance(a, np.ndarray) and a.dtype.kind != "O":
+        if a.dtype.kind in "biu":
+            return a
+        raise TypeError(f"integer entries required, got {a.dtype}")
+    return np.asarray(np.frompyfunc(operator.index, 1, 1)(
+        np.asarray(a, dtype=object)), dtype=object)
 
 
 class PrimeSieve:
@@ -318,9 +333,10 @@ def sqrt_minus_one_mod(ps):
     Each a computes the strong test's chain yᵢ = a^(d·2ⁱ), p − 1 = d·2ˢ with
     d odd, up to y_(s−2) = a^((p−1)/4); the bases of _SPRP_PSI that the
     largest entry needs run on every entry and prove it prime, so the search
-    ends.  Any other entry raises ValueError.
+    ends.  Any other integer raises ValueError; a float or complex entry
+    raises TypeError (_exact_integers).
     """
-    ps = np.asarray(ps)
+    ps = _exact_integers(ps)
     if ps.size > 2**13:  # blocks that stay in cache, and bound the memory
         return np.concatenate([sqrt_minus_one_mod(ps[i:i + 2**13])
                                for i in range(0, ps.size, 2**13)])

@@ -24,7 +24,11 @@ coordinate sum are associates of 1 + i): for odd-sum z0 it is block
 diagonal, det A_n = det B_⌈n/2⌉ · det C_⌊n/2⌋; for even-sum z0 block
 anti-diagonal, det A_n = (−1)^(n/2) · det B_(n/2) · det C_(n/2) for even n
 and 0 for odd n.  One split-and-join serves the minors, the scan and the
-singularity test.
+singularity test.  Its entries, and char_poly's, pass one integer intake
+(rk._exact_integers: bool and integer arrays as they are, anything else as
+Python ints, a float or complex entry raising TypeError), and one byte
+check, check_exact_pass in _eliminate, refuses each pass from the order and
+largest |entry| of its block before it copies anything.
 Residual norms are max-abs entry norms throughout.
 """
 
@@ -83,8 +87,9 @@ def _by_blocks(m, per_block):
     """per_block(m), a list whose x_n stands for det m[:n, :n] (a minor or a
     nonzero flag), for square m.  When m splits (_parity_blocks) per_block
     runs on B and C, joined as minors: x_n = b_⌈n/2⌉ · c_⌊n/2⌋ ("diag"), or
-    (−1)^(n/2) · b_(n/2) · c_(n/2) for even n, 0 for odd n ("anti")."""
-    m = np.asarray(m)
+    (−1)^(n/2) · b_(n/2) · c_(n/2) for even n, 0 for odd n ("anti").
+    Entries are read by the one integer intake, rk._exact_integers."""
+    m = rk._exact_integers(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
     split = _parity_blocks(m)
@@ -119,12 +124,12 @@ def _parity_blocks(m):
 
 
 def _eliminate(m):
-    """leading_minors of the square array m by the one Bareiss pass, unsplit."""
+    """leading_minors of the square integer array m by the one Bareiss pass,
+    unsplit; refused by check_exact_pass, from m's order and largest |entry|,
+    before it copies anything."""
+    top = max(int(m.max()), -int(m.min()), 1) if m.size else 1
+    check_exact_pass(len(m), math.log2(top))
     a = m.tolist()
-    if m.dtype.kind not in "biu":
-        # Python ints throughout: np.int64 entries of an object array would
-        # wrap in the products below
-        a = [list(map(operator.index, row)) for row in a]
     size = len(a)
     minors = []
     sign = 1
@@ -165,14 +170,7 @@ def _eliminate(m):
 
 
 def det_exact(m):
-    """Exact determinant: the last of leading_minors(m), 1 for 0×0; refused
-    by check_exact_pass, from m's order and largest |entry|, before the pass
-    starts."""
-    m = np.asarray(m)
-    if m.dtype.kind in "fc":  # int() below would truncate
-        raise TypeError(f"integer matrix required, got {m.dtype}")
-    top = max(int(m.max()), -int(m.min())) if m.size else 0
-    check_exact_pass(len(m), math.log2(max(top, 1)))
+    """Exact determinant: the last of leading_minors(m), 1 for 0×0."""
     return (leading_minors(m) or [1])[-1]
 
 
@@ -194,13 +192,9 @@ def _leading_ranks_mod(m, p):
     pass without row swaps: rank m[:i, :j] = #{k < i : lead[k] < j}, with
     lead[k] the leading column of reduced row k, n for a zero row (Dumas,
     Pernet & Sultan, "Computing the rank profile matrix", ISSAC 2015).
-    Works over int64: p < 2^31 keeps every product below 2^62.  Other than
-    bool or integer entries go through operator.index (a float raises
-    TypeError, as in _eliminate) and mod p in Python ints, so any size fits."""
-    m = np.asarray(m)
-    if m.dtype.kind not in "biu":
-        m = np.array([[operator.index(x) % p for x in row]
-                      for row in m.tolist()], dtype=np.int64).reshape(m.shape)
+    Works over int64: p < 2^31 keeps every product below 2^62.  The Python
+    ints of an object array (rk._exact_integers) are reduced mod p before
+    the cast, so any size fits."""
     a = (m % p).astype(np.int64, copy=False)
     n = a.shape[0]
     lead = np.full(n, n, dtype=np.int64)
@@ -219,16 +213,14 @@ def _leading_ranks_mod(m, p):
 
 def _nonsingular(b):
     """[det b[:n, :n] != 0 for n = 1..N]: full rank mod p proves n, and one
-    exact pass over the block of the last rank drop, refused by
-    check_exact_pass before it starts, confirms or refutes every drop."""
+    exact pass over the block of the last rank drop confirms or refutes
+    every drop."""
     flags = (_leading_ranks_mod(b, _RANK_PRIME)
              == np.arange(1, len(b) + 1)).tolist()
     if all(flags):
         return flags
     d = len(flags) - flags[::-1].index(False)
-    head = b[:d, :d]
-    check_exact_pass(d, math.log2(max(int(head.max()), -int(head.min()), 1)))
-    return [x != 0 for x in _eliminate(head)] + flags[d:]
+    return [x != 0 for x in _eliminate(b[:d, :d])] + flags[d:]
 
 
 def is_singular_exact(m):
@@ -309,12 +301,13 @@ def char_poly(m):
     """Coefficients of det(xI − A), descending (leading 1).
 
     Exact integers via Faddeev–LeVerrier up to order _CHAR_POLY_EXACT_CAP,
-    float beyond.  Entries must be integers: a float or complex matrix
-    raises TypeError.
+    float beyond, both refused above SOLVER_CAP before any copy.  Entries
+    are read by rk._exact_integers: a float or complex matrix raises
+    TypeError.
     """
-    A = np.array([list(map(operator.index, row))
-                  for row in np.asarray(m).tolist()], dtype=object)
-    n = A.shape[0]
+    n = np.shape(m)[0]
+    check_solver_cap(n)
+    A = np.asarray(rk._exact_integers(m), dtype=object)
     if n <= _CHAR_POLY_EXACT_CAP:
         M = np.eye(n, dtype=object)
         coeffs = [1]
@@ -456,6 +449,13 @@ def smith_factorization_check(n, s=1):
     """Exact check A = E · diag(J_s(1..n)) · Eᵀ for integer s."""
     if not (isinstance(s, int) and s >= 1):
         raise ValueError("exact factorization check needs integer s >= 1")
+    # E, D, E·D·Eᵀ and build_smith's arrays trace 48 B per cell, plus the
+    # ints above 256 of two gcd^s arrays, which s·log₂(n)/2 bounds (traced
+    # 0.39–0.89 of the check at n = 50–200, s = 1–40); at least build_smith's
+    # own check, which runs last
+    per_cell = 52 + s * math.log2(max(n, 1)) / 2
+    rk.check_budget(int(per_cell * max(n, 0) ** 2),
+                    f"Smith factorization check n={n}")
     e = smith_divisor_factor(n).astype(object)
     d = np.diag([rk.jordan_totient(k, s) for k in range(1, n + 1)])
     return bool(np.array_equal(e @ d @ e.T, build_smith(n, s)))
@@ -463,6 +463,8 @@ def smith_factorization_check(n, s=1):
 
 def smith_inverse_moebius_check(n):
     """E⁻¹_{ij} = μ(i/j) on divisor pairs (0 elsewhere)."""
+    # E, the quotients, E⁻¹, E·E⁻¹ and I: 33 B per cell (tracemalloc)
+    rk.check_budget(34 * max(n, 0) ** 2, f"Smith Moebius check n={n}")
     e = smith_divisor_factor(n)
     idx = np.arange(1, n + 1)
     inv = e * rk.moebius_table(n)[idx[:, None] // idx[None, :]]
@@ -519,7 +521,7 @@ def vdm_product_modulus(n, alpha, beta):
     return math.exp(log_det)
 
 
-def vdm_det_growth(nmax, alpha=GOLDEN, beta=0.0):
+def vdm_det_growth(nmax, alpha=GOLDEN):
     """[(n, log|det B(n)| / log(2ⁿ·n!)) for n = 2..nmax] off vdm_log_det."""
     n = np.arange(2, nmax + 1)
     log_bound = n * math.log(2) + np.cumsum(np.log(n))

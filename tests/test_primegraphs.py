@@ -219,6 +219,24 @@ def test_clique_chi_memo_refused_by_bytes(monkeypatch):
     assert peak < 2 * 10**6
 
 
+@pytest.mark.parametrize("n", [100, 150, 200, 299])
+def test_clique_chi_memo_check_bounds_its_traced_peak(monkeypatch, n):
+    """The last memo check is at least the traced peak, up to 4 kB of fixed
+    slack; gcd_graph(200) and (299) end right after the memo dict doubles,
+    where the peak per entry is highest (299 with a 4 B dict index)."""
+    g = pg.gcd_graph(n)
+    last = {}
+    monkeypatch.setattr(rk, "check_budget",
+                        lambda nbytes, what: last.update(nbytes=nbytes))
+    tracemalloc.start()
+    try:
+        pg.clique_euler_characteristic(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= last["nbytes"] + 4096
+
+
 def test_adjacency_symmetric():
     a = pg.gaussian_graph(12).adjacency()
     assert (a == a.T).all()

@@ -217,6 +217,21 @@ def test_two_square_kernel_refuses(entries, refused):
             kernel(np.array(entries))
 
 
+def test_two_square_kernel_reads_exact_integers():
+    for kernel in (rk.sqrt_minus_one_mod, rk.two_square):
+        # refused, not truncated: 5.0 and 13.0 once gave ((2, 3), (1, 2))
+        for ps in ([5.0, 13.0], np.array([5.0, 13.0]), np.array([5 + 0j])):
+            with pytest.raises(TypeError):
+                kernel(ps)
+        # a list is read as exact ints, where np.asarray makes this one
+        # float64 and names 9.223372036854776e+18
+        with pytest.raises(ValueError,
+                           match="^9223372036854775837 is not 2 or a prime"):
+            kernel([5, 9223372036854775837])
+    a, b = rk.two_square([5, 13, 2])
+    assert (a.tolist(), b.tolist()) == ([2, 3, 1], [1, 2, 1])
+
+
 def test_factorize_roundtrip():
     for n in range(2, 5000, 17):
         prod = 1

@@ -276,15 +276,25 @@ def test_is_singular_exact_on_big_integers():
     assert sm._leading_ranks_mod(big, sm._RANK_PRIME).tolist() == [1, 1]
     assert sm.is_singular_exact(-big) is True
 
+
+def _traced_peak(call, *args, refused=None):
+    """tracemalloc peak of call(*args), which must raise a CapacityError
+    matching `refused` unless that is None."""
+    tracemalloc.start()
+    try:
+        if refused is not None:
+            with pytest.raises(rk.CapacityError, match=refused):
+                call(*args)
+        else:
+            call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_exact_pass_refused_before_it_starts(monkeypatch):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10_000)
     assert sm.det_exact(np.eye(4, dtype=np.int64)) == 1  # 356 B estimate
-
-    def no_pass(m):
-        raise AssertionError("exact pass entered for a refused matrix")
-
-    # every exact pass, split or not, runs _eliminate
-    monkeypatch.setattr(sm, "_eliminate", no_pass)
     # the same order with entries near 2**4000: a 16 kB estimate
     big = np.array([[2**4000 - i - j for j in range(4)] for i in range(4)],
                    dtype=object)
@@ -294,6 +304,46 @@ def test_exact_pass_refused_before_it_starts(monkeypatch):
     for exact in (sm.det_exact, sm.is_singular_exact):
         with pytest.raises(rk.CapacityError, match="exact pass over a 30x30"):
             exact(ones)
+    # every exact pass, split or not, runs _eliminate, which checks before
+    # its list copy of the block: a refusal traces less than that copy alone
+    # (entries 2**40, rank 1: 40 B per listed entry, where is_singular_exact's
+    # rank pass mod p copies 8 B per int64 entry), so no elimination step ran
+    i = np.arange(300)
+    for m in (np.full((300, 300), 2**40),
+              np.where((i[:, None] + i[None, :]) % 2, 0, 2**40)):
+        split = sm._parity_blocks(m)
+        block = m if split is None else split[1]
+        copy = _traced_peak(np.ndarray.tolist, block)
+        for exact in (sm.leading_minors, sm.det_exact, sm.is_singular_exact):
+            refused = f"exact pass over a {len(block)}x{len(block)} "
+            assert _traced_peak(exact, m, refused=refused) < copy
+
+
+@pytest.mark.parametrize("kind", [None, "diag", "anti"])
+def test_leading_minors_refused_where_det_exact_is(monkeypatch, kind):
+    """One check, in _eliminate, at the order of the block that the pass
+    runs: leading_minors, det_exact and is_singular_exact are refused at one
+    budget, and a split matrix of order 30 at its blocks' order 15."""
+    m = np.ones((30, 30), dtype=np.int64)  # rank 1: each block drops last
+    if kind:
+        i = np.arange(30)
+        m[(i[:, None] + i[None, :]) % 2 == (kind == "diag")] = 0
+    order = 30 if kind is None else 15
+    seen = []
+    with monkeypatch.context() as spy:
+        spy.setattr(rk, "check_budget",
+                    lambda nbytes, what: seen.append(nbytes))
+        sm.check_exact_pass(order)
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", seen[0] - 1)
+    for exact in (sm.leading_minors, sm.det_exact, sm.is_singular_exact):
+        with pytest.raises(rk.CapacityError,
+                           match=f"exact pass over a {order}x{order} "):
+            exact(m)
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", seen[0])
+    second = {None: 0, "diag": 1, "anti": -1}[kind]  # det m[:2, :2]
+    assert sm.leading_minors(m)[1:] == [second] + [0] * 28
+    assert sm.det_exact(m) == 0
+    assert sm.is_singular_exact(m) is True
 
 
 def test_det_exact_vs_float():
@@ -471,11 +521,25 @@ def test_char_poly_refuses_non_integers(monkeypatch):
 
     # integer entries always give integer coefficients, so the division
     # check is reached only by entries that get past the conversion
-    monkeypatch.setattr(sm, "operator", type("Op", (), {
+    monkeypatch.setattr(rk, "operator", type("Op", (), {
         "index": staticmethod(lambda x: x)}))
     halves = np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object)
     with pytest.raises(ArithmeticError, match="c_1 is not an integer"):
         sm.char_poly(halves)
+
+
+def test_char_poly_refused_above_solver_cap(monkeypatch):
+    # both paths read check_solver_cap before they copy the matrix
+    a = sm.build_prime_matrix(1, 300)
+    monkeypatch.setattr(sm, "SOLVER_CAP", 299)
+    assert _traced_peak(sm.char_poly, a,
+                        refused="matrix size 300 above solver cap") < a.nbytes
+    monkeypatch.setattr(sm, "SOLVER_CAP", 8)
+    assert len(sm.char_poly(a[:8, :8])) == 9  # the exact path at the cap
+    monkeypatch.setattr(sm, "_CHAR_POLY_EXACT_CAP", 4)
+    assert len(sm.char_poly(a[:8, :8])) == 9  # the float path at the cap
+    with pytest.raises(rk.CapacityError, match="matrix size 9 above"):
+        sm.char_poly(a[:9, :9].tolist())
 
 
 def test_char_poly_2x2_symbolic():
@@ -637,6 +701,28 @@ def test_smith_refused_before_build():
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_smith_identity_checks_bound_their_traced_peak(monkeypatch, n):
+    """Each identity check's first byte check, from n and s before its first
+    array, is at least its traced peak."""
+    seen = []
+    monkeypatch.setattr(rk, "check_budget",
+                        lambda nbytes, what: seen.append(nbytes))
+    for call in (lambda: sm.smith_inverse_moebius_check(n),
+                 lambda: sm.smith_factorization_check(n, 1)):
+        seen.clear()
+        assert _traced_peak(call) <= seen[0]
+
+
+def test_smith_identity_checks_refused_before_they_allocate(monkeypatch):
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
+    for call, what in ((lambda: sm.smith_inverse_moebius_check(400),
+                        "Smith Moebius check n=400"),
+                       (lambda: sm.smith_factorization_check(400, 3),
+                        "Smith factorization check n=400")):
+        assert _traced_peak(call, refused=what) < 10**6
 
 
 def test_smith_det_192():
