@@ -9,7 +9,9 @@ The moat machinery dilates the Gaussian-prime configuration m times and
 labels connected components (8-connectivity: diagonal steps of length √2
 are the twin distance), then extracts the component containing 1+i.
 Components are found on row runs of live cells (He, Chao & Suzuki, IEEE TIP
-17, 2008) through primegraphs.component_labels.
+17, 2008) through primegraphs.component_labels.  Point sets (live cells,
+changed cells, a moat component) are int64 (M, 2) arrays of (re, im) rows
+in lexicographic order, with no per-point object.
 """
 
 from __future__ import annotations
@@ -60,10 +62,8 @@ class Grid:
         return self.cells.shape[1]
 
     def live_points(self):
-        """Set of (re, im) lattice points that are alive."""
-        ore, oim = self.origin
-        return {(ore + int(i), oim + int(j))
-                for i, j in zip(*np.nonzero(self.cells))}
+        """(re, im) rows of the live cells, int64, in lexicographic order."""
+        return np.argwhere(self.cells) + self.origin
 
     def shifted(self, dre, dim):
         return Grid((self.origin[0] + dre, self.origin[1] + dim),
@@ -71,16 +71,20 @@ class Grid:
 
 
 def grid_from_points(points):
-    pts = sorted(points)
-    if not pts:
+    """Grid over the bounding box of the (re, im) rows of an (M, 2) array-like,
+    set in one indexed write; refused from the box's size."""
+    pts = np.asarray(points, dtype=np.int64)
+    if not pts.size:
         return Grid((0, 0), np.zeros((0, 0), dtype=bool))
-    res = [p[0] for p in pts]
-    ims = [p[1] for p in pts]
-    lo = (min(res), min(ims))
-    cells = np.zeros((max(res) - lo[0] + 1, max(ims) - lo[1] + 1), dtype=bool)
-    for re, im in pts:
-        cells[re - lo[0], im - lo[1]] = True
-    return Grid(lo, cells)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"(M, 2) points required, got shape {pts.shape}")
+    lo = pts.min(axis=0)
+    w, h = (pts.max(axis=0) - lo + 1).tolist()
+    # the cells, 1 B each, and the shifted rows, 16 B per point
+    rk.check_budget(w * h + 16 * len(pts), f"grid of {w}×{h} cells")
+    cells = np.zeros((w, h), dtype=bool)
+    cells[tuple((pts - lo).T)] = True
+    return Grid(tuple(lo.tolist()), cells)
 
 
 def grid_from_gaussian_primes(window):
@@ -112,18 +116,21 @@ def step(g, rule=LIFE):
 
 
 def alive_cells(g, rule=LIFE):
-    """Lattice points whose value changes after one step."""
+    """(re, im) rows, as in live_points, of the cells one step changes."""
     nxt = step(g, rule)
     return Grid(nxt.origin, np.pad(g.cells, 1) != nxt.cells).live_points()
 
 
-def farthest_live_radius(window, rule=LIFE):
-    """max |z| over cells that change after one step of the prime grid."""
-    g = grid_from_gaussian_primes(window)
-    cells = alive_cells(g, rule)
-    if not cells:
+def farthest_live_radius(window):
+    """max |z| (0.0 for none) over the cells of the Gaussian-prime grid on
+    [-window, window]² that change after one Life step: the farthest change,
+    not the farthest life, as cells outside the window are dead; so it is
+    bounded by the window's corner, √2·(window + 1)."""
+    cells = alive_cells(grid_from_gaussian_primes(window))
+    if not len(cells):
         return 0.0
-    return max((re * re + im * im) ** 0.5 for re, im in cells)
+    # a Python int's root is correctly rounded, as each cell's root would be
+    return int((cells * cells).sum(axis=1).max()) ** 0.5
 
 
 def _box_any(a, k, axis):
@@ -229,15 +236,10 @@ def from_rle(text):
         raise ValueError(f"{len(lines) - 1} rows, expected {w}")
     cells = np.zeros((w, h), dtype=bool)
     for i, line in enumerate(lines[1:]):
-        j, cur = 0, False
-        for run in line.split():
-            n = int(run)
-            if cur:
-                cells[i, j:j + n] = True
-            j += n
-            cur = not cur
-        if j != h:
-            raise ValueError(f"row {i} runs sum to {j}, expected {h}")
+        runs = [int(v) for v in line.split()]
+        if sum(runs) != h:
+            raise ValueError(f"row {i} runs sum to {sum(runs)}, expected {h}")
+        cells[i] = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
     return Grid((ore, oim), cells)
 
 

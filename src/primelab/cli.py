@@ -137,14 +137,14 @@ def _run_smith(args):
 
 def _run_graphs(args):
     from . import primegraphs as pg
+    _mode(args, "graphs", (), min=args.n)
     stats_lines = ["n,V,E,components,chi"]
     builder = {"gaussian": pg.gaussian_graph, "gcd": pg.gcd_graph}[args.kind]
     g = None
     for n in range(args.min, args.n + 1):
         g = builder(n)
-        st = pg.stats(g)
         stats_lines.append(
-            f"{n},{st.V},{st.E},{st.components},{st.chi}")
+            f"{n},{g.V},{g.E},{pg.component_count(g)},{g.V - g.E}")
     if g is None:  # --min above --n: no stats rows, edges still for --n
         g = builder(args.n)
     edge_lines = ["u,v"] + [f"{u},{v}" for u, v in
@@ -329,8 +329,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "graphs" and args.min is None:
-        args.min = args.n
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()

@@ -432,16 +432,13 @@ def eisenstein_ghosts(bmax_row, amax):
     return [a for a in range(2, amax + 1) if column[a] == 0]
 
 
-def signed_rep_exists(n, search_bound=None):
-    """n = p + q with p, q in ±primes; exact (bound-free) for odd n."""
-    if search_bound is None:
-        search_bound = max(abs(n) + 100, 100)
-    if search_bound < abs(n):
-        raise ValueError("search_bound must be >= |n|")
+def signed_rep_exists(n):
+    """n = p + q with p, q in ±primes, q searched up to |n| + 100; exact
+    (bound-free) for odd n."""
     if n % 2:
         # one summand must be ±2, the only even prime
         return rk.is_prime(abs(n - 2)) or rk.is_prime(abs(n + 2))
-    for q in rk.sieve(search_bound).primes().tolist():
+    for q in rk.sieve(abs(n) + 100).primes().tolist():
         if rk.is_prime(abs(n - q)) or rk.is_prime(abs(n + q)):
             return True
     return False

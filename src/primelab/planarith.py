@@ -14,6 +14,7 @@ Canonical representatives, one rule for both rings: the least image under
 units × conjugation (8 or 12 maps) with a ≥ b ≥ 0.  The prime above a split
 p is x + yi or x + y√−3 = (x − y) + 2y·ω from one Cornacchia Euclid on
 p = x² + d·y², with d = 1 and √−1 mod p, or d = 3 and 2w + 1 (w³ = 1 ≠ w).
+The prime twins come as one sorted int64 array, not as pairs of elements.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ def _gaussian_prime_disk(r):
     """(mask, m): Gaussian primes with |z| <= r on the box [-m, m]², m = int(r);
     mask[i, j] is the point (i − m) + (j − m)i."""
     m = int(r)
+    mask = gaussian_prime_mask(-m, m, -m, m)  # its check precedes the disk
     a = np.arange(-m, m + 1, dtype=np.int64)
-    disk = a[:, None] ** 2 + a[None, :] ** 2 <= int(r * r)
-    return gaussian_prime_mask(-m, m, -m, m) & disk, m
+    return mask & (a[:, None] ** 2 + a[None, :] ** 2 <= int(r * r)), m
 
 
 def sector_count(r, alpha, beta):
@@ -327,23 +328,23 @@ def norm_count_table(nmax, ring="gaussian"):
 
 
 def twins(r):
-    """Unordered Gaussian prime pairs at distance √2, both inside |z| <= r.
-
-    Deterministic order: sorted by the lexicographically smaller member.
-    """
+    """Unordered Gaussian prime pairs at distance √2, both inside |z| <= r,
+    as an int64 (M, 2, 2) array of rows [[a, b], [a + 1, d]]: the
+    lexicographically smaller member first, rows in lexicographic order."""
     if r < 2:
         raise ValueError("r >= 2 required")
     mask, m = _gaussian_prime_disk(r)
     # partners one step up-right, (a, b)–(a+1, b+1), and down-right,
     # (a, b+1)–(a+1, b); the left member is the lexicographically smaller
-    ua, ub = np.nonzero(mask[:-1, :-1] & mask[1:, 1:])
-    da, db = np.nonzero(mask[:-1, 1:] & mask[1:, :-1])
-    a = np.concatenate([ua, da]) - m
-    b = np.concatenate([ub, db + 1]) - m
-    d = np.concatenate([ub + 1, db]) - m
-    order = np.lexsort((d, b, a))
-    return [(GaussianInt(x, y), GaussianInt(x + 1, z)) for x, y, z in
-            zip(a[order].tolist(), b[order].tolist(), d[order].tolist())]
+    up = mask[:-1, :-1] & mask[1:, 1:]
+    down = mask[:-1, 1:] & mask[1:, :-1]
+    count = int(np.count_nonzero(up)) + int(np.count_nonzero(down))
+    # index rows, shifted and sorted copies, order: 72 B/pair (tracemalloc)
+    rk.check_budget(80 * count, f"{count} Gaussian prime twins, |z| <= {r}")
+    rows = np.concatenate([np.argwhere(up)[:, [0, 1, 0, 1]] + (0, 0, 1, 1),
+                           np.argwhere(down)[:, [0, 1, 0, 1]] + (0, 1, 1, 0)])
+    rows -= m
+    return rows[np.lexsort(rows.T[::-1])].reshape(-1, 2, 2)
 
 
 def _prime_norms(limit, ring):

@@ -43,6 +43,9 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self):
+        """Symmetric int64 0/1 matrix of the edges; refused before it
+        allocates its 8 B per vertex pair."""
+        rk.check_budget(8 * self.V**2, f"adjacency of {self.V} vertices")
         a = np.zeros((self.V, self.V), dtype=np.int64)
         a[self.edges, self.edges[:, ::-1]] = 1
         return a
@@ -83,20 +86,6 @@ def is_bipartite(g):
     shift = np.array([0, g.V])
     cover = np.concatenate([g.edges + shift, g.edges + shift[::-1]])
     return component_labels(2 * g.V, cover)[0] == 2 * component_count(g)
-
-
-@dataclass
-class GraphStats:
-    V: int
-    E: int
-    components: int
-    bipartite: bool
-    chi: int
-
-
-def stats(g):
-    return GraphStats(g.V, g.E, component_count(g), is_bipartite(g),
-                      g.V - g.E)
 
 
 def gaussian_graph(n):

@@ -30,7 +30,6 @@ from .planarith import prime_row_flags, theta_sequence
 @dataclass
 class RatioSeries:
     checkpoints: list  # (n, numerator, denominator, ratio)
-    target: float | None = None
 
     def __post_init__(self):
         ns = [c[0] for c in self.checkpoints]
@@ -233,8 +232,8 @@ def _pearson(x, y):
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
-def theta_statistics(thetas, lag=1):
-    """KS distance vs uniform(−π/8, π/8), lag autocorrelation, even/odd
+def theta_statistics(thetas):
+    """KS distance vs uniform(−π/8, π/8), lag-1 autocorrelation, even/odd
     split correlation, and the random-walk partial sums S(n) = Σ θ.
 
     `thetas` may be an integer N (first N prime angles) or an array.
@@ -249,36 +248,37 @@ def theta_statistics(thetas, lag=1):
     u = np.clip((np.sort(x) - lo) / (hi - lo), 0.0, 1.0)
     grid = np.arange(1, n + 1) / n
     ks = float(np.maximum(np.abs(u - grid), np.abs(u - (grid - 1 / n))).max())
-    auto = _pearson(x[:-lag], x[lag:])
+    auto = _pearson(x[:-1], x[1:])
     split = _pearson(x[0::2][: (n // 2)], x[1::2][: (n // 2)])
     return ThetaStats(ks, auto, split, np.cumsum(x))
 
 
-def frogger_min_x(a, cap=10**6):
+def frogger_min_x(a):
     """Least x >= 1 with x² + a² prime; loud not-found report at the cap."""
     if a < 1:
         raise ValueError("a >= 1 required")
     a2 = a * a
-    for x in range(1, cap + 1):
+    for x in range(1, 10**6 + 1):
         if rk.is_prime(x * x + a2):
             return x
-    raise RuntimeError(f"no x <= {cap} with x²+{a}² prime — notable artifact")
+    raise RuntimeError(f"no x <= 10⁶ with x²+{a}² prime — notable artifact")
 
 
-def hurwitz_frogger(a, half=False, cap=1000):
-    """Lexicographically least nonneg (x,y,z) (within the cap box) making
+def hurwitz_frogger(a, half=False):
+    """Lexicographically least nonneg (x,y,z) (within [0, 1000]³) making
     a² + x² + y² + z² prime (integer form) or the half-integer norm
     a² + x² + y² + z² + a + x + y + z + 1 prime.
     """
     if a < 0:
         raise ValueError("a >= 0 required")
-    for x in range(cap + 1):
-        for y in range(cap + 1):
-            for z in range(cap + 1):
+    side = range(1001)
+    for x in side:
+        for y in side:
+            for z in side:
                 v = a * a + x * x + y * y + z * z
                 if rk.is_prime(v + (a + x + y + z + 1 if half else 0)):
                     return (x, y, z)
-    raise RuntimeError(f"no triple within cap {cap} for a={a}")
+    raise RuntimeError(f"no triple within cap 1000 for a={a}")
 
 
 def hyperplane_prime_count(a, n):

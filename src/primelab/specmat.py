@@ -194,9 +194,13 @@ def _leading_ranks_mod(m, p):
     Pernet & Sultan, "Computing the rank profile matrix", ISSAC 2015).
     Works over int64: p < 2^31 keeps every product below 2^62.  The Python
     ints of an object array (rk._exact_integers) are reduced mod p before
-    the cast, so any size fits."""
+    the cast, so any size fits; refused before that copy."""
+    n = len(m)
+    # int64 copy, one step's product of the rows below: 16 B per cell, and
+    # 32 B more for an object block's residues (tracemalloc, n = 50 to 600)
+    rk.check_budget((48 if m.dtype == object else 16) * n * n + 64 * n,
+                    f"rank pass over a {n}x{n} matrix")
     a = (m % p).astype(np.int64, copy=False)
-    n = a.shape[0]
     lead = np.full(n, n, dtype=np.int64)
     for k in range(n):
         nz = np.flatnonzero(a[k])
@@ -414,6 +418,8 @@ def smith_divisor_factor(n):
     """E with E_{ij} = 1 iff j | i (lower unitriangular)."""
     if n < 1:
         raise ValueError("n >= 1 required")
+    # the int64 E and the bool mask it is cast from (tracemalloc)
+    rk.check_budget(9 * n * n, f"Smith divisor factor n={n}")
     idx = np.arange(1, n + 1, dtype=np.int64)
     return (idx[:, None] % idx[None, :] == 0).astype(np.int64)
 
@@ -449,16 +455,20 @@ def smith_factorization_check(n, s=1):
     """Exact check A = E · diag(J_s(1..n)) · Eᵀ for integer s."""
     if not (isinstance(s, int) and s >= 1):
         raise ValueError("exact factorization check needs integer s >= 1")
-    # E, D, E·D·Eᵀ and build_smith's arrays trace 48 B per cell, plus the
+    # E, E·D, E·D·Eᵀ and build_smith's arrays trace 48 B per cell, plus the
     # ints above 256 of two gcd^s arrays, which s·log₂(n)/2 bounds (traced
     # 0.39–0.89 of the check at n = 50–200, s = 1–40); at least build_smith's
     # own check, which runs last
     per_cell = 52 + s * math.log2(max(n, 1)) / 2
     rk.check_budget(int(per_cell * max(n, 0) ** 2),
                     f"Smith factorization check n={n}")
-    e = smith_divisor_factor(n).astype(object)
-    d = np.diag([rk.jordan_totient(k, s) for k in range(1, n + 1)])
-    return bool(np.array_equal(e @ d @ e.T, build_smith(n, s)))
+    j = [rk.jordan_totient(k, s) for k in range(1, n + 1)]
+    # E is 0/1 and every term is non-negative, so Σ J_s(k) bounds every
+    # partial sum of E·D·Eᵀ: below 2⁶³ the product is exact in int64
+    dtype = np.int64 if sum(j) < 2**63 else object
+    e = smith_divisor_factor(n).astype(dtype)
+    ed = e * np.array(j, dtype)  # E·D: column k of E times J_s(k)
+    return bool(np.array_equal(ed @ e.T, build_smith(n, s)))
 
 
 def smith_inverse_moebius_check(n):
@@ -488,7 +498,9 @@ def build_almost_period(n, alpha, beta, theta=0.0):
 
 
 def build_vdm(n, alpha, beta):
-    """B_{km} = exp(i(kmα + mβ)), k,m = 1..n."""
+    """B_{km} = exp(i(kmα + mβ)), k,m = 1..n; refused before it allocates
+    the 32 B per entry it peaks at (tracemalloc), two complex n×n arrays."""
+    rk.check_budget(32 * max(n, 0) ** 2, f"van der Monde matrix, order {n}")
     k = np.arange(1, n + 1, dtype=float)
     return np.exp(1j * (np.outer(k, k) * alpha + k[None, :] * beta))
 

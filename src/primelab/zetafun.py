@@ -197,12 +197,12 @@ def hurwitz_class_zeta(s, P):
     return float(out) if mp.im(s) == 0 else complex(out)
 
 
-def gaussian_mertens_growth(nmax, eps=0.05):
-    """(x, M_G(x) / x^(1/2+eps)) checkpoints on a doubling ladder."""
+def gaussian_mertens_growth(nmax):
+    """(x, M_G(x) / x^(1/2+ε)) checkpoints on a doubling ladder, ε = 0.05."""
     series = planarith.gaussian_mertens_series(nmax)
     out = []
     x = 16
     while x <= nmax:
-        out.append((x, int(series[x]) / x ** (0.5 + eps)))
+        out.append((x, int(series[x]) / x ** 0.55))
         x *= 2
     return out

@@ -9,25 +9,30 @@ from primelab.ratkernel import CapacityError
 
 
 def _pts(*pairs):
-    return ca.grid_from_points(set(pairs))
+    return ca.grid_from_points(pairs)
+
+
+def _set(points):
+    """The rows of an (M, 2) point array as a set of (re, im) tuples."""
+    return {tuple(p) for p in points.tolist()}
 
 
 def test_blinker_period_two():
     g = _pts((0, -1), (0, 0), (0, 1))
     g1 = ca.step(g)
-    assert g1.live_points() == {(-1, 0), (0, 0), (1, 0)}
+    assert _set(g1.live_points()) == {(-1, 0), (0, 0), (1, 0)}
     g2 = ca.step(g1)
-    assert g2.live_points() == g.live_points()
+    assert _set(g2.live_points()) == _set(g.live_points())
 
 
 def test_block_fixed():
     g = _pts((0, 0), (0, 1), (1, 0), (1, 1))
-    assert ca.step(g).live_points() == g.live_points()
+    assert _set(ca.step(g).live_points()) == _set(g.live_points())
 
 
 def test_empty_stays_empty():
-    g = ca.grid_from_points(set())
-    assert ca.step(g).live_points() == set()
+    g = ca.grid_from_points([])
+    assert _set(ca.step(g).live_points()) == set()
 
 
 def test_translation_equivariance():
@@ -36,25 +41,48 @@ def test_translation_equivariance():
         cells = rng.random((12, 12)) < 0.35
         g = ca.Grid((0, 0), cells)
         dx, dy = int(rng.integers(-9, 10)), int(rng.integers(-9, 10))
-        a = ca.step(g.shifted(dx, dy)).live_points()
-        b = {(x + dx, y + dy) for x, y in ca.step(g).live_points()}
+        a = _set(ca.step(g.shifted(dx, dy)).live_points())
+        b = {(x + dx, y + dy) for x, y in _set(ca.step(g).live_points())}
         assert a == b
 
 
 def test_alive_cells():
     blinker = _pts((0, -1), (0, 0), (0, 1))
-    assert ca.alive_cells(blinker) == {(-1, 0), (1, 0), (0, -1), (0, 1)}
+    assert _set(ca.alive_cells(blinker)) == {(-1, 0), (1, 0), (0, -1), (0, 1)}
     block = _pts((0, 0), (0, 1), (1, 0), (1, 1))
-    assert ca.alive_cells(block) == set()
+    assert _set(ca.alive_cells(block)) == set()
 
 
 def test_grid_from_gaussian_primes():
     g = ca.grid_from_gaussian_primes(3)
-    pts = g.live_points()
+    pts = _set(g.live_points())
     assert (1, 1) in pts and (2, 1) in pts and (3, 0) in pts
     assert (1, 0) not in pts
     # 90-degree rotation symmetry
     assert {(-b, a) for a, b in pts} == pts
+
+
+def test_grid_from_points_refused_from_its_box(monkeypatch):
+    # two points span a 201×201 box: refused before its cells, 1 B each
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="grid of 201×201 cells"):
+            ca.grid_from_points([(-100, 0), (100, 200)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+
+
+def test_grid_from_points_reads_m_by_2_rows():
+    rows = np.array([[2, -1], [0, 3]])
+    g = ca.grid_from_points(rows)
+    assert g.origin == (0, -1) and g.cells.shape == (3, 5)
+    assert _set(g.live_points()) == {(2, -1), (0, 3)}
+    assert ca.grid_from_points([]).cells.shape == (0, 0)
+    with pytest.raises(ValueError, match="got shape"):
+        ca.grid_from_points([(1, 2, 3)])
 
 
 def test_capacity_error(monkeypatch):
@@ -66,11 +94,11 @@ def test_capacity_error(monkeypatch):
 
 def test_dilation_monotone():
     g = ca.grid_from_gaussian_primes(15)
-    prev = g.live_points()
+    prev = _set(g.live_points())
     prev_components = ca.component_count(g)
     for m in range(1, 4):
         d = ca.dilate(g, m)
-        cur = d.live_points()
+        cur = _set(d.live_points())
         assert prev <= cur
         cur_components = ca.component_count(d)
         assert cur_components <= prev_components
@@ -82,7 +110,7 @@ def test_moat_component_flood_fill_oracle():
     g = ca.grid_from_gaussian_primes(window)
     comp = ca.moat_component(0, window)
     # brute-force 8-connected flood fill from (1, 1)
-    live = g.live_points()
+    live = _set(g.live_points())
     seen = {(1, 1)}
     stack = [(1, 1)]
     while stack:
@@ -95,7 +123,7 @@ def test_moat_component_flood_fill_oracle():
                 if w in live and w not in seen:
                     seen.add(w)
                     stack.append(w)
-    assert {tuple(p) for p in comp.tolist()} == seen
+    assert _set(comp) == seen
 
 
 def test_moat_monotone_in_dilation():
@@ -129,7 +157,7 @@ def test_custom_rule():
     r = ca.Rule({1}, set())
     g = _pts((0, 0))
     nxt = ca.step(g, r)
-    assert nxt.live_points() == {(x, y) for x in (-1, 0, 1)
+    assert _set(nxt.live_points()) == {(x, y) for x in (-1, 0, 1)
                                  for y in (-1, 0, 1)} - {(0, 0)}
 
 
@@ -234,8 +262,9 @@ def test_rle_and_pbm_match_per_cell_loops():
 def test_alive_cells_matches_per_cell_loop():
     replicator = ca.Rule({1, 3, 5, 7}, {1, 3, 5, 7})
     for g in _oracle_grids():
-        assert ca.alive_cells(g) == _alive_oracle(g)
-        assert ca.alive_cells(g, replicator) == _alive_oracle(g, replicator)
+        assert _set(ca.alive_cells(g)) == _alive_oracle(g)
+        assert (_set(ca.alive_cells(g, replicator))
+                == _alive_oracle(g, replicator))
 
 
 def test_moat_component_is_lexicographic_array():

@@ -27,3 +27,82 @@ def test_no_unused_imports_in_src():
     unused = {path.name: _unused_imports(path) for path in SRC.glob("*.py")
               if path.name != "__init__.py"}
     assert {name: u for name, u in unused.items() if u} == {}
+
+
+
+ROOT = SRC.parent.parent
+
+
+def _optional_parameters(tree):
+    """(name, parameter, position, line) of every parameter with a default of
+    the functions, methods and dataclasses defined in tree.  The position is
+    that of a call's positional argument: none for keyword-only parameters,
+    counted after self (or cls) for a method and in field order for a
+    dataclass."""
+    out = []
+    methods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            methods.update(f for f in node.body
+                           if isinstance(f, ast.FunctionDef))
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                out += [(node.name, f.target.id, i, f.lineno)
+                        for i, f in enumerate(fields) if _has_default(f)]
+        elif isinstance(node, ast.FunctionDef):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            skip = node in methods  # ast.walk reaches a class before its body
+            out += [(node.name, p.arg, i - skip, node.lineno)
+                    for i, p in enumerate(positional) if i >= first]
+            out += [(node.name, p.arg, None, node.lineno)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+    return out
+
+
+def _has_default(field):
+    """Whether a dataclass field is an __init__ parameter with a default: a
+    value other than a field(...) call without default or default_factory
+    or with init=False."""
+    value = field.value
+    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+        kw = {k.arg: ast.unparse(k.value) for k in value.keywords}
+        return kw.get("init") != "False" and bool(
+            {"default", "default_factory"} & kw.keys())
+    return value is not None
+
+
+def _calls(trees):
+    """{callee name: [(positional count, keywords, star)]} over every call
+    in trees, the callee named by its last attribute; star is whether the
+    call passes *args or **kwargs."""
+    out = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr",
+                                                        None))
+                star = (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords))
+                out.setdefault(name, []).append(
+                    (len(call.args), {k.arg for k in call.keywords}, star))
+    return out
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    """A default that no call in src/, tests/ or perfbench/ overrides is a
+    constant, not an option: a call sets a parameter by keyword, by position
+    or through *args or **kwargs."""
+    files = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
+    calls = _calls(trees.values())
+    unset = [f"{path.name}:{line} {name}({param})"
+             for path in sorted(SRC.glob("*.py"))
+             for name, param, pos, line in _optional_parameters(trees[path])
+             if not any(star or param in keywords
+                        or pos is not None and count > pos
+                        for count, keywords, star in calls.get(name, []))]
+    assert unset == []

@@ -427,7 +427,7 @@ def test_norm_count_budget_checked_before_allocation(monkeypatch):
 
 
 def test_twins():
-    ts = pa.twins(50)
+    ts = [(GaussianInt(*z), GaussianInt(*w)) for z, w in pa.twins(50).tolist()]
     pairs = {frozenset(((z.re, z.im), (w.re, w.im))) for z, w in ts}
     assert frozenset({(2, 1), (3, 2)}) in pairs
     for z, w in ts:
@@ -446,6 +446,57 @@ def test_twins():
                 if w.norm() <= 2500 and pa.is_gaussian_prime(w):
                     want.add(frozenset(((a, b), (w.re, w.im))))
     assert pairs == want
+
+
+def _twins_from_pair_check(monkeypatch, r, budget):
+    """(estimate, traced growth) of twins(r) from its pair check on, that
+    check run under `budget` B; the growth is the CapacityError's message
+    when it is refused.  The prime disk before it has its own check."""
+    check, at = rk.check_budget, {}
+
+    def spy(nbytes, what):
+        if "Gaussian prime twins" in what:
+            at.update(nbytes=nbytes, held=tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(rk, "_BYTE_BUDGET", budget)
+        check(nbytes, what)
+
+    monkeypatch.setattr(rk, "check_budget", spy)
+    tracemalloc.start()
+    try:
+        pa.twins(r)
+        growth = tracemalloc.get_traced_memory()[1] - at["held"]
+    except rk.CapacityError as e:
+        growth = str(e)
+    finally:
+        tracemalloc.stop()
+    return at["nbytes"], growth
+
+
+@pytest.mark.parametrize("r", [50, 300])
+def test_twins_budget_covers_its_pairs(monkeypatch, r):
+    nbytes, growth = _twins_from_pair_check(monkeypatch, r, rk._BYTE_BUDGET)
+    assert growth <= nbytes
+
+
+def test_twins_refused_before_its_pairs(monkeypatch):
+    nbytes, refused = _twins_from_pair_check(monkeypatch, 300, 10_000)
+    assert nbytes > 10_000
+    assert refused.startswith("14880 Gaussian prime twins, |z| <= 300 needs")
+
+
+def test_prime_disk_refused_before_its_norms(monkeypatch):
+    # the disk's int64 norms, 8 B per cell, come after the mask's check
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**5)
+    for call in (lambda: pa.twins(300), lambda: pa.sector_count(300, 0, 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(rk.CapacityError, match="prime mask of 361201"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**4
 
 
 def _check_mask_against_oracle(build, cls, oracle):

@@ -19,9 +19,8 @@ def _edge_labels(g):
 def test_gaussian_graph_n4():
     g = pg.gaussian_graph(4)
     assert sorted(_edge_labels(g)) == [(2, 3), (2, 5), (4, 5)]
-    st = pg.stats(g)
-    assert st.chi == 1
-    assert st.bipartite
+    assert g.V - g.E == 1
+    assert pg.is_bipartite(g)
 
 
 def test_gaussian_graph_bipartite_up_to_120():

@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 from primelab import planarith as pa
+from primelab import primegraphs as pg
 from primelab import ratkernel as rk
 from primelab import specmat as sm
 from primelab.planarith import GaussianInt, is_gaussian_prime
@@ -301,21 +302,28 @@ def test_exact_pass_refused_before_it_starts(monkeypatch):
     with pytest.raises(rk.CapacityError, match="exact pass over a 4x4"):
         sm.det_exact(big)
     ones = np.ones((30, 30), dtype=np.int64)  # rank 1 mod p: a drop
-    for exact in (sm.det_exact, sm.is_singular_exact):
-        with pytest.raises(rk.CapacityError, match="exact pass over a 30x30"):
+    # is_singular_exact's rank pass mod p, checked at 16 B per cell, is
+    # refused before the exact pass would be
+    for exact, kind in ((sm.det_exact, "exact"),
+                        (sm.is_singular_exact, "rank")):
+        with pytest.raises(rk.CapacityError,
+                           match=f"{kind} pass over a 30x30"):
             exact(ones)
     # every exact pass, split or not, runs _eliminate, which checks before
     # its list copy of the block: a refusal traces less than that copy alone
-    # (entries 2**40, rank 1: 40 B per listed entry, where is_singular_exact's
-    # rank pass mod p copies 8 B per int64 entry), so no elimination step ran
+    # (entries 2**40, rank 1: 40 B per listed entry), so no elimination step
+    # ran; is_singular_exact is refused at its rank pass mod p, before it
+    # copies the block to int64 residues
     i = np.arange(300)
     for m in (np.full((300, 300), 2**40),
               np.where((i[:, None] + i[None, :]) % 2, 0, 2**40)):
         split = sm._parity_blocks(m)
         block = m if split is None else split[1]
         copy = _traced_peak(np.ndarray.tolist, block)
-        for exact in (sm.leading_minors, sm.det_exact, sm.is_singular_exact):
-            refused = f"exact pass over a {len(block)}x{len(block)} "
+        for exact, kind in ((sm.leading_minors, "exact"),
+                            (sm.det_exact, "exact"),
+                            (sm.is_singular_exact, "rank")):
+            refused = f"{kind} pass over a {len(block)}x{len(block)} "
             assert _traced_peak(exact, m, refused=refused) < copy
 
 
@@ -723,6 +731,56 @@ def test_smith_identity_checks_refused_before_they_allocate(monkeypatch):
                        (lambda: sm.smith_factorization_check(400, 3),
                         "Smith factorization check n=400")):
         assert _traced_peak(call, refused=what) < 10**6
+
+
+@pytest.mark.parametrize("n, s", [(400, 1), (40, 12)])
+def test_smith_factorization_in_int64_and_in_python_ints(monkeypatch, n, s):
+    """Σ φ(k) < 2⁶³ at (400, 1): E·D·Eᵀ in int64; Σ J_12(k) >= 2⁶³ at
+    (40, 12): in Python ints.  Each path holds, and each sees one changed
+    entry of the gcd matrix."""
+    int64 = sum(rk.jordan_totient(k, s) for k in range(1, n + 1)) < 2**63
+    assert int64 == (s == 1)
+    assert sm.smith_factorization_check(n, s)
+    a = sm.build_smith(n, s)
+    a[-1, 0] += 1
+    monkeypatch.setattr(sm, "build_smith", lambda n, s: a)
+    assert not sm.smith_factorization_check(n, s)
+
+
+def _builder(kind, n):
+    """A call that builds one n×n array of `kind`, its inputs made first."""
+    if kind == "adjacency":
+        return pg.gcd_graph(n).adjacency
+    if kind.startswith("rank"):
+        m = sm.build_prime_matrix(0, n)
+        if kind == "rank, object":  # residues that are new Python ints
+            m = m.astype(object) * 2**70 + 2**40
+        return lambda: sm._leading_ranks_mod(m, sm._RANK_PRIME)
+    return {"van der Monde": lambda: sm.build_vdm(n, sm.GOLDEN, 0.3),
+            "divisor factor": lambda: sm.smith_divisor_factor(n)}[kind]
+
+
+_BUILDERS = ["van der Monde", "divisor factor", "adjacency", "rank, int64",
+             "rank, object"]
+
+
+@pytest.mark.parametrize("kind", _BUILDERS)
+def test_builders_refused_before_they_allocate(monkeypatch, kind):
+    call = _builder(kind, 300)
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**5)
+    # 300² cells of 8 B or more: a refusal traces under 10⁵ B
+    assert _traced_peak(call, refused="300") < 10**5
+
+
+@pytest.mark.parametrize("n", [100, 400])
+@pytest.mark.parametrize("kind", _BUILDERS)
+def test_builders_bound_their_traced_peak(monkeypatch, kind, n):
+    call = _builder(kind, n)
+    seen = []
+    monkeypatch.setattr(rk, "check_budget",
+                        lambda nbytes, what: seen.append(nbytes))
+    peak = _traced_peak(call)
+    assert peak <= seen[0] + 2**17  # up to numpy's fixed buffers
 
 
 def test_smith_det_192():
