@@ -67,7 +67,7 @@ def _run_goldbach(args):
         "region": list(map(list, report.region)),
         "min_count": report.min_count,
         "max_count": report.max_count,
-        "zero_cells": [list(c) for c in report.zero_cells],
+        "zero_cells": report.zero_cells.tolist(),
     }
     if variant.cone == "unrestricted":
         summary["window"] = gb.UNRESTRICTED_WINDOW
@@ -147,8 +147,9 @@ def _run_graphs(args):
             f"{n},{g.V},{g.E},{pg.component_count(g)},{g.V - g.E}")
     if g is None:  # --min above --n: no stats rows, edges still for --n
         g = builder(args.n)
-    edge_lines = ["u,v"] + [f"{u},{v}" for u, v in
-                             g.vertices[g.edges].tolist()]
+    uv = g.vertices[g.edges]
+    edge_lines = itertools.chain(["u,v"], map(
+        "{},{}".format, map(int, uv[:, 0]), map(int, uv[:, 1])))
     return {"stats.csv": stats_lines, "edges.csv": edge_lines}, {}
 
 
@@ -210,7 +211,8 @@ def _run_ca(args):
     extra = {"live_cells": int(g.cells.sum())}
     if args.moat is not None:
         comp = ca.moat_component(args.moat, args.window)
-        files["moat.csv"] = ["re,im"] + [f"{a},{b}" for a, b in comp.tolist()]
+        files["moat.csv"] = itertools.chain(["re,im"], map(
+            "{},{}".format, map(int, comp[:, 0]), map(int, comp[:, 1])))
         extra["moat_size"] = len(comp)
     return files, extra
 

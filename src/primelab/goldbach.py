@@ -96,8 +96,8 @@ class SweepReport:
     ring: str
     variant: SumVariant
     region: tuple
-    counts: np.ndarray
-    zero_cells: list = field(default_factory=list)
+    counts: np.ndarray  # counts[i, j] is r2 of (a_lo + i, b_lo + j)
+    zero_cells: np.ndarray  # int64 (M, 2): sorted (a, b) in scope, r2 = 0
 
     @property
     def min_count(self):
@@ -109,11 +109,10 @@ class SweepReport:
 
     def csv_lines(self):
         yield "re,im,count"
-        it = np.nditer(self.counts, flags=["multi_index"])
-        for v in it:
-            idx = tuple(i + lo for i, (lo, _hi) in
-                        zip(it.multi_index, self.region))
-            yield ",".join(map(str, idx)) + f",{int(v)}"
+        (alo, _), (blo, _) = self.region
+        for a, row in enumerate(self.counts, alo):
+            for b, v in enumerate(row.tolist(), blo):
+                yield f"{a},{b},{v}"
 
 
 def _halves(shape):
@@ -350,7 +349,7 @@ def _clear_odd(cells, shift):
 
 
 def comet(ring, region, variant=OPEN):
-    """SweepReport of r2 over a rectangular target region.
+    """SweepReport of r2 and its zero cells over a rectangular region.
 
     region: ((a_lo, a_hi), (b_lo, b_hi)) inclusive target coordinate bounds.
     Every cone reads one grid_counts grid; only the angle cap, which
@@ -381,14 +380,15 @@ def comet(ring, region, variant=OPEN):
     zero = grid == 0
     if variant.parity_filter == "even-only":
         _clear_odd(zero, alo + blo)
-    zero = np.argwhere(zero) + (alo, blo)
     return SweepReport(ring, variant, region, grid,
-                       [tuple(c) for c in zero.tolist()])
+                       np.argwhere(zero) + (alo, blo))
 
 
 def quaternion_comet(a, b, cmax, dmax, species="hurwitz"):
     """G(a,b): grid of r2((a,b,c,d)) for 1 <= c <= cmax, 1 <= d <= dmax,
     read off the grid_counts box (a, b, cmax, dmax)."""
+    if a < 0 or b < 0:
+        raise ValueError(f"a, b >= 0 required, got {a}, {b}")
     return grid_counts("quaternion", SumVariant(species=species),
                        (a, b, cmax, dmax))[a, b, 1:, 1:]
 
@@ -402,19 +402,20 @@ def first_counterexample(ring, variant, bound):
     proves nothing about the unbounded count.
     Gaussian open/closed/even: scope is 2 <= a,b <= bound (coordinate bound).
     Eisenstein open: scope is row b=3, 2 <= a <= bound.
-    Returns None if every element in scope is representable.
+    Returns None if every element in scope is representable; a Gaussian
+    answer is the first least-norm row of the comet's sorted zero_cells.
     """
     _offsets(ring, variant)  # raises for a variant the ring has no count of
     if ring == "gaussian":
         unrestricted = variant.cone == "unrestricted"
         lo, hi = (0, math.isqrt(bound)) if unrestricted else (2, bound)
-        report = comet(ring, ((lo, hi), (lo, hi)), variant)
-        first = min(((a * a + b * b, a, b) for a, b in report.zero_cells
-                     if not unrestricted or 0 < a * a + b * b <= bound),
-                    default=None)
-        if first is None:
+        cells = comet(ring, ((lo, hi), (lo, hi)), variant).zero_cells
+        if unrestricted:
+            n = (cells * cells).sum(axis=1)
+            cells = cells[(0 < n) & (n <= bound)]
+        if not len(cells):
             return None
-        _n, a, b = first
+        a, b = cells[np.argmin((cells * cells).sum(axis=1))].tolist()
         if unrestricted and (a + b) % 2 == 0:
             raise RuntimeError(
                 f"no pair for even target {a}+{b}i inside the window "
@@ -428,6 +429,8 @@ def first_counterexample(ring, variant, bound):
 
 def eisenstein_ghosts(bmax_row, amax):
     """All a <= amax with r2(a + row·ω, open cone) = 0 on the given row."""
+    if bmax_row < 0:
+        raise ValueError(f"row >= 0 required, got {bmax_row}")
     column = grid_counts("eisenstein", OPEN, (amax, bmax_row))[:, bmax_row]
     return [a for a in range(2, amax + 1) if column[a] == 0]
 
@@ -489,14 +492,14 @@ def gaussian_boundary_comet(c):
 
 def parity_law_sweep(norm_cap):
     """Check r2 > 0 for all even open-cone Gaussian targets with coordinates
-    >= 2 and norm <= norm_cap.  A zero cell raises with the counterexample."""
+    >= 2 and norm <= norm_cap; RuntimeError names up to ten zero cells."""
     m = math.isqrt(norm_cap)
     report = comet("gaussian", ((2, m), (2, m)),
                    SumVariant(cone="open", parity_filter="even-only"))
-    bad = [(a, b) for a, b in report.zero_cells
-           if a * a + b * b <= norm_cap and a >= 2 and b >= 2]
+    z = report.zero_cells
+    bad = list(map(tuple, z[(z * z).sum(axis=1) <= norm_cap][:10].tolist()))
     if bad:
-        raise RuntimeError(f"parity-law counterexample cells: {bad[:10]}")
+        raise RuntimeError(f"parity-law counterexample cells: {bad}")
     return report
 
 

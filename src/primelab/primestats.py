@@ -192,6 +192,8 @@ def empirical_ratio(n, checkpoints=None):
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if checkpoints[-1] != n:
         raise ValueError("largest checkpoint must equal n")
+    if checkpoints[0] < 2:
+        raise ValueError(f"checkpoints >= 2 required, got {checkpoints[0]}")
     # the row, the sieve, the int64 primes and one block of the row's √−1
     # kernel: 3.4-3.8 B per n traced at n = 10⁶..10⁷
     rk.check_budget(6 * n + 2**20, f"empirical ratio to {n}")
@@ -236,12 +238,13 @@ def theta_statistics(thetas):
     """KS distance vs uniform(−π/8, π/8), lag-1 autocorrelation, even/odd
     split correlation, and the random-walk partial sums S(n) = Σ θ.
 
-    `thetas` may be an integer N (first N prime angles) or an array.
+    `thetas` may be an integer N, Python or numpy (first N prime angles),
+    or an array.
     """
-    if isinstance(thetas, int):
+    if isinstance(thetas, (int, np.integer)):
         if thetas < 10:
             raise ValueError("N >= 10 required")
-        thetas = theta_sequence(thetas)[1]
+        thetas = theta_sequence(int(thetas))[1]
     x = np.asarray(thetas, dtype=float)
     n = len(x)
     lo, hi = -math.pi / 8, math.pi / 8

@@ -182,6 +182,22 @@ def test_goldbach_data_digests(tmp_path, args, csv_sha, json_sha):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
 
 
+# These files grow with the input: each runner hands the writer an iterator
+# that makes the lines as they are written, never a list of all of them.
+@pytest.mark.parametrize("args,name,header", [
+    (["goldbach", "--max", "20"], "goldbach.csv", "re,im,count"),
+    (["angles", "--count", "50"], "angles.csv", "p,theta"),
+    (["ca", "--window", "12", "--moat", "1"], "moat.csv", "re,im"),
+    (["graphs", "--kind", "gcd", "--n", "30"], "edges.csv", "u,v"),
+])
+def test_large_data_files_stream(args, name, header):
+    parsed = cli.build_parser().parse_args(args)
+    files, _extra = parsed.run(parsed)
+    lines = files[name]
+    assert not isinstance(lines, (list, tuple)) and iter(lines) is lines
+    assert next(lines) == header
+
+
 def test_goldbach_unrestricted_records_window(tmp_path):
     out = tmp_path / "gb"
     assert _run(["--out", str(out), "goldbach", "--variant", "unrestricted",

@@ -89,9 +89,9 @@ def test_unrestricted_comet_matches_window_oracle():
             else:
                 want = _windowed_pair_count(a, b, primes)
             assert got == want, (a, b)
-    assert rep.zero_cells == [(a, b) for a in range(-9, 14)
-                              for b in range(-7, 11)
-                              if rep.counts[a + 9, b + 7] == 0]
+    assert list(map(tuple, rep.zero_cells.tolist())) == [
+        (a, b) for a in range(-9, 14) for b in range(-7, 11)
+        if rep.counts[a + 9, b + 7] == 0]
 
 
 def test_first_counterexample_refuses_an_even_window_zero(monkeypatch):
@@ -138,7 +138,7 @@ def test_comet_matches_r2():
 def test_comet_even_filter_and_zero_cells():
     rep = gb.comet("gaussian", ((2, 40), (2, 40)),
                    gb.SumVariant(cone="open", parity_filter="even-only"))
-    assert rep.zero_cells == []
+    assert rep.zero_cells.tolist() == []
     assert rep.min_count >= 0
     lines = list(rep.csv_lines())
     assert lines[0] == "re,im,count"
@@ -245,7 +245,29 @@ def test_bunyakovsky():
 
 def test_parity_law_sweep():
     rep = gb.parity_law_sweep(40**2)
-    assert rep.zero_cells == []
+    assert rep.zero_cells.tolist() == []
+
+
+def test_parity_law_sweep_names_the_zero_cells_within_the_norm_cap(
+        monkeypatch):
+    def comet(ring, region, variant):
+        cells = np.array([[3, 5], [4, 6], [40, 40]], dtype=np.int64)
+        return gb.SweepReport(ring, variant, region, np.ones((1, 1)), cells)
+
+    monkeypatch.setattr(gb, "comet", comet)
+    # 40 + 40i has norm 3200 > 100: outside the sweep
+    with pytest.raises(RuntimeError, match=r"cells: \[\(3, 5\), \(4, 6\)\]$"):
+        gb.parity_law_sweep(100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gb.quaternion_comet(-1, 3, 5, 5),
+    lambda: gb.quaternion_comet(2, -1, 4, 4),
+    lambda: gb.eisenstein_ghosts(-1, 10),
+], ids=["quaternion a", "quaternion b", "eisenstein row"])
+def test_negative_row_or_slice_refused(call):
+    with pytest.raises(ValueError, match=">= 0 required"):
+        call()
 
 
 def test_octonion_no_decomposition():
@@ -531,7 +553,7 @@ def test_float32_grids_equal_the_float64_oracle(fft_dtypes):
         assert np.array_equal(report.counts, want), ring
         zero = [(a + 2, b + 2) for a, b in np.argwhere(want == 0).tolist()
                 if variant.parity_filter == "none" or (a + b) % 2 == 0]
-        assert report.zero_cells == zero
+        assert list(map(tuple, report.zero_cells.tolist())) == zero
     for a, b in ((5, 6), (39, 40), (80, 79), (150, 151), (300, 300)):
         m = pa.planar_prime_mask("gaussian", 1, a - 2, 1, b - 2)
         assert gb.r3(GaussianInt(a, b)) == _fft64(m, m, m)[a - 3, b - 3]

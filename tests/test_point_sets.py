@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from primelab import caworld as ca
+from primelab import goldbach as gb
 from primelab import hyperarith as ha
 from primelab import planarith as pa
 from primelab.planarith import GaussianInt
@@ -62,6 +63,17 @@ def _norm_points(dim, total):
             if sum(x * x for x in v) == total]
 
 
+def _zero_cells(region, variant):
+    """The comet's zero cells, and the in-scope targets of the region whose
+    r2, counted one target at a time, is 0."""
+    (alo, ahi), (blo, bhi) = region
+    cells = [(a, b) for a in range(alo, ahi + 1) for b in range(blo, bhi + 1)
+             if variant.parity_filter == "none" or (a + b) % 2 == 0]
+    return (lambda: gb.comet("gaussian", region, variant).zero_cells,
+            lambda: [c for c in cells
+                     if gb.r2(GaussianInt(*c), variant) == 0])
+
+
 _GRID = ca.Grid((-3, 5), np.random.default_rng(2).random((9, 7)) < 0.4)
 _EMPTY = ca.Grid((4, -2), np.zeros((0, 3), dtype=bool))
 
@@ -75,6 +87,11 @@ CASES = {
                     lambda: _changed_oracle(_GRID)),
     "moat_component": (lambda: ca.moat_component(1, 12),
                        lambda: _moat_oracle(1, 12)),
+    "comet zero_cells": _zero_cells(((2, 30), (2, 30)), gb.OPEN),
+    "comet zero_cells unrestricted": _zero_cells(((-40, -35), (-8, 8)),
+                                                 gb.UNRESTRICTED),
+    "comet zero_cells of none": _zero_cells(
+        ((2, 30), (2, 30)), gb.SumVariant(parity_filter="even-only")),
     "lattice_points_norm": (lambda: ha.lattice_points_norm(13),
                             lambda: _norm_points(4, 52)),
     "positively_ordered_reps": (

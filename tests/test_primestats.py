@@ -129,6 +129,32 @@ def test_empirical_ratio_matches_cumsum_oracle():
     assert series.checkpoints == _cumsum_ratio_rows(10**6, checkpoints)
 
 
+@pytest.mark.parametrize("checkpoints", [[-5, 100], [0, 1, 100], [1, 100]])
+def test_empirical_ratio_refuses_checkpoints_below_two(checkpoints):
+    # row[:c] counts from the end for c < 0; error_envelope divides by log² c
+    with pytest.raises(ValueError, match="checkpoints >= 2"):
+        ps.empirical_ratio(100, checkpoints)
+
+
+@pytest.mark.parametrize("ns", [[100, 10], [10, 10]])
+def test_ratio_series_refuses_non_increasing_checkpoints(ns):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ps.RatioSeries([(n, 1, 1, 1.0) for n in ns])
+
+
+@pytest.mark.parametrize("f,reason", [
+    ([5], "constant polynomial"),
+    ([3, 0, 0], "constant polynomial"),
+    ([1, -1], "leading coefficient not positive"),
+    ([1, 2, 0, -1], "leading coefficient not positive"),
+    ([-1, 0, 1], "reducible"),  # x² − 1 = (x − 1)(x + 1)
+    ([-5, 2, 3], "reducible"),  # 3x² + 2x − 5 = (x − 1)(3x + 5)
+])
+def test_bunyakovsky_refusals(f, reason):
+    ok, why = ps.bunyakovsky_admissible(f)
+    assert not ok and why.startswith(reason)
+
+
 def test_ratio_series_csv():
     series = ps.empirical_ratio(1000, [100, 1000])
     lines = list(series.csv_lines())
@@ -171,6 +197,16 @@ def test_theta_statistics():
     assert -1 <= st.autocorr <= 1
     assert -1 <= st.split_corr <= 1
     assert len(st.walk) == 2000
+
+
+def test_theta_statistics_takes_a_numpy_count():
+    want = ps.theta_statistics(100)
+    got = ps.theta_statistics(np.int64(100))
+    assert (got.ks_uniform, got.autocorr, got.split_corr) == \
+        (want.ks_uniform, want.autocorr, want.split_corr)
+    assert np.array_equal(got.walk, want.walk)
+    with pytest.raises(ValueError, match="N >= 10"):
+        ps.theta_statistics(np.int64(9))
 
 
 def test_theta_statistics_rejects_constant():
