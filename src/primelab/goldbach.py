@@ -362,6 +362,8 @@ def comet(ring, region, variant=OPEN):
         raise ValueError(f"comet unsupported for ring {ring!r}")
     _offsets(ring, variant)  # raises for a variant the ring has no count of
     (alo, ahi), (blo, bhi) = region
+    if alo > ahi or blo > bhi:
+        raise ValueError(f"a_lo <= a_hi, b_lo <= b_hi required, got {region}")
     grid = np.zeros((ahi - alo + 1, bhi - blo + 1), dtype=np.int64)
     if variant.angle_cap is not None:
         for a in range(alo, ahi + 1):
@@ -387,8 +389,9 @@ def comet(ring, region, variant=OPEN):
 def quaternion_comet(a, b, cmax, dmax, species="hurwitz"):
     """G(a,b): grid of r2((a,b,c,d)) for 1 <= c <= cmax, 1 <= d <= dmax,
     read off the grid_counts box (a, b, cmax, dmax)."""
-    if a < 0 or b < 0:
-        raise ValueError(f"a, b >= 0 required, got {a}, {b}")
+    if min(a, b, cmax, dmax) < 0:
+        raise ValueError(f"a, b, cmax, dmax >= 0 required, got {a}, {b}, "
+                         f"{cmax}, {dmax}")
     return grid_counts("quaternion", SumVariant(species=species),
                        (a, b, cmax, dmax))[a, b, 1:, 1:]
 
@@ -401,7 +404,7 @@ def first_counterexample(ring, variant, bound):
     the window of UNRESTRICTED_WINDOW raises RuntimeError, since that zero
     proves nothing about the unbounded count.
     Gaussian open/closed/even: scope is 2 <= a,b <= bound (coordinate bound).
-    Eisenstein open: scope is row b=3, 2 <= a <= bound.
+    Eisenstein open: scope is row b=3, 2 <= a <= bound (a odd if even-only).
     Returns None if every element in scope is representable; a Gaussian
     answer is the first least-norm row of the comet's sorted zero_cells.
     """
@@ -409,6 +412,8 @@ def first_counterexample(ring, variant, bound):
     if ring == "gaussian":
         unrestricted = variant.cone == "unrestricted"
         lo, hi = (0, math.isqrt(bound)) if unrestricted else (2, bound)
+        if lo > hi:
+            return None  # no target in scope
         cells = comet(ring, ((lo, hi), (lo, hi)), variant).zero_cells
         if unrestricted:
             n = (cells * cells).sum(axis=1)
@@ -422,15 +427,15 @@ def first_counterexample(ring, variant, bound):
                 f"{UNRESTRICTED_WINDOW}; its unbounded count is unknown")
         return GaussianInt(a, b)
     if ring == "eisenstein":
-        ghosts = eisenstein_ghosts(3, bound)
-        return EisensteinInt(ghosts[0], 3) if ghosts else None
+        return next((EisensteinInt(a, 3) for a in eisenstein_ghosts(3, bound)
+                     if not _filtered_out(variant, a, 3)), None)
     raise ValueError(f"unsupported ring {ring!r}")
 
 
 def eisenstein_ghosts(bmax_row, amax):
     """All a <= amax with r2(a + row·ω, open cone) = 0 on the given row."""
-    if bmax_row < 0:
-        raise ValueError(f"row >= 0 required, got {bmax_row}")
+    if min(bmax_row, amax) < 0:
+        raise ValueError(f"row, amax >= 0 required, got {bmax_row}, {amax}")
     column = grid_counts("eisenstein", OPEN, (amax, bmax_row))[:, bmax_row]
     return [a for a in range(2, amax + 1) if column[a] == 0]
 
@@ -493,7 +498,7 @@ def gaussian_boundary_comet(c):
 def parity_law_sweep(norm_cap):
     """Check r2 > 0 for all even open-cone Gaussian targets with coordinates
     >= 2 and norm <= norm_cap; RuntimeError names up to ten zero cells."""
-    m = math.isqrt(norm_cap)
+    m = max(math.isqrt(norm_cap), 2)  # nonempty; the cap filters below
     report = comet("gaussian", ((2, m), (2, m)),
                    SumVariant(cone="open", parity_filter="even-only"))
     z = report.zero_cells

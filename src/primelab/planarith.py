@@ -152,7 +152,7 @@ def theta_sequence(count):
     Each such prime p has exactly one Gaussian prime a + bi of norm p in the
     open octant a > b > 0, so θ ∈ (−π/8, π/8): with the dihedral symmetry
     factored out, the angles are indexed by the rational primes, and a, b
-    come from `rk.two_square` on the sieve's primes.
+    come from Cornacchia on `rk._sqrt_minus_one` of the sieve's primes.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
@@ -165,7 +165,7 @@ def theta_sequence(count):
     rk.check_budget(limit + 65 * count + 2**19, f"{count} prime angles")
     ps = rk.sieve(limit).primes()
     ps = ps[ps % 4 == 1][:count]
-    a, b = rk.two_square(ps)
+    a, b = rk._cornacchia(ps, rk._sqrt_minus_one(ps), 1)
     # math.atan2, not np.arctan2: the two differ in the last ulp
     return ps, np.fromiter(map(math.atan2, b, a), float, count) - PI8
 
@@ -411,16 +411,16 @@ def prime_row_flags(k, n):
 
 def _prime_rows(ks, n):
     """Yield prime_row_flags(k, n) for each k of ks, from one sieve to
-    L = √(n² + max k²) and one set of √−1 roots: a sieving prime that divides
-    j² + k² proves it composite unless it equals it, and those j are read off
-    the sieve."""
+    L = √(n² + max k²) and its primes' √−1 roots from `rk._sqrt_minus_one`:
+    a sieving prime that divides j² + k² proves it composite unless it
+    equals it, and those j are read off the sieve."""
     limit = max(math.isqrt(n * n + max(ks) ** 2), 2)
     rk.check_budget(_row_bytes(n, limit, len(ks)),
                     f"{len(ks)} Gaussian prime rows to {n}")
     s = rk.sieve(limit)
     split = s.primes()
     split = split[split % 4 == 1]
-    root = rk.sqrt_minus_one_mod(split)
+    root = rk._sqrt_minus_one(split)
     for k in ks:
         flags = np.ones(n + 1, dtype=bool)
         flags[2 - k % 2 :: 2] = False

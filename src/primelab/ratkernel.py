@@ -99,6 +99,7 @@ def sieve(limit):
 
 
 _SMALL_PRIMES = tuple(int(p) for p in PrimeSieve(1000).primes())
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 # Deterministic Miller-Rabin witness set for n < 3.3·10^24 (covers 64-bit).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -106,15 +107,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n):
     """Exact primality for any nonnegative integer (deterministic < 3.3e24)."""
-    if n < 2:
+    if n < 1000:
+        return n in _SMALL_PRIMES
+    # one gcd is the trial division by every prime below 1000
+    if math.gcd(n, _SMALL_PRIMORIAL) > 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < 1_000_000:
-        # trial division already covered sqrt(1e6) = 1000
+    if n < 1_000_000:  # 1009² > 10⁶
         return True
     r = ((n - 1) & (1 - n)).bit_length() - 1  # n − 1 = d·2ʳ, d odd
     d = (n - 1) >> r
@@ -307,9 +305,6 @@ def jacobi(a, n):
 
 # int64 products of two residues mod p are exact while p² < 2⁶³
 _EXACT_P = 3_037_000_499
-# base a: ψ, the least composite passing the strong test to a and all smaller
-# bases (Pomerance, Selfridge & Wagstaff, Math. Comp. 35 (1980)); ψ > _EXACT_P
-_SPRP_PSI = {2: 2047, 3: 1_373_653, 5: 25_326_001, 7: 3_215_031_751}
 
 
 def _powmod(a, e, p):
@@ -325,48 +320,47 @@ def _powmod(a, e, p):
     return c
 
 
-def sqrt_minus_one_mod(ps):
+def _sqrt_minus_one(p):
     """r with r² ≡ −1 mod p for each p of an int64 array of primes p = 2 or
-    p ≡ 1 mod 4 at most _EXACT_P: r = a^((p−1)/4) mod p for the least
-    non-residue a, tried a = 2, 3, 5, … on the entries still without a root.
-
-    Each a computes the strong test's chain yᵢ = a^(d·2ⁱ), p − 1 = d·2ˢ with
-    d odd, up to y_(s−2) = a^((p−1)/4); the bases of _SPRP_PSI that the
-    largest entry needs run on every entry and prove it prime, so the search
-    ends.  Any other integer raises ValueError; a float or complex entry
-    raises TypeError (_exact_integers).
-    """
-    ps = _exact_integers(ps)
-    if ps.size > 2**13:  # blocks that stay in cache, and bound the memory
-        return np.concatenate([sqrt_minus_one_mod(ps[i:i + 2**13])
-                               for i in range(0, ps.size, 2**13)])
-    # tested before the int64 cast, which would wrap an entry of 2⁶³ or more
-    # or overflow on one of 2⁶⁴ or more; refused entries enter as 2
-    bad = (ps < 2) | (ps > _EXACT_P) | (ps % 4 != 1) & (ps != 2)
-    p = np.where(bad, 2, ps).astype(np.int64)
-    bases = [a for a, below in zip(_SPRP_PSI, (0, *_SPRP_PSI.values()))
-             if below <= p.max(initial=0)]
-    e = (p - 1) >> 2
-    low = np.maximum(e & -e, 1)  # 2^(s−2), and 1 for p = 2
+    p ≡ 1 mod 4 that the caller has proven: r = a^((p−1)/4) mod p for the
+    least non-residue a, tried a = 2, 3, 5, … on the entries still without a
+    root.  A composite gets a false root (3277 gets 128) or fails Euler's
+    criterion, raising ArithmeticError; p > _EXACT_P raises ValueError."""
+    if p.size > 2**13:  # blocks that stay in cache, and bound the memory
+        return np.concatenate([_sqrt_minus_one(p[i:i + 2**13])
+                               for i in range(0, p.size, 2**13)])
+    if (p > _EXACT_P).any():
+        raise ValueError(f"{p.max()} is above {_EXACT_P}")
     r = np.zeros_like(p)
     for a in filter(is_prime, itertools.count(2)):
-        if bad.any():
-            raise ValueError(f"{ps[bad][0]} is not 2 or a prime ≡ 1 mod 4 "
-                             f"at most {_EXACT_P}")
-        on = np.flatnonzero((r == 0) | (a in bases))
+        on = np.flatnonzero(r == 0)
         if not on.size:
             return r
-        q, lo = p[on], low[on]
-        y = _powmod(a, e[on] // lo, q)
-        prp, up = y == 1, np.flatnonzero(lo > 1)
-        for i in range(int(lo.max(initial=1)).bit_length() - 1):
-            prp[up] |= y[up] == q[up] - 1
-            up = up[lo[up] > 1 << i]
-            y[up] = y[up] * y[up] % q[up]
-        y2 = y * y % q
-        prp |= (y == q - 1) | (y2 == q - 1)
-        bad[on] |= ~prp & (q != a)
-        r[on] = np.where((r[on] == 0) & (y2 == q - 1), y, r[on])
+        q = p[on]
+        y = _powmod(a, q >> 2, q)
+        y2 = y * y % q  # a^((q−1)/2): ±1 for a prime q (Euler's criterion)
+        euler = (y2 == 1) | (y2 == q - 1)
+        if not euler.all():
+            raise ArithmeticError(f"{q[~euler][0]} is composite: "
+                                  f"{a}^((p−1)/2) ≢ ±1 mod p")
+        r[on] = np.where(y2 == q - 1, y, 0)
+
+
+def sqrt_minus_one_mod(ps):
+    """_sqrt_minus_one of an array of primes p = 2 or p ≡ 1 mod 4 at most
+    _EXACT_P, each proven by is_prime.  Any other integer raises ValueError
+    naming an entry out of range or residue first, else the first composite;
+    a float or complex entry raises TypeError (_exact_integers)."""
+    ps = _exact_integers(ps)
+    # tested before the int64 cast, which would wrap an entry of 2⁶³ or more
+    # or overflow on one of 2⁶⁴ or more
+    bad = (ps < 2) | (ps > _EXACT_P) | (ps % 4 != 1) & (ps != 2)
+    if not bad.any():
+        bad = ~np.frompyfunc(is_prime, 1, 1)(ps.astype(object)).astype(bool)
+    if bad.any():
+        raise ValueError(f"{ps[bad][0]} is not 2 or a prime ≡ 1 mod 4 "
+                         f"at most {_EXACT_P}")
+    return _sqrt_minus_one(ps.astype(np.int64))
 
 
 def _cornacchia(p, r, d):

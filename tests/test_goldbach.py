@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_eisenstein_ghosts():
     assert gb.eisenstein_ghosts(3, 1000) == [109, 121]
 
 
+def test_eisenstein_counterexample_reads_the_parity_filter(monkeypatch):
+    # 110 + 3ω has odd coordinate sum: out of scope under even-only
+    monkeypatch.setattr(gb, "eisenstein_ghosts", lambda row, amax: [110, 121])
+    ev = gb.SumVariant(cone="open", parity_filter="even-only")
+    assert gb.first_counterexample("eisenstein", ev, 200) == EisensteinInt(
+        121, 3)
+    assert gb.first_counterexample("eisenstein", gb.OPEN, 200) == (
+        EisensteinInt(110, 3))
+
+
 def test_signed_rep():
     assert not gb.signed_rep_exists(23)
     assert gb.signed_rep_exists(4)
@@ -267,6 +278,22 @@ def test_parity_law_sweep_names_the_zero_cells_within_the_norm_cap(
 ], ids=["quaternion a", "quaternion b", "eisenstein row"])
 def test_negative_row_or_slice_refused(call):
     with pytest.raises(ValueError, match=">= 0 required"):
+        call()
+
+
+@pytest.mark.parametrize("call,refused", [
+    (lambda: gb.quaternion_comet(1, 1, -1, 3), "cmax, dmax >= 0 required, "
+                                                "got 1, 1, -1, 3"),
+    (lambda: gb.quaternion_comet(1, 1, 3, -1), "cmax, dmax >= 0 required, "
+                                                "got 1, 1, 3, -1"),
+    (lambda: gb.eisenstein_ghosts(3, -5), "amax >= 0 required, got 3, -5"),
+    (lambda: gb.comet("gaussian", ((5, 2), (2, 4))),
+     "a_lo <= a_hi, b_lo <= b_hi required, got ((5, 2), (2, 4))"),
+], ids=["quaternion cmax", "quaternion dmax", "eisenstein amax",
+        "comet region"])
+def test_malformed_box_refused(call, refused):
+    # once an empty grid or numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=re.escape(refused) + "$"):
         call()
 
 

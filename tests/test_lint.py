@@ -29,6 +29,45 @@ def test_no_unused_imports_in_src():
     assert {name: u for name, u in unused.items() if u} == {}
 
 
+def _private_definitions(tree):
+    """Names with one leading underscore that the module's top level binds
+    by def, class or assignment."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out.update(n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return {n for n in out if n.startswith("_") and not n.startswith("__")}
+
+
+def _reads(tree):
+    """Names a module reads: loaded names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_no_dead_private_names_in_src():
+    """A private top-level name no module of src/ reads is a leftover of a
+    deleted path."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_reads, trees.values()))
+    dead = {name: sorted(_private_definitions(tree) - read)
+            for name, tree in trees.items()}
+    assert {name: d for name, d in dead.items() if d} == {}
+
+
 
 ROOT = SRC.parent.parent
 

@@ -259,6 +259,23 @@ def test_theta_sequence_matches_two_square_loop(count, two_square_oracle):
         _theta_oracle(count, two_square_oracle)
 
 
+def test_sieve_primes_are_not_proven_again(monkeypatch):
+    # theta_sequence and the prime rows take their roots from the sieve's
+    # primes without sqrt_minus_one_mod's is_prime proof
+    def refuse(ps):
+        raise AssertionError("sqrt_minus_one_mod called")
+
+    proven = []
+    is_prime = rk.is_prime
+    monkeypatch.setattr(rk, "sqrt_minus_one_mod", refuse)
+    monkeypatch.setattr(rk, "is_prime",
+                        lambda n: proven.append(n) or is_prime(n))
+    ps, _theta = pa.theta_sequence(2000)
+    flags = pa.prime_row_flags(3, 10**4)
+    assert ps[-1] > 1000 and flags.size == 10**4
+    assert [n for n in proven if n > 1000] == []
+
+
 def test_pi_G_matches_brute_force():
     norms = sorted(a * a + b * b for a in range(-15, 16)
                    for b in range(-15, 16)

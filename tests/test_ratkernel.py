@@ -355,6 +355,30 @@ def test_sqrt_minus_one_mod_matches_jacobi_search(sqrt_minus_one_oracle):
     assert rk.sqrt_minus_one_mod(np.array([], dtype=np.int64)).size == 0
 
 
+def test_trusted_root_search_matches_jacobi_search(sqrt_minus_one_oracle):
+    # p = 2 and more than one block of 2¹³ entries
+    ps = rk.sieve(10**6).primes()
+    ps = ps[(ps == 2) | (ps % 4 == 1)]
+    assert ps.size > 2**13
+    assert rk._sqrt_minus_one(ps).tolist() == [sqrt_minus_one_oracle(p)
+                                               for p in ps.tolist()]
+
+
+@pytest.mark.parametrize("n,base", [(65, 2), (1729, 7), (25326001, 7)])
+def test_trusted_root_search_raises_on_euler_failure(n, base):
+    with pytest.raises(ArithmeticError, match=f"^{n} is composite: {base}\\^"):
+        rk._sqrt_minus_one(np.array([5, n, 13]))
+
+
+def test_trusted_root_search_bounds_and_proves_nothing():
+    with pytest.raises(ValueError, match=f"above {rk._EXACT_P}"):
+        rk._sqrt_minus_one(np.array([5, rk._EXACT_P + 2]))
+    # 3277 = 29·113, a base-2 strong pseudoprime, gets a false root here and
+    # ValueError from sqrt_minus_one_mod (test_two_square_kernel_refuses):
+    # the private search must only see primes its caller has proven
+    assert rk._sqrt_minus_one(np.array([3277])).tolist() == [128]
+
+
 def test_euler_composite_factor():
     # 65 = 1^2+8^2 = 4^2+7^2
     f = rk.euler_composite_factor(65, (8, 1), (7, 4))
