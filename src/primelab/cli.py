@@ -6,10 +6,10 @@ iterable of lines, and `extra` holds the fields it adds to the manifest.  It
 opens no file.  `_emit` is the one writer: it writes a dict as sorted,
 indented JSON and an iterable line by line as it yields them, so a lazy CSV
 is never held whole, and it writes every data file and then `manifest.json`,
-which records the parameters, package versions, wall time and output names.
-Data files are byte-deterministic.  Usage errors, including any argument the
-library rejects with ValueError or does not implement (NotImplementedError),
-exit 2; capacity errors exit 3.
+which records the parameters, package versions, BLAS threads, wall time and
+output names.  Data files are byte-deterministic.  Usage errors, including any
+argument the library rejects with ValueError or does not implement
+(NotImplementedError), exit 2; capacity errors exit 3.
 """
 
 from __future__ import annotations
@@ -18,9 +18,21 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
+
+# OpenBLAS starts one worker per core when numpy loads, and an idle worker
+# spins before it sleeps, so every command would keep a second core busy
+# that no primelab code uses: run BLAS on one thread, set before the first
+# import that loads numpy.  A value the caller set wins, so threaded BLAS
+# for a large `matrix --spectrum` is `OPENBLAS_NUM_THREADS=N primelab ...`.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# what OpenBLAS read, for the manifest: unknown (None) in a process that
+# loaded numpy before this module
+_BLAS_THREADS = (None if "numpy" in sys.modules
+                 else os.environ["OPENBLAS_NUM_THREADS"])
 
 import numpy as np
 
@@ -355,7 +367,10 @@ def main(argv=None):
             "primelab": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            **{name: sys.modules[name].__version__  # where the run loaded it
+               for name in ("scipy", "mpmath") if name in sys.modules},
         },
+        "openblas_num_threads": _BLAS_THREADS,
         "wall_time_s": wall,
         "outputs": sorted(files),
     }

@@ -131,7 +131,10 @@ def prime_above(p, ring="gaussian"):
     if ring == "gaussian":
         if p % 4 == 3:
             return GaussianInt(p, 0)
-        (a,), (b,) = rk.two_square(np.array([p]))
+        if p > rk._EXACT_P:  # before the int64 cast
+            raise ValueError(f"{p} is above {rk._EXACT_P}")
+        ps = np.array([p], dtype=np.int64)  # proven by is_prime above
+        (a,), (b,) = rk._cornacchia(ps, rk._sqrt_minus_one(ps), 1)
         return GaussianInt(int(a), int(b))
     if ring == "eisenstein":
         if p % 3 == 2:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -470,3 +471,19 @@ def test_spectrum_residual_bound_in_manifest(tmp_path):
     bound = _manifest(out)["residual_bound"]
     assert bound == sm.spectrum(sm.build_prime_matrix(1, 40)).residual_bound
     assert 0 <= bound < 1e-8
+
+
+@pytest.mark.parametrize("args, library", [
+    (["goldbach", "--ring", "gaussian", "--variant", "open-even",
+      "--max", "60"], "scipy"),
+    (["zeta", "--explicit", "--zeros", ZEROS, "--K", "20", "--xmax", "20"],
+     "mpmath"),
+])
+def test_manifest_names_the_libraries_run(tmp_path, args, library):
+    # smith, which loads neither, runs in a fresh interpreter in
+    # tests/test_ratkernel.py: this process has loaded both already, and
+    # numpy before primelab.cli, so its BLAS threads are not known
+    assert _run(["--out", str(tmp_path), *args]) == 0
+    m = _manifest(tmp_path)
+    assert m["versions"][library] == sys.modules[library].__version__
+    assert m["openblas_num_threads"] is None

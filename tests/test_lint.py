@@ -145,3 +145,41 @@ def test_every_optional_parameter_is_set_by_some_call():
                         or pos is not None and count > pos
                         for count, keywords, star in calls.get(name, []))]
     assert unset == []
+
+
+def _is_environ(node):
+    """os.environ, or environ imported from os."""
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and getattr(node.value, "id", None) == "os"
+            or isinstance(node, ast.Name) and node.id == "environ")
+
+
+def _environ_writes(tree):
+    """Lines that assign to, delete from, or call a mutating method of
+    os.environ, or call os.putenv or os.unsetenv."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_environ(node.value):
+            wrote = not isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                       ast.Attribute):
+            f = node.func
+            wrote = (_is_environ(f.value) and f.attr in (
+                "setdefault", "update", "pop", "popitem", "clear")
+                or getattr(f.value, "id", None) == "os"
+                and f.attr in ("putenv", "unsetenv"))
+        else:
+            wrote = (isinstance(node, ast.Attribute) and _is_environ(node)
+                     and not isinstance(node.ctx, ast.Load))
+        if wrote:
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_only_the_cli_touches_the_process_environment():
+    """A library import must leave the environment as it found it; the CLI
+    alone sets it (numpy's BLAS threads), before it loads numpy."""
+    writes = {p.name: _environ_writes(ast.parse(p.read_text()))
+              for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"}
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+    assert _environ_writes(ast.parse((SRC / "cli.py").read_text()))

@@ -276,6 +276,16 @@ def test_sieve_primes_are_not_proven_again(monkeypatch):
     assert [n for n in proven if n > 1000] == []
 
 
+def test_prime_above_proves_a_split_prime_once(monkeypatch):
+    # its own is_prime proof, then the root search that trusts it
+    proven = []
+    is_prime = rk.is_prime
+    monkeypatch.setattr(rk, "is_prime",
+                        lambda n: proven.append(n) or is_prime(n))
+    assert pa.prime_above(1000033) == GaussianInt(913, 408)
+    assert proven.count(1000033) == 1
+
+
 def test_pi_G_matches_brute_force():
     norms = sorted(a * a + b * b for a in range(-15, 16)
                    for b in range(-15, 16)

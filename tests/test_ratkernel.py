@@ -340,6 +340,71 @@ def test_imports_load_no_scipy_until_li():
         assert res.returncode == 0, res.stderr
 
 
+# the package's re-exports load their modules on first access
+_LEAN_IMPORT = """
+import sys
+import primelab
+assert "numpy" not in sys.modules
+for name, module in [("CapacityError", "ratkernel"), ("is_prime", "ratkernel"),
+                     ("sieve", "ratkernel"), ("GaussianInt", "planarith"),
+                     ("EisensteinInt", "planarith"), ("QuatInt", "hyperarith"),
+                     ("OctInt", "hyperarith")]:
+    assert getattr(primelab, name) is getattr(sys.modules["primelab." + module],
+                                              name), name
+try:
+    primelab.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("primelab.nope resolved")
+"""
+
+# the README promise: each subcommand imports only the modules it runs, and
+# the manifest names the optional libraries the run loaded
+_SMITH_LOADS = """
+import json, sys
+from pathlib import Path
+from primelab import cli
+assert cli.main(["--out", sys.argv[1], "smith", "--n", "7"]) == 0
+loaded = [k for k in sys.modules if k.split(".")[0] in ("scipy", "mpmath")
+          or k == "primelab.hyperarith"]
+assert not loaded, loaded
+manifest = json.loads((Path(sys.argv[1]) / "manifest.json").read_text())
+assert not {"scipy", "mpmath"} & set(manifest["versions"]), manifest
+assert manifest["openblas_num_threads"] == "1", manifest
+"""
+
+
+def _child(script, *argv, **env):
+    """Run script in a fresh interpreter on this source tree, with the
+    environment variables of env set (a value of None removes one)."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": str(Path(rk.__file__).resolve().parents[1])}
+    res = subprocess.run([sys.executable, "-c", script, *argv],
+                         env={k: v for k, v in env.items() if v is not None},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_package_import_loads_no_numpy():
+    _child(_LEAN_IMPORT)
+
+
+def test_smith_loads_only_what_it_runs(tmp_path):
+    _child(_SMITH_LOADS, str(tmp_path), OPENBLAS_NUM_THREADS=None)
+
+
+@pytest.mark.parametrize("given, ran", [(None, "1"), ("2", "2")])
+def test_cli_runs_blas_on_one_thread_unless_told(given, ran):
+    # numpy's OpenBLAS reads the variable once, when numpy loads
+    script = ("import os, sys, primelab.cli\n"
+              "assert 'numpy' in sys.modules\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'],"
+              " primelab.cli._BLAS_THREADS)")
+    assert _child(script, OPENBLAS_NUM_THREADS=given).split() == [ran, ran]
+
+
 def test_sqrt_minus_one_mod(sqrt_minus_one_oracle):
     ps = np.array([5, 13, 17, 29, 101, 1000033])
     r = rk.sqrt_minus_one_mod(ps)
