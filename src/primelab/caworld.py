@@ -9,7 +9,7 @@ The moat machinery dilates the Gaussian-prime configuration m times and
 labels connected components (8-connectivity: diagonal steps of length √2
 are the twin distance), then extracts the component containing 1+i.
 Components are found on row runs of live cells (He, Chao & Suzuki, IEEE TIP
-17, 2008) through primegraphs.component_labels.  Point sets (live cells,
+17, 2008) through ratkernel.component_labels.  Point sets (live cells,
 changed cells, a moat component) are int64 (M, 2) arrays of (re, im) rows
 in lexicographic order, with no per-point object.
 """
@@ -23,7 +23,6 @@ import numpy as np
 from . import ratkernel as rk
 from .ratkernel import CapacityError
 from .planarith import gaussian_prime_mask
-from .primegraphs import component_labels
 
 _WINDOW_CAP = 4096  # max cells per side
 
@@ -165,7 +164,7 @@ def _run_components(cells):
     The rows are flattened with one dead column on the right, so no run wraps
     and the row above is one stride back; runs are [starts, ends) in that
     flat index.  A run joins every run of the row above that reaches its
-    columns ±1, and the runs' graph goes through component_labels, which
+    columns ±1, and the runs' graph goes through rk.component_labels, which
     numbers the components by their first run in raster order.
     """
     w, h = cells.shape
@@ -183,7 +182,7 @@ def _run_components(cells):
     k = np.maximum(np.searchsorted(starts, ends - stride, side="right") - lo, 0)
     pairs = np.stack([np.repeat(np.arange(len(starts)), k),
                       rk.concat_ranges(lo, k)], axis=1)
-    return (starts, ends, stride) + component_labels(len(starts), pairs)
+    return (starts, ends, stride) + rk.component_labels(len(starts), pairs)
 
 
 def components(g):

@@ -179,11 +179,11 @@ def _run_zeta(args):
                              f"< {args.xmin}")
         table = zf.ZeroTable.load(args.zeros)
         lines = ["x,psi,explicit_psi,K"]
-        x = args.xmin
-        while x <= args.xmax + 1e-12:
+        i = 0
+        while (x := args.xmin + i * args.step) <= args.xmax + 1e-12:
             lines.append(f"{x!r},{zf.chebyshev_psi(x)!r},"
                          f"{zf.explicit_psi(x, table, args.K)!r},{args.K}")
-            x += args.step
+            i += 1
         return {"psi.csv": lines}, {}
     _mode(args, "zeta without --explicit",
           ("--zeros", "--K", "--xmin", "--xmax", "--step"),

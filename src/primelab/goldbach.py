@@ -62,7 +62,6 @@ from . import ratkernel as rk
 from .hyperarith import prime_mask
 from .planarith import (EisensteinInt, GaussianInt, is_gaussian_prime,
                         planar_prime_mask)
-from .primestats import _poly_eval
 
 # unrestricted summands of a + b·i lie in [−W..a+W]×[−W..b+W]
 UNRESTRICTED_WINDOW = 2
@@ -476,9 +475,9 @@ def pair_coverage(f, g, N):
     fflag = np.zeros(N, dtype=np.int64)
     gflag = np.zeros(N, dtype=np.int64)
     for x in range(1, N):
-        if rk.is_prime(_poly_eval(f, x)):
+        if rk.is_prime(rk._poly_eval(f, x)):
             fflag[x] = 1
-        if rk.is_prime(_poly_eval(g, x)):
+        if rk.is_prime(rk._poly_eval(g, x)):
             gflag[x] = 1
     if not fflag.any() or not gflag.any():
         raise ValueError("one polynomial takes no prime value below N")

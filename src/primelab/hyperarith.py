@@ -142,6 +142,10 @@ def prime_mask(axes):
     of a cell share one parity, and odd ones come in a multiple of 4 (4 or 8
     axes), so each axis is all even or all odd."""
     axes = [np.asarray(x, dtype=np.int64) for x in axes]
+    odd = [int(x[:1].sum()) & 1 for x in axes]
+    if any(((x & 1) != o).any() for x, o in zip(axes, odd)) or sum(odd) % 4:
+        raise ValueError("each axis must be all even or all odd, and the "
+                         "odd axes a multiple of 4")
     shape = tuple(map(len, axes))
     # the int64 norms and the mask, 9 B per cell (tracemalloc), plus the
     # int64 partial sum over all but the last axis
@@ -149,7 +153,7 @@ def prime_mask(axes):
                     f"doubled-coordinate prime mask over {shape}")
     # Σ ⌊xᵢ²/4⌋ per axis, plus a quarter per odd axis
     quarters = [x * x // 4 for x in axes]
-    quarters[0] += sum(int(x[:1].sum()) & 1 for x in axes) // 4
+    quarters[0] += sum(odd) // 4
     norm = functools.reduce(np.add.outer, quarters)
     limit = sum(int(q.max(initial=0)) for q in quarters)
     return rk.sieve(max(limit, 4)).flags[norm]
@@ -291,7 +295,6 @@ def u_orbit_lengths(p):
     class of z·ωᵃ for u in ωᵃQ₈, and z·ω² = (z·ω)·ω: the edges z ~ z·ω over
     all points z already join every class to the classes of all 24 products.
     """
-    from .primegraphs import component_labels
     if p == 2 or not rk.is_prime(p):
         raise ValueError("odd prime required")
     pts = lattice_points_norm(p)
@@ -305,7 +308,7 @@ def u_orbit_lengths(p):
     kw = _class_keys(pts @ _unit_matrix()[:, :, _OMEGA].T // 2, p)
     reps, zc = np.unique(_class_keys(pts, p), return_inverse=True)
     wc = np.searchsorted(reps, kw)
-    labels = component_labels(len(reps), np.stack([zc, wc], axis=1))[1]
+    labels = rk.component_labels(len(reps), np.stack([zc, wc], axis=1))[1]
     return sorted(np.bincount(labels).tolist())
 
 

@@ -394,29 +394,23 @@ def _row_bytes(n, limit, rows=1):
             + 24 * int(1.25506 * limit / math.log(limit) + 1) + 2**20)
 
 
-def prime_row_flags(k, n):
-    """flags[j-1] for j + k·i Gaussian prime, 1 <= j <= n (k >= 1), sieved by
-    the progressions of the primes that strike the row — no primality tests.
+def prime_rows(ks, n):
+    """Bool (len(ks), n) array, row i flagging j + kᵢ·i Gaussian prime for
+    1 <= j <= n (every k >= 1), sieved by the progressions of the primes
+    that strike each row — no primality tests.
 
     A composite j² + k² has a prime factor p <= L = √(n² + k²), and
     p | j² + k² iff p = 2 and j ≡ k mod 2, or p | k and p | j, or p ≡ 1 mod 4
-    and j ≡ ±k·√−1 mod p.  A struck j² + k² <= L may be the striking prime
-    itself; those few j are read off the sieve.
+    and j ≡ ±k·√−1 mod p; all rows share one sieve and one root search.  A
+    struck j² + k² <= L may be the striking prime itself; those few j are
+    read off the sieve.
 
-    This row does not go through gaussian_prime_mask: the row's norms reach
+    The rows do not go through gaussian_prime_mask: their norms reach
     n² + k² (10¹⁴ for the a² + 1 ratio at n = 10⁷), far beyond a flag sieve,
     while the sieving primes here only reach √(n² + k²).
     """
-    if k < 1:
+    if not ks or min(ks) < 1:
         raise ValueError("k >= 1 required")
-    return next(_prime_rows([k], n))
-
-
-def _prime_rows(ks, n):
-    """Yield prime_row_flags(k, n) for each k of ks, from one sieve to
-    L = √(n² + max k²) and its primes' √−1 roots from `rk._sqrt_minus_one`:
-    a sieving prime that divides j² + k² proves it composite unless it
-    equals it, and those j are read off the sieve."""
     limit = max(math.isqrt(n * n + max(ks) ** 2), 2)
     rk.check_budget(_row_bytes(n, limit, len(ks)),
                     f"{len(ks)} Gaussian prime rows to {n}")
@@ -424,8 +418,8 @@ def _prime_rows(ks, n):
     split = s.primes()
     split = split[split % 4 == 1]
     root = rk._sqrt_minus_one(split)
-    for k in ks:
-        flags = np.ones(n + 1, dtype=bool)
+    rows = np.ones((len(ks), n + 1), dtype=bool)
+    for flags, k in zip(rows, ks):
         flags[2 - k % 2 :: 2] = False
         for p, _e in rk.factorize(k):  # p | k strikes j ≡ 0
             flags[::p] = False
@@ -434,4 +428,4 @@ def _prime_rows(ks, n):
             flags[p - r :: p] = False
         j = np.arange(1, min(n, math.isqrt(max(limit - k * k, 0))) + 1)
         flags[j] = s.flags[j * j + k * k]
-        yield flags[1:]
+    return rows[:, 1:]

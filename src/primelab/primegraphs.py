@@ -16,7 +16,8 @@ p <= n/2 joined to its multiples), which span a subgraph with the same ones.
 The clique complex's Euler characteristic equals the component count for
 4 <= n <= 200 except at 143 = 11·13 <= n <= 153, where it is one more, so the
 giant component's clique complex is not always contractible; for n <= 420 the
-excess is 0, 1 or 2 and nonzero for 174 of the 417 values.
+excess is 0, 1 or 2 and nonzero for 174 of the 417 values.  Components
+are labelled by ratkernel.component_labels, as are caworld's moats.
 """
 
 from __future__ import annotations
@@ -51,33 +52,8 @@ class Graph:
         return a
 
 
-def component_labels(n, edges):
-    """(count, labels) of the connected components of the undirected graph on
-    vertices 0..n-1 with the (E, 2) index array `edges`, numbered 0..count-1
-    in the order of their smallest vertex.
-
-    Hook-and-jump connectivity (Shiloach & Vishkin, J. Algorithms 3, 1982):
-    every round hooks each edge's larger root to its smaller one, then jumps
-    pointers until every vertex points at a root, and drops the edges whose
-    ends now share a root.  Parents only ever decrease, so each root is its
-    component's smallest vertex.
-    """
-    lab = np.arange(n)
-    u, v = np.asarray(edges, dtype=np.int64).T
-    while u.size:
-        ru, rv = lab[u], lab[v]
-        np.minimum.at(lab, np.maximum(ru, rv), np.minimum(ru, rv))
-        up = lab[lab]
-        while not np.array_equal(up, lab):
-            lab, up = up, up[up]
-        live = lab[u] != lab[v]
-        u, v = u[live], v[live]
-    roots = lab == np.arange(n)
-    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[lab]
-
-
 def component_count(g):
-    return component_labels(g.V, g.edges)[0]
+    return rk.component_labels(g.V, g.edges)[0]
 
 
 def is_bipartite(g):
@@ -85,7 +61,7 @@ def is_bipartite(g):
     edge u~v joining opposite copies) has twice as many components as G."""
     shift = np.array([0, g.V])
     cover = np.concatenate([g.edges + shift, g.edges + shift[::-1]])
-    return component_labels(2 * g.V, cover)[0] == 2 * component_count(g)
+    return rk.component_labels(2 * g.V, cover)[0] == 2 * component_count(g)
 
 
 def gaussian_graph(n):
@@ -159,7 +135,7 @@ def gcd_components(n):
     rk.check_budget(80 * int(arms.sum()), f"gcd prime stars n={n}")
     hub = np.repeat(primes, arms)
     edges = np.stack([hub, rk.concat_ranges(2, arms) * hub], axis=1)
-    return component_labels(n, edges - 1)[0]
+    return rk.component_labels(n, edges - 1)[0]
 
 
 def gcd_components_formula(n):

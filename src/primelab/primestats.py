@@ -11,7 +11,7 @@ converges fast enough for 8 decimals at p ≤ 1000.  Bateman–Horn generalizes 
 f = x² + a it is C_a: p − ω_f(p) = p − 1 − (−a|p) at odd p ∤ a, else p − 1.
 
 empirical_ratio counts #{a ≤ n : a²+1 prime} against #{p ≤ n : p ≡ 3 mod 4};
-the numerator is the Gaussian prime row a + i of planarith.prime_row_flags,
+the numerator is the Gaussian prime row a + i of planarith.prime_rows,
 sieved by the progressions a ≡ ±√−1 mod p with no per-value primality test.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ratkernel as rk
 from .hyperarith import prime_mask
-from .planarith import prime_row_flags, theta_sequence
+from .planarith import prime_rows, theta_sequence
 
 
 @dataclass
@@ -134,13 +134,6 @@ def _mul_mod(a, b, g, p):
     return _rem_mod(prod, g, p)
 
 
-def _poly_eval(coeffs, x):
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def bunyakovsky_admissible(f):
     """(admissible, reason) for an integer polynomial (ascending coeffs).
 
@@ -157,7 +150,7 @@ def bunyakovsky_admissible(f):
         return False, "leading coefficient not positive"
     content = 0
     for x in range(deg + 2):
-        content = math.gcd(content, abs(_poly_eval(f, x)))
+        content = math.gcd(content, abs(rk._poly_eval(f, x)))
     if content != 1:
         return False, f"all values divisible by {content}"
     if deg == 2:
@@ -198,7 +191,7 @@ def empirical_ratio(n, checkpoints=None):
     # kernel: 3.4-3.8 B per n traced at n = 10⁶..10⁷
     rk.check_budget(6 * n + 2**20, f"empirical ratio to {n}")
     # row[a-1]: a + i is a Gaussian prime iff a² + 1 is prime (a >= 1)
-    row = prime_row_flags(1, n)
+    row = prime_rows([1], n)[0]
     ps = rk.sieve(n).primes()
     ps = ps[ps % 4 == 3]
     rows = []

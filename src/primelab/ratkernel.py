@@ -4,10 +4,11 @@ Sieving, deterministic 64-bit primality, prime counting in residue classes,
 the logarithmic integral li(x) = ∫₂ˣ dt/log t, Jordan totients
 J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), `multiplicative_table` (the one table
 behind μ, φ and planarith's Gaussian h, strided over the primes <= √n of the
-one sieve), concatenated ranges, the gcd table gcd(i, j) for 1 <= i, j <= n,
-the Jacobi symbol, one array kernel for √−1 mod p, Cornacchia's Euclid for
-p = x² + d·y² (two squares at d = 1), Euler's composite-detection identity,
-and divisor-class counts d_k(n; m) = #{d | n : d ≡ k mod m}.
+one sieve), concatenated ranges, connected-component labels, Horner's rule,
+the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol, one array
+kernel for √−1 mod p, Cornacchia's Euclid for p = x² + d·y² (two squares at
+d = 1), Euler's composite-detection identity, and divisor-class counts
+d_k(n; m) = #{d | n : d ≡ k mod m}.
 
 Everything here is exact integer arithmetic except li().
 """
@@ -254,6 +255,38 @@ def moebius_table(n):
 def concat_ranges(lo, k):
     """lo[0], ..., lo[0] + k[0] − 1, lo[1], ...: ranges of int64 lengths k."""
     return np.arange(k.sum()) - np.repeat(np.cumsum(k) - k - lo, k)
+
+
+def component_labels(n, edges):
+    """(count, labels) of the connected components of the undirected graph on
+    vertices 0..n-1 with the (E, 2) index array `edges`, numbered 0..count-1
+    in the order of their smallest vertex.
+
+    Hook-and-jump connectivity (Shiloach & Vishkin, J. Algorithms 3, 1982):
+    every round hooks each edge's larger root to its smaller one, then jumps
+    pointers until every vertex points at a root, and drops the edges whose
+    ends now share a root.  Parents only ever decrease, so each root is its
+    component's smallest vertex.
+    """
+    lab = np.arange(n)
+    u, v = np.asarray(edges, dtype=np.int64).T
+    while u.size:
+        ru, rv = lab[u], lab[v]
+        np.minimum.at(lab, np.maximum(ru, rv), np.minimum(ru, rv))
+        up = lab[lab]
+        while not np.array_equal(up, lab):
+            lab, up = up, up[up]
+        live = lab[u] != lab[v]
+        u, v = u[live], v[live]
+    roots = lab == np.arange(n)
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[lab]
+
+
+def _poly_eval(coeffs, x):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def gcd_table(n):

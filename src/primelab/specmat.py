@@ -29,7 +29,8 @@ singularity test.  Its entries, and char_poly's, pass one integer intake
 Python ints, a float or complex entry raising TypeError), and one byte
 check, check_exact_pass in _eliminate, refuses each pass from the order and
 largest |entry| of its block before it copies anything.
-Residual norms are max-abs entry norms throughout.
+The commutator residuals are max-abs entry norms; spectrum's residual_bound
+divides each eigenpair's ‖Av − λv‖₂ by ‖v‖₂·‖A‖_F, ‖A‖_F the Frobenius norm.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ratkernel as rk
-from .planarith import GaussianInt, gaussian_prime_mask, _prime_rows
+from .planarith import GaussianInt, gaussian_prime_mask, prime_rows
 
 
 def _as_gaussian(z0):
@@ -280,7 +281,7 @@ def check_solver_cap(n):
 
 
 def spectrum(m):
-    """Eigenvalues with a measured residual bound max‖Av − λv‖₂/‖A‖_max·n."""
+    """Eigenvalues, residual bound max ‖Av − λv‖₂/(‖v‖₂·‖A‖_F) (Frobenius)."""
     n = np.shape(m)[0]
     check_solver_cap(n)
     a = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
@@ -377,7 +378,7 @@ def row_cov_sign_table(K, n):
     """
     if K < 1 or n < 1:
         raise ValueError("K >= 1 and n >= 1 required")
-    rows = list(_prime_rows(range(1, K + 1), n))
+    rows = prime_rows(range(1, K + 1), n)
     both = np.array([[np.count_nonzero(x & y) for y in rows] for x in rows],
                     dtype=np.int64)
     return np.sign(n * both - np.outer(both.diagonal(), both.diagonal()))

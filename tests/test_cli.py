@@ -139,6 +139,18 @@ def test_zeta_explicit(tmp_path):
     assert csv[0] == "x,psi,explicit_psi,K"
 
 
+def test_zeta_explicit_x_grid_does_not_drift(tmp_path):
+    # a running sum x += 0.1 wrote 5.199999999999999, ..., 5.9999999999999964
+    out = tmp_path / "z"
+    assert _run(["--out", str(out), "zeta", "--explicit", "--zeros", ZEROS,
+                 "--K", "5", "--xmin", "5", "--xmax", "6",
+                 "--step", "0.1"]) == 0
+    rows = (out / "psi.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [
+        "5.0", "5.1", "5.2", "5.3", "5.4", "5.5", "5.6", "5.7", "5.8", "5.9",
+        "6.0"]
+
+
 def test_ca_and_angles_and_more(tmp_path):
     out = tmp_path / "ca"
     assert _run(["--out", str(out), "ca", "--window", "12", "--steps", "1",

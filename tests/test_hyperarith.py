@@ -465,6 +465,15 @@ def test_prime_mask_refuses_an_oversized_box_before_allocating():
     assert peak < 2**20
 
 
+def test_prime_mask_refuses_axes_outside_its_condition(monkeypatch):
+    # Σx²/4 = 5/2 and the cell (2, 1, 1, 1) of norm 7/4 are no norms at all
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 0)  # refused before the byte check
+    for axes in ([[1], [1], [2], [2]], [[1, 2], [1], [1], [1]]):
+        with pytest.raises(ValueError, match="all even or all odd, and the "
+                                             "odd axes a multiple of 4"):
+            ha.prime_mask(axes)
+
+
 def test_octavian_membership_closed_under_add_neg():
     units = list(map(tuple, ha.oct_units("octavian").tolist()))
     for a, b in itertools.islice(itertools.combinations(units, 2), 500):

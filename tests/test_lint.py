@@ -183,3 +183,70 @@ def test_only_the_cli_touches_the_process_environment():
               for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"}
     assert {name: lines for name, lines in writes.items() if lines} == {}
     assert _environ_writes(ast.parse((SRC / "cli.py").read_text()))
+
+
+# the library: every module but the runner cli.py, which no module imports,
+# and the package's lazy re-exports
+LIBRARY = {p.stem: ast.parse(p.read_text(), filename=str(p))
+           for p in sorted(SRC.glob("*.py"))
+           if p.name not in ("cli.py", "__init__.py")}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _library_imports(tree):
+    """(library modules imported, private names of theirs read) of a tree:
+    every relative import, function-level ones included, and every
+    alias._name read through a module bound by `from . import m as alias`."""
+    deps, aliases, private = set(), {}, set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for a in node.names:
+            if node.module is None and a.name in LIBRARY:
+                deps.add(a.name)
+                aliases[a.asname or a.name] = a.name
+            elif node.module in LIBRARY:
+                deps.add(node.module)
+                if _is_private(a.name):
+                    private.add(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and getattr(node.value, "id", None) in aliases):
+            private.add(f"{aliases[node.value.id]}.{node.attr}")
+    return deps, private
+
+
+def _cycles(graph):
+    """The cycles that a depth-first walk of graph closes, as module lists
+    that start and end at the same module."""
+    out, done = [], set()
+
+    def walk(node, path):
+        if node in path:
+            out.append(path[path.index(node):] + [node])
+        elif node not in done:
+            for nxt in sorted(graph[node]):
+                walk(nxt, path + [node])
+            done.add(node)
+
+    for node in sorted(graph):
+        walk(node, [])
+    return out
+
+
+def test_library_imports_form_no_cycle():
+    """Library modules import only downward, at call time too."""
+    graph = {name: _library_imports(tree)[0] for name, tree in LIBRARY.items()}
+    assert _cycles(graph) == []
+
+
+def test_library_modules_meet_at_public_names():
+    """No library module reads another's private names, except the kernel's:
+    ratkernel's private helpers are shared by design."""
+    reads = {name: sorted(r for r in _library_imports(tree)[1]
+                          if not r.startswith("ratkernel."))
+             for name, tree in LIBRARY.items()}
+    assert {name: r for name, r in reads.items() if r} == {}

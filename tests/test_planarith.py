@@ -271,7 +271,7 @@ def test_sieve_primes_are_not_proven_again(monkeypatch):
     monkeypatch.setattr(rk, "is_prime",
                         lambda n: proven.append(n) or is_prime(n))
     ps, _theta = pa.theta_sequence(2000)
-    flags = pa.prime_row_flags(3, 10**4)
+    flags = pa.prime_rows([3], 10**4)[0]
     assert ps[-1] > 1000 and flags.size == 10**4
     assert [n for n in proven if n > 1000] == []
 

@@ -276,7 +276,7 @@ def test_component_labels_match_csgraph():
         m = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                        shape=(n, n))
         want_count, want_labels = connected_components(m, directed=False)
-        count, labels = pg.component_labels(n, edges)
+        count, labels = rk.component_labels(n, edges)
         assert count == want_count, (n, edges)
         assert np.array_equal(labels, want_labels), (n, edges)
 

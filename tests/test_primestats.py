@@ -5,7 +5,7 @@ import pytest
 
 from primelab import primestats as ps
 from primelab import ratkernel as rk
-from primelab.planarith import prime_row_flags
+from primelab.planarith import prime_rows
 
 
 def test_hl_naive_single_factor():
@@ -45,7 +45,7 @@ def test_hl_naive_is_the_jacobi_product_bitwise(a):
 
 def test_omega_of_a_quadratic_matches_the_scan():
     def scan(f, p):
-        return sum(1 for x in range(p) if ps._poly_eval(f, x) % p == 0)
+        return sum(1 for x in range(p) if rk._poly_eval(f, x) % p == 0)
 
     for f in ((1, 0, 1), (1, 1, 1), (7, 3, 5), (-6, 1, 1), (0, 0, 3),
               (4, 4, 1), (1, 2, 2)):
@@ -111,7 +111,7 @@ def _cumsum_ratio_rows(n, checkpoints):
     """The checkpoint rows from cumulative sums of both flag arrays, padded
     to index a directly."""
     num_flags = np.zeros(n + 1, dtype=bool)
-    num_flags[1:] = prime_row_flags(1, n)
+    num_flags[1:] = prime_rows([1], n)[0]
     ps_ = rk.sieve(n).primes()
     den_flags = np.zeros(n + 1, dtype=bool)
     den_flags[ps_[ps_ % 4 == 3]] = True

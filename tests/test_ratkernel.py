@@ -395,6 +395,27 @@ def test_smith_loads_only_what_it_runs(tmp_path):
     _child(_SMITH_LOADS, str(tmp_path), OPENBLAS_NUM_THREADS=None)
 
 
+# ca labels its moats with the kernel's component_labels, and goldbach
+# evaluates polynomials with the kernel's Horner rule
+_CA_LOADS = """
+import sys
+from primelab import cli
+assert cli.main(["--out", sys.argv[1], "ca", "--window", "12", "--steps", "1",
+                 "--moat", "0"]) == 0
+loaded = {"primelab.primegraphs", "primelab.hyperarith"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_ca_loads_no_graph_or_hypercomplex_module(tmp_path):
+    _child(_CA_LOADS, str(tmp_path))
+
+
+def test_goldbach_import_loads_no_primestats():
+    _child("import sys, primelab.goldbach\n"
+           "assert 'primelab.primestats' not in sys.modules")
+
+
 @pytest.mark.parametrize("given, ran", [(None, "1"), ("2", "2")])
 def test_cli_runs_blas_on_one_thread_unless_told(given, ran):
     # numpy's OpenBLAS reads the variable once, when numpy loads

@@ -582,15 +582,25 @@ def test_prime_row_flags_sieved_matches_direct():
     # 5 and 13 are primes ≡ 1 mod 4 dividing k; at k = 4, j = 1 the value
     # 1 + 16 = 17 is itself a sieving prime
     for k in (1, 2, 3, 4, 5, 6, 10, 13):
-        flags = pa.prime_row_flags(k, 20001)
+        flags = pa.prime_rows([k], 20001)[0]
         for j in range(1, 2000):
             assert flags[j - 1] == is_gaussian_prime(GaussianInt(j, k)), (j, k)
     # a row longer than k²: composites j² + k² with every prime factor above
     # n need sieving primes up to √(n² + k²), e.g. 6674² + k² = 20593·21589
     k = 20001
-    flags = pa.prime_row_flags(k, 20001)
+    flags = pa.prime_rows([k], 20001)[0]
     for j in range(1, 20002):
         assert flags[j - 1] == rk.is_prime(j * j + k * k), (j, k)
+
+
+def test_prime_rows_stack_the_single_rows_and_refuse_k_below_1():
+    rows = pa.prime_rows(range(1, 7), 3000)
+    assert rows.shape == (6, 3000) and rows.dtype == bool
+    for k in range(1, 7):
+        assert np.array_equal(rows[k - 1], pa.prime_rows([k], 3000)[0]), k
+    for ks in ([], [0], [3, -1]):
+        with pytest.raises(ValueError, match="k >= 1 required"):
+            pa.prime_rows(ks, 10)
 
 
 def test_prime_row_bytes_cover_traced_peak():
@@ -599,7 +609,7 @@ def test_prime_row_bytes_cover_traced_peak():
         rk.sieve.cache_clear()
         tracemalloc.start()
         try:
-            pa.prime_row_flags(k, n)
+            pa.prime_rows([k], n)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -608,7 +618,7 @@ def test_prime_row_bytes_cover_traced_peak():
 
 def test_prime_rows_refused_before_allocation(monkeypatch):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
-    for call in (lambda: pa.prime_row_flags(1, 10**7),
+    for call in (lambda: pa.prime_rows([1], 10**7)[0],
                  lambda: sm.row_cov_sign_table(6, 10**6)):
         tracemalloc.start()
         try:
