@@ -16,7 +16,9 @@ B_{km} = exp(i(kmα + mβ)); |det B| is a van der Monde product.
 One fraction-free (Bareiss) pass over the big integers gives every leading
 minor det A[:n, :n] of an integer matrix (`leading_minors`); a row whose
 pivot-column entry is 0 is not updated until it is, then straight from the
-step t it is stored at, dividing by p_(t−1).  The scan and
+step t it is stored at, dividing by p_(t−1).  A symmetric block, such as a
+gcd^s matrix, runs the pass on its upper triangle and falls back to the
+general pass (with row exchanges) at a zero pivot.  The scan and
 `is_singular_exact` prove full-rank leading blocks by a rank pass mod p and
 confirm the drops by one Bareiss pass.  A prime matrix splits by index
 parity into two half-size blocks B and C (Gaussian primes of even
@@ -39,6 +41,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -79,6 +82,15 @@ def leading_minors(m):
     an exact division, since every Bareiss entry is a minor (prevs[k+1] = p_k,
     so p_(t-1) = prevs[t]).  Only a pivot row stored at an older step is
     rescaled first, by p_(e-1) / p_(t-1), since its pivot is the minor.
+
+    A symmetric block (m = mᵀ) runs on its upper triangle: the step-e entry
+    a^(e)[i][j] is the bordered minor det m[[0..e-1, i], [0..e-1, j]],
+    symmetric in i and j, so row r keeps its columns c >= r, reads its
+    pivot-column entry off the pivot row, and half of each step's updates
+    go (_symmetric_pass).  That pass takes no row exchange: at a zero pivot
+    it stops, and the general pass runs from the start on the untouched list
+    copy.  A gcd^s matrix, E·diag(J_s)·Eᵀ, is positive definite for integer
+    s >= 1 and never falls back.
     The pass runs on each parity block when m splits (_by_blocks).
     Entries must be integers: a float or complex matrix raises TypeError."""
     return _by_blocks(m, _eliminate)
@@ -125,12 +137,54 @@ def _parity_blocks(m):
 
 
 def _eliminate(m):
-    """leading_minors of the square integer array m by the one Bareiss pass,
-    unsplit; refused by check_exact_pass, from m's order and largest |entry|,
-    before it copies anything."""
+    """leading_minors of the square integer array m, unsplit: the symmetric
+    pass when m equals its transpose, and the general pass on the untouched
+    list copy unless that pass ran to its end; refused by check_exact_pass,
+    from m's order and largest |entry|, before it copies anything."""
     top = max(int(m.max()), -int(m.min()), 1) if m.size else 1
     check_exact_pass(len(m), math.log2(top))
+    symmetric = np.array_equal(m, m.T)
     a = m.tolist()
+    minors = _symmetric_pass(a) if symmetric else None
+    return _general_pass(a) if minors is None else minors
+
+
+def _symmetric_pass(a):
+    """leading_minors of the symmetric list matrix a, or None at the first
+    zero pivot (where the general pass would exchange rows); a is left as
+    it is.  Row r keeps its columns c >= r only.  Every step's entries are
+    minors symmetric in row and column, so the pivot-column entry of row r
+    at step e is the pivot row's y = a^(e)[e][r], and the row, stored as of
+    step t, holds a^(t)[r][e] = y·p_(t-1) / p_(e-1), an exact division."""
+    size = len(a)
+    rows = [row[r:] for r, row in enumerate(a)]
+    prevs = [1]  # prevs[k+1] = pivot of step k
+    t = [0] * size  # row r holds its entries as of step t[r]
+    for e in range(size):
+        row_e = rows[e]
+        prev = prevs[e]
+        if t[e] < e:
+            q = prevs[t[e]]
+            row_e = [x * prev // q for x in row_e]
+        pkk = row_e[0]
+        if pkk == 0:
+            return None
+        # a row with y = 0 is left alone: p_e·a[r] / p_(e-1), folded into t[r]
+        for r in compress(range(e + 1, size), row_e[1:]):
+            y = row_e[r - e]
+            q = prevs[t[r]]
+            ark = y if t[r] == e else y * q // prev
+            rows[r] = [(pkk * x - ark * z) // q
+                       for x, z in zip(rows[r], row_e[r - e:])]
+            t[r] = e + 1
+        rows[e] = None  # the pivot row is read no more
+        prevs.append(pkk)
+    return prevs[1:]
+
+
+def _general_pass(a):
+    """leading_minors of the square list matrix a, with row exchanges below
+    a zero pivot; updates a in place."""
     size = len(a)
     minors = []
     sign = 1
@@ -438,13 +492,21 @@ def smith_det_residual(n, s=1):
 
 
 def _smith_det_and_residual(n, s=1):
-    """(∏_{k<=n} J_s(k), smith_det_residual(n, s)) from one product."""
+    """(∏_{k<=n} J_s(k), smith_det_residual(n, s)) from one product.  For
+    integer s the determinant is taken of the int64 gcd table's power when
+    n^s < 2⁶³, so that the intake, the parity test and the largest entry are
+    numpy passes, and of build_smith's Python ints otherwise."""
     if n < 1:
         raise ValueError("n >= 1 required")
     exact = isinstance(s, int) and s >= 1
     if exact:
         check_exact_pass(n, s * math.log2(n))
-    a = build_smith(n, s)
+    if exact and n ** s < 2**63:
+        # every entry is at most n^s, so the int64 power is exact; the
+        # pass's >= 22 B per cell cover the table and its power (16 B)
+        a = rk.gcd_table(n) ** s
+    else:
+        a = build_smith(n, s)
     target = smith_det(n, s)
     if exact:
         return target, det_exact(a) - target

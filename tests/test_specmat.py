@@ -153,6 +153,129 @@ def test_leading_minors_of_sparse_matrices_match_per_block_bareiss():
     assert skipped > 500  # stalls, and rows left alone across them
 
 
+def _symmetric(rng, n, density):
+    """A random symmetric matrix of entries in -6..6, each kept with
+    probability `density`."""
+    u = np.triu(rng.integers(-6, 7, size=(n, n)) * (rng.random((n, n))
+                                                     < density))
+    return u + np.triu(u, 1).T
+
+
+def _plant_zero_minor(m, j, k):
+    """m with row and column k made copies of row and column j < k, so the
+    leading minor of order k + 1 is 0 and m stays symmetric."""
+    m = m.copy()
+    m[k, :] = m[j, :]
+    m[:, k] = m[:, j]
+    return m
+
+
+def _spy_passes(monkeypatch):
+    """A list that records ("symmetric", ran to its end) or ("general",
+    order) for every pass that _eliminate runs."""
+    seen = []
+    symmetric, general = sm._symmetric_pass, sm._general_pass
+
+    def symmetric_spy(a):
+        minors = symmetric(a)
+        seen.append(("symmetric", minors is not None))
+        return minors
+
+    def general_spy(a):
+        seen.append(("general", len(a)))
+        return general(a)
+
+    monkeypatch.setattr(sm, "_symmetric_pass", symmetric_spy)
+    monkeypatch.setattr(sm, "_general_pass", general_spy)
+    return seen
+
+
+def test_leading_minors_of_symmetric_matrices_match_per_block_bareiss(
+        monkeypatch):
+    """Dense and sparse symmetric matrices, with zero leading minors planted
+    and with entries past 2⁶³: the symmetric pass, and the general pass it
+    falls back to at a zero pivot, give the oracle's minors."""
+    seen = _spy_passes(monkeypatch)
+    rng = np.random.default_rng(39)
+    for _ in range(60):
+        n = int(rng.integers(2, 22))
+        for density in (1.0, 0.15):
+            m = _symmetric(rng, n, density)
+            j, k = sorted(rng.choice(n, size=2, replace=False).tolist())
+            big = (_symmetric(rng, n, 1.0).astype(object) * 2**70
+                   + m.astype(object))
+            for a in (m, _plant_zero_minor(m, j, k), big,
+                      _plant_zero_minor(big, j, k)):
+                want = [_bareiss_det(a[:i, :i]) for i in range(1, n + 1)]
+                assert sm.leading_minors(a) == want
+    ends = [x for kind, x in seen if kind == "symmetric"]
+    assert ends.count(True) > 100 and ends.count(False) > 100
+    assert sum(kind == "general" for kind, _ in seen) == ends.count(False)
+
+
+def test_leading_minors_of_gcd_powers_match_per_block_bareiss():
+    """The Python-int gcd^s matrices of build_smith and the int64 powers
+    of the gcd table, for n <= 60 and s <= 3: gcd(n) is the leading block
+    of gcd(60), so the oracle's minors of gcd(60)^s cover every n."""
+    for s in (1, 2, 3):
+        full = sm.build_smith(60, s)
+        want = [_bareiss_det(full[:n, :n]) for n in range(1, 61)]
+        for n in range(1, 61):
+            assert sm.leading_minors(sm.build_smith(n, s)) == want[:n]
+            assert sm.leading_minors(rk.gcd_table(n) ** s) == want[:n]
+    a = sm.build_smith(40, 12)  # 40¹² > 2⁶³: the object path
+    assert sm.det_exact(a) == _bareiss_det(a) == sm.smith_det(40, 12)
+    assert sm.smith_det_residual(40, 12) == 0
+
+
+def test_smith_matrices_take_the_symmetric_pass_to_its_end(monkeypatch):
+    seen = _spy_passes(monkeypatch)
+    assert sm.smith_det_residual(40, 2) == 0
+    assert seen == [("symmetric", True)]
+
+
+def test_prime_matrix_blocks_take_the_general_pass(monkeypatch):
+    """The parity blocks of A(1, n) and A(2, n) are not symmetric, so the
+    minors, the scan and the singularity test never enter the symmetric
+    pass."""
+    seen = _spy_passes(monkeypatch)
+    for z0 in (1, 2):
+        m = sm.build_prime_matrix(z0, 60)
+        sm.leading_minors(m)
+        sm.invertibility_scan(z0, 60)
+        sm.is_singular_exact(m)
+    assert seen and all(kind == "general" for kind, _ in seen)
+
+
+def test_zero_pivot_falls_back_to_the_general_pass(monkeypatch):
+    """[[0, 1], [1, 0]] (unsplit: leading_minors would split it by parity)
+    and the rank-1 ones matrix stop the symmetric pass at a zero pivot; the
+    general pass gives the same minors as before."""
+    seen = _spy_passes(monkeypatch)
+    assert sm._eliminate(np.array([[0, 1], [1, 0]])) == [0, -1]
+    assert seen == [("symmetric", False), ("general", 2)]
+    seen.clear()
+    ones = np.ones((30, 30), dtype=np.int64)
+    assert sm.leading_minors(ones) == [1] + [0] * 29
+    assert seen == [("symmetric", False), ("general", 30)]
+
+
+def test_smith_determinant_reads_int64_below_2_to_the_63(monkeypatch):
+    """40¹¹ < 2⁶³ <= 40¹²: det_exact reads the int64 gcd power at s = 11 and
+    build_smith's Python ints at s = 12."""
+    dtypes = []
+    det_exact = sm.det_exact
+
+    def spy(m):
+        dtypes.append(m.dtype)
+        return det_exact(m)
+
+    monkeypatch.setattr(sm, "det_exact", spy)
+    assert sm.smith_det_residual(40, 11) == 0
+    assert sm.smith_det_residual(40, 12) == 0
+    assert dtypes == [np.int64, object]
+
+
 def _planted(rng, n, kind):
     """A random integer matrix with the parity zero pattern `kind` planted:
     m[i, j] = 0 unless i + j is even ("diag") or odd ("anti")."""
@@ -228,14 +351,27 @@ def test_parity_split_edge_orders():
             sm.leading_minors(m)
 
 
+def _symmetric_01_with_a_zero_minor():
+    """A symmetric 0/1 matrix of order 150 whose first zero leading minor
+    is of order 100: the symmetric pass runs 99 steps, then falls back."""
+    rng = np.random.default_rng(124)  # every leading minor nonzero
+    u = np.triu(rng.integers(0, 2, size=(150, 150)))
+    return _plant_zero_minor(u + np.triu(u, 1).T, 98, 99)
+
+
 @pytest.mark.parametrize("build", [lambda: sm.build_prime_matrix(1, 150),
                                    lambda: sm.build_prime_matrix(2, 150),
                                    lambda: sm.build_prime_matrix(0, 150),
-                                   lambda: sm.build_smith(60, 3)],
-                         ids=["A(1,150)", "A(2,150)", "A(0,150)", "gcd(60)^3"])
+                                   lambda: sm.build_smith(60, 3),
+                                   lambda: rk.gcd_table(60) ** 3,
+                                   _symmetric_01_with_a_zero_minor],
+                         ids=["A(1,150)", "A(2,150)", "A(0,150)", "gcd(60)^3",
+                              "gcd(60)^3 int64", "sym 0/1 (150), zero minor"])
 def test_exact_pass_estimate_bounds_the_traced_peak(monkeypatch, build):
     """check_exact_pass stays an upper bound on leading_minors' traced peak,
-    split or not (peak / estimate at n = 150: 0.11, 0.11, 0.42; 0.18)."""
+    split or not (peak / estimate at n = 150: 0.11, 0.11, 0.42; 0.18; 0.20
+    on the int64 power; 0.61 where the symmetric pass falls back at order
+    100 and the general pass runs on the list copy it left)."""
     m = build()
     seen = []
     monkeypatch.setattr(rk, "check_budget",
