@@ -88,8 +88,8 @@ def leading_minors(m):
     symmetric in i and j, so row r keeps its columns c >= r, reads its
     pivot-column entry off the pivot row, and half of each step's updates
     go (_symmetric_pass).  That pass takes no row exchange: at a zero pivot
-    it stops, and the general pass runs from the start on the untouched list
-    copy.  A gcd^s matrix, E·diag(J_s)·Eᵀ, is positive definite for integer
+    before the last step it stops, and the general pass runs from the start
+    on the untouched list copy.  A gcd^s matrix, E·diag(J_s)·Eᵀ, is positive definite for integer
     s >= 1 and never falls back.
     The pass runs on each parity block when m splits (_by_blocks).
     Entries must be integers: a float or complex matrix raises TypeError."""
@@ -151,8 +151,8 @@ def _eliminate(m):
 
 def _symmetric_pass(a):
     """leading_minors of the symmetric list matrix a, or None at the first
-    zero pivot (where the general pass would exchange rows); a is left as
-    it is.  Row r keeps its columns c >= r only.  Every step's entries are
+    zero pivot before the last step (where the general pass would exchange
+    rows); a is left as it is.  Row r keeps its columns c >= r only.  Every step's entries are
     minors symmetric in row and column, so the pivot-column entry of row r
     at step e is the pivot row's y = a^(e)[e][r], and the row, stored as of
     step t, holds a^(t)[r][e] = y·p_(t-1) / p_(e-1), an exact division."""
@@ -168,7 +168,8 @@ def _symmetric_pass(a):
             row_e = [x * prev // q for x in row_e]
         pkk = row_e[0]
         if pkk == 0:
-            return None
+            # no row is left to exchange in after the last step
+            return prevs[1:] + [0] if e == size - 1 else None
         # a row with y = 0 is left alone: p_e·a[r] / p_(e-1), folded into t[r]
         for r in compress(range(e + 1, size), row_e[1:]):
             y = row_e[r - e]

@@ -250,7 +250,8 @@ def test_prime_matrix_blocks_take_the_general_pass(monkeypatch):
 def test_zero_pivot_falls_back_to_the_general_pass(monkeypatch):
     """[[0, 1], [1, 0]] (unsplit: leading_minors would split it by parity)
     and the rank-1 ones matrix stop the symmetric pass at a zero pivot; the
-    general pass gives the same minors as before."""
+    general pass gives the same minors as before.  A zero pivot at the last
+    step needs no exchange, so the symmetric pass ends there."""
     seen = _spy_passes(monkeypatch)
     assert sm._eliminate(np.array([[0, 1], [1, 0]])) == [0, -1]
     assert seen == [("symmetric", False), ("general", 2)]
@@ -258,6 +259,11 @@ def test_zero_pivot_falls_back_to_the_general_pass(monkeypatch):
     ones = np.ones((30, 30), dtype=np.int64)
     assert sm.leading_minors(ones) == [1] + [0] * 29
     assert seen == [("symmetric", False), ("general", 30)]
+    seen.clear()
+    last = np.array([[1, 1, 1], [1, 2, 1], [1, 1, 1]])
+    assert sm.leading_minors(last) == [1, 1, 0]
+    assert sm.leading_minors(np.ones((2, 2), dtype=np.int64)) == [1, 0]
+    assert seen == [("symmetric", True)] * 2
 
 
 def test_smith_determinant_reads_int64_below_2_to_the_63(monkeypatch):
