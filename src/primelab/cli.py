@@ -4,7 +4,7 @@ Each subcommand's runner `_run_<name>(args)` computes its results and
 returns `(files, extra)`: `files` maps each data file name to a dict or to an
 iterable of lines, and `extra` holds the fields it adds to the manifest.  It
 opens no file.  `_emit` is the one writer: it writes a dict as sorted,
-indented JSON and an iterable line by line as it yields them, so a lazy CSV
+indented, strict JSON and an iterable line by line as it yields, so a lazy CSV
 is never held whole, and it writes every data file and then `manifest.json`,
 which records the parameters, package versions, BLAS threads, wall time and
 output names.  Data files are byte-deterministic.  Usage errors, including any
@@ -41,13 +41,14 @@ from .ratkernel import CapacityError
 
 
 def _emit(outdir, files):
-    """Write each {name: dict or iterable of lines} into outdir."""
+    """Write each {name: dict or iterable of lines} into outdir; a dict as
+    strict JSON, whose NaN or inf raises ValueError before its file opens."""
     for name, data in files.items():
+        if isinstance(data, dict):
+            data = [json.dumps(data, sort_keys=True, indent=2,
+                               allow_nan=False)]
         with open(Path(outdir) / name, "w") as f:
-            if isinstance(data, dict):
-                f.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
-            else:  # each line as it comes
-                f.writelines(line + "\n" for line in data)
+            f.writelines(line + "\n" for line in data)  # each as it comes
 
 
 def _mode(args, mode, unread, **defaults):
@@ -349,33 +350,33 @@ def main(argv=None):
     try:
         files, extra = args.run(args)
         _emit(outdir, files)  # lazy outputs are computed as they are written
+        wall = time.monotonic() - t0
+        # read after the run, which filled in its mode's option defaults
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("out", "run") and v is not None}
+        manifest = {
+            "schema": 1,
+            "subcommand": args.subcommand,
+            "params": params,
+            "versions": {
+                "primelab": __version__,
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                **{name: sys.modules[name].__version__  # if the run loaded it
+                   for name in ("scipy", "mpmath") if name in sys.modules},
+            },
+            "openblas_num_threads": _BLAS_THREADS,
+            "wall_time_s": wall,
+            "outputs": sorted(files),
+        }
+        manifest.update(extra)
+        _emit(outdir, {"manifest.json": manifest})
     except (ValueError, NotImplementedError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return 3
-    wall = time.monotonic() - t0
-    # read after the run, which filled in the defaults of its mode's options
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("out", "run") and v is not None}
-    manifest = {
-        "schema": 1,
-        "subcommand": args.subcommand,
-        "params": params,
-        "versions": {
-            "primelab": __version__,
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            **{name: sys.modules[name].__version__  # where the run loaded it
-               for name in ("scipy", "mpmath") if name in sys.modules},
-        },
-        "openblas_num_threads": _BLAS_THREADS,
-        "wall_time_s": wall,
-        "outputs": sorted(files),
-    }
-    manifest.update(extra)
-    _emit(outdir, {"manifest.json": manifest})
     return 0
 
 

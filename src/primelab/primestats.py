@@ -286,6 +286,8 @@ def hyperplane_prime_count(a, n):
 
 
 def hyperplane_normalized(a, n):
-    """Count with the (n log n)² normalizer."""
+    """(count, count / (n log n)²) for n >= 2, where the normalizer is > 0."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
     c = hyperplane_prime_count(a, n)
-    return c, c / (n * math.log(n)) ** 2 if n > 1 else math.inf
+    return c, c / (n * math.log(n)) ** 2

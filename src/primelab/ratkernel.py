@@ -293,21 +293,18 @@ def gcd_table(n):
     """gcd(i, j) for 1 <= i, j <= n as an int64 (n, n) array (entry [i-1, j-1]).
 
     gcd(i, j) = ∏ p^min(vₚ(i), vₚ(j)), so the table is the product, over the
-    prime powers q = pᵏ <= n, of a factor p on the cells where q divides both
-    i and j: the strided block [q-1::q, q-1::q].  Primes are taken in
-    increasing order, each with all its powers, so the diagonal entry of p is
-    still 1 when p is reached exactly when p is prime.
+    prime powers q = pᵏ <= n of the primes of `sieve`, of a factor p on the
+    cells where q divides both i and j: the strided block [q-1::q, q-1::q].
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     check_budget(8 * n * n, f"gcd table n={n}")
     g = np.ones((n, n), dtype=np.int64)
-    for p in range(2, n + 1):
-        if g[p - 1, p - 1] == 1:
-            q = p
-            while q <= n:
-                g[q - 1 :: q, q - 1 :: q] *= p
-                q *= p
+    for p in sieve(max(n, 2)).primes().tolist():
+        q = p
+        while q <= n:
+            g[q - 1 :: q, q - 1 :: q] *= p
+            q *= p
     return g
 
 
@@ -457,20 +454,13 @@ def euler_composite_factor(n, rep1, rep2):
 
 
 def divisors_mod_count(n, k, m):
-    """#{d | n : d ≡ k mod m}."""
+    """#{d | n : d ≡ k mod m} for a residue 0 <= k < m."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    count = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            if d % m == k:
-                count += 1
-            e = n // d
-            if e != d and e % m == k:
-                count += 1
-        d += 1
-    return count
+    if not 0 <= k < m:
+        raise ValueError("need 0 <= k < m")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sum(d % m == k for d in set(small) | {n // d for d in small})
 
 
 def totient_summatory(n):

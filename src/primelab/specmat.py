@@ -8,7 +8,8 @@ f_n(x) = log|p_[nx]| / log|det|, QR column means, and row covariance signs.
 
 Smith matrices A_{ij} = gcd(i,j)^s with det = ∏_k J_s(k) and the exact
 factorization A = E·diag(J_s)·Eᵀ, E_{ij} = [j | i] (lower unitriangular,
-E⁻¹_{ij} = μ(i/j)).
+E⁻¹_{ij} = μ(i/j)), whose cells are the divisor sums Σ_{d|gcd(i,j)} J_s(d).
+Both identities read one exact gcd^s matrix, in int64 while n^s < 2⁶³.
 
 Almost-periodic matrices A_{km} = cos(kmα + mβ) = Re B_{km} with
 B_{km} = exp(i(kmα + mβ)); |det B| is a van der Monde product.
@@ -386,14 +387,14 @@ def char_poly(m):
 
 def char_poly_function(m, x):
     """f_n(x) = log|p_[nx]| / log|det A| on x ∈ [0,1]; f_n(1) = 1.  An x
-    outside [0, 1], or NaN, raises ValueError."""
+    outside [0, 1] or NaN, or |det A| <= 1, raises ValueError."""
     if not 0 <= x <= 1:
         raise ValueError(f"x in [0, 1] required, got {x}")
     coeffs = char_poly(m)
     n = len(coeffs) - 1
     det = coeffs[-1]  # |constant term| = |det|
-    if det == 0:
-        raise ValueError("determinant zero: normalization undefined")
+    if abs(det) <= 1:
+        raise ValueError(f"determinant {det}: normalization undefined")
     j = int(n * x)
     p = coeffs[j]
     if p == 0:
@@ -492,22 +493,23 @@ def smith_det_residual(n, s=1):
     return _smith_det_and_residual(n, s)[1]
 
 
+def _gcd_power(n, s):
+    """gcd(i, j)^s, 1 <= i, j <= n, for integer s >= 1: the int64 gcd table's
+    power when n^s < 2⁶³ bounds every entry, else build_smith's Python ints."""
+    if n ** s < 2**63:
+        return rk.gcd_table(n) ** s
+    return build_smith(n, s)
+
+
 def _smith_det_and_residual(n, s=1):
-    """(∏_{k<=n} J_s(k), smith_det_residual(n, s)) from one product.  For
-    integer s the determinant is taken of the int64 gcd table's power when
-    n^s < 2⁶³, so that the intake, the parity test and the largest entry are
-    numpy passes, and of build_smith's Python ints otherwise."""
+    """(∏_{k<=n} J_s(k), smith_det_residual(n, s)) from one product, the
+    determinant taken of _gcd_power(n, s) for integer s."""
     if n < 1:
         raise ValueError("n >= 1 required")
     exact = isinstance(s, int) and s >= 1
-    if exact:
+    if exact:  # the pass's >= 22 B per cell cover _gcd_power's int64 arrays
         check_exact_pass(n, s * math.log2(n))
-    if exact and n ** s < 2**63:
-        # every entry is at most n^s, so the int64 power is exact; the
-        # pass's >= 22 B per cell cover the table and its power (16 B)
-        a = rk.gcd_table(n) ** s
-    else:
-        a = build_smith(n, s)
+    a = _gcd_power(n, s) if exact else build_smith(n, s)
     target = smith_det(n, s)
     if exact:
         return target, det_exact(a) - target
@@ -516,23 +518,24 @@ def _smith_det_and_residual(n, s=1):
 
 
 def smith_factorization_check(n, s=1):
-    """Exact check A = E · diag(J_s(1..n)) · Eᵀ for integer s."""
+    """Exact check A = E·diag(J_s)·Eᵀ for integer s, E_{ij} = [j | i], as the
+    divisor sums Σ_{d|gcd(i,j)} J_s(d): J_s(d) is added to the cells
+    [d−1::d, d−1::d], d = 1..n, in _gcd_power's dtype, whose rule bounds
+    every partial sum, since each is at most gcd(i, j)^s <= n^s."""
     if not (isinstance(s, int) and s >= 1):
         raise ValueError("exact factorization check needs integer s >= 1")
-    # E, E·D, E·D·Eᵀ and build_smith's arrays trace 48 B per cell, plus the
-    # ints above 256 of two gcd^s arrays, which s·log₂(n)/2 bounds (traced
-    # 0.39–0.89 of the check at n = 50–200, s = 1–40); at least build_smith's
-    # own check, which runs last
-    per_cell = 52 + s * math.log2(max(n, 1)) / 2
+    # int64: the table and its power, then the power, the sums and their
+    # equality mask, 17-21 B per cell (tracemalloc, n = 50-400); Python ints
+    # add two arrays' ints, which s·log₂(n)/2 bounds (42-48 B in all); the
+    # 30 keeps it at least build_smith's check, which runs second
+    per_cell = 30 + s * math.log2(max(n, 1)) / 2
     rk.check_budget(int(per_cell * max(n, 0) ** 2),
                     f"Smith factorization check n={n}")
-    j = [rk.jordan_totient(k, s) for k in range(1, n + 1)]
-    # E is 0/1 and every term is non-negative, so Σ J_s(k) bounds every
-    # partial sum of E·D·Eᵀ: below 2⁶³ the product is exact in int64
-    dtype = np.int64 if sum(j) < 2**63 else object
-    e = smith_divisor_factor(n).astype(dtype)
-    ed = e * np.array(j, dtype)  # E·D: column k of E times J_s(k)
-    return bool(np.array_equal(ed @ e.T, build_smith(n, s)))
+    a = _gcd_power(n, s)
+    sums = np.zeros_like(a)
+    for d in range(1, n + 1):
+        sums[d - 1::d, d - 1::d] += rk.jordan_totient(d, s)
+    return bool(np.array_equal(sums, a))
 
 
 def smith_inverse_moebius_check(n):

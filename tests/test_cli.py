@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -17,6 +18,13 @@ def _run(args):
 
 def _manifest(outdir):
     return json.loads((Path(outdir) / "manifest.json").read_text())
+
+
+def _strict_json(path):
+    """path parsed as RFC 8259 JSON: NaN, Infinity and -Infinity raise."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_goldbach_subcommand(tmp_path):
@@ -446,6 +454,35 @@ def test_readme_command_outputs(tmp_path, args, digests):
     assert _manifest(out)["outputs"] == files
     for name, want in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+    for path in out.glob("*.json"):
+        assert isinstance(_strict_json(path), dict)
+
+
+def test_hyperplane_at_n_1_exits_2_with_no_file(tmp_path, capsys):
+    """(n log n)² is 0 at n = 1: refused, where Infinity was written."""
+    out = tmp_path / "hp"
+    assert _run(["--out", str(out), "hyperplane", "--a", "1", "--n", "1"]) == 2
+    assert "usage error: n >= 2 required" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["data", "manifest"])
+def test_a_non_finite_float_is_refused_before_its_file_opens(
+        tmp_path, capsys, monkeypatch, where):
+    """A NaN in a data dict or in the manifest exits 2 and leaves no file
+    of that name: JSON files are strict."""
+    data = {"x": math.nan} if where == "data" else {"x": 1.0}
+    extra = {"y": math.inf} if where == "manifest" else {}
+    monkeypatch.setattr(cli, "_run_smith",
+                        lambda args: ({"smith.json": data}, extra))
+    out = tmp_path / "run"
+    assert _run(["--out", str(out), "smith", "--n", "3"]) == 2
+    assert "usage error: Out of range float values" in capsys.readouterr().err
+    written = sorted(p.name for p in out.iterdir())
+    assert written == ([] if where == "data" else ["smith.json"])
+    with pytest.raises(ValueError, match="Out of range float values"):
+        cli._emit(tmp_path, {"direct.json": {"z": -math.inf}})
+    assert not (tmp_path / "direct.json").exists()
 
 
 # sha256 recorded before the runners refused options their mode does not read

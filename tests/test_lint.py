@@ -250,3 +250,69 @@ def test_library_modules_meet_at_public_names():
                           if not r.startswith("ratkernel."))
              for name, tree in LIBRARY.items()}
     assert {name: r for name, r in reads.items() if r} == {}
+
+
+def _opens_for_writing(call):
+    """Whether a call opens a file for writing: open(file, mode),
+    io.open/os.open(file, mode or flags) or path.open(mode) with a mode of
+    w, a, x or +, or with a mode or flags that are not a string constant;
+    or path.write_text / path.write_bytes."""
+    f = call.func
+    name = getattr(f, "attr", getattr(f, "id", None))
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    module = getattr(getattr(f, "value", None), "id", None)
+    pos = 1 if isinstance(f, ast.Name) or module in ("io", "os") else 0
+    modes = call.args[pos:pos + 1] + [k.value for k in call.keywords
+                                      if k.arg in ("mode", "flags")]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes)
+
+
+def _dumps_json(call, json_names):
+    """Whether a call is json.dump or json.dumps, by module or by a name
+    imported from json."""
+    f = call.func
+    return (isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps")
+            and getattr(f.value, "id", None) == "json"
+            or isinstance(f, ast.Name) and f.id in json_names)
+
+
+def _file_writers(tree):
+    """(enclosing function, line) of every JSON serialization and file
+    opened for writing in tree; "" at module level."""
+    json_names = {a.asname or a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "json"
+                  for a in node.names if a.name in ("dump", "dumps")}
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                    _opens_for_writing(child)
+                    or _dumps_json(child, json_names)):
+                out.append((where, child.lineno))
+            visit(child, where)
+
+    visit(tree, "")
+    return out
+
+
+def test_cli_emit_is_the_one_file_writer():
+    """json.dump(s) and every open for writing sit in cli._emit, which
+    writes strict JSON (allow_nan=False): a second writer could bypass it."""
+    writers = {p.name: _file_writers(ast.parse(p.read_text()))
+               for p in sorted(SRC.glob("*.py"))}
+    stray = {name: [w for w in found if (name, w[0]) != ("cli.py", "_emit")]
+             for name, found in writers.items()}
+    assert {name: w for name, w in stray.items() if w} == {}
+    assert len(writers["cli.py"]) == 2  # its json.dumps and its open
+    emit = next(node for node in ast.walk(ast.parse(
+        (SRC / "cli.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    assert "allow_nan=False" in ast.unparse(emit)

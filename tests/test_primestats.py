@@ -231,3 +231,8 @@ def test_hyperplane_counts():
     c, norm = ps.hyperplane_normalized(2, 30)
     assert c == ps.hyperplane_prime_count(2, 30)
     assert norm == c / (30 * math.log(30)) ** 2
+    # (n log n)² is 0 at n = 1, where the count itself is defined
+    assert ps.hyperplane_prime_count(2, 1) == 1  # 4 + 1 + 1 + 1 = 7
+    for n in (1, 0, -2):
+        with pytest.raises(ValueError, match="n >= 2 required"):
+            ps.hyperplane_normalized(1, n)

@@ -271,6 +271,16 @@ def test_divisors_mod_count():
     assert rk.divisors_mod_count(5, 3, 4) == 0
     assert rk.divisors_mod_count(9, 3, 4) == 1
     assert rk.divisors_mod_count(1, 1, 4) == 1
+    for n in range(1, 301):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for m in range(1, 8):
+            for k in range(m):
+                want = sum(d % m == k for d in divisors)
+                assert rk.divisors_mod_count(n, k, m) == want, (n, k, m)
+    # a residue outside 0..m-1 counted 0, and m = 0 divided by zero
+    for k, m in ((5, 4), (4, 4), (-1, 4), (0, 0), (1, 0), (0, -3)):
+        with pytest.raises(ValueError, match="need 0 <= k < m"):
+            rk.divisors_mod_count(12, k, m)
 
 
 def test_li_value():

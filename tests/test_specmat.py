@@ -717,6 +717,13 @@ def test_char_poly_function_normalization():
     for x in (-0.5, 1.5, -1e-12, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"x in \[0, 1\] required"):
             sm.char_poly_function(a, x)
+    # log|det| is 0 at |det| = 1 and undefined at 0: no normalization
+    for m in (sm.build_prime_matrix(1, 1), np.eye(2, dtype=int),
+              -np.eye(3, dtype=int), np.zeros((2, 2), dtype=int)):
+        assert abs(sm.det_exact(m)) <= 1
+        for x in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="normalization undefined"):
+                sm.char_poly_function(m, x)
 
 
 def test_prime_row_flags_sieved_matches_direct():
@@ -887,16 +894,83 @@ def test_smith_identity_checks_refused_before_they_allocate(monkeypatch):
 
 @pytest.mark.parametrize("n, s", [(400, 1), (40, 12)])
 def test_smith_factorization_in_int64_and_in_python_ints(monkeypatch, n, s):
-    """Σ φ(k) < 2⁶³ at (400, 1): E·D·Eᵀ in int64; Σ J_12(k) >= 2⁶³ at
+    """400¹ < 2⁶³ at (400, 1): the divisor sums in int64; 40¹² >= 2⁶³ at
     (40, 12): in Python ints.  Each path holds, and each sees one changed
     entry of the gcd matrix."""
-    int64 = sum(rk.jordan_totient(k, s) for k in range(1, n + 1)) < 2**63
+    int64 = n ** s < 2**63
     assert int64 == (s == 1)
     assert sm.smith_factorization_check(n, s)
-    a = sm.build_smith(n, s)
+    a = sm._gcd_power(n, s)
     a[-1, 0] += 1
-    monkeypatch.setattr(sm, "build_smith", lambda n, s: a)
+    monkeypatch.setattr(sm, "_gcd_power", lambda n, s: a)
     assert not sm.smith_factorization_check(n, s)
+
+
+def test_smith_factorization_estimate_covers_its_inner_checks(monkeypatch):
+    """The check's first estimate is at least every byte check that runs
+    inside it (the gcd table's, build_smith's), so a refusal names the
+    check on both paths."""
+    seen = []
+    monkeypatch.setattr(rk, "check_budget",
+                        lambda nbytes, what: seen.append((what, nbytes)))
+    for n, s in ((400, 1), (200, 8), (40, 12), (50, 12), (200, 9), (100, 40)):
+        seen.clear()
+        assert sm.smith_factorization_check(n, s)
+        (what, first), *inner = seen
+        assert what == f"Smith factorization check n={n}" and inner
+        assert all(first >= nbytes for _, nbytes in inner)
+
+
+def _product_oracle(n, s):
+    """E·diag(J_s)·Eᵀ as a dense product of Python ints, O(n³)."""
+    e = sm.smith_divisor_factor(n).astype(object)
+    j = np.array([rk.jordan_totient(k, s) for k in range(1, n + 1)],
+                 dtype=object)
+    return (e * j) @ e.T
+
+
+@pytest.mark.parametrize("size, s, ns", [
+    (60, 1, range(1, 61)), (60, 2, range(1, 61)), (60, 3, range(1, 61)),
+    (40, 11, [40]), (40, 12, [40]), (200, 8, [200])])
+def test_smith_divisor_sums_match_the_product_oracle(monkeypatch, size, s,
+                                                     ns):
+    """The divisor-sum check agrees with the dense product E·D·Eᵀ on every
+    gcd^s matrix and on a copy with one changed entry.  E is lower
+    triangular, so the oracle's leading n×n block is its product for n.
+    At (200, 8) Σ J_8(k) >= 2⁶³ > 200⁸: the sums run in int64."""
+    gcd_power = sm._gcd_power
+    want = _product_oracle(size, s)
+    rng = np.random.default_rng(s)
+    for n in ns:
+        a = gcd_power(n, s)
+        assert np.array_equal(want[:n, :n], a)
+        bad = a.copy()
+        i, j = rng.integers(n, size=2)
+        bad[i, j] += 1
+        for m in (a, bad):
+            monkeypatch.setattr(sm, "_gcd_power", lambda n, s, m=m: m)
+            assert sm.smith_factorization_check(n, s) == (m is a)
+    if s == 8:
+        j8 = [rk.jordan_totient(k, 8) for k in range(1, 201)]
+        assert 200**8 < 2**63 <= sum(j8)
+
+
+def test_smith_identities_read_one_gcd_power(monkeypatch):
+    """40¹¹ < 2⁶³ <= 40¹²: the determinant and the factorization check both
+    read int64 at s = 11 and Python ints at s = 12."""
+    dtypes = []
+    gcd_power = sm._gcd_power
+
+    def spy(n, s):
+        a = gcd_power(n, s)
+        dtypes.append(a.dtype)
+        return a
+
+    monkeypatch.setattr(sm, "_gcd_power", spy)
+    for s in (11, 12):
+        assert sm.smith_det_residual(40, s) == 0
+        assert sm.smith_factorization_check(40, s)
+    assert dtypes == [np.int64, np.int64, object, object]
 
 
 def _builder(kind, n):
