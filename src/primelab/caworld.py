@@ -94,10 +94,16 @@ def grid_from_gaussian_primes(window):
     return Grid((-window, -window), mask)
 
 
+def _check_pad(side, pad, op):
+    """CapacityError if `op` ("step", "dilate") pads side + 2·pad past cap."""
+    if side + 2 * pad > _WINDOW_CAP:
+        raise CapacityError(f"window would exceed {_WINDOW_CAP} cells a side"
+                            if op == "step" else "dilation exceeds window cap")
+
+
 def step(g, rule=LIFE):
     """One synchronous update, window padded by 1 on each side."""
-    if g.width + 2 > _WINDOW_CAP or g.height + 2 > _WINDOW_CAP:
-        raise CapacityError(f"window would exceed {_WINDOW_CAP} cells a side")
+    _check_pad(max(g.width, g.height), 1, "step")
     cells = np.pad(g.cells, 1)
     # live neighbours of every cell of the padded window: the eight shifted
     # windows of the grid padded once more
@@ -150,8 +156,7 @@ def dilate(g, steps=1):
         raise ValueError("steps >= 0 required")
     if steps == 0:
         return Grid(g.origin, g.cells.copy())
-    if max(g.width, g.height) + 2 * steps > _WINDOW_CAP:
-        raise CapacityError("dilation exceeds window cap")
+    _check_pad(max(g.width, g.height), steps, "dilate")
     cells = np.pad(g.cells, steps)
     cells = _box_any(_box_any(cells, steps, 0), steps, 1)
     return Grid((g.origin[0] - steps, g.origin[1] - steps), cells)
@@ -217,16 +222,20 @@ def moat_component(m, window):
     return np.stack(np.divmod(cells, stride), axis=1) + g.origin
 
 
-def to_rle(g):
-    """Run-length text: header `origin,width,height` then per-row runs."""
-    lines = [f"{g.origin[0]},{g.origin[1]},{g.width},{g.height}"]
+def rle_lines(g):
+    """Run-length lines: header `origin,width,height`, then per-row runs."""
+    yield f"{g.origin[0]},{g.origin[1]},{g.width},{g.height}"
     for row in g.cells:
         # runs alternate dead/live and start dead, so a live first cell
         # opens with a run of 0
         flips = np.flatnonzero(np.diff(row, prepend=False))
         runs = np.diff(np.concatenate([[0], flips, [g.height]]))
-        lines.append(" ".join(map(str, runs.tolist())))
-    return "\n".join(lines) + "\n"
+        yield " ".join(map(str, runs.tolist()))
+
+
+def to_rle(g):
+    """rle_lines as one text, each line ending in a newline."""
+    return "".join(line + "\n" for line in rle_lines(g))
 
 
 def from_rle(text):
@@ -243,7 +252,14 @@ def from_rle(text):
     return Grid((ore, oim), cells)
 
 
+def pbm_lines(g):
+    """Plain PBM (P1) lines, rows from high im to low: the plane upright."""
+    yield "P1"
+    yield f"{g.width} {g.height}"
+    for row in g.cells.T[::-1]:
+        yield " ".join(np.where(row, "1", "0").tolist())
+
+
 def to_pbm(g):
-    """Plain PBM (P1); rows are im from high to low so the plane reads upright."""
-    rows = map(" ".join, np.where(g.cells.T[::-1], "1", "0").tolist())
-    return "\n".join(["P1", f"{g.width} {g.height}", *rows]) + "\n"
+    """pbm_lines as one text, each line ending in a newline."""
+    return "".join(line + "\n" for line in pbm_lines(g))

@@ -215,12 +215,14 @@ def _run_ca(args):
     rule = _parse_rule(args.rule)
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    # step's and dilate's cap, checked before the grid (which refuses W < 0)
+    for pad, op in ((args.steps, "step"), (args.moat, "dilate")):
+        if args.window >= 0 and pad:
+            ca._check_pad(2 * args.window + 1, pad, op)
     g = ca.grid_from_gaussian_primes(args.window)
     for _ in range(args.steps):
         g = ca.step(g, rule)
-    # both texts are "\n"-joined lines ending in "\n"
-    files = {"grid.rle": ca.to_rle(g).splitlines(),
-             "grid.pbm": ca.to_pbm(g).splitlines()}
+    files = {"grid.rle": ca.rle_lines(g), "grid.pbm": ca.pbm_lines(g)}
     extra = {"live_cells": int(g.cells.sum())}
     if args.moat is not None:
         comp = ca.moat_component(args.moat, args.window)

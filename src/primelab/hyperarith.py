@@ -6,8 +6,10 @@ d₀ highest) lies in the order's code (Conway & Smith, On Quaternions and
 Octonions, 2003).  Quaternions use {0000, 1111}: Lipschitz integers have
 all-even d, Hurwitz all-odd.  Octonions multiply by the Cayley–Dickson
 doubling (z,w)·(u,v) = (zu − v*w, vz + wu*) and use the [8,4] extended
-Hamming code with basis {11110000, 00111100, 00001111, 01010101}: Gravesian
-integers have word 0, Kleinian 0 or 11111111, Octavian (the E₈-style
+Hamming code with basis {11110000, 00111100, 00001111, 01010110}, whose last
+word (not 01010101) makes the Octavians closed under this product: every
+product of two of the 240 units is a unit (Coxeter, Duke Math. J. 13, 1946).
+Gravesian integers have word 0, Kleinian 0 or 11111111, Octavian (an E₈
 lattice) any codeword.  The norm N = (Σ dᵢ²)/4 is an integer, since every
 codeword has weight 0, 4 or 8.  Point sets are lexicographically sorted int64
 (M, 4) / (M, 8) arrays of doubled coordinates, one row per element.
@@ -58,7 +60,7 @@ def _parity_word(d):
 
 # the [8,4] extended Hamming code: the sums of subsets of its basis
 _HAMMING_CODE = frozenset(
-    (0b11110000 * a) ^ (0b00111100 * b) ^ (0b00001111 * c) ^ (0b01010101 * d)
+    (0b11110000 * a) ^ (0b00111100 * b) ^ (0b00001111 * c) ^ (0b01010110 * d)
     for a, b, c, d in itertools.product((0, 1), repeat=4))
 
 
@@ -353,23 +355,3 @@ def is_oct_prime(z, which=None):
     if which is not None and _parity_word(z.d) not in _order_words(which):
         return False
     return rk.is_prime(z.norm())
-
-
-def octavian_closure_violations(trials=200, seed=0):
-    """Measure how often a product of random Octavian elements leaves the
-    coordinate model (closure is NOT asserted for this realization)."""
-    rng = np.random.default_rng(seed)
-    words = sorted(_HAMMING_CODE)
-    bad = 0
-    for _ in range(trials):
-        es = []
-        for _ in range(2):
-            w = words[rng.integers(len(words))]
-            e = tuple(int(2 * rng.integers(-2, 3)) + ((w >> (7 - i)) & 1)
-                      for i in range(8))
-            es.append(e)
-        prod = _cayley_dickson(es[0], es[1])
-        if any(x & 1 for x in prod) or not is_octavian(
-                tuple((x // 2) for x in prod)):
-            bad += 1
-    return bad, trials

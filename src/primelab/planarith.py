@@ -12,14 +12,14 @@ and the prime-norm table of `_prime_norms` are the only two forms of it.
 
 Canonical representatives, one rule for both rings: the least image under
 units × conjugation (8 or 12 maps) with a ≥ b ≥ 0.  The prime above a split
-p is x + yi or x + y√−3 = (x − y) + 2y·ω from one Cornacchia Euclid on
-p = x² + d·y², with d = 1 and √−1 mod p, or d = 3 and 2w + 1 (w³ = 1 ≠ w).
+p is x + y·√−d = (x − t·y) + (1 + t)·y·u from one Cornacchia Euclid on
+p = x² + d·y², d = 1 + 2t, and the root √−d mod p of ratkernel's one root
+kernel for both rings.
 The prime twins come as one sorted int64 array, not as pairs of elements.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import add, attrgetter, neg, sub
@@ -125,27 +125,21 @@ def hexant_rep(z):
 
 
 def prime_above(p, ring="gaussian"):
-    """Canonical prime above a rational prime p, a split p <= 3037000499."""
+    """Canonical prime above a rational prime p, a split p <= 3037000499
+    (module docstring): p itself when inert, 1 + u when ramified (p | q)."""
     if not rk.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if ring == "gaussian":
-        if p % 4 == 3:
-            return GaussianInt(p, 0)
-        if p > rk._EXACT_P:  # before the int64 cast
-            raise ValueError(f"{p} is above {rk._EXACT_P}")
-        ps = np.array([p], dtype=np.int64)  # proven by is_prime above
-        (a,), (b,) = rk._cornacchia(ps, rk._sqrt_minus_one(ps), 1)
-        return GaussianInt(int(a), int(b))
-    if ring == "eisenstein":
-        if p % 3 == 2:
-            return EisensteinInt(p, 0)
-        if p == 3:  # ramified: 3 = −ω²·(1 + ω)²
-            return EisensteinInt(1, 1)
-        w = next(w for w in (pow(a, (p - 1) // 3, p) for a in
-                             itertools.count(2)) if w != 1)
-        (x,), (y,) = rk._cornacchia(np.array([p]), np.array([2 * w + 1]), 3)
-        return hexant_rep(EisensteinInt(int(x - y), int(2 * y)))
-    raise ValueError(f"unknown ring {ring!r}")
+    _units, q, t = _norm_form(ring)
+    units = GAUSSIAN_UNITS if ring == "gaussian" else EISENSTEIN_UNITS
+    cls = type(units[0])
+    if p % q == q - 1:
+        return cls(p, 0)
+    if q % p == 0:  # 2 = −i·(1 + i)², 3 = −ω²·(1 + ω)²
+        return cls(1, 1)
+    ps = np.array([p])  # proven above; the kernel refuses p > _EXACT_P
+    (x,), (y,) = rk._cornacchia(ps, rk._split_root(ps, q), 1 + 2 * t)
+    return _sector_rep(cls(int(x - t * y), int((1 + t) * y)), units,
+                       "prime_above")
 
 
 def theta_sequence(count):
@@ -155,7 +149,7 @@ def theta_sequence(count):
     Each such prime p has exactly one Gaussian prime a + bi of norm p in the
     open octant a > b > 0, so θ ∈ (−π/8, π/8): with the dihedral symmetry
     factored out, the angles are indexed by the rational primes, and a, b
-    come from Cornacchia on `rk._sqrt_minus_one` of the sieve's primes.
+    come from Cornacchia on `rk._split_root` of the sieve's primes.
     """
     if count < 1:
         raise ValueError("count >= 1 required")
@@ -168,7 +162,7 @@ def theta_sequence(count):
     rk.check_budget(limit + 65 * count + 2**19, f"{count} prime angles")
     ps = rk.sieve(limit).primes()
     ps = ps[ps % 4 == 1][:count]
-    a, b = rk._cornacchia(ps, rk._sqrt_minus_one(ps), 1)
+    a, b = rk._cornacchia(ps, rk._split_root(ps, 4), 1)
     # math.atan2, not np.arctan2: the two differ in the last ulp
     return ps, np.fromiter(map(math.atan2, b, a), float, count) - PI8
 
@@ -417,7 +411,7 @@ def prime_rows(ks, n):
     s = rk.sieve(limit)
     split = s.primes()
     split = split[split % 4 == 1]
-    root = rk._sqrt_minus_one(split)
+    root = rk._split_root(split, 4)
     rows = np.ones((len(ks), n + 1), dtype=bool)
     for flags, k in zip(rows, ks):
         flags[2 - k % 2 :: 2] = False

@@ -5,9 +5,9 @@ the logarithmic integral li(x) = ∫₂ˣ dt/log t, Jordan totients
 J_s(n) = n^s ∏_{p|n} (1 - p^{-s}), `multiplicative_table` (the one table
 behind μ, φ and planarith's Gaussian h, strided over the primes <= √n of the
 one sieve), concatenated ranges, connected-component labels, Horner's rule,
-the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol, one array
-kernel for √−1 mod p, Cornacchia's Euclid for p = x² + d·y² (two squares at
-d = 1), Euler's composite-detection identity, and divisor-class counts
+the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol, one root kernel
+for √−1 and √−3 mod p, Cornacchia's Euclid for p = x² + d·y² (two squares
+at d = 1), Euler's composite-detection identity, and divisor-class counts
 d_k(n; m) = #{d | n : d ≡ k mod m}.
 
 Everything here is exact integer arithmetic except li().
@@ -350,14 +350,15 @@ def _powmod(a, e, p):
     return c
 
 
-def _sqrt_minus_one(p):
-    """r with r² ≡ −1 mod p for each p of an int64 array of primes p = 2 or
-    p ≡ 1 mod 4 that the caller has proven: r = a^((p−1)/4) mod p for the
-    least non-residue a, tried a = 2, 3, 5, … on the entries still without a
-    root.  A composite gets a false root (3277 gets 128) or fails Euler's
-    criterion, raising ArithmeticError; p > _EXACT_P raises ValueError."""
+def _split_root(p, q):
+    """r, r² ≡ −1 (q = 4: p = 2 or p ≡ 1 mod 4) or −3 (q = 3: p ≡ 1 mod 3)
+    mod p, for an int64 array of primes the caller has proven: y or 2y + 1
+    mod p for the least a = 2, 3, 5, … whose y = a^((p−1)/q) mod p is a
+    primitive q-th root of 1.  A composite gets a false root (3277 gets 128
+    at q = 4) or fails Euler's y² ≡ ±1 or Fermat's y³ ≡ 1, raising
+    ArithmeticError; p > _EXACT_P raises ValueError."""
     if p.size > 2**13:  # blocks that stay in cache, and bound the memory
-        return np.concatenate([_sqrt_minus_one(p[i:i + 2**13])
+        return np.concatenate([_split_root(p[i:i + 2**13], q)
                                for i in range(0, p.size, 2**13)])
     if (p > _EXACT_P).any():
         raise ValueError(f"{p.max()} is above {_EXACT_P}")
@@ -366,18 +367,21 @@ def _sqrt_minus_one(p):
         on = np.flatnonzero(r == 0)
         if not on.size:
             return r
-        q = p[on]
-        y = _powmod(a, q >> 2, q)
-        y2 = y * y % q  # a^((q−1)/2): ±1 for a prime q (Euler's criterion)
-        euler = (y2 == 1) | (y2 == q - 1)
-        if not euler.all():
-            raise ArithmeticError(f"{q[~euler][0]} is composite: "
-                                  f"{a}^((p−1)/2) ≢ ±1 mod p")
-        r[on] = np.where(y2 == q - 1, y, 0)
+        s = p[on]
+        y = _powmod(a, s // q, s)
+        y2 = y * y % s
+        if q == 4:  # y² = a^((p−1)/2) is ±1 for a prime
+            ok, law = (y2 == 1) | (y2 == s - 1), "^((p−1)/2) ≢ ±1"
+            r[on] = np.where(y2 == s - 1, y, 0)
+        else:  # y³ = a^(p−1) is 1 for a prime; r < p keeps r² exact
+            ok, law = y2 * y % s == 1, "^(p−1) ≢ 1"
+            r[on] = np.where(y != 1, (2 * y + 1) % s, 0)
+        if not ok.all():
+            raise ArithmeticError(f"{s[~ok][0]} is composite: {a}{law} mod p")
 
 
 def sqrt_minus_one_mod(ps):
-    """_sqrt_minus_one of an array of primes p = 2 or p ≡ 1 mod 4 at most
+    """_split_root at q = 4 of an array of primes p = 2 or p ≡ 1 mod 4 at most
     _EXACT_P, each proven by is_prime.  Any other integer raises ValueError
     naming an entry out of range or residue first, else the first composite;
     a float or complex entry raises TypeError (_exact_integers)."""
@@ -390,7 +394,7 @@ def sqrt_minus_one_mod(ps):
     if bad.any():
         raise ValueError(f"{ps[bad][0]} is not 2 or a prime ≡ 1 mod 4 "
                          f"at most {_EXACT_P}")
-    return _sqrt_minus_one(ps.astype(np.int64))
+    return _split_root(ps.astype(np.int64), 4)
 
 
 def _cornacchia(p, r, d):

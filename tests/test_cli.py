@@ -306,6 +306,33 @@ def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
     assert f"capacity error: {what}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,what", [
+    # 2·3000 + 1 + 2 > 4096 and 2·2047 + 1 + 2 > 4096
+    (["--window", "3000", "--moat", "1"], "dilation exceeds window cap"),
+    (["--window", "2047", "--steps", "1"],
+     "window would exceed 4096 cells a side"),
+    (["--window", "1000", "--steps", "1", "--moat", "1100"],
+     "dilation exceeds window cap"),
+])
+def test_ca_over_the_window_cap_is_refused_before_the_grid(
+        tmp_path, monkeypatch, capsys, args, what):
+    from primelab import caworld as ca
+
+    def no_grid(window):
+        raise AssertionError("grid built for a refused ca run")
+
+    monkeypatch.setattr(ca, "grid_from_gaussian_primes", no_grid)
+    tracemalloc.start()
+    try:
+        code = _run(["--out", str(tmp_path / "cap"), "ca", *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert f"capacity error: {what}" in capsys.readouterr().err
+    assert peak < 2**20
+
+
 def test_angles_count_refused_before_allocation_exit_3(tmp_path, monkeypatch,
                                                       capsys):
     from primelab import ratkernel as rk

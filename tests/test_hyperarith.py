@@ -361,10 +361,10 @@ def test_is_quat_prime():
 oct_int = st.builds(OctInt.from_ints, *(st.integers(-9, 9),) * 8)
 
 
-# sha256 of repr() of the doubled-coordinate unit lists, recorded from the
-# earlier per-codeword loop implementation of oct_units
+# sha256 of repr() of the doubled-coordinate unit lists; the Octavian one is
+# of the units of the product-closed code (basis word 01010110)
 OCTAVIAN_SHA = \
-    "92155fa14d3fba6b46b85bcbd3186718f883f135e8728a74996895c82d3c88ba"
+    "6afc0814a139451a9724e1dc7d19d4f88d39f50d453987bb4ac7a82e42477b2b"
 AXIS_SHA = "cb65df203f548a19dada199f229697635fd43f84b281d8ad75bd5b4693fdeae4"
 
 
@@ -489,6 +489,37 @@ def test_octavian_contains_gravesian_and_kleinian():
     assert ha.is_octavian((1, -3, 1, 1, 1, 5, 1, 1))
 
 
-def test_closure_violation_report_runs():
-    bad, trials = ha.octavian_closure_violations(trials=100, seed=1)
-    assert trials == 100 and 0 <= bad <= 100
+def test_octavian_units_are_closed_under_the_product():
+    # the units span the lattice and the product is bilinear, so closed unit
+    # products mean a closed order
+    units = list(map(tuple, ha.oct_units("octavian").tolist()))
+    unit_set = set(units)
+    products = (ha._cayley_dickson(a, b) for a in units for b in units)
+    left = sum(any(x & 1 for x in d)
+               or tuple(x // 2 for x in d) not in unit_set for d in products)
+    assert left == 0
+
+
+def test_octavian_norm_counts_are_the_e8_theta_series():
+    # 240·σ₃(n) Octavians of norm n
+    words = ha._order_words("octavian")
+    for n in range(1, 6):
+        pts = ha._sphere_points(8, 4 * n)
+        parity = (pts & 1) @ (1 << np.arange(7, -1, -1))
+        sigma3 = sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+        assert np.isin(parity, words).sum() == 240 * sigma3
+
+
+# Octavians with half-integer coordinates: a nonzero codeword's odd places
+half_oct = st.builds(
+    lambda w, c: OctInt(tuple(2 * x + (w >> 7 - i & 1)
+                              for i, x in enumerate(c))),
+    st.sampled_from(sorted(w for w in ha._HAMMING_CODE if w)),
+    st.tuples(*(st.integers(-5, 5),) * 8))
+
+
+@settings(max_examples=300)
+@given(half_oct, half_oct)
+def test_half_integer_octavian_products_stay_in_the_order(z, w):
+    # OctInt raises on a product outside the doubled lattice or the code
+    assert ha.oct_mul(z, w).norm() == z.norm() * w.norm()

@@ -1,6 +1,7 @@
 """Source checks that need only the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "primelab"
@@ -29,19 +30,29 @@ def test_no_unused_imports_in_src():
     assert {name: u for name, u in unused.items() if u} == {}
 
 
-def _private_definitions(tree):
-    """Names with one leading underscore that the module's top level binds
-    by def, class or assignment."""
+def _bound_names(tree):
+    """Names a module's top level binds (def, class, assignment, import),
+    plus "Class.attr" for the names each top-level class body binds."""
     out = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            out |= {f"{node.name}.{n}" for n in _bound_names(node)}
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             out.update(n.id for t in targets for n in ast.walk(t)
                        if isinstance(n, ast.Name))
-    return {n for n in out if n.startswith("_") and not n.startswith("__")}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return out
+
+
+def _private_definitions(tree):
+    """Names with one leading underscore that the module's top level binds."""
+    return {n for n in _bound_names(tree)
+            if n.startswith("_") and not n.startswith("__") and "." not in n}
 
 
 def _reads(tree):
@@ -316,3 +327,44 @@ def test_cli_emit_is_the_one_file_writer():
         (SRC / "cli.py").read_text()))
         if isinstance(node, ast.FunctionDef) and node.name == "_emit")
     assert "allow_nan=False" in ast.unparse(emit)
+
+
+# `goldbach.csv` and the like name files, not attributes
+_FILE_SUFFIXES = {"csv", "json", "py", "rle", "pbm", "txt", "md", "toml"}
+
+
+def _readme_names(text):
+    """(qualified, called, private) names of README's inline code spans:
+    every `module.name` pair, every `name(` and every `_name`, neither of
+    the last two after a dot.  Fenced blocks are examples, not names."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", text)
+
+    def find(pattern):
+        return {m for s in spans for m in re.findall(pattern, s)}
+
+    qualified = {(a, b) for a, b in find(r"(?<![\w.])(\w+)\.(\w+)")
+                 if b not in _FILE_SUFFIXES}
+    return (qualified, find(r"(?<![\w.])(\w+)\("),
+            find(r"(?<![\w.])(_[A-Za-z]\w*)"))
+
+
+def test_readme_names_resolve_in_src():
+    """Every primelab name README writes in backticks is an attribute of the
+    module it names, or of some module when it names none: a name the code
+    dropped or renamed fails here."""
+    names = {p.stem: _bound_names(ast.parse(p.read_text()))
+             for p in sorted(SRC.glob("*.py"))}
+    names["primelab"] = names.pop("__init__") | set(names)
+    anywhere = set().union(*names.values())
+    qualified, called, private = _readme_names(
+        (ROOT / "README.md").read_text())
+    classes = {n.split(".")[0] for n in anywhere if "." in n}
+    unknown = sorted(
+        [f"{a}.{b}" for a, b in qualified
+         if a in names and b not in names[a]
+         or a in classes and f"{a}.{b}" not in anywhere]
+        + [f"{n}(" for n in called if n not in anywhere]
+        + [n for n in private if n not in anywhere])
+    assert unknown == []
+    assert min(len(qualified), len(called), len(private)) >= 5

@@ -456,23 +456,61 @@ def test_trusted_root_search_matches_jacobi_search(sqrt_minus_one_oracle):
     ps = rk.sieve(10**6).primes()
     ps = ps[(ps == 2) | (ps % 4 == 1)]
     assert ps.size > 2**13
-    assert rk._sqrt_minus_one(ps).tolist() == [sqrt_minus_one_oracle(p)
-                                               for p in ps.tolist()]
+    assert rk._split_root(ps, 4).tolist() == [sqrt_minus_one_oracle(p)
+                                              for p in ps.tolist()]
 
 
 @pytest.mark.parametrize("n,base", [(65, 2), (1729, 7), (25326001, 7)])
 def test_trusted_root_search_raises_on_euler_failure(n, base):
     with pytest.raises(ArithmeticError, match=f"^{n} is composite: {base}\\^"):
-        rk._sqrt_minus_one(np.array([5, n, 13]))
+        rk._split_root(np.array([5, n, 13]), 4)
 
 
 def test_trusted_root_search_bounds_and_proves_nothing():
     with pytest.raises(ValueError, match=f"above {rk._EXACT_P}"):
-        rk._sqrt_minus_one(np.array([5, rk._EXACT_P + 2]))
+        rk._split_root(np.array([5, rk._EXACT_P + 2]), 4)
     # 3277 = 29·113, a base-2 strong pseudoprime, gets a false root here and
     # ValueError from sqrt_minus_one_mod (test_two_square_kernel_refuses):
     # the private search must only see primes its caller has proven
-    assert rk._sqrt_minus_one(np.array([3277])).tolist() == [128]
+    assert rk._split_root(np.array([3277]), 4).tolist() == [128]
+
+
+def _sqrt_minus_three_search(p):
+    """√−3 mod a prime p ≡ 1 mod 3, one a >= 2 at a time: 2w + 1 mod p for
+    the first w = a^((p−1)/3) mod p that is a cube root of unity other than 1."""
+    w = next(w for w in (pow(a, (p - 1) // 3, p) for a in itertools.count(2))
+             if w != 1)
+    return (2 * w + 1) % p
+
+
+def test_split_root_of_minus_three_matches_a_scalar_search():
+    # every p ≡ 1 mod 3 to 2·10⁵, more than one block of 2¹³ entries, and
+    # the largest ones at the bound, where r < p keeps r² inside int64 and
+    # an unreduced 2w + 1 squared would not be
+    ps = rk.sieve(2 * 10**5).primes()
+    ps = ps[ps % 3 == 1]
+    assert ps.size > 2**13
+    r = rk._split_root(ps, 3)
+    assert ((r * r + 3) % ps == 0).all()
+    assert r.tolist() == [_sqrt_minus_three_search(p) for p in ps.tolist()]
+    top = [p for p in range(rk._EXACT_P, rk._EXACT_P - 600, -1)
+           if p % 3 == 1 and rk.is_prime(p)]
+    r = rk._split_root(np.array(top), 3).tolist()
+    assert r == [_sqrt_minus_three_search(p) for p in top]
+    assert all((x * x + 3) % p == 0 for x, p in zip(r, top))
+    with pytest.raises(ValueError, match=f"above {rk._EXACT_P}"):
+        rk._split_root(np.array([7, 3037000537]), 3)
+    # 1387 = 19·73 passes to base 2 and gets a root of −3 mod 1387: like
+    # q = 4, the search trusts its caller's primality proof
+    assert rk._split_root(np.array([1387]), 3).tolist() == [
+        _sqrt_minus_three_search(1387)]
+
+
+@pytest.mark.parametrize("n,base", [(91, 2), (3277, 3), (2701, 5),
+                                    (1729, 7)])
+def test_split_root_of_minus_three_raises_on_fermat_failure(n, base):
+    with pytest.raises(ArithmeticError, match=f"^{n} is composite: {base}\\^"):
+        rk._split_root(np.array([7, n, 13]), 3)
 
 
 def test_euler_composite_factor():
