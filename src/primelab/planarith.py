@@ -405,6 +405,8 @@ def prime_rows(ks, n):
     """
     if not ks or min(ks) < 1:
         raise ValueError("k >= 1 required")
+    if n < 0:
+        raise ValueError("n >= 0 required")
     limit = max(math.isqrt(n * n + max(ks) ** 2), 2)
     rk.check_budget(_row_bytes(n, limit, len(ks)),
                     f"{len(ks)} Gaussian prime rows to {n}")

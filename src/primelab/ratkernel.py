@@ -351,17 +351,21 @@ def _powmod(a, e, p):
 
 
 def _split_root(p, q):
-    """r, r² ≡ −1 (q = 4: p = 2 or p ≡ 1 mod 4) or −3 (q = 3: p ≡ 1 mod 3)
-    mod p, for an int64 array of primes the caller has proven: y or 2y + 1
-    mod p for the least a = 2, 3, 5, … whose y = a^((p−1)/q) mod p is a
-    primitive q-th root of 1.  A composite gets a false root (3277 gets 128
-    at q = 4) or fails Euler's y² ≡ ±1 or Fermat's y³ ≡ 1, raising
-    ArithmeticError; p > _EXACT_P raises ValueError."""
+    """r, r² ≡ −1 (q = 4) or −3 (q = 3) mod p, for an int64 array of primes
+    the caller has proven: y or 2y + 1 mod p for the least a = 2, 3, 5, …
+    whose y = a^((p−1)/q) mod p is a primitive q-th root of 1.  An entry is
+    admitted iff 2 <= p <= _EXACT_P and p ≡ 1 mod q, or p = 2 at q = 4; the
+    first other entry raises ValueError, so a prime without a root is never
+    called composite.  An admitted composite fails Euler's y² ≡ ±1 or
+    Fermat's y³ ≡ 1, raising ArithmeticError, or gets a false root (3277
+    gets 128 at q = 4): callers prove primality."""
     if p.size > 2**13:  # blocks that stay in cache, and bound the memory
         return np.concatenate([_split_root(p[i:i + 2**13], q)
                                for i in range(0, p.size, 2**13)])
-    if (p > _EXACT_P).any():
-        raise ValueError(f"{p.max()} is above {_EXACT_P}")
+    bad = (p < 2) | (p > _EXACT_P) | (p % q != 1) & ((p != 2) | (q != 4))
+    if bad.any():
+        raise ValueError(f"{p[bad][0]} is below 2, above {_EXACT_P} "
+                         f"or ≢ 1 mod {q}")
     r = np.zeros_like(p)
     for a in filter(is_prime, itertools.count(2)):
         on = np.flatnonzero(r == 0)
@@ -380,23 +384,6 @@ def _split_root(p, q):
             raise ArithmeticError(f"{s[~ok][0]} is composite: {a}{law} mod p")
 
 
-def sqrt_minus_one_mod(ps):
-    """_split_root at q = 4 of an array of primes p = 2 or p ≡ 1 mod 4 at most
-    _EXACT_P, each proven by is_prime.  Any other integer raises ValueError
-    naming an entry out of range or residue first, else the first composite;
-    a float or complex entry raises TypeError (_exact_integers)."""
-    ps = _exact_integers(ps)
-    # tested before the int64 cast, which would wrap an entry of 2⁶³ or more
-    # or overflow on one of 2⁶⁴ or more
-    bad = (ps < 2) | (ps > _EXACT_P) | (ps % 4 != 1) & (ps != 2)
-    if not bad.any():
-        bad = ~np.frompyfunc(is_prime, 1, 1)(ps.astype(object)).astype(bool)
-    if bad.any():
-        raise ValueError(f"{ps[bad][0]} is not 2 or a prime ≡ 1 mod 4 "
-                         f"at most {_EXACT_P}")
-    return _split_root(ps.astype(np.int64), 4)
-
-
 def _cornacchia(p, r, d):
     """(x, y) with x² + d·y² = p for int64 arrays of primes p <= _EXACT_P and
     roots r² ≡ −d mod p: Euclid on (p, r mod p) stops at the first remainder
@@ -412,13 +399,6 @@ def _cornacchia(p, r, d):
     if (x * x + d * y * y != p).any():
         raise ArithmeticError(f"a root of −{d} gave no x² + {d}·y² = p")
     return x, y
-
-
-def two_square(ps):
-    """(a, b) int64 arrays with a² + b² = p, a > b > 0 ((1, 1) for p = 2), for
-    primes as in sqrt_minus_one_mod: _cornacchia on (p, √−1 mod p), d = 1."""
-    r = sqrt_minus_one_mod(ps)  # refuses ps out of range before any cast
-    return _cornacchia(np.asarray(ps, dtype=np.int64), r, 1)
 
 
 def _gauss_gcd(z, w):

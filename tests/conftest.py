@@ -61,11 +61,13 @@ def _two_square_search(p):
 
 @pytest.fixture
 def sqrt_minus_one_oracle():
-    """The scalar Jacobi-symbol search, an oracle for sqrt_minus_one_mod."""
+    """The scalar Jacobi-symbol search, an oracle for ratkernel._split_root
+    at q = 4."""
     return _sqrt_minus_one_jacobi
 
 
 @pytest.fixture
 def two_square_oracle():
-    """The bounded two-square search, an oracle for two_square."""
+    """The bounded two-square search, an oracle for ratkernel._cornacchia on
+    _split_root's roots and for planarith.prime_above in Z[i]."""
     return _two_square_search

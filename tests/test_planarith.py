@@ -261,13 +261,9 @@ def test_theta_sequence_matches_two_square_loop(count, two_square_oracle):
 
 def test_sieve_primes_are_not_proven_again(monkeypatch):
     # theta_sequence and the prime rows take their roots from the sieve's
-    # primes without sqrt_minus_one_mod's is_prime proof
-    def refuse(ps):
-        raise AssertionError("sqrt_minus_one_mod called")
-
+    # primes without an is_prime proof
     proven = []
     is_prime = rk.is_prime
-    monkeypatch.setattr(rk, "sqrt_minus_one_mod", refuse)
     monkeypatch.setattr(rk, "is_prime",
                         lambda n: proven.append(n) or is_prime(n))
     ps, _theta = pa.theta_sequence(2000)

@@ -156,17 +156,22 @@ def test_jacobi_fixtures():
         rk.jacobi(3, 4)
 
 
+def _two_square(ps):
+    """(a, b) with a² + b² = p from Cornacchia on the kernel's √−1 mod p."""
+    return rk._cornacchia(ps, rk._split_root(ps, 4), 1)
+
+
 def test_two_square_reconstructs(two_square_oracle):
     ps = rk.sieve(10**6).primes()
     ps = ps[(ps == 2) | (ps % 4 == 1)]
-    a, b = rk.two_square(ps)
+    a, b = _two_square(ps)
     assert np.array_equal(a * a + b * b, ps) and (a >= b).all() and b.min() > 0
     assert list(zip(a.tolist(), b.tolist())) == [two_square_oracle(p)
                                                  for p in ps.tolist()]
 
 
 def test_two_square_fixtures():
-    a, b = rk.two_square(np.array([2, 5, 13]))
+    a, b = _two_square(np.array([2, 5, 13]))
     assert list(zip(a.tolist(), b.tolist())) == [(1, 1), (2, 1), (3, 2)]
 
 
@@ -186,50 +191,11 @@ def test_two_square_kernel_at_the_exactness_bound(sqrt_minus_one_oracle,
     assert rk._EXACT_P ** 2 < 2**63 <= (rk._EXACT_P + 1) ** 2
     ps = _largest_split_primes(20)
     assert ps[0] == 3037000493
-    roots = rk.sqrt_minus_one_mod(np.array(ps))
+    roots = rk._split_root(np.array(ps), 4)
     assert roots.tolist() == [sqrt_minus_one_oracle(p) for p in ps]
-    a, b = rk.two_square(np.array(ps[:3]))
+    a, b = _two_square(np.array(ps[:3]))
     assert list(zip(a.tolist(), b.tolist())) == [two_square_oracle(p)
                                                  for p in ps[:3]]
-
-
-@pytest.mark.parametrize("entries,refused", [
-    # 3277, 1373653 and 25326001 pass the strong test to every base below
-    # the one that exposes them; 1729 is a Carmichael number
-    ([5, 65, 13], 65),
-    ([1729], 1729),
-    ([3277], 3277),
-    ([1373653], 1373653),
-    ([25326001, 29], 25326001),
-    ([7], 7),
-    ([5, 13, 19], 19),
-    ([1], 1),
-    ([3037000537], 3037000537),
-    # uint64 and object arrays, named before the int64 cast
-    ([9223372036854775837], 9223372036854775837),
-    ([1180591620717411303529, 13], 1180591620717411303529),
-])
-def test_two_square_kernel_refuses(entries, refused):
-    # composites, primes ≡ 3 mod 4 and entries outside 2..3037000499
-    for kernel in (rk.sqrt_minus_one_mod, rk.two_square):
-        with pytest.raises(ValueError,
-                           match=f"^{refused} is not 2 or a prime ≡ 1 mod 4"):
-            kernel(np.array(entries))
-
-
-def test_two_square_kernel_reads_exact_integers():
-    for kernel in (rk.sqrt_minus_one_mod, rk.two_square):
-        # refused, not truncated: 5.0 and 13.0 once gave ((2, 3), (1, 2))
-        for ps in ([5.0, 13.0], np.array([5.0, 13.0]), np.array([5 + 0j])):
-            with pytest.raises(TypeError):
-                kernel(ps)
-        # a list is read as exact ints, where np.asarray makes this one
-        # float64 and names 9.223372036854776e+18
-        with pytest.raises(ValueError,
-                           match="^9223372036854775837 is not 2 or a prime"):
-            kernel([5, 9223372036854775837])
-    a, b = rk.two_square([5, 13, 2])
-    assert (a.tolist(), b.tolist()) == ([2, 3, 1], [1, 2, 1])
 
 
 def test_factorize_roundtrip():
@@ -438,17 +404,9 @@ def test_cli_runs_blas_on_one_thread_unless_told(given, ran):
 
 def test_sqrt_minus_one_mod(sqrt_minus_one_oracle):
     ps = np.array([5, 13, 17, 29, 101, 1000033])
-    r = rk.sqrt_minus_one_mod(ps)
+    r = rk._split_root(ps, 4)
     assert ((r * r + 1) % ps == 0).all()
     assert r.tolist() == [sqrt_minus_one_oracle(p) for p in ps.tolist()]
-
-
-def test_sqrt_minus_one_mod_matches_jacobi_search(sqrt_minus_one_oracle):
-    ps = rk.sieve(10**6).primes()
-    ps = ps[(ps == 2) | (ps % 4 == 1)]
-    assert rk.sqrt_minus_one_mod(ps).tolist() == [sqrt_minus_one_oracle(p)
-                                                  for p in ps.tolist()]
-    assert rk.sqrt_minus_one_mod(np.array([], dtype=np.int64)).size == 0
 
 
 def test_trusted_root_search_matches_jacobi_search(sqrt_minus_one_oracle):
@@ -469,10 +427,26 @@ def test_trusted_root_search_raises_on_euler_failure(n, base):
 def test_trusted_root_search_bounds_and_proves_nothing():
     with pytest.raises(ValueError, match=f"above {rk._EXACT_P}"):
         rk._split_root(np.array([5, rk._EXACT_P + 2]), 4)
-    # 3277 = 29·113, a base-2 strong pseudoprime, gets a false root here and
-    # ValueError from sqrt_minus_one_mod (test_two_square_kernel_refuses):
-    # the private search must only see primes its caller has proven
+    # 3277 = 29·113, a base-2 strong pseudoprime, gets a false root: the
+    # private search must only see primes its caller has proven
     assert rk._split_root(np.array([3277]), 4).tolist() == [128]
+
+
+@pytest.mark.parametrize("q,entries", [(4, [0, 1, 3, 7, 19]),
+                                        (3, [2, 3, 5, 11])])
+def test_split_root_admits_only_entries_with_a_root(q, entries):
+    # below 2 or ≢ 1 mod q (p = 2 aside at q = 4): no root of −1 or −3 mod p,
+    # named before the base search, in the first block or past it
+    split = rk.sieve(2 * 10**5).primes()
+    split = split[split % q == 1]
+    assert split.size > 2**13
+    refusal = f"is below 2, above {rk._EXACT_P} or ≢ 1 mod {q}$"
+    for n in entries:
+        for ps in ([split[0], n, split[1]], [*split[:2**13 + 5], n]):
+            with pytest.raises(ValueError, match=f"^{n} {refusal}"):
+                rk._split_root(np.array(ps, dtype=np.int64), q)
+    assert rk._split_root(np.array([2]), 4).tolist() == [1]
+    assert rk._split_root(np.array([], dtype=np.int64), q).size == 0
 
 
 def _sqrt_minus_three_search(p):

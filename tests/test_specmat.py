@@ -750,6 +750,9 @@ def test_prime_rows_stack_the_single_rows_and_refuse_k_below_1():
     for ks in ([], [0], [3, -1]):
         with pytest.raises(ValueError, match="k >= 1 required"):
             pa.prime_rows(ks, 10)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="n >= 0 required"):
+            pa.prime_rows([1], n)
 
 
 def test_prime_row_bytes_cover_traced_peak():
