@@ -80,11 +80,6 @@ class _OrderInt:
     def from_ints(cls, *coords):
         return cls(tuple(2 * x for x in coords))
 
-    @classmethod
-    def from_halves(cls, *coords):
-        """Element (c₀ + c₁e₁ + ...)/2 from doubled coordinates directly."""
-        return cls(tuple(coords))
-
     def norm(self):
         q, r = divmod(sum(x * x for x in self.d), 4)
         if r:
@@ -143,7 +138,7 @@ def prime_mask(axes):
     where the norm Σ xᵢ²/4 is a rational prime.  Condition: all coordinates
     of a cell share one parity, and odd ones come in a multiple of 4 (4 or 8
     axes), so each axis is all even or all odd."""
-    axes = [np.asarray(x, dtype=np.int64) for x in axes]
+    axes = [np.asarray(rk._exact_integers(x), dtype=np.int64) for x in axes]
     odd = [int(x[:1].sum()) & 1 for x in axes]
     if any(((x & 1) != o).any() for x, o in zip(axes, odd)) or sum(odd) % 4:
         raise ValueError("each axis must be all even or all odd, and the "
@@ -325,10 +320,6 @@ def _order_words(which):
     if words is None:
         raise ValueError(f"unknown class {which!r}")
     return words
-
-
-def oct_mul(z, w):
-    return z * w
 
 
 def is_octavian(e):

@@ -15,6 +15,8 @@ units × conjugation (8 or 12 maps) with a ≥ b ≥ 0.  The prime above a split
 p is x + y·√−d = (x − t·y) + (1 + t)·y·u from one Cornacchia Euclid on
 p = x² + d·y², d = 1 + 2t, and the root √−d mod p of ratkernel's one root
 kernel for both rings.
+Euler's composite test finds a factor of n from two two-square
+representations by one Z[i] gcd on `GaussianInt`.
 The prime twins come as one sorted int64 array, not as pairs of elements.
 """
 
@@ -140,6 +142,31 @@ def prime_above(p, ring="gaussian"):
     (x,), (y,) = rk._cornacchia(ps, rk._split_root(ps, q), 1 + 2 * t)
     return _sector_rep(cls(int(x - t * y), int((1 + t) * y)), units,
                        "prime_above")
+
+
+def euler_composite_factor(n, rep1, rep2):
+    """A nontrivial factor of n from two distinct two-square representations.
+
+    Two essentially different a²+b² = c²+d² = n force n composite; the factor
+    is the norm of gcd(a + bi, c ± di) in Z[i], by Euclid with the quotient
+    z·conj(w)/N(w) rounded to the nearest lattice point.
+    """
+    (a, b), (c, d) = rep1, rep2
+    if a * a + b * b != n or c * c + d * d != n:
+        raise ValueError("representations do not equal n")
+    if (abs(c), abs(d)) in {(abs(a), abs(b)), (abs(b), abs(a))}:
+        raise ValueError("representations equivalent under sign/swap")
+    for w in (GaussianInt(c, d), GaussianInt(c, -d)):
+        z = GaussianInt(a, b)
+        while w.coords != (0, 0):
+            m = w.norm()
+            x, y = (z * w.conj()).coords
+            z, w = w, z - GaussianInt((2 * x + m) // (2 * m),
+                                      (2 * y + m) // (2 * m)) * w
+        f = z.norm()
+        if 1 < f < n:
+            return min(f, n // f)
+    raise ValueError("gcd derivation failed to produce a proper factor")
 
 
 def theta_sequence(count):

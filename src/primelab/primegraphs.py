@@ -22,6 +22,8 @@ are labelled by ratkernel.component_labels, as are caworld's moats.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,16 +165,10 @@ def gcd_vertex_degree(v, n):
     inclusion-exclusion over the prime radical of v."""
     if not 1 <= v <= n:
         raise ValueError("vertex out of range")
-    primes = [p for p, _e in rk.factorize(v)] if v > 1 else []
-    coprime = 0
-    for mask in range(1 << len(primes)):
-        d = 1
-        bits = 0
-        for i, p in enumerate(primes):
-            if mask & (1 << i):
-                d *= p
-                bits += 1
-        coprime += (-1) ** bits * (n // d)
+    primes = [p for p, _e in rk.factorize(v)]
+    coprime = sum((-1) ** k * (n // math.prod(ds))
+                  for k in range(len(primes) + 1)
+                  for ds in itertools.combinations(primes, k))
     return n - coprime - (1 if v > 1 else 0)
 
 

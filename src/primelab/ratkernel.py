@@ -7,8 +7,7 @@ behind μ, φ and planarith's Gaussian h, strided over the primes <= √n of the
 one sieve), concatenated ranges, connected-component labels, Horner's rule,
 the gcd table gcd(i, j) for 1 <= i, j <= n, the Jacobi symbol, one root kernel
 for √−1 and √−3 mod p, Cornacchia's Euclid for p = x² + d·y² (two squares
-at d = 1), Euler's composite-detection identity, and divisor-class counts
-d_k(n; m) = #{d | n : d ≡ k mod m}.
+at d = 1), and divisor-class counts d_k(n; m) = #{d | n : d ≡ k mod m}.
 
 Everything here is exact integer arithmetic except li().
 """
@@ -108,6 +107,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_prime(n):
     """Exact primality for any nonnegative integer (deterministic < 3.3e24)."""
+    n = operator.index(n)
     if n < 1000:
         return n in _SMALL_PRIMES
     # one gcd is the trial division by every prime below 1000
@@ -160,6 +160,7 @@ def factorize(n):
     Trial division plus Miller-Rabin certification of the final cofactor;
     intended for the moderate n this laboratory sweeps, not cryptographic sizes.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out = []
@@ -317,6 +318,7 @@ def mertens(n):
 
 def jacobi(a, n):
     """Jacobi symbol (a|n) for odd n >= 1."""
+    a, n = operator.index(a), operator.index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("Jacobi symbol needs odd n >= 1")
     a %= n
@@ -399,42 +401,6 @@ def _cornacchia(p, r, d):
     if (x * x + d * y * y != p).any():
         raise ArithmeticError(f"a root of −{d} gave no x² + {d}·y² = p")
     return x, y
-
-
-def _gauss_gcd(z, w):
-    """gcd in Z[i] on (re, im) pairs, via nearest-integer division."""
-    while w != (0, 0):
-        a, b = z
-        c, d = w
-        n = c * c + d * d
-        # z / w = (z * conj(w)) / N(w), rounded to the nearest lattice point
-        xr = a * c + b * d
-        xi = b * c - a * d
-        qr = (2 * xr + n) // (2 * n)
-        qi = (2 * xi + n) // (2 * n)
-        z, w = w, (a - (qr * c - qi * d), b - (qr * d + qi * c))
-    return z
-
-
-def euler_composite_factor(n, rep1, rep2):
-    """A nontrivial factor of n from two distinct two-square representations.
-
-    Two essentially different a²+b² = c²+d² = n force n composite; the factor
-    comes out of a Z[i] gcd of the two representations.
-    """
-    a, b = rep1
-    c, d = rep2
-    if a * a + b * b != n or c * c + d * d != n:
-        raise ValueError("representations do not equal n")
-    set1 = {(abs(a), abs(b)), (abs(b), abs(a))}
-    if (abs(c), abs(d)) in set1:
-        raise ValueError("representations equivalent under sign/swap")
-    for w in ((c, d), (c, -d)):
-        g = _gauss_gcd((a, b), w)
-        f = g[0] * g[0] + g[1] * g[1]
-        if 1 < f < n:
-            return min(f, n // f)
-    raise ValueError("gcd derivation failed to produce a proper factor")
 
 
 def divisors_mod_count(n, k, m):

@@ -314,11 +314,6 @@ def commutator_residuals(z0, n):
     return (int(np.abs(pa + ap).max()), int(np.abs(pa - ap).max()))
 
 
-def anticommutator_residual(z0, n):
-    """‖PA + AP‖_max — exactly 0 for admissible even z0."""
-    return commutator_residuals(z0, n)[0]
-
-
 @dataclass
 class Spectrum:
     eigenvalues: np.ndarray

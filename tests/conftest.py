@@ -1,6 +1,8 @@
-"""Slow exact oracles shared by several test modules."""
+"""Slow exact oracles and the traced-peak harness shared by several test
+modules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,3 +73,40 @@ def two_square_oracle():
     """The bounded two-square search, an oracle for ratkernel._cornacchia on
     _split_root's roots and for planarith.prime_above in Z[i]."""
     return _two_square_search
+
+
+def _traced_peak(call, *args, refused=None):
+    """(call(*args), its tracemalloc peak in bytes); with `refused`, the call
+    must raise a CapacityError matching it, and the result is None."""
+    tracemalloc.start()
+    try:
+        if refused is None:
+            out = call(*args)
+        else:
+            out = None
+            with pytest.raises(rk.CapacityError, match=refused):
+                call(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """The one tracemalloc harness of the suite: traced_peak(call, *args,
+    refused=None) is (result, peak), or checks the expected refusal."""
+    return _traced_peak
+
+
+@pytest.fixture
+def budget_checks(monkeypatch):
+    """Every byte estimate passed to rk.check_budget, in call order; each is
+    still checked against the budget."""
+    seen, check = [], rk.check_budget
+
+    def record(nbytes, what):
+        seen.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(rk, "check_budget", record)
+    return seen

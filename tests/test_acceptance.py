@@ -72,7 +72,7 @@ def test_acceptance_3_octonion_fixtures():
     for _ in range(10**4):
         z = ha.OctInt.from_ints(*rng.integers(-9, 10, size=8))
         w = ha.OctInt.from_ints(*rng.integers(-9, 10, size=8))
-        if ha.oct_mul(z, w).norm() != z.norm() * w.norm():
+        if (z * w).norm() != z.norm() * w.norm():
             ok = False
             break
     ok &= time.time() - t0 < 600
@@ -98,7 +98,7 @@ def test_acceptance_5_matrices(det_minor_expansion):
     ok = True
     ok &= sm.invertibility_scan(1, 200)["threshold"] == 28
     for z0 in (2, 4, GaussianInt(1, 1), GaussianInt(3, 1)):
-        ok &= sm.anticommutator_residual(z0, 30) == 0
+        ok &= sm.commutator_residuals(z0, 30)[0] == 0
     for n in range(1, 51):
         for s in (1, 2, 3):
             ok &= sm.smith_det_residual(n, s) == 0

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -62,16 +60,11 @@ def test_grid_from_gaussian_primes():
     assert {(-b, a) for a, b in pts} == pts
 
 
-def test_grid_from_points_refused_from_its_box(monkeypatch):
+def test_grid_from_points_refused_from_its_box(monkeypatch, traced_peak):
     # two points span a 201×201 box: refused before its cells, 1 B each
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10_000)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="grid of 201×201 cells"):
-            ca.grid_from_points([(-100, 0), (100, 200)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(ca.grid_from_points, [(-100, 0), (100, 200)],
+                          refused="grid of 201×201 cells")
     assert peak < 10_000
 
 
@@ -313,16 +306,12 @@ def test_step_dilate_components_match_ndimage():
             assert np.array_equal(ca.dilate(g, k).cells, want)
 
 
-def test_components_budget_refused_before_allocation(monkeypatch):
+def test_components_budget_refused_before_allocation(monkeypatch,
+                                                     traced_peak):
     # the 9900 cells fit a 5·10⁵ B budget at 1 B each, not at the ~80 B per
     # cell that labelling their runs may take
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 5 * 10**5)
     g = ca.Grid((0, 0), np.ones((100, 99), dtype=bool))
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="components of a 100×99 grid"):
-            ca.components(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(ca.components, g,
+                          refused="components of a 100×99 grid")
     assert peak < 2**16

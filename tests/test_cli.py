@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -315,26 +314,22 @@ def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
      "dilation exceeds window cap"),
 ])
 def test_ca_over_the_window_cap_is_refused_before_the_grid(
-        tmp_path, monkeypatch, capsys, args, what):
+        tmp_path, monkeypatch, capsys, traced_peak, args, what):
     from primelab import caworld as ca
 
     def no_grid(window):
         raise AssertionError("grid built for a refused ca run")
 
     monkeypatch.setattr(ca, "grid_from_gaussian_primes", no_grid)
-    tracemalloc.start()
-    try:
-        code = _run(["--out", str(tmp_path / "cap"), "ca", *args])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(_run, ["--out", str(tmp_path / "cap"), "ca",
+                                    *args])
     assert code == 3
     assert f"capacity error: {what}" in capsys.readouterr().err
     assert peak < 2**20
 
 
 def test_angles_count_refused_before_allocation_exit_3(tmp_path, monkeypatch,
-                                                      capsys):
+                                                      capsys, traced_peak):
     from primelab import ratkernel as rk
 
     def no_sieve(*args):
@@ -342,13 +337,8 @@ def test_angles_count_refused_before_allocation_exit_3(tmp_path, monkeypatch,
 
     # 10⁹ angles need a 4.6·10¹⁰ sieve and 6.5·10¹⁰ B of angles
     monkeypatch.setattr(rk, "sieve", no_sieve)
-    tracemalloc.start()
-    try:
-        code = _run(["--out", str(tmp_path / "cap"), "angles", "--count",
-                     "1000000000"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(_run, ["--out", str(tmp_path / "cap"), "angles",
+                                    "--count", "1000000000"])
     assert code == 3
     assert ("capacity error: 1000000000 prime angles"
             in capsys.readouterr().err)

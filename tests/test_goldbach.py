@@ -521,7 +521,7 @@ def _octonion_pair_oracle(z, species):
         box = [ha.OctInt.from_ints(*c)
                for c in itertools.product(range(1, max(z)), repeat=8)]
     else:
-        box = [ha.OctInt.from_halves(*c)
+        box = [ha.OctInt(c)
                for c in itertools.product(range(1, 2 * max(z), 2), repeat=8)]
     primes = [p for p in box if ha.is_oct_prime(p, species)]
     return sum(1 for p in primes for q in primes if p + q == target)
@@ -637,12 +637,9 @@ def test_float32_error_has_tenfold_headroom(monkeypatch):
     assert gb._fft_dtype(np.ones((266, 266), dtype=bool)) is np.float64
 
 
-def test_float64_fft_peak_is_under_the_budget_estimate(monkeypatch):
-    import tracemalloc
-
-    estimates = []
-    monkeypatch.setattr(gb.rk, "check_budget",
-                        lambda nbytes, what: estimates.append(nbytes))
+def test_float64_fft_peak_is_under_the_budget_estimate(monkeypatch,
+                                                        traced_peak,
+                                                        budget_checks):
     # 300² ones take float64 on their own; the rest are forced to it.  217²
     # pads lo ⋆ w the most of the squares up to 1400² (1.15×), and the 8-D
     # mask pads its 7-cell axes to 8
@@ -653,10 +650,5 @@ def test_float64_fft_peak_is_under_the_budget_estimate(monkeypatch):
                   (2, 3, 4, 5, 4, 3, 2, 3)):
         mask = np.ones(shape, dtype=bool)
         gb._check_fft(shape)
-        tracemalloc.start()
-        try:
-            gb._fft_counts(mask)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= estimates.pop(), shape
+        _, peak = traced_peak(gb._fft_counts, mask)
+        assert peak <= budget_checks.pop(), shape

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,62 +235,39 @@ def test_sphere_points_match_lexsorted_join():
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
-def test_sphere_points_peak_is_under_its_checked_bytes(monkeypatch):
+def test_sphere_points_peak_is_under_its_checked_bytes(traced_peak,
+                                                       budget_checks):
     # the half ball and then the join are each checked for their whole peak
-    asked = []
-    check = rk.check_budget
-    monkeypatch.setattr(rk, "check_budget",
-                        lambda nbytes, what: (asked.append(nbytes),
-                                              check(nbytes, what)))
     for dim, total in ((4, 4 * 1009), (4, 4 * 10007), (8, 20)):
-        asked.clear()
-        tracemalloc.start()
-        try:
-            ha._sphere_points(dim, total)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(asked) == 2
-        assert 0.95 * max(asked) < peak < max(asked) + 2**12, (dim, total)
+        budget_checks.clear()
+        _, peak = traced_peak(ha._sphere_points, dim, total)
+        assert len(budget_checks) == 2
+        top = max(budget_checks)
+        assert 0.95 * top < peak < top + 2**12, (dim, total)
 
 
 @pytest.mark.parametrize("points", [ha.lattice_points_norm,
                                     ha.positively_ordered_reps,
                                     ha.u_orbit_lengths])
-def test_point_set_peaks_are_under_their_checked_bytes(monkeypatch, points):
+def test_point_set_peaks_are_under_their_checked_bytes(traced_peak,
+                                                       budget_checks, points):
     # every array made after the join, up to the orbit lengths' components,
     # is checked before the first of them is allocated
-    asked = []
-    check = rk.check_budget
-    monkeypatch.setattr(rk, "check_budget",
-                        lambda nbytes, what: (asked.append(nbytes),
-                                              check(nbytes, what)))
     for p in (1009, 10007):
         points(p)  # the cached unit matrix is built outside the trace
-        asked.clear()
-        tracemalloc.start()
-        try:
-            points(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= max(asked) + 2**12, (points.__name__, p)
+        budget_checks.clear()
+        _, peak = traced_peak(points, p)
+        assert peak <= max(budget_checks) + 2**12, (points.__name__, p)
 
 
-def test_sphere_join_refused_before_it_allocates(monkeypatch):
+def test_sphere_join_refused_before_it_allocates(monkeypatch, traced_peak):
     # norm 10007: the half ball needs 9.0 MB, the join of its 240 192
     # points 25.6 MB; classes_above never joins, so it still answers
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 20 * 10**6)
     for points in (ha.lattice_points_norm, ha.positively_ordered_reps,
                    ha.u_orbit_lengths):
-        tracemalloc.start()
-        try:
-            with pytest.raises(rk.CapacityError,
-                               match="norm-40028 sphere join of 240192"):
-                points(10007)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(points, 10007,
+                              refused="norm-40028 sphere join of 240192")
         assert peak < 14 * 10**6
     assert ha.classes_above(10007) == 10008
 
@@ -391,8 +367,8 @@ def test_oct_units_pinned(which, count, sha):
 def test_oct_identity():
     e0 = OctInt.from_ints(1, 0, 0, 0, 0, 0, 0, 0)
     z = OctInt.from_ints(3, -1, 4, 1, -5, 9, 2, -6)
-    assert ha.oct_mul(e0, z) == z
-    assert ha.oct_mul(z, e0) == z
+    assert e0 * z == z
+    assert z * e0 == z
 
 
 def test_oct_nonassociative():
@@ -400,23 +376,23 @@ def test_oct_nonassociative():
         c = [0] * 8
         c[i] = 1
         return OctInt.from_ints(*c)
-    lhs = ha.oct_mul(ha.oct_mul(e(1), e(2)), e(4))
-    rhs = ha.oct_mul(e(1), ha.oct_mul(e(2), e(4)))
+    lhs = (e(1) * e(2)) * e(4)
+    rhs = e(1) * (e(2) * e(4))
     assert lhs != rhs
 
 
 @settings(max_examples=300)
 @given(oct_int, oct_int)
 def test_degen_identity(z, w):
-    assert ha.oct_mul(z, w).norm() == z.norm() * w.norm()
+    assert (z * w).norm() == z.norm() * w.norm()
 
 
 @settings(max_examples=200)
 @given(oct_int, oct_int, oct_int)
 def test_moufang_identity(z, w, v):
     # z(w(zv)) == ((zw)z)v
-    lhs = ha.oct_mul(z, ha.oct_mul(w, ha.oct_mul(z, v)))
-    rhs = ha.oct_mul(ha.oct_mul(ha.oct_mul(z, w), z), v)
+    lhs = z * (w * (z * v))
+    rhs = ((z * w) * z) * v
     assert lhs == rhs
 
 
@@ -452,16 +428,10 @@ def test_prime_mask_matches_elementwise_primality(dim, par, seed):
         assert mask[idx] == is_prime(z)
 
 
-def test_prime_mask_refuses_an_oversized_box_before_allocating():
+def test_prime_mask_refuses_an_oversized_box_before_allocating(traced_peak):
     axes = [np.arange(1, 800, 2)] * 4  # 400⁴ cells
-    tracemalloc.start()
-    try:
-        with pytest.raises(rk.CapacityError,
-                           match="doubled-coordinate prime mask"):
-            ha.prime_mask(axes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(ha.prime_mask, axes,
+                          refused="doubled-coordinate prime mask")
     assert peak < 2**20
 
 
@@ -472,6 +442,9 @@ def test_prime_mask_refuses_axes_outside_its_condition(monkeypatch):
         with pytest.raises(ValueError, match="all even or all odd, and the "
                                              "odd axes a multiple of 4"):
             ha.prime_mask(axes)
+    # a doubled coordinate 1.5 is refused, not truncated to 1
+    with pytest.raises(TypeError):
+        ha.prime_mask([[1.5, 3.5]] * 4)
 
 
 def test_octavian_membership_closed_under_add_neg():
@@ -522,4 +495,4 @@ half_oct = st.builds(
 @given(half_oct, half_oct)
 def test_half_integer_octavian_products_stay_in_the_order(z, w):
     # OctInt raises on a product outside the doubled lattice or the code
-    assert ha.oct_mul(z, w).norm() == z.norm() * w.norm()
+    assert (z * w).norm() == z.norm() * w.norm()

@@ -368,3 +368,23 @@ def test_readme_names_resolve_in_src():
         + [n for n in private if n not in anywhere])
     assert unknown == []
     assert min(len(qualified), len(called), len(private)) >= 5
+
+
+def _trace_starts(tree):
+    """Lines that call tracemalloc's start() or import names from
+    tracemalloc."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "start"
+        and getattr(node.func.value, "id", None) == "tracemalloc"
+        or isinstance(node, ast.ImportFrom) and node.module == "tracemalloc")
+
+
+def test_only_the_shared_harness_starts_tracemalloc():
+    """Every traced peak of the suite goes through conftest's traced_peak,
+    which starts the trace once; no other test file starts its own."""
+    starts = {p.name: _trace_starts(ast.parse(p.read_text()))
+              for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert len(starts.pop("conftest.py")) == 1
+    assert {name: lines for name, lines in starts.items() if lines} == {}

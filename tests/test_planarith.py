@@ -178,6 +178,12 @@ def test_prime_above(two_square_oracle):
     assert pa.prime_above(5) == GaussianInt(2, 1)
     assert pa.prime_above(7) == GaussianInt(7, 0)
     assert pa.prime_above(3, "eisenstein") == EisensteinInt(1, 1)
+    assert pa.prime_above(np.int64(5)) == GaussianInt(2, 1)
+    # a float is refused by is_prime before any coordinate is made of it
+    for p in (7.0, 5.0):
+        for ring in ("gaussian", "eisenstein"):
+            with pytest.raises(TypeError):
+                pa.prime_above(p, ring)
     for p in (int(q) for q in rk.sieve(10**5).primes()):
         zg = pa.prime_above(p)
         assert pa.is_gaussian_prime(zg)
@@ -419,30 +425,20 @@ def test_norm_counts_unknown_ring():
 
 
 @pytest.mark.parametrize("ring", ["gaussian", "eisenstein"])
-def test_norm_count_table_peak_memory(ring):
+def test_norm_count_table_peak_memory(traced_peak, ring):
     n = 200_000
-    tracemalloc.start()
-    try:
-        pa.norm_count_table(n, ring)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pa.norm_count_table, n, ring)
     assert peak <= 24 * n
 
 
-def test_norm_count_budget_checked_before_allocation(monkeypatch):
+def test_norm_count_budget_checked_before_allocation(monkeypatch,
+                                                     traced_peak):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
     # the table alone (24 B per n, 840 KB) would fit; with the complex terms
     # (24 B per n in all) it does not
-    tracemalloc.start()
-    try:
-        with pytest.raises(rk.CapacityError,
-                           match="Eisenstein norm count table to 35000 and "
-                                 "lattice zeta's terms"):
-            zf.lattice_zeta("eisenstein", 0.5 + 2j, 35000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(zf.lattice_zeta, "eisenstein", 0.5 + 2j, 35000,
+                          refused="Eisenstein norm count table to 35000 and "
+                                  "lattice zeta's terms")
     assert peak < 100_000
     with pytest.raises(rk.CapacityError,
                        match="Gaussian norm count table to 50000"):
@@ -471,10 +467,11 @@ def test_twins():
     assert pairs == want
 
 
-def _twins_from_pair_check(monkeypatch, r, budget):
+def _twins_from_pair_check(monkeypatch, traced_peak, r, budget):
     """(estimate, traced growth) of twins(r) from its pair check on, that
     check run under `budget` B; the growth is the CapacityError's message
-    when it is refused.  The prime disk before it has its own check."""
+    when it is refused.  The prime disk before it has its own check.  The
+    spy reads and resets the trace at the pair check itself."""
     check, at = rk.check_budget, {}
 
     def spy(nbytes, what):
@@ -485,40 +482,32 @@ def _twins_from_pair_check(monkeypatch, r, budget):
         check(nbytes, what)
 
     monkeypatch.setattr(rk, "check_budget", spy)
-    tracemalloc.start()
     try:
-        pa.twins(r)
-        growth = tracemalloc.get_traced_memory()[1] - at["held"]
+        _, peak = traced_peak(pa.twins, r)
     except rk.CapacityError as e:
-        growth = str(e)
-    finally:
-        tracemalloc.stop()
-    return at["nbytes"], growth
+        return at["nbytes"], str(e)
+    return at["nbytes"], peak - at["held"]
 
 
 @pytest.mark.parametrize("r", [50, 300])
-def test_twins_budget_covers_its_pairs(monkeypatch, r):
-    nbytes, growth = _twins_from_pair_check(monkeypatch, r, rk._BYTE_BUDGET)
+def test_twins_budget_covers_its_pairs(monkeypatch, traced_peak, r):
+    nbytes, growth = _twins_from_pair_check(monkeypatch, traced_peak, r,
+                                            rk._BYTE_BUDGET)
     assert growth <= nbytes
 
 
-def test_twins_refused_before_its_pairs(monkeypatch):
-    nbytes, refused = _twins_from_pair_check(monkeypatch, 300, 10_000)
+def test_twins_refused_before_its_pairs(monkeypatch, traced_peak):
+    nbytes, refused = _twins_from_pair_check(monkeypatch, traced_peak, 300,
+                                             10_000)
     assert nbytes > 10_000
     assert refused.startswith("14880 Gaussian prime twins, |z| <= 300 needs")
 
 
-def test_prime_disk_refused_before_its_norms(monkeypatch):
+def test_prime_disk_refused_before_its_norms(monkeypatch, traced_peak):
     # the disk's int64 norms, 8 B per cell, come after the mask's check
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**5)
     for call in (lambda: pa.twins(300), lambda: pa.sector_count(300, 0, 1)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(rk.CapacityError, match="prime mask of 361201"):
-                call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(call, refused="prime mask of 361201")
         assert peak < 10**4
 
 
@@ -558,68 +547,38 @@ def test_eisenstein_prime_mask_capacity():
         pa.planar_prime_mask("eisenstein", 0, 20000, 0, 20000)
 
 
-def test_prime_mask_budget_counts_the_norm_table(monkeypatch):
+def test_prime_mask_budget_counts_the_norm_table(monkeypatch, traced_peak):
     # 100 cells need 900 B, within the budget; their prime-norm table up to
     # norm ~10⁶ does not fit, and the mask is refused before any array
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10_000)
     for ring in ("gaussian", "eisenstein"):
-        tracemalloc.start()
-        try:
-            with pytest.raises(rk.CapacityError,
-                               match=f"{ring.title()} prime mask of 100 cells"):
-                pa.planar_prime_mask(ring, 1000, 1009, 0, 9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        refused = f"{ring.title()} prime mask of 100 cells"
+        _, peak = traced_peak(pa.planar_prime_mask, ring, 1000, 1009, 0, 9,
+                              refused=refused)
         assert peak < 2**16, ring
 
 
-def test_prime_mask_budget_covers_a_cold_sieve(monkeypatch):
+def test_prime_mask_budget_covers_a_cold_sieve(traced_peak, budget_checks):
     # with a cold sieve the mask builds the sieve's flags next to the table;
     # the estimate counts both, so the traced peak stays within it up to
     # numpy's fixed buffers
-    estimates = []
-    check = rk.check_budget
-
-    def recording_check(nbytes, what):
-        estimates.append(nbytes)
-        check(nbytes, what)
-
-    monkeypatch.setattr(rk, "check_budget", recording_check)
     for ring in ("gaussian", "eisenstein"):
         rk.sieve.cache_clear()
-        estimates.clear()
-        tracemalloc.start()
-        try:
-            pa.planar_prime_mask(ring, 1, 1000, 1, 1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= estimates[0] + 2**17, ring
+        budget_checks.clear()
+        _, peak = traced_peak(pa.planar_prime_mask, ring, 1, 1000, 1, 1000)
+        assert peak <= budget_checks[0] + 2**17, ring
 
 
-def test_theta_sequence_budget_covers_its_traced_peak(monkeypatch):
+def test_theta_sequence_budget_covers_its_traced_peak(traced_peak,
+                                                      budget_checks):
     # the estimate counts the cold sieve's flags, the prime and angle arrays
     # and one block of the √−1 kernel
-    estimates = []
-    check = rk.check_budget
-
-    def recording_check(nbytes, what):
-        estimates.append(nbytes)
-        check(nbytes, what)
-
-    monkeypatch.setattr(rk, "check_budget", recording_check)
     for count in (1, 20000):
         rk.sieve.cache_clear()
-        estimates.clear()
-        tracemalloc.start()
-        try:
-            seq = pa.theta_sequence(count)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        budget_checks.clear()
+        seq, peak = traced_peak(pa.theta_sequence, count)
         assert len(seq[0]) == len(seq[1]) == count
-        assert peak <= estimates[0] + 2**13, count
+        assert peak <= budget_checks[0] + 2**13, count
 
 
 def test_mertens_series_consistent():

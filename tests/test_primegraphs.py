@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -115,18 +114,12 @@ def test_gcd_counts_match_the_built_graph():
         assert pg.gcd_edge_count(n) == g.E, n
 
 
-def test_gcd_prime_stars_refused_by_bytes(monkeypatch):
+def test_gcd_prime_stars_refused_by_bytes(monkeypatch, traced_peak):
     # 256 808 star edges at n = 10⁵
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**7)
-    tracemalloc.start()
-    try:
-        with pytest.raises(rk.CapacityError,
-                           match="gcd prime stars n=100000 needs about "
-                                 "20544640 B"):
-            pg.gcd_components(10**5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pg.gcd_components, 10**5,
+                          refused="gcd prime stars n=100000 needs about "
+                                  "20544640 B")
     assert peak < 2**20
 
 
@@ -205,34 +198,27 @@ def test_clique_chi_of_gcd_graphs_is_a_prime_count():
         assert pg.clique_euler_characteristic(g) == _networkx_clique_chi(g)
 
 
-def test_clique_chi_memo_refused_by_bytes(monkeypatch):
+def test_clique_chi_memo_refused_by_bytes(monkeypatch, traced_peak):
     g = pg.gcd_graph(400)
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
-    tracemalloc.start()
-    try:
-        with pytest.raises(rk.CapacityError, match="clique complex memo"):
-            pg.clique_euler_characteristic(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pg.clique_euler_characteristic, g,
+                          refused="clique complex memo")
     assert peak < 2 * 10**6
 
 
 @pytest.mark.parametrize("n", [100, 150, 200, 299])
-def test_clique_chi_memo_check_bounds_its_traced_peak(monkeypatch, n):
+def test_clique_chi_memo_check_bounds_its_traced_peak(monkeypatch,
+                                                      traced_peak, n):
     """The last memo check is at least the traced peak, up to 4 kB of fixed
     slack; gcd_graph(200) and (299) end right after the memo dict doubles,
-    where the peak per entry is highest (299 with a 4 B dict index)."""
+    where the peak per entry is highest (299 with a 4 B dict index).  The
+    memo is checked once per entry, so the spy keeps only the last estimate:
+    a list of every estimate would add to the peak it bounds."""
     g = pg.gcd_graph(n)
     last = {}
     monkeypatch.setattr(rk, "check_budget",
                         lambda nbytes, what: last.update(nbytes=nbytes))
-    tracemalloc.start()
-    try:
-        pg.clique_euler_characteristic(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pg.clique_euler_characteristic, g)
     assert peak <= last["nbytes"] + 4096
 
 

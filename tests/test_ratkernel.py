@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -52,6 +51,11 @@ def test_is_prime_large():
     assert rk.is_prime(2**61 - 1)
     assert not rk.is_prime(2**61 + 1)
     assert rk.is_prime(1000000007)
+    assert rk.is_prime(np.int64(1000000007))
+    # a float is refused, not answered by set membership or by trial division
+    for n in (7.0, 1000000007.0):
+        with pytest.raises(TypeError):
+            rk.is_prime(n)
 
 
 def test_sieve_flags_immutable():
@@ -64,6 +68,8 @@ def test_moebius_fixtures():
     assert rk.moebius(4) == 0
     assert rk.moebius(6) == 1
     assert rk.moebius(30) == -1
+    with pytest.raises(TypeError):
+        rk.moebius(6.0)
     assert rk.mertens(5) == -2
     assert rk.mertens(1) == 1
     assert rk.mertens(2) == 0
@@ -98,29 +104,19 @@ def test_gcd_table_matches_euclid():
         assert np.array_equal(g, np.gcd.outer(idx, idx)), n
 
 
-def test_gcd_table_refuses_empty_and_oversized():
+def test_gcd_table_refuses_empty_and_oversized(traced_peak):
     for n in (0, -3):
         with pytest.raises(ValueError, match="n >= 1 required"):
             rk.gcd_table(n)
-    tracemalloc.start()
-    try:
-        with pytest.raises(rk.CapacityError):
-            rk.gcd_table(10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(rk.gcd_table, 10**6,
+                          refused="gcd table n=1000000 ")
     assert peak < 10**6
 
 
-def test_multiplicative_tables_refused_before_allocation():
+def test_multiplicative_tables_refused_before_allocation(traced_peak):
     for call in (rk.mertens, pa.gaussian_mertens, rk.totient_summatory):
-        tracemalloc.start()
-        try:
-            with pytest.raises(rk.CapacityError):
-                call(10**12)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(call, 10**12,
+                              refused="multiplicative table to 1000000000000 ")
         assert peak < 10**6
 
 
@@ -154,6 +150,10 @@ def test_jacobi_fixtures():
     assert rk.jacobi(2, 15) == 1
     with pytest.raises(ValueError):
         rk.jacobi(3, 4)
+    assert rk.jacobi(np.int64(2), np.int64(9)) == 1
+    for a, n in ((2, 9.0), (2.0, 9)):
+        with pytest.raises(TypeError):
+            rk.jacobi(a, n)
 
 
 def _two_square(ps):
@@ -214,6 +214,10 @@ def test_factorize_trial_division_above_1009():
     assert rk.factorize(1013 * 10007) == [(1013, 1), (10007, 1)]
     assert rk.factorize(2 ** 3 * 1013 ** 2 * 10007) == [
         (2, 3), (1013, 2), (10007, 1)]
+    assert rk.factorize(np.int64(12)) == [(2, 2), (3, 1)]
+    # a float is refused, not divided into float cofactors
+    with pytest.raises(TypeError):
+        rk.factorize(12.0)
 
 
 def test_sieve_cache_keeps_one_sieve():
@@ -489,7 +493,7 @@ def test_split_root_of_minus_three_raises_on_fermat_failure(n, base):
 
 def test_euler_composite_factor():
     # 65 = 1^2+8^2 = 4^2+7^2
-    f = rk.euler_composite_factor(65, (8, 1), (7, 4))
+    f = pa.euler_composite_factor(65, (8, 1), (7, 4))
     assert f in (5, 13) and 65 % f == 0
 
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import operator
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -373,24 +372,18 @@ def _symmetric_01_with_a_zero_minor():
                                    _symmetric_01_with_a_zero_minor],
                          ids=["A(1,150)", "A(2,150)", "A(0,150)", "gcd(60)^3",
                               "gcd(60)^3 int64", "sym 0/1 (150), zero minor"])
-def test_exact_pass_estimate_bounds_the_traced_peak(monkeypatch, build):
+def test_exact_pass_estimate_bounds_the_traced_peak(traced_peak,
+                                                    budget_checks, build):
     """check_exact_pass stays an upper bound on leading_minors' traced peak,
     split or not (peak / estimate at n = 150: 0.11, 0.11, 0.42; 0.18; 0.20
     on the int64 power; 0.61 where the symmetric pass falls back at order
     100 and the general pass runs on the list copy it left)."""
     m = build()
-    seen = []
-    monkeypatch.setattr(rk, "check_budget",
-                        lambda nbytes, what: seen.append(nbytes))
+    budget_checks.clear()
     top = max(int(m.max()), -int(m.min()))
     sm.check_exact_pass(len(m), math.log2(top))
-    tracemalloc.start()
-    try:
-        sm.leading_minors(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= seen[0]
+    _, peak = traced_peak(sm.leading_minors, m)
+    assert peak <= budget_checks[0]
 
 
 def test_non_integer_entries_raise():
@@ -420,22 +413,7 @@ def test_is_singular_exact_on_big_integers():
     assert sm.is_singular_exact(-big) is True
 
 
-def _traced_peak(call, *args, refused=None):
-    """tracemalloc peak of call(*args), which must raise a CapacityError
-    matching `refused` unless that is None."""
-    tracemalloc.start()
-    try:
-        if refused is not None:
-            with pytest.raises(rk.CapacityError, match=refused):
-                call(*args)
-        else:
-            call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_exact_pass_refused_before_it_starts(monkeypatch):
+def test_exact_pass_refused_before_it_starts(monkeypatch, traced_peak):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10_000)
     assert sm.det_exact(np.eye(4, dtype=np.int64)) == 1  # 356 B estimate
     # the same order with entries near 2**4000: a 16 kB estimate
@@ -461,16 +439,17 @@ def test_exact_pass_refused_before_it_starts(monkeypatch):
               np.where((i[:, None] + i[None, :]) % 2, 0, 2**40)):
         split = sm._parity_blocks(m)
         block = m if split is None else split[1]
-        copy = _traced_peak(np.ndarray.tolist, block)
+        _, copy = traced_peak(np.ndarray.tolist, block)
         for exact, kind in ((sm.leading_minors, "exact"),
                             (sm.det_exact, "exact"),
                             (sm.is_singular_exact, "rank")):
             refused = f"{kind} pass over a {len(block)}x{len(block)} "
-            assert _traced_peak(exact, m, refused=refused) < copy
+            assert traced_peak(exact, m, refused=refused)[1] < copy
 
 
 @pytest.mark.parametrize("kind", [None, "diag", "anti"])
-def test_leading_minors_refused_where_det_exact_is(monkeypatch, kind):
+def test_leading_minors_refused_where_det_exact_is(monkeypatch,
+                                                   budget_checks, kind):
     """One check, in _eliminate, at the order of the block that the pass
     runs: leading_minors, det_exact and is_singular_exact are refused at one
     budget, and a split matrix of order 30 at its blocks' order 15."""
@@ -479,17 +458,14 @@ def test_leading_minors_refused_where_det_exact_is(monkeypatch, kind):
         i = np.arange(30)
         m[(i[:, None] + i[None, :]) % 2 == (kind == "diag")] = 0
     order = 30 if kind is None else 15
-    seen = []
-    with monkeypatch.context() as spy:
-        spy.setattr(rk, "check_budget",
-                    lambda nbytes, what: seen.append(nbytes))
-        sm.check_exact_pass(order)
-    monkeypatch.setattr(rk, "_BYTE_BUDGET", seen[0] - 1)
+    sm.check_exact_pass(order)
+    (estimate,) = budget_checks
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", estimate - 1)
     for exact in (sm.leading_minors, sm.det_exact, sm.is_singular_exact):
         with pytest.raises(rk.CapacityError,
                            match=f"exact pass over a {order}x{order} "):
             exact(m)
-    monkeypatch.setattr(rk, "_BYTE_BUDGET", seen[0])
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", estimate)
     second = {None: 0, "diag": 1, "anti": -1}[kind]  # det m[:2, :2]
     assert sm.leading_minors(m)[1:] == [second] + [0] * 28
     assert sm.det_exact(m) == 0
@@ -592,7 +568,7 @@ def test_scan_refused_before_build(tmp_path, monkeypatch, capsys):
 
 def test_anticommutator_even_z0():
     for z0 in (2, 4, GaussianInt(1, 1), GaussianInt(2, 2)):
-        assert sm.anticommutator_residual(z0, 20) == 0
+        assert sm.commutator_residuals(z0, 20)[0] == 0
 
 
 def test_commutator_rejects_odd_z0():
@@ -678,12 +654,13 @@ def test_char_poly_refuses_non_integers(monkeypatch):
         sm.char_poly(halves)
 
 
-def test_char_poly_refused_above_solver_cap(monkeypatch):
+def test_char_poly_refused_above_solver_cap(monkeypatch, traced_peak):
     # both paths read check_solver_cap before they copy the matrix
     a = sm.build_prime_matrix(1, 300)
     monkeypatch.setattr(sm, "SOLVER_CAP", 299)
-    assert _traced_peak(sm.char_poly, a,
-                        refused="matrix size 300 above solver cap") < a.nbytes
+    _, peak = traced_peak(sm.char_poly, a,
+                          refused="matrix size 300 above solver cap")
+    assert peak < a.nbytes
     monkeypatch.setattr(sm, "SOLVER_CAP", 8)
     assert len(sm.char_poly(a[:8, :8])) == 9  # the exact path at the cap
     monkeypatch.setattr(sm, "_CHAR_POLY_EXACT_CAP", 4)
@@ -755,30 +732,19 @@ def test_prime_rows_stack_the_single_rows_and_refuse_k_below_1():
             pa.prime_rows([1], n)
 
 
-def test_prime_row_bytes_cover_traced_peak():
+def test_prime_row_bytes_cover_traced_peak(traced_peak):
     # a cold sieve, so its flags are traced too
     for k, n in ((1, 10**5), (6, 3 * 10**4), (20001, 20001)):
         rk.sieve.cache_clear()
-        tracemalloc.start()
-        try:
-            pa.prime_rows([k], n)[0]
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(pa.prime_rows, [k], n)
         assert peak <= pa._row_bytes(n, math.isqrt(n * n + k * k)), (k, n)
 
 
-def test_prime_rows_refused_before_allocation(monkeypatch):
+def test_prime_rows_refused_before_allocation(monkeypatch, traced_peak):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
     for call in (lambda: pa.prime_rows([1], 10**7)[0],
                  lambda: sm.row_cov_sign_table(6, 10**6)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(rk.CapacityError):
-                call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(call, refused="Gaussian prime rows to ")
         assert peak < 64 * 1024
 
 
@@ -858,41 +824,35 @@ def test_leading_minors_of_int64_objects_do_not_wrap():
     assert sm.leading_minors(m.astype(np.uint8)) == want
 
 
-def test_smith_refused_before_build():
-    for call in (lambda: sm.build_smith(20000),
-                 lambda: sm.build_smith(20000, 0.5),
-                 lambda: sm.smith_det_residual(20000),
-                 lambda: sm.smith_det_residual(20000, 0.5)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(rk.CapacityError):
-                call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+def test_smith_refused_before_build(traced_peak):
+    gcd, exact = "gcd matrix n=20000 ", "exact pass over a 20000x20000 "
+    for call, what in ((lambda: sm.build_smith(20000), gcd),
+                       (lambda: sm.build_smith(20000, 0.5), gcd),
+                       (lambda: sm.smith_det_residual(20000), exact),
+                       (lambda: sm.smith_det_residual(20000, 0.5), gcd)):
+        _, peak = traced_peak(call, refused=what)
         assert peak < 10**6
 
 
 @pytest.mark.parametrize("n", [200, 400])
-def test_smith_identity_checks_bound_their_traced_peak(monkeypatch, n):
+def test_smith_identity_checks_bound_their_traced_peak(traced_peak,
+                                                       budget_checks, n):
     """Each identity check's first byte check, from n and s before its first
     array, is at least its traced peak."""
-    seen = []
-    monkeypatch.setattr(rk, "check_budget",
-                        lambda nbytes, what: seen.append(nbytes))
     for call in (lambda: sm.smith_inverse_moebius_check(n),
                  lambda: sm.smith_factorization_check(n, 1)):
-        seen.clear()
-        assert _traced_peak(call) <= seen[0]
+        budget_checks.clear()
+        assert traced_peak(call)[1] <= budget_checks[0]
 
 
-def test_smith_identity_checks_refused_before_they_allocate(monkeypatch):
+def test_smith_identity_checks_refused_before_they_allocate(monkeypatch,
+                                                            traced_peak):
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
     for call, what in ((lambda: sm.smith_inverse_moebius_check(400),
                         "Smith Moebius check n=400"),
                        (lambda: sm.smith_factorization_check(400, 3),
                         "Smith factorization check n=400")):
-        assert _traced_peak(call, refused=what) < 10**6
+        assert traced_peak(call, refused=what)[1] < 10**6
 
 
 @pytest.mark.parametrize("n, s", [(400, 1), (40, 12)])
@@ -913,7 +873,7 @@ def test_smith_factorization_estimate_covers_its_inner_checks(monkeypatch):
     """The check's first estimate is at least every byte check that runs
     inside it (the gcd table's, build_smith's), so a refusal names the
     check on both paths."""
-    seen = []
+    seen = []  # each estimate with what it is for, which budget_checks drops
     monkeypatch.setattr(rk, "check_budget",
                         lambda nbytes, what: seen.append((what, nbytes)))
     for n, s in ((400, 1), (200, 8), (40, 12), (50, 12), (200, 9), (100, 40)):
@@ -994,22 +954,22 @@ _BUILDERS = ["van der Monde", "divisor factor", "adjacency", "rank, int64",
 
 
 @pytest.mark.parametrize("kind", _BUILDERS)
-def test_builders_refused_before_they_allocate(monkeypatch, kind):
+def test_builders_refused_before_they_allocate(monkeypatch, traced_peak,
+                                              kind):
     call = _builder(kind, 300)
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**5)
     # 300² cells of 8 B or more: a refusal traces under 10⁵ B
-    assert _traced_peak(call, refused="300") < 10**5
+    assert traced_peak(call, refused="300")[1] < 10**5
 
 
 @pytest.mark.parametrize("n", [100, 400])
 @pytest.mark.parametrize("kind", _BUILDERS)
-def test_builders_bound_their_traced_peak(monkeypatch, kind, n):
+def test_builders_bound_their_traced_peak(traced_peak, budget_checks, kind,
+                                          n):
     call = _builder(kind, n)
-    seen = []
-    monkeypatch.setattr(rk, "check_budget",
-                        lambda nbytes, what: seen.append(nbytes))
-    peak = _traced_peak(call)
-    assert peak <= seen[0] + 2**17  # up to numpy's fixed buffers
+    budget_checks.clear()
+    _, peak = traced_peak(call)
+    assert peak <= budget_checks[0] + 2**17  # up to numpy's fixed buffers
 
 
 def test_smith_det_192():
@@ -1102,23 +1062,13 @@ def test_vdm_product_modulus_refuses_what_a_float_cannot_hold():
     assert sm.vdm_product_modulus(5, 0.0, 0.0) == 0.0  # every node is 1
 
 
-def test_vdm_log_det_budget(monkeypatch):
+def test_vdm_log_det_budget(monkeypatch, traced_peak):
     for nmax in (10**3, 10**5):
-        tracemalloc.start()
-        try:
-            sm.vdm_log_det(nmax, sm.GOLDEN)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(sm.vdm_log_det, nmax, sm.GOLDEN)
         assert peak <= 24 * (nmax + 1) + 2**12, nmax
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**6)
-    tracemalloc.start()
-    try:
-        with pytest.raises(rk.CapacityError):
-            sm.vdm_log_det(10**6, sm.GOLDEN)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(sm.vdm_log_det, 10**6, sm.GOLDEN,
+                          refused="van der Monde log")
     assert peak < 64 * 1024
 
 

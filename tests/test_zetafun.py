@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,28 +73,16 @@ def test_lattice_zeta_units_only():
     assert abs(zf.lattice_zeta("gaussian", 2.0, 1) - 4) < 1e-14
 
 
-def test_lattice_zeta_budget_covers_its_traced_peak(monkeypatch):
+def test_lattice_zeta_budget_covers_its_traced_peak(traced_peak,
+                                                     budget_checks):
     # 16 B per n for real s and 24 B for complex s: the counts and the terms
-    estimates = []
-    check = rk.check_budget
-
-    def recording_check(nbytes, what):
-        estimates.append(nbytes)
-        check(nbytes, what)
-
-    monkeypatch.setattr(rk, "check_budget", recording_check)
     X = 10**5
     for ring in ("gaussian", "eisenstein"):
         for s, per_n in ((2, 16), (1.5, 16), (0.5 + 2j, 24), (2 + 0j, 24)):
-            estimates.clear()
-            tracemalloc.start()
-            try:
-                zf.lattice_zeta(ring, s, X)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert estimates[0] == per_n * X + 2**18, (ring, s)
-            assert per_n * X < peak <= estimates[0], (ring, s)
+            budget_checks.clear()
+            _, peak = traced_peak(zf.lattice_zeta, ring, s, X)
+            assert budget_checks[0] == per_n * X + 2**18, (ring, s)
+            assert per_n * X < peak <= budget_checks[0], (ring, s)
 
 
 def test_lattice_zeta_converges():
