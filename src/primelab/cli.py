@@ -7,9 +7,10 @@ opens no file.  `_emit` is the one writer: it writes a dict as sorted,
 indented, strict JSON and an iterable line by line as it yields, so a lazy CSV
 is never held whole, and it writes every data file and then `manifest.json`,
 which records the parameters, package versions, BLAS threads, wall time and
-output names.  Data files are byte-deterministic.  Usage errors, including any
-argument the library rejects with ValueError or does not implement
-(NotImplementedError), exit 2; capacity errors exit 3.
+output names.  Data files are byte-deterministic.  Some test, README or
+benchmark command sets every option (a lint test checks).  Usage errors,
+including any argument the library rejects with ValueError or does not
+implement (NotImplementedError), exit 2; capacity errors exit 3.
 """
 
 from __future__ import annotations
@@ -201,18 +202,8 @@ def _run_zeta(args):
             {"error": error})
 
 
-def _parse_rule(text):
-    from .caworld import Rule
-    birth, survive = text.upper().split("/")
-    if not birth.startswith("B") or not survive.startswith("S"):
-        raise ValueError(f"rule must look like B3/S23, got {text!r}")
-    return Rule(frozenset(int(c) for c in birth[1:]),
-                frozenset(int(c) for c in survive[1:]))
-
-
 def _run_ca(args):
     from . import caworld as ca
-    rule = _parse_rule(args.rule)
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
     # step's and dilate's cap, checked before the grid (which refuses W < 0)
@@ -221,7 +212,7 @@ def _run_ca(args):
             ca._check_pad(2 * args.window + 1, pad, op)
     g = ca.grid_from_gaussian_primes(args.window)
     for _ in range(args.steps):
-        g = ca.step(g, rule)
+        g = ca.step(g)  # Life, B3/S23
     files = {"grid.rle": ca.rle_lines(g), "grid.pbm": ca.pbm_lines(g)}
     extra = {"live_cells": int(g.cells.sum())}
     if args.moat is not None:
@@ -324,7 +315,6 @@ def build_parser():
     s = command("ca", _run_ca)
     s.add_argument("--window", type=int, required=True)
     s.add_argument("--steps", type=int, default=0)
-    s.add_argument("--rule", default="B3/S23")
     s.add_argument("--moat", type=int, default=None,
                    help="dilation steps for moat component extraction")
 

@@ -28,7 +28,8 @@ parity par, off = 2 − par, read from hyperarith.prime_mask over the doubled
 axes off, off+2, …, 2·box_i − off.  r2 of one target counts each mask of its
 own box against the mask's reflection; only the angle cap, which depends on
 the target, is counted per cell.  grid_counts gives r2 of every target in a
-box from M⋆M, computed by FFT and rounded.  Only the mask's own box, the
+box from M⋆M, computed by FFT and rounded (a negative box entry raises
+ValueError before any byte check).  Only the mask's own box, the
 cells t < M.shape, is ever read, so the FFT computes no more: on M's longest
 axis, with N cells and h = ⌈N/2⌉, a pair with both summands at index >= h
 lands at index >= N, so the box is that of lo ⋆ w, with lo the first h
@@ -321,6 +322,8 @@ def grid_counts(ring, variant, box):
     offsets = _offsets(ring, variant)
     if variant.angle_cap is not None:
         raise ValueError("the angle cap depends on the target; count by r2")
+    if min(box) < 0:
+        raise ValueError(f"box >= 0 required, got {box}")
     for off in offsets:
         _check_fft(tuple(n + 1 - off for n in box))
     grids = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, attrgetter, neg, sub
+from operator import add, attrgetter, index, neg, sub
 
 import numpy as np
 
@@ -149,9 +149,9 @@ def euler_composite_factor(n, rep1, rep2):
 
     Two essentially different a²+b² = c²+d² = n force n composite; the factor
     is the norm of gcd(a + bi, c ± di) in Z[i], by Euclid with the quotient
-    z·conj(w)/N(w) rounded to the nearest lattice point.
+    z·conj(w)/N(w) rounded to the nearest lattice point.  Integers only.
     """
-    (a, b), (c, d) = rep1, rep2
+    n, (a, b), (c, d) = index(n), map(index, rep1), map(index, rep2)
     if a * a + b * b != n or c * c + d * d != n:
         raise ValueError("representations do not equal n")
     if (abs(c), abs(d)) in {(abs(a), abs(b)), (abs(b), abs(a))}:
@@ -386,7 +386,8 @@ def _prime_norms(limit, ring):
 def planar_prime_mask(ring, a_lo, a_hi, b_lo, b_hi):
     """Boolean mask of the primes a + b·i (a + b·ω) over the box
     [a_lo..a_hi]×[b_lo..b_hi] (inclusive): the prime-norm table read at
-    every cell's norm."""
+    every cell's norm, its integer bounds read by operator.index."""
+    a_lo, a_hi, b_lo, b_hi = map(index, (a_lo, a_hi, b_lo, b_hi))
     _units, _q, t = _norm_form(ring)
     cells = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
     # the form is positive definite, so the table's limit, the box's largest

@@ -38,14 +38,18 @@ def check_budget(nbytes, what):
 
 
 def _exact_integers(a):
-    """a as an array of exact integers: a bool or integer array unchanged,
-    anything else as Python ints of an object array, entry by entry through
-    operator.index.  So a sequence never passes through float64 and np.int64
-    entries of an object array never wrap in products; a float, complex or
-    Fraction entry, or a float or complex array, raises TypeError."""
+    """a as an array of exact integers: an int64 or uint64 array unchanged,
+    a bool or narrower one as int64 (no product wraps; refused by bytes
+    before the copy), anything else as Python ints of an object array
+    through operator.index, so a sequence never passes through float64 and
+    np.int64 entries never wrap in products; a float, complex or Fraction
+    entry, or a float or complex array, raises TypeError."""
     if isinstance(a, np.ndarray) and a.dtype.kind != "O":
         if a.dtype.kind in "biu":
-            return a
+            if a.itemsize == 8:
+                return a
+            check_budget(8 * a.size, f"int64 copy of a {a.dtype} array")
+            return a.astype(np.int64)
         raise TypeError(f"integer entries required, got {a.dtype}")
     return np.asarray(np.frompyfunc(operator.index, 1, 1)(
         np.asarray(a, dtype=object)), dtype=object)

@@ -28,8 +28,9 @@ diagonal, det A_n = det B_⌈n/2⌉ · det C_⌊n/2⌋; for even-sum z0 block
 anti-diagonal, det A_n = (−1)^(n/2) · det B_(n/2) · det C_(n/2) for even n
 and 0 for odd n.  One split-and-join serves the minors, the scan and the
 singularity test.  Its entries, and char_poly's, pass one integer intake
-(rk._exact_integers: bool and integer arrays as they are, anything else as
-Python ints, a float or complex entry raising TypeError), and one byte
+(rk._exact_integers: int64 and uint64 arrays as they are, bool and narrower
+integer arrays as int64, anything else as Python ints, a float or complex
+entry raising TypeError), and one byte
 check, check_exact_pass in _eliminate, refuses each pass from the order and
 largest |entry| of its block before it copies anything.
 The commutator residuals are max-abs entry norms; spectrum's residual_bound

@@ -4,9 +4,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from primelab import cli
+from primelab import specmat as sm
 
 ZEROS = str(Path(__file__).parent / "data" / "zeta_zeros_100.txt")
 
@@ -55,11 +57,14 @@ def test_matrix_scan_threshold(tmp_path):
 
 
 def test_smith(tmp_path):
-    out = tmp_path / "sm"
-    assert _run(["--out", str(out), "smith", "--n", "7"]) == 0
-    data = json.loads((out / "smith.json").read_text())
-    assert data["det"] == "192"
-    assert data["residual"] == "0"
+    # det = ∏_{k <= 7} J_s(k): 1·1·2·2·4·2·6 at s = 1, 1·3·8·12·24·24·48 at 2
+    for args, det in ((["smith", "--n", "7"], "192"),
+                      (["smith", "--n", "7", "--s", "2"], "7962624")):
+        out = tmp_path / det
+        assert _run(["--out", str(out), *args]) == 0
+        data = json.loads((out / "smith.json").read_text())
+        assert data["det"] == det
+        assert data["residual"] == "0"
 
 
 def test_graphs(tmp_path):
@@ -170,6 +175,25 @@ def test_ca_and_angles_and_more(tmp_path):
                  "--nmax", "6"]) == 0
     assert _run(["--out", str(tmp_path / "hp"), "hyperplane",
                  "--a", "1", "--n", "4"]) == 0
+
+
+def test_almostper_reads_alpha_beta_theta(tmp_path):
+    # α = 2π·GOLDEN, the golden rotation number in radians
+    alpha, beta, theta = 3.883222077450933, 0.3, 0.7
+    assert alpha == 2 * math.pi * sm.GOLDEN
+    out = tmp_path / "ap"
+    assert _run(["--out", str(out), "almostper", "--nmax", "6",
+                 "--alpha", "3.883222077450933", "--beta", "0.3",
+                 "--theta", "0.7"]) == 0
+    a = sm.build_almost_period(6, alpha, beta, theta)
+    want = ["n,det_sign,log_abs_det"]
+    for n in range(1, 7):
+        sign, log_abs = np.linalg.slogdet(a[:n, :n])
+        want.append(f"{n},{int(round(sign))},{float(log_abs)!r}")
+    assert (out / "almostper.csv").read_text().splitlines() == want
+    params = _manifest(out)["params"]
+    assert (params["alpha"], params["beta"], params["theta"]) == (
+        alpha, beta, theta)
 
 
 def test_deterministic_data_bytes(tmp_path):

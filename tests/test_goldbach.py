@@ -289,8 +289,13 @@ def test_negative_row_or_slice_refused(call):
     (lambda: gb.eisenstein_ghosts(3, -5), "amax >= 0 required, got 3, -5"),
     (lambda: gb.comet("gaussian", ((5, 2), (2, 4))),
      "a_lo <= a_hi, b_lo <= b_hi required, got ((5, 2), (2, 4))"),
+    (lambda: gb.grid_counts("gaussian", gb.OPEN, (-1, 5)),
+     "box >= 0 required, got (-1, 5)"),
+    (lambda: gb.grid_counts("quaternion", gb.SumVariant(species="hurwitz"),
+                            (3, 3, -2, 4)),
+     "box >= 0 required, got (3, 3, -2, 4)"),
 ], ids=["quaternion cmax", "quaternion dmax", "eisenstein amax",
-        "comet region"])
+        "comet region", "planar box", "quaternion box"])
 def test_malformed_box_refused(call, refused):
     # once an empty grid or numpy's "negative dimensions are not allowed"
     with pytest.raises(ValueError, match=re.escape(refused) + "$"):

@@ -1,7 +1,10 @@
-"""Source checks that need only the standard library."""
+"""Source checks that need only the standard library, and one that walks
+the CLI parser."""
 
+import argparse
 import ast
 import re
+import shlex
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "primelab"
@@ -388,3 +391,52 @@ def test_only_the_shared_harness_starts_tracemalloc():
               for p in sorted((ROOT / "tests").glob("*.py"))}
     assert len(starts.pop("conftest.py")) == 1
     assert {name: lines for name, lines in starts.items() if lines} == {}
+
+
+def _command_lines():
+    """Every command line that a test, README or the benchmark gives: each
+    list literal of tests/ (an element that is no constant, such as
+    str(out) or *args, read as None), each `primelab` line of README's sh
+    blocks, and each argv of CLI_COMMANDS in perfbench/workloads.py."""
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.List):
+                yield [e.value if isinstance(e, ast.Constant) else None
+                       for e in node.elts]
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["primelab"]:
+                yield words[1:]
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    commands = next(node.value for node in workloads.body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "CLI_COMMANDS")
+    for _name, argv in ast.literal_eval(commands):
+        yield argv
+
+
+def test_every_cli_option_is_set_by_some_command_line():
+    """An option that no test, README command or benchmark command sets,
+    together with its subcommand, is surface nothing exercises: each option
+    of the top-level parser ("") and of every subcommand must appear, before
+    or after the subcommand's name, in some command line."""
+    from primelab import cli
+    parser = cli.build_parser()
+    [subs] = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsers = {"": parser, **subs.choices}
+    options = {name: {s: a for a in p._actions for s in a.option_strings
+                      if not isinstance(a, argparse._HelpAction)}
+               for name, p in parsers.items()}
+    seen = set()
+    for argv in _command_lines():
+        i = next((i for i, w in enumerate(argv) if w in subs.choices), None)
+        if i is not None:
+            for name, words in (("", argv[:i]), (argv[i], argv[i + 1:])):
+                seen.update(options[name].get(w) for w in words)
+    unset = sorted({f"{name} {'/'.join(a.option_strings)}".strip()
+                    for name, opts in options.items()
+                    for a in opts.values() if a not in seen})
+    assert unset == []

@@ -541,6 +541,17 @@ def test_eisenstein_prime_mask_matches_pointwise():
         _eisenstein_oracle)
 
 
+def test_planar_prime_mask_takes_integer_bounds():
+    want = pa.planar_prime_mask("gaussian", 0, 3, 0, 3)
+    assert np.array_equal(pa.planar_prime_mask(
+        "gaussian", np.int64(0), np.int32(3), np.uint8(0), 3), want)
+    # unread, 0.5 would start the box at a = 0 and 3.5 fail inside numpy
+    for box in ((0.5, 3, 0, 3), (0, 3.5, 0, 3), (0, 3, 0, 3.0)):
+        for ring in ("gaussian", "eisenstein"):
+            with pytest.raises(TypeError):
+                pa.planar_prime_mask(ring, *box)
+
+
 def test_eisenstein_prime_mask_capacity():
     # the CLI reaches this mask only behind the larger FFT estimate
     with pytest.raises(rk.CapacityError, match="Eisenstein prime mask"):

@@ -495,6 +495,11 @@ def test_euler_composite_factor():
     # 65 = 1^2+8^2 = 4^2+7^2
     f = pa.euler_composite_factor(65, (8, 1), (7, 4))
     assert f in (5, 13) and 65 % f == 0
+    assert pa.euler_composite_factor(np.int64(65), (8, 1), (7, 4)) == f
+    # a float n or coordinate is refused, not answered in floats
+    for args in ((65.0, (8.0, 1.0), (7.0, 4.0)), (65, (8, 1), (7.0, 4))):
+        with pytest.raises(TypeError):
+            pa.euler_composite_factor(*args)
 
 
 def test_pi_mod():

@@ -421,6 +421,12 @@ def test_exact_pass_refused_before_it_starts(monkeypatch, traced_peak):
                    dtype=object)
     with pytest.raises(rk.CapacityError, match="exact pass over a 4x4"):
         sm.det_exact(big)
+    # a bool or narrow matrix widens to int64 only within the budget
+    for dtype in (bool, np.int8):
+        refused = f"int64 copy of a {np.dtype(dtype)} array"
+        _, peak = traced_peak(sm.det_exact, np.ones((40, 40), dtype),
+                              refused=refused)
+        assert peak < 8 * 40 * 40
     ones = np.ones((30, 30), dtype=np.int64)  # rank 1 mod p: a drop
     # is_singular_exact's rank pass mod p, checked at 16 B per cell, is
     # refused before the exact pass would be
@@ -817,11 +823,19 @@ def test_leading_minors_of_int64_objects_do_not_wrap():
     assert abs(want[-1]) > 2**63
     assert sm.leading_minors(int64s) == want
     assert all(type(x) is int for x in want)
-    # bool and unsigned matrices read through tolist
+    # bool and narrow integer matrices widen to int64: Python int minors,
+    # not a bool, and a mod-p rank pass that does not overflow their dtype
     m = np.random.default_rng(3).integers(0, 2, size=(9, 9))
     want = sm.leading_minors(m)
-    assert sm.leading_minors(m.astype(bool)) == want
-    assert sm.leading_minors(m.astype(np.uint8)) == want
+    singular = sm.is_singular_exact(m)
+    assert singular == (want[-1] == 0)
+    for dtype in (bool, np.uint8, np.int8):
+        got = sm.leading_minors(m.astype(dtype))
+        assert got == want and all(type(x) is int for x in got), dtype
+        assert sm.is_singular_exact(m.astype(dtype)) == singular, dtype
+    assert type(sm.det_exact(np.ones((1, 1), bool))) is int
+    got = sm.leading_minors(np.array([[True, True], [True, False]]))
+    assert got == [1, -1] and type(got[0]) is int
 
 
 def test_smith_refused_before_build(traced_peak):
