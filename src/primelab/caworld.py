@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import CapacityError
 from . import ratkernel as rk
-from .ratkernel import CapacityError
 from .planarith import gaussian_prime_mask
 
 _WINDOW_CAP = 4096  # max cells per side

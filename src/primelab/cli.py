@@ -10,7 +10,10 @@ which records the parameters, package versions, BLAS threads, wall time and
 output names.  Data files are byte-deterministic.  Some test, README or
 benchmark command sets every option (a lint test checks).  Usage errors,
 including any argument the library rejects with ValueError or does not
-implement (NotImplementedError), exit 2; capacity errors exit 3.
+implement (NotImplementedError) and an --out or --zeros path that cannot be
+used, exit 2; capacity errors exit 3.  This module imports no numpy: each
+runner loads it through its library module, so `matrix --spectrum` above the
+solver cap is refused before numpy loads.
 """
 
 from __future__ import annotations
@@ -24,21 +27,18 @@ import sys
 import time
 from pathlib import Path
 
+from . import CapacityError, __version__, check_solver_cap
+
 # OpenBLAS starts one worker per core when numpy loads, and an idle worker
 # spins before it sleeps, so every command would keep a second core busy
-# that no primelab code uses: run BLAS on one thread, set before the first
-# import that loads numpy.  A value the caller set wins, so threaded BLAS
+# that no primelab code uses: run BLAS on one thread, set before a runner's
+# import loads numpy.  A value the caller set wins, so threaded BLAS
 # for a large `matrix --spectrum` is `OPENBLAS_NUM_THREADS=N primelab ...`.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # what OpenBLAS read, for the manifest: unknown (None) in a process that
 # loaded numpy before this module
 _BLAS_THREADS = (None if "numpy" in sys.modules
                  else os.environ["OPENBLAS_NUM_THREADS"])
-
-import numpy as np
-
-from . import __version__
-from .ratkernel import CapacityError
 
 
 def _emit(outdir, files):
@@ -110,9 +110,14 @@ def _run_hl(args):
 
 
 def _run_matrix(args):
-    from . import specmat as sm
     if args.scan is None and args.spectrum is None and args.detgrowth is None:
         raise ValueError("one of --scan, --spectrum, --detgrowth required")
+    # refuse before any mode runs, the solver cap before specmat loads numpy
+    if args.spectrum is not None:
+        check_solver_cap(args.spectrum)
+    from . import specmat as sm
+    if args.detgrowth is not None:
+        sm.check_exact_pass(args.detgrowth)
     files, extra = {}, {}
     if args.scan is not None:
         res = sm.invertibility_scan(args.z0, args.scan)
@@ -121,8 +126,6 @@ def _run_matrix(args):
                               "singular_ns": res["singular_ns"],
                               "threshold": res["threshold"]}
     if args.spectrum is not None:
-        # refuse an oversized matrix before building it
-        sm.check_solver_cap(args.spectrum)
         m = sm.build_prime_matrix(args.z0, args.spectrum)
         s = sm.spectrum(m)
         extra["residual_bound"] = s.residual_bound
@@ -131,7 +134,6 @@ def _run_matrix(args):
             for ev in sorted(s.eigenvalues, key=lambda z: (z.real, z.imag))]
     if args.detgrowth is not None:
         lines = ["n,det_sign,log_abs_det"]
-        sm.check_exact_pass(args.detgrowth)
         full = sm.build_prime_matrix(args.z0, args.detgrowth)
         for n, d in enumerate(sm.leading_minors(full), 1):
             sign = 0 if d == 0 else (1 if d > 0 else -1)
@@ -179,7 +181,10 @@ def _run_zeta(args):
         if args.xmax < args.xmin:
             raise ValueError(f"--xmax must be >= --xmin, got {args.xmax} "
                              f"< {args.xmin}")
-        table = zf.ZeroTable.load(args.zeros)
+        try:
+            table = zf.ZeroTable.load(args.zeros)
+        except OSError as e:  # a missing file or a directory
+            raise ValueError(f"--zeros {args.zeros}: {e.strerror}") from e
         lines = ["x,psi,explicit_psi,K"]
         i = 0
         while (x := args.xmin + i * args.step) <= args.xmax + 1e-12:
@@ -238,6 +243,8 @@ def _run_angles(args):
 
 
 def _run_almostper(args):
+    import numpy as np
+
     from . import specmat as sm
     if args.nmax < 1:
         raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
@@ -337,9 +344,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
     try:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:  # a file, or a path under one
+            raise ValueError(f"--out {args.out}: {e.strerror}") from e
+        t0 = time.monotonic()
         files, extra = args.run(args)
         _emit(outdir, files)  # lazy outputs are computed as they are written
         wall = time.monotonic() - t0
@@ -353,9 +363,9 @@ def main(argv=None):
             "versions": {
                 "primelab": __version__,
                 "python": sys.version.split()[0],
-                "numpy": np.__version__,
                 **{name: sys.modules[name].__version__  # if the run loaded it
-                   for name in ("scipy", "mpmath") if name in sys.modules},
+                   for name in ("numpy", "scipy", "mpmath")
+                   if name in sys.modules},
             },
             "openblas_num_threads": _BLAS_THREADS,
             "wall_time_s": wall,

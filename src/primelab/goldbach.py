@@ -366,8 +366,11 @@ def comet(ring, region, variant=OPEN):
     (alo, ahi), (blo, bhi) = region
     if alo > ahi or blo > bhi:
         raise ValueError(f"a_lo <= a_hi, b_lo <= b_hi required, got {region}")
-    grid = np.zeros((ahi - alo + 1, bhi - blo + 1), dtype=np.int64)
+    shape = (ahi - alo + 1, bhi - blo + 1)
+    # the grid is allocated after grid_counts' checks, or after its own
     if variant.angle_cap is not None:
+        rk.check_budget(8 * math.prod(shape), f"comet grid {shape}")
+        grid = np.zeros(shape, dtype=np.int64)
         for a in range(alo, ahi + 1):
             for b in range(blo, bhi + 1):
                 grid[a - alo, b - blo] = r2(GaussianInt(a, b), variant)
@@ -379,6 +382,7 @@ def comet(ring, region, variant=OPEN):
     else:
         # targets with a negative coordinate have no cone summands
         counts = grid_counts(ring, variant, (max(ahi, 0), max(bhi, 0)))
+        grid = np.zeros(shape, dtype=np.int64)
         a0, b0 = max(alo, 0), max(blo, 0)
         grid[a0 - alo:, b0 - blo:] = counts[a0:ahi + 1, b0:bhi + 1]
     zero = grid == 0

@@ -21,10 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-
-class CapacityError(Exception):
-    """A requested computation exceeds the configured resource budget."""
-
+from . import CapacityError
 
 _BYTE_BUDGET = 2_200_000_000  # ~2 GB for one computation's arrays
 

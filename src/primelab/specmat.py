@@ -47,6 +47,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import check_solver_cap
 from . import ratkernel as rk
 from .planarith import GaussianInt, gaussian_prime_mask, prime_rows
 
@@ -319,17 +320,6 @@ def commutator_residuals(z0, n):
 class Spectrum:
     eigenvalues: np.ndarray
     residual_bound: float
-
-
-# Largest matrix order spectrum() accepts; callers that build the matrix
-# call check_solver_cap first, so a refused size is never allocated.
-SOLVER_CAP = 4000
-
-
-def check_solver_cap(n):
-    """Raise CapacityError when an n×n matrix is above SOLVER_CAP."""
-    if n > SOLVER_CAP:
-        raise rk.CapacityError(f"matrix size {n} above solver cap {SOLVER_CAP}")
 
 
 def spectrum(m):

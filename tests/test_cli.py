@@ -322,10 +322,27 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
      "Eisenstein norm count table to 100000000"),
     (["almostper", "--nmax", "20000"], "almost-periodic matrix, order 20000"),
     (["hl", "--empirical", "1000000000"], "empirical ratio to 1000000000"),
+    # refused before its 74.5 GiB result grid is allocated
+    (["goldbach", "--max", "100000"], "FFT convolution of a (99999, 99999) mask"),
 ])
 def test_capacity_refused_before_allocation_exit_3(tmp_path, capsys, args,
                                                    what):
     assert _run(["--out", str(tmp_path / "cap"), *args]) == 3
+    assert f"capacity error: {what}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode,what", [
+    (["--detgrowth", "5000"], "exact pass over a 5000x5000 matrix"),
+    (["--spectrum", "4001"], "matrix size 4001 above solver cap 4000"),
+])
+def test_matrix_refuses_before_it_runs_any_mode(tmp_path, monkeypatch, capsys,
+                                                mode, what):
+    def no_scan(*args):
+        raise AssertionError("scan ran before a refused mode")
+
+    monkeypatch.setattr(sm, "invertibility_scan", no_scan)
+    assert _run(["--out", str(tmp_path / "cap"), "matrix", "--scan", "400",
+                 *mode]) == 3
     assert f"capacity error: {what}" in capsys.readouterr().err
 
 
@@ -440,6 +457,23 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2
     assert f"usage error: {what}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out,zeros,what", [
+    ("file", ZEROS, "--out {out}: File exists"),
+    ("file/sub", ZEROS, "--out {out}: Not a directory"),
+    ("z", "missing.txt", "--zeros {zeros}: No such file or directory"),
+    ("z", ".", "--zeros {zeros}: Is a directory"),
+], ids=["out-file", "out-under-file", "zeros-missing", "zeros-directory"])
+def test_unusable_path_exit_2(tmp_path, capsys, out, zeros, what):
+    # paths relative to tmp_path, which holds one file; ZEROS is absolute
+    (tmp_path / "file").write_text("kept\n")
+    out, zeros = str(tmp_path / out), str(tmp_path / zeros)
+    assert _run(["--out", out, "zeta", "--explicit", "--zeros", zeros,
+                 "--K", "5", "--xmax", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: {what.format(out=out, zeros=zeros)}\n"
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_smith_computes_the_product_once(tmp_path, monkeypatch):

@@ -403,6 +403,21 @@ def test_fft_budget_refused_before_the_mask_is_built(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("variant,refused", [
+    (gb.OPEN, "FFT convolution"),
+    (gb.SumVariant(cone="open", angle_cap=np.pi / 16),
+     r"comet grid \(2000, 2000\)"),
+])
+def test_comet_refused_before_its_grid(monkeypatch, traced_peak, variant,
+                                       refused):
+    # the 2000² int64 grid is 32 MB, refused (or its FFT is) under 1 MiB
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 2**20)
+    region = ((2000, 3999), (2000, 3999))
+    _, peak = traced_peak(gb.comet, "gaussian", region, variant,
+                          refused=refused)
+    assert peak < 2**20
+
+
 def test_comet_honours_angle_cap():
     capped = gb.SumVariant(cone="open", angle_cap=np.pi / 16)
     rep = gb.comet("gaussian", ((2, 12), (2, 12)), capped)

@@ -251,6 +251,42 @@ def _cycles(graph):
     return out
 
 
+def _import_time_loads(tree):
+    """What a module's import-time statements (all but function bodies)
+    import: each absolute import's top-level package, and each library
+    module imported relatively, as "primelab.<module>"."""
+    out = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                out.update(a.name.split(".")[0] for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                out.add(child.module.split(".")[0])
+            elif isinstance(child, ast.ImportFrom):  # relative
+                names = ([child.module] if child.module
+                         else [a.name for a in child.names])
+                out.update(f"primelab.{m}" for m in names if m in LIBRARY)
+            visit(child)
+
+    visit(tree)
+    return out
+
+
+def test_cli_and_package_load_no_numpy_on_import():
+    """A refused `matrix --spectrum` exits before any runner imports its
+    library module, so neither the runner nor the package imports numpy,
+    scipy, mpmath or a library module (each loads numpy) when it loads."""
+    heavy = {"numpy", "scipy", "mpmath"} | {f"primelab.{m}" for m in LIBRARY}
+    loads = {}
+    for name in ("cli.py", "__init__.py"):
+        tree = ast.parse((SRC / name).read_text())
+        loads[name] = sorted(_import_time_loads(tree) & heavy)
+    assert loads == {"cli.py": [], "__init__.py": []}
+
+
 def test_library_imports_form_no_cycle():
     """Library modules import only downward, at call time too."""
     graph = {name: _library_imports(tree)[0] for name, tree in LIBRARY.items()}

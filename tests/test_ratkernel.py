@@ -320,17 +320,19 @@ def test_imports_load_no_scipy_until_li():
         assert res.returncode == 0, res.stderr
 
 
-# the package's re-exports load their modules on first access
+# the package's re-exports load their modules on first access; the
+# package itself defines CapacityError, which the kernel reads
 _LEAN_IMPORT = """
 import sys
 import primelab
 assert "numpy" not in sys.modules
-for name, module in [("CapacityError", "ratkernel"), ("is_prime", "ratkernel"),
-                     ("sieve", "ratkernel"), ("GaussianInt", "planarith"),
+for name, module in [("is_prime", "ratkernel"), ("sieve", "ratkernel"),
+                     ("GaussianInt", "planarith"),
                      ("EisensteinInt", "planarith"), ("QuatInt", "hyperarith"),
                      ("OctInt", "hyperarith")]:
     assert getattr(primelab, name) is getattr(sys.modules["primelab." + module],
                                               name), name
+assert sys.modules["primelab.ratkernel"].CapacityError is primelab.CapacityError
 try:
     primelab.nope
 except AttributeError:
@@ -371,6 +373,24 @@ def test_package_import_loads_no_numpy():
     _child(_LEAN_IMPORT)
 
 
+# the solver cap is checked before the runner imports specmat
+_REFUSAL_LOADS_NO_NUMPY = """
+import contextlib, io, sys
+from primelab import cli
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(["--out", sys.argv[1], "matrix", "--spectrum", "4001"])
+assert code == 3, code
+assert err.getvalue() == (
+    "capacity error: matrix size 4001 above solver cap 4000\\n"), err.getvalue()
+assert "numpy" not in sys.modules
+"""
+
+
+def test_refused_spectrum_loads_no_numpy(tmp_path):
+    _child(_REFUSAL_LOADS_NO_NUMPY, str(tmp_path))
+
+
 def test_smith_loads_only_what_it_runs(tmp_path):
     _child(_SMITH_LOADS, str(tmp_path), OPENBLAS_NUM_THREADS=None)
 
@@ -400,7 +420,8 @@ def test_goldbach_import_loads_no_primestats():
 def test_cli_runs_blas_on_one_thread_unless_told(given, ran):
     # numpy's OpenBLAS reads the variable once, when numpy loads
     script = ("import os, sys, primelab.cli\n"
-              "assert 'numpy' in sys.modules\n"
+              "assert 'numpy' not in sys.modules\n"
+              "import numpy\n"
               "print(os.environ['OPENBLAS_NUM_THREADS'],"
               " primelab.cli._BLAS_THREADS)")
     assert _child(script, OPENBLAS_NUM_THREADS=given).split() == [ran, ran]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+import primelab
 from primelab import planarith as pa
 from primelab import primegraphs as pg
 from primelab import ratkernel as rk
@@ -606,7 +607,7 @@ def test_complex_matrices_keep_their_imaginary_part():
 
 
 def test_spectrum_capacity(monkeypatch):
-    monkeypatch.setattr(sm, "SOLVER_CAP", 5)
+    monkeypatch.setattr(primelab, "SOLVER_CAP", 5)
     with pytest.raises(rk.CapacityError):
         sm.spectrum(np.eye(10))
 
@@ -663,11 +664,11 @@ def test_char_poly_refuses_non_integers(monkeypatch):
 def test_char_poly_refused_above_solver_cap(monkeypatch, traced_peak):
     # both paths read check_solver_cap before they copy the matrix
     a = sm.build_prime_matrix(1, 300)
-    monkeypatch.setattr(sm, "SOLVER_CAP", 299)
+    monkeypatch.setattr(primelab, "SOLVER_CAP", 299)
     _, peak = traced_peak(sm.char_poly, a,
                           refused="matrix size 300 above solver cap")
     assert peak < a.nbytes
-    monkeypatch.setattr(sm, "SOLVER_CAP", 8)
+    monkeypatch.setattr(primelab, "SOLVER_CAP", 8)
     assert len(sm.char_poly(a[:8, :8])) == 9  # the exact path at the cap
     monkeypatch.setattr(sm, "_CHAR_POLY_EXACT_CAP", 4)
     assert len(sm.char_poly(a[:8, :8])) == 9  # the float path at the cap
