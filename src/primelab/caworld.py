@@ -2,8 +2,9 @@
 
 Grids live on an origin-anchored window; everything outside the window is
 dead.  step() grows the window by one cell on each side so no live cell is
-ever clipped, up to a loud capacity cap.  The default rule is Conway's Life
-(birth {3}, survive {2,3}); any outer-totalistic rule can be passed instead.
+ever clipped, up to a loud capacity cap.  The one rule is Conway's Life,
+B3/S23: a dead cell with three live neighbours is born, and a live cell with
+two or three survives.
 
 The moat machinery dilates the Gaussian-prime configuration m times and
 labels connected components (8-connectivity: diagonal steps of length √2
@@ -25,21 +26,6 @@ from . import ratkernel as rk
 from .planarith import gaussian_prime_mask
 
 _WINDOW_CAP = 4096  # max cells per side
-
-
-@dataclass(frozen=True)
-class Rule:
-    birth: frozenset
-    survive: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "birth", frozenset(self.birth))
-        object.__setattr__(self, "survive", frozenset(self.survive))
-        if not self.birth <= set(range(9)) or not self.survive <= set(range(9)):
-            raise ValueError("neighbor counts must lie in 0..8")
-
-
-LIFE = Rule(frozenset({3}), frozenset({2, 3}))
 
 
 @dataclass
@@ -101,8 +87,8 @@ def _check_pad(side, pad, op):
                             if op == "step" else "dilation exceeds window cap")
 
 
-def step(g, rule=LIFE):
-    """One synchronous update, window padded by 1 on each side."""
+def step(g):
+    """One synchronous Life update, window padded by 1 on each side."""
     _check_pad(max(g.width, g.height), 1, "step")
     cells = np.pad(g.cells, 1)
     # live neighbours of every cell of the padded window: the eight shifted
@@ -114,15 +100,14 @@ def step(g, rule=LIFE):
         for dj in range(3):
             if di != 1 or dj != 1:
                 counts += outer[di:di + w, dj:dj + h]
-    birth = np.isin(counts, sorted(rule.birth))
-    survive = np.isin(counts, sorted(rule.survive))
-    new = np.where(cells, survive, birth)
+    # B3/S23: three neighbours give life, two keep it
+    new = (counts == 3) | cells & (counts == 2)
     return Grid((g.origin[0] - 1, g.origin[1] - 1), new)
 
 
-def alive_cells(g, rule=LIFE):
+def alive_cells(g):
     """(re, im) rows, as in live_points, of the cells one step changes."""
-    nxt = step(g, rule)
+    nxt = step(g)
     return Grid(nxt.origin, np.pad(g.cells, 1) != nxt.cells).live_points()
 
 

@@ -211,6 +211,8 @@ def _run_ca(args):
     from . import caworld as ca
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    if args.moat is not None and args.moat < 0:
+        raise ValueError(f"--moat must be >= 0, got {args.moat}")
     # step's and dilate's cap, checked before the grid (which refuses W < 0)
     for pad, op in ((args.steps, "step"), (args.moat, "dilate")):
         if args.window >= 0 and pad:
@@ -243,17 +245,13 @@ def _run_angles(args):
 
 
 def _run_almostper(args):
-    import numpy as np
-
     from . import specmat as sm
     if args.nmax < 1:
         raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
-    # A(n) is the leading n×n block of A(nmax)
-    a = sm.build_almost_period(args.nmax, args.alpha, args.beta, args.theta)
-    lines = ["n,det_sign,log_abs_det"]
-    for n in range(1, args.nmax + 1):
-        sign, log_abs = np.linalg.slogdet(a[:n, :n])
-        lines.append(f"{n},{int(round(sign))},{float(log_abs)!r}")
+    rows = sm.almost_period_log_dets(args.nmax, args.alpha, args.beta,
+                                     args.theta)
+    lines = ["n,det_sign,log_abs_det"] + [
+        f"{n},{sign},{log_abs!r}" for n, (sign, log_abs) in enumerate(rows, 1)]
     return {"almostper.csv": lines}, {}
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ratkernel as rk
 from .hyperarith import prime_mask
-from .planarith import prime_rows, theta_sequence
+from .planarith import prime_rows
 
 
 @dataclass
@@ -229,17 +229,13 @@ def _pearson(x, y):
 
 def theta_statistics(thetas):
     """KS distance vs uniform(−π/8, π/8), lag-1 autocorrelation, even/odd
-    split correlation, and the random-walk partial sums S(n) = Σ θ.
-
-    `thetas` may be an integer N, Python or numpy (first N prime angles),
-    or an array.
-    """
-    if isinstance(thetas, (int, np.integer)):
-        if thetas < 10:
-            raise ValueError("N >= 10 required")
-        thetas = theta_sequence(int(thetas))[1]
+    split correlation, and the random-walk partial sums S(n) = Σ θ of an
+    array of angles, such as planarith.theta_sequence's.  Four angles are
+    the least that give both correlations two pairs."""
     x = np.asarray(thetas, dtype=float)
     n = len(x)
+    if n < 4:
+        raise ValueError(f"at least 4 angles required, got {n}")
     lo, hi = -math.pi / 8, math.pi / 8
     u = np.clip((np.sort(x) - lo) / (hi - lo), 0.0, 1.0)
     grid = np.arange(1, n + 1) / n

@@ -550,6 +550,15 @@ def build_almost_period(n, alpha, beta, theta=0.0):
     return np.cos(np.outer(k, k) * alpha + k[None, :] * beta + theta)
 
 
+def almost_period_log_dets(nmax, alpha, beta, theta):
+    """[(sign, log|det A(n)|) for n = 1..nmax], numpy's slogdet of each
+    leading block of build_almost_period(nmax, α, β, θ): A(n) is the leading
+    n×n block of A(nmax)."""
+    a = build_almost_period(nmax, alpha, beta, theta)
+    return [(int(round(sign)), float(log_abs)) for sign, log_abs in
+            (np.linalg.slogdet(a[:n, :n]) for n in range(1, nmax + 1))]
+
+
 def build_vdm(n, alpha, beta):
     """B_{km} = exp(i(kmα + mβ)), k,m = 1..n; refused before it allocates
     the 32 B per entry it peaks at (tracemalloc), two complex n×n arrays."""

@@ -162,20 +162,18 @@ class ZeroTable:
         return len(self.gammas)
 
 
-def explicit_psi(x, zeros, K=None):
-    """Right side of the explicit formula truncated to the first K zeros."""
+def explicit_psi(x, zeros, K):
+    """Right side of the explicit formula truncated to the first K zeros of
+    the ZeroTable `zeros`."""
     x = float(x)
     if x <= 1:
         raise ValueError("x > 1 required")
-    g = zeros.gammas if isinstance(zeros, ZeroTable) else list(zeros)
-    if K is None:
-        K = len(g)
-    if not 0 <= K <= len(g):
-        raise ValueError(f"K must be in 0..{len(g)}, got {K}")
+    if not 0 <= K <= len(zeros):
+        raise ValueError(f"K must be in 0..{len(zeros)}, got {K}")
     total = x
     lx = math.log(x)
     sq = math.sqrt(x)
-    for gamma in g[:K]:
+    for gamma in zeros.gammas[:K]:
         w = complex(0.5, gamma)
         # x^w / w = sqrt(x) e^{iγ log x} / w
         total -= 2 * (sq * complex(math.cos(gamma * lx),

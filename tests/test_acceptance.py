@@ -189,7 +189,7 @@ def test_acceptance_9_statistics():
     t0 = time.time()
     ok = True
     n = 10**4
-    st = ps.theta_statistics(n)
+    st = ps.theta_statistics(pa.theta_sequence(n)[1])
     # 99% KS threshold under the uniform null: 1.628/sqrt(N)
     ok &= st.ks_uniform < 1.628 / math.sqrt(n)
     table = sm.row_cov_sign_table(6, 10**6)

@@ -369,6 +369,20 @@ def test_ca_over_the_window_cap_is_refused_before_the_grid(
     assert peak < 2**20
 
 
+def test_ca_negative_moat_is_refused_before_the_grid(tmp_path, monkeypatch,
+                                                     capsys):
+    from primelab import caworld as ca
+
+    def no_grid(window):
+        raise AssertionError("grid built for a refused ca run")
+
+    monkeypatch.setattr(ca, "grid_from_gaussian_primes", no_grid)
+    assert _run(["--out", str(tmp_path / "bad"), "ca", "--window", "2000",
+                 "--moat", "-1"]) == 2
+    assert ("usage error: --moat must be >= 0, got -1"
+            in capsys.readouterr().err)
+
+
 def test_angles_count_refused_before_allocation_exit_3(tmp_path, monkeypatch,
                                                       capsys, traced_peak):
     from primelab import ratkernel as rk
@@ -453,6 +467,9 @@ def test_ca_and_angles_data_digests(tmp_path, args, digests):
       "--s", "7"], "zeta --explicit does not read --ring"),
     (["zeta", "--K", "5", "--xmin", "3"],
      "zeta without --explicit does not read --K"),
+    (["ca", "--window", "5", "--moat", "-1"], "--moat must be >= 0, got -1"),
+    (["angles", "--count", "1"], "at least 4 angles required, got 1"),
+    (["angles", "--count", "3"], "at least 4 angles required, got 3"),
 ])
 def test_rejected_argument_exit_2(tmp_path, capsys, args, what):
     assert _run(["--out", str(tmp_path / "bad"), *args]) == 2

@@ -251,15 +251,17 @@ def _cycles(graph):
     return out
 
 
-def _import_time_loads(tree):
-    """What a module's import-time statements (all but function bodies)
-    import: each absolute import's top-level package, and each library
-    module imported relatively, as "primelab.<module>"."""
+def _import_time_loads(tree, in_functions=False):
+    """What a module's import-time statements (all but function bodies, or
+    every statement with in_functions) import: each absolute import's
+    top-level package, and each library module imported relatively, as
+    "primelab.<module>"."""
     out = set()
 
     def visit(node):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not in_functions):
                 continue
             if isinstance(child, ast.Import):
                 out.update(a.name.split(".")[0] for a in child.names)
@@ -285,6 +287,14 @@ def test_cli_and_package_load_no_numpy_on_import():
         tree = ast.parse((SRC / name).read_text())
         loads[name] = sorted(_import_time_loads(tree) & heavy)
     assert loads == {"cli.py": [], "__init__.py": []}
+
+
+def test_cli_imports_no_numerics_anywhere():
+    """Each runner reaches numpy, scipy and mpmath only through a library
+    module; cli.py imports none of them, not even in a function body."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    numerics = {"numpy", "scipy", "mpmath"}
+    assert sorted(_import_time_loads(tree, in_functions=True) & numerics) == []
 
 
 def test_library_imports_form_no_cycle():

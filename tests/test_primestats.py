@@ -5,7 +5,7 @@ import pytest
 
 from primelab import primestats as ps
 from primelab import ratkernel as rk
-from primelab.planarith import prime_rows
+from primelab.planarith import prime_rows, theta_sequence
 
 
 def test_hl_naive_single_factor():
@@ -192,21 +192,23 @@ def test_hurwitz_frogger():
 
 
 def test_theta_statistics():
-    st = ps.theta_statistics(2000)
+    st = ps.theta_statistics(theta_sequence(2000)[1])
     assert 0 <= st.ks_uniform <= 1
     assert -1 <= st.autocorr <= 1
     assert -1 <= st.split_corr <= 1
     assert len(st.walk) == 2000
 
 
-def test_theta_statistics_takes_a_numpy_count():
-    want = ps.theta_statistics(100)
-    got = ps.theta_statistics(np.int64(100))
-    assert (got.ks_uniform, got.autocorr, got.split_corr) == \
-        (want.ks_uniform, want.autocorr, want.split_corr)
-    assert np.array_equal(got.walk, want.walk)
-    with pytest.raises(ValueError, match="N >= 10"):
-        ps.theta_statistics(np.int64(9))
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_theta_statistics_refuses_fewer_than_4_angles(n):
+    with pytest.raises(ValueError, match=f"at least 4 angles required, "
+                                         f"got {n}$"):
+        ps.theta_statistics(theta_sequence(10)[1][:n])
+
+
+def test_theta_statistics_at_4_angles():
+    st = ps.theta_statistics(theta_sequence(4)[1])
+    assert np.isfinite([st.ks_uniform, st.autocorr, st.split_corr]).all()
 
 
 def test_theta_statistics_rejects_constant():
@@ -217,7 +219,7 @@ def test_theta_statistics_rejects_constant():
 def test_theta_uniformity_ks():
     # 99% KS threshold for the uniform null: 1.628/sqrt(N)
     n = 10**4
-    st = ps.theta_statistics(n)
+    st = ps.theta_statistics(theta_sequence(n)[1])
     assert st.ks_uniform < 1.628 / math.sqrt(n)
 
 

@@ -127,9 +127,10 @@ def test_zero_table_load():
 
 
 def test_explicit_psi_k0():
+    t = zf.ZeroTable.load(ZEROS)
     for x in (5.0, 17.3, 99.0):
         want = x - math.log(2 * math.pi) - 0.5 * math.log(1 - x**-2)
-        assert zf.explicit_psi(x, [], 0) == pytest.approx(want)
+        assert zf.explicit_psi(x, t, 0) == pytest.approx(want)
 
 
 def test_explicit_psi_converges():

@@ -9,9 +9,10 @@ first.  Each side is a fresh `git archive` in a temporary directory, with
 its src/ and perfbench/ compiled by `python -m compileall`, so no run
 compiles primelab from source.  Pair i of PAIRS runs seed S + i on both
 sides, parent first in even pairs and change first in odd ones, every
-workload of WORKLOADS in turn within the pair:
+workload that BENCHMARK.json names in turn within the pair, each for that
+file's run_seconds T:
 
-    python3 perfbench/run.py --workload W --seed S+i --seconds 20 --trace 0
+    python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0
 
 OPENBLAS_NUM_THREADS and PYTHONDONTWRITEBYTECODE are unset in the runs'
 environment.  After the pairs, seed 0 runs once per workload on the change
@@ -43,9 +44,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
-SECONDS = 20
 SEED0_SECONDS = 5
-WORKLOADS = ("cli", "sweep", "structures")
+_BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = _BENCHMARK["run_seconds"]
+WORKLOADS = tuple(w["name"] for w in _BENCHMARK["workloads"])
 
 
 def _git(*args):
