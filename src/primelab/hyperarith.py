@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ratkernel as rk
+from .planarith import norm_count_table
 
 
 def _hamilton(p, q):
@@ -168,9 +169,17 @@ def rotate_vector(axis, angle, v):
     return np.array(_hamilton(_hamilton(r, q), rc))[1:]
 
 
-def _half_ball(dim, total):
-    """The half-ball pass of _sphere_points: (ball, order, lo, cnt), each
-    half's partners being ball[order[lo:lo + cnt]]; cnt.sum() is the size."""
+def _sphere_points(dim, total):
+    """All integer vectors v of even length dim with Σ vᵢ² = total, as a
+    lexicographically sorted int64 (M, dim) array.
+
+    Each vector is split into two halves of length dim/2.  The half vectors
+    with square sum <= total (the ball) are enumerated in lexicographic
+    order, and every half is joined with the halves whose square sum makes
+    up the rest, found by searchsorted in the stable square-sum order and
+    mapped back through it.  Lefts come in lexicographic order and so do the
+    partners of each left, so the vectors come out sorted, each exactly once.
+    """
     m = math.isqrt(total)
     half = dim // 2
     # the ball, its square sums, their sorted copy, the order and the two
@@ -188,21 +197,7 @@ def _half_ball(dim, total):
     lo = np.searchsorted(ssq, rest, side="left")
     cnt = np.searchsorted(ssq, rest, side="right")
     cnt -= lo
-    return ball, order, lo, cnt
-
-
-def _sphere_points(dim, total):
-    """All integer vectors v of even length dim with Σ vᵢ² = total, as a
-    lexicographically sorted int64 (M, dim) array.
-
-    Each vector is split into two halves of length dim/2.  The half vectors
-    with square sum <= total (the ball) are enumerated in lexicographic
-    order, and every half is joined with the halves whose square sum makes
-    up the rest, found by searchsorted in the stable square-sum order and
-    mapped back through it.  Lefts come in lexicographic order and so do the
-    partners of each left, so the vectors come out sorted, each exactly once.
-    """
-    ball, order, lo, cnt = _half_ball(dim, total)
+    del sq, ssq, rest
     size = int(cnt.sum())
     # the (4·dim + 24) B per half vector still held, then the indices, their
     # row gathers and the joined rows: 16·(dim + 1) B per point (tracemalloc)
@@ -238,11 +233,15 @@ def _unit_matrix():
 def classes_above(p):
     """Number of right-unit-multiplication orbits on S = {N(z) = p}: |S|/24,
     since the 24 units act freely (z·u = z ≠ 0 forces u = 1; Conway & Smith,
-    On Quaternions and Octonions, 2003).  |S| is read off the half-ball
-    pass's partner counts, so the points are never joined."""
+    On Quaternions and Octonions, 2003).  A doubled-coordinate z of norm p
+    is a pair of Gaussian integers whose norms sum to 4p, so |S| is
+    Σₖ r₂(k)·r₂(4p − k), read off the Gaussian norm count table with
+    r₂(0) = 1; no point is built."""
     if not rk.is_prime(p):
         raise ValueError("prime required")
-    size = int(_half_ball(4, 4 * p)[3].sum())
+    r2 = norm_count_table(4 * p)
+    r2[0] = 1
+    size = int(r2 @ r2[::-1])
     if size % 24:
         raise ArithmeticError(f"{size} norm-{p} points, not whole unit orbits")
     return size // 24

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,11 +91,29 @@ class PrimeSieve:
         return int(np.count_nonzero(self.flags[: int(x) + 1]))
 
 
-# one sieve is kept: each cached sieve holds its limit's bytes of flags, and
-# eight at the byte budget would not fit in memory together
-@lru_cache(maxsize=1)
+_kept = None  # the one kept PrimeSieve, None until the first sieve() call
+
+
 def sieve(limit):
-    return PrimeSieve(limit)
+    """PrimeSieve for 0..limit, read off the one kept sieve.
+
+    A limit at or below the kept sieve's end gets a read-only view of its
+    flags; a limit past it rebuilds the kept sieve to max(limit, 2·end), or
+    to exactly limit when the doubled flags would pass the byte budget.  So
+    a run of rising limits costs O(log) builds and the kernel keeps one
+    flag array; a fresh process builds exactly its first limit.
+    """
+    global _kept
+    if limit < 2:
+        raise ValueError("sieve limit must be >= 2")
+    if _kept is None or limit > _kept.limit:
+        grown = limit if _kept is None else max(limit, 2 * _kept.limit)
+        _kept = PrimeSieve(grown if grown < _BYTE_BUDGET else limit)
+    if limit == _kept.limit:
+        return _kept
+    view = object.__new__(PrimeSieve)
+    view.limit, view.flags = limit, _kept.flags[:limit + 1]
+    return view
 
 
 _SMALL_PRIMES = tuple(int(p) for p in PrimeSieve(1000).primes())

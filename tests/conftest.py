@@ -110,3 +110,34 @@ def budget_checks(monkeypatch):
 
     monkeypatch.setattr(rk, "check_budget", record)
     return seen
+
+
+@pytest.fixture
+def kept_sieve(monkeypatch):
+    """kept_sieve(limit) makes rk.sieve's kept sieve a fresh PrimeSieve to
+    `limit`, or none for limit None (a cold sieve, as in a fresh process);
+    the test's kept sieve is put back after it."""
+    def keep(limit=None):
+        monkeypatch.setattr(rk, "_kept",
+                            None if limit is None else rk.PrimeSieve(limit))
+    return keep
+
+
+def _cold_and_grown(keep, call):
+    """(kept, call()) with a cold sieve (kept None), then with kept sieves of
+    about half and of one below the limit the cold call built, each regrown
+    to twice its end: one below the limit is the most a call builds."""
+    keep(None)
+    yield None, call()
+    limit = rk._kept.limit  # a cold sieve is built to exactly its limit
+    for kept in (limit // 2 + 1, limit - 1):
+        keep(kept)
+        yield kept, call()
+        assert rk._kept.limit == 2 * kept
+
+
+@pytest.fixture
+def cold_and_grown(kept_sieve):
+    """cold_and_grown(call) runs call() on a cold sieve and on two kept
+    sieves that it must regrow, yielding (kept limit or None, result)."""
+    return lambda call: _cold_and_grown(kept_sieve, call)

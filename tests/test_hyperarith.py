@@ -170,18 +170,41 @@ def test_classes_above_is_the_least_key_orbit_count():
             ha.classes_above(bad)
 
 
+def test_classes_above_counts_the_enumerated_sphere():
+    # the r₂ convolution against the points themselves; 2 ramifies
+    for p in rk.sieve(500).primes()[1:].tolist():
+        assert (ha.classes_above(p) == len(ha.lattice_points_norm(p)) // 24
+                == p + 1), p
+    assert ha.classes_above(2) == len(ha.lattice_points_norm(2)) // 24 == 1
+
+
 def test_classes_above_refuses_a_sphere_of_partial_orbits(monkeypatch):
-    real = ha._half_ball
+    real = ha.norm_count_table
 
-    def one_point_short(dim, total):
-        ball, order, lo, cnt = real(dim, total)
-        cnt = cnt.copy()
-        cnt[np.flatnonzero(cnt)[0]] -= 1
-        return ball, order, lo, cnt
+    def one_point_more(nmax):
+        r2 = real(nmax)
+        r2[nmax // 2] += 1  # k = 2p pairs with itself, so |S| grows by one
+        return r2
 
-    monkeypatch.setattr(ha, "_half_ball", one_point_short)
-    with pytest.raises(ArithmeticError, match="95 norm-3 points"):
+    monkeypatch.setattr(ha, "norm_count_table", one_point_more)
+    with pytest.raises(ArithmeticError, match="97 norm-3 points"):
         ha.classes_above(3)
+
+
+def test_classes_above_is_refused_by_the_norm_table_check(
+        monkeypatch, traced_peak, budget_checks):
+    # the Gaussian norm table to 4p is the only array; its own check bounds
+    # the traced peak and refuses it before allocation
+    for p in (10007, 100003):
+        budget_checks.clear()
+        classes, peak = traced_peak(ha.classes_above, p)
+        assert classes == p + 1
+        assert peak <= budget_checks[0] == 24 * 4 * p, p
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 10**5)
+    for p in (10007, 100003):
+        _, peak = traced_peak(ha.classes_above, p,
+                              refused=f"Gaussian norm count table to {4 * p}")
+        assert peak < 2**16, p
 
 
 def test_unit_matrix_matches_broadcast_hamilton():

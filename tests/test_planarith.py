@@ -569,27 +569,33 @@ def test_prime_mask_budget_counts_the_norm_table(monkeypatch, traced_peak):
         assert peak < 2**16, ring
 
 
-def test_prime_mask_budget_covers_a_cold_sieve(traced_peak, budget_checks):
-    # with a cold sieve the mask builds the sieve's flags next to the table;
-    # the estimate counts both, so the traced peak stays within it up to
-    # numpy's fixed buffers
+def test_prime_mask_budget_covers_a_cold_sieve(traced_peak, budget_checks,
+                                               cold_and_grown):
+    # the mask builds a sieve's flags next to the table, cold or grown; the
+    # estimate counts both, so the traced peak stays within it up to numpy's
+    # fixed buffers
     for ring in ("gaussian", "eisenstein"):
-        rk.sieve.cache_clear()
-        budget_checks.clear()
-        _, peak = traced_peak(pa.planar_prime_mask, ring, 1, 1000, 1, 1000)
-        assert peak <= budget_checks[0] + 2**17, ring
+        def call():
+            budget_checks.clear()
+            return traced_peak(pa.planar_prime_mask, ring, 1, 1000, 1, 1000)
+
+        for kept, (_, peak) in cold_and_grown(call):
+            assert peak <= budget_checks[0] + 2**17, (ring, kept)
 
 
 def test_theta_sequence_budget_covers_its_traced_peak(traced_peak,
-                                                      budget_checks):
-    # the estimate counts the cold sieve's flags, the prime and angle arrays
-    # and one block of the √−1 kernel
+                                                      budget_checks,
+                                                      cold_and_grown):
+    # the estimate counts a cold or grown sieve's flags, the prime and angle
+    # arrays and one block of the √−1 kernel
     for count in (1, 20000):
-        rk.sieve.cache_clear()
-        budget_checks.clear()
-        seq, peak = traced_peak(pa.theta_sequence, count)
-        assert len(seq[0]) == len(seq[1]) == count
-        assert peak <= budget_checks[0] + 2**13, count
+        def call():
+            budget_checks.clear()
+            return traced_peak(pa.theta_sequence, count)
+
+        for kept, (seq, peak) in cold_and_grown(call):
+            assert len(seq[0]) == len(seq[1]) == count
+            assert peak <= budget_checks[0] + 2**13, (count, kept)
 
 
 def test_mertens_series_consistent():

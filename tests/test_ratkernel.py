@@ -220,11 +220,40 @@ def test_factorize_trial_division_above_1009():
         rk.factorize(12.0)
 
 
-def test_sieve_cache_keeps_one_sieve():
-    rk.sieve(1000)
-    last = rk.sieve(2000)
-    assert rk.sieve.cache_info().currsize == 1
-    assert rk.sieve(2000) is last
+def test_sieve_cache_keeps_one_sieve(kept_sieve, monkeypatch):
+    kept_sieve(None)
+    kept = rk.sieve(2000)  # a cold sieve is built to exactly its limit
+    assert kept.limit == 2000 and rk._kept is kept
+    assert rk.sieve(2000) is kept
+    # a smaller limit is a read-only view of the kept flags, with its own
+    # limit, primes, π and is_prime range
+    small = rk.sieve(100)
+    assert np.shares_memory(small.flags, kept.flags)
+    assert small.limit == 100 and len(small.flags) == 101
+    assert not small.flags.flags.writeable
+    assert small.primes().tolist() == kept.primes()[:25].tolist()
+    assert small.pi(100) == 25 and small.is_prime(97)
+    for query in (small.pi, small.is_prime):
+        with pytest.raises(ValueError, match="outside sieve range"):
+            query(101)
+    assert rk._kept is kept
+    # a larger limit doubles the kept sieve; one past that is built exactly
+    assert rk.sieve(2001).limit == 2001
+    assert rk._kept.limit == 4000
+    assert np.array_equal(rk._kept.flags, rk.PrimeSieve(4000).flags)
+    rk.sieve(9000)
+    assert rk._kept.limit == 9000
+    # the doubled flags would pass the budget: exactly the limit is built
+    monkeypatch.setattr(rk, "_BYTE_BUDGET", 15_000)
+    rk.sieve(9001)
+    assert rk._kept.limit == 9001
+    # past the budget: refused, and the kept sieve stays as it was
+    grown = rk._kept
+    with pytest.raises(rk.CapacityError, match="sieve limit 15000 "):
+        rk.sieve(15000)
+    assert rk._kept is grown and grown.limit == 9001
+    with pytest.raises(ValueError, match="sieve limit must be >= 2"):
+        rk.sieve(1)
 
 
 def test_totient_summatory():

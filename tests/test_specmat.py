@@ -739,12 +739,13 @@ def test_prime_rows_stack_the_single_rows_and_refuse_k_below_1():
             pa.prime_rows([1], n)
 
 
-def test_prime_row_bytes_cover_traced_peak(traced_peak):
-    # a cold sieve, so its flags are traced too
+def test_prime_row_bytes_cover_traced_peak(traced_peak, cold_and_grown):
+    # a cold or grown sieve, so its flags are traced too
     for k, n in ((1, 10**5), (6, 3 * 10**4), (20001, 20001)):
-        rk.sieve.cache_clear()
-        _, peak = traced_peak(pa.prime_rows, [k], n)
-        assert peak <= pa._row_bytes(n, math.isqrt(n * n + k * k)), (k, n)
+        rows = cold_and_grown(lambda: traced_peak(pa.prime_rows, [k], n))
+        for kept, (_, peak) in rows:
+            assert peak <= pa._row_bytes(n, math.isqrt(n * n + k * k)), (
+                k, n, kept)
 
 
 def test_prime_rows_refused_before_allocation(monkeypatch, traced_peak):
