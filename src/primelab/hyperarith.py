@@ -145,16 +145,18 @@ def prime_mask(axes):
         raise ValueError("each axis must be all even or all odd, and the "
                          "odd axes a multiple of 4")
     shape = tuple(map(len, axes))
-    # the int64 norms and the mask, 9 B per cell (tracemalloc), plus the
-    # int64 partial sum over all but the last axis
-    rk.check_budget(9 * math.prod(shape) + 8 * math.prod(shape[:-1]),
-                    f"doubled-coordinate prime mask over {shape}")
     # Σ ⌊xᵢ²/4⌋ per axis, plus a quarter per odd axis
     quarters = [x * x // 4 for x in axes]
     quarters[0] += sum(odd) // 4
+    limit = max(sum(int(q.max(initial=0)) for q in quarters), 4)
+    # the int64 norms and the mask, 9 B per cell (tracemalloc), the int64
+    # partial sum over all but the last axis, and 2 B per norm for the flags
+    # of a sieve grown to at most twice the limit
+    rk.check_budget(9 * math.prod(shape) + 8 * math.prod(shape[:-1])
+                    + 2 * (limit + 1),
+                    f"doubled-coordinate prime mask over {shape}")
     norm = functools.reduce(np.add.outer, quarters)
-    limit = sum(int(q.max(initial=0)) for q in quarters)
-    return rk.sieve(max(limit, 4)).flags[norm]
+    return rk.sieve(limit).flags[norm]
 
 
 def rotate_vector(axis, angle, v):

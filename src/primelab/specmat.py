@@ -9,7 +9,9 @@ f_n(x) = log|p_[nx]| / log|det|, QR column means, and row covariance signs.
 Smith matrices A_{ij} = gcd(i,j)^s with det = ∏_k J_s(k) and the exact
 factorization A = E·diag(J_s)·Eᵀ, E_{ij} = [j | i] (lower unitriangular,
 E⁻¹_{ij} = μ(i/j)), whose cells are the divisor sums Σ_{d|gcd(i,j)} J_s(d).
-Both identities read one exact gcd^s matrix, in int64 while n^s < 2⁶³.
+Both identities read one exact gcd^s matrix, in int64 while n^s < 2⁶³; the
+determinant is read off the leading minors of gcd^s(N), N >= n, kept per
+exponent across calls.
 
 Almost-periodic matrices A_{km} = cos(kmα + mβ) = Re B_{km} with
 B_{km} = exp(i(kmα + mβ)); |det B| is a van der Monde product.
@@ -475,7 +477,8 @@ def smith_det(n, s=1):
 
 
 def smith_det_residual(n, s=1):
-    """det(gcd^s matrix) − ∏_{k<=n} J_s(k); exact 0 for integer s."""
+    """det(gcd^s matrix) − ∏_{k<=n} J_s(k); exact 0 for integer s, whose
+    determinant is read off the kept leading minors of gcd^s (_smith_minor)."""
     return _smith_det_and_residual(n, s)[1]
 
 
@@ -487,20 +490,55 @@ def _gcd_power(n, s):
     return build_smith(n, s)
 
 
+# Leading minors of gcd^s(N) per integer exponent s, least recently used
+# first: gcd^s(n) is the leading n×n block of gcd^s(N), so minors[n − 1] is
+# det gcd^s(n) for every n <= N.  A table is the N minors its pass returned,
+# at most 2/N of the N²/2 minors check_exact_pass admitted for that pass:
+# 0.5 MB at (N, s) = (1000, 1), 0.36 MB at (500, 3).  8 exponents keep the
+# tables of a scan over a few s and bound how many are kept whatever s the
+# calls bring.
+_KEPT_EXPONENTS = 8
+_kept_minors = {}
+
+
+def _smith_minor(n, s):
+    """det gcd^s(n) for integer s >= 1, read off the kept minors of s.  A
+    miss runs leading_minors(_gcd_power(order, s)) once: order n for an
+    exponent not kept, else max(n, 2·kept order), or n again when
+    check_exact_pass refuses that.  A refused n raises and leaves the kept
+    tables as they were."""
+    minors = _kept_minors.get(s)
+    if minors is None or n > len(minors):
+        order = n if minors is None else max(n, 2 * len(minors))
+        try:  # the pass's >= 22 B per cell cover _gcd_power's int64 arrays
+            check_exact_pass(order, s * math.log2(order))
+        except rk.CapacityError:
+            if order == n:
+                raise
+            order = n
+            check_exact_pass(n, s * math.log2(n))
+        minors = leading_minors(_gcd_power(order, s))
+    _kept_minors.pop(s, None)
+    _kept_minors[s] = minors  # now the most recently used
+    if len(_kept_minors) > _KEPT_EXPONENTS:
+        del _kept_minors[next(iter(_kept_minors))]
+    return minors[n - 1]
+
+
 def _smith_det_and_residual(n, s=1):
     """(∏_{k<=n} J_s(k), smith_det_residual(n, s)) from one product, the
-    determinant taken of _gcd_power(n, s) for integer s."""
+    determinant read off the kept minors of gcd^s (_smith_minor) for
+    integer s, else numpy's of build_smith(n, s)."""
     if n < 1:
         raise ValueError("n >= 1 required")
     exact = isinstance(s, int) and s >= 1
-    if exact:  # the pass's >= 22 B per cell cover _gcd_power's int64 arrays
-        check_exact_pass(n, s * math.log2(n))
-    a = _gcd_power(n, s) if exact else build_smith(n, s)
+    det = (_smith_minor(n, s) if exact
+           else complex(np.linalg.det(build_smith(n, s))))
     target = smith_det(n, s)
     if exact:
-        return target, det_exact(a) - target
+        return target, det - target
     # relative residual: the determinant magnitude explodes with n
-    return target, (complex(np.linalg.det(a)) - target) / max(1.0, abs(target))
+    return target, (det - target) / max(1.0, abs(target))
 
 
 def smith_factorization_check(n, s=1):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from primelab import ratkernel as rk
+from primelab import specmat as sm
 
 
 def _det_cofactor(m):
@@ -121,6 +122,13 @@ def kept_sieve(monkeypatch):
         monkeypatch.setattr(rk, "_kept",
                             None if limit is None else rk.PrimeSieve(limit))
     return keep
+
+
+@pytest.fixture
+def cold_smith_minors(monkeypatch):
+    """Empties specmat's kept leading minors of gcd^s, as in a fresh
+    process; the test's tables are put back after it."""
+    monkeypatch.setattr(sm, "_kept_minors", {})
 
 
 def _cold_and_grown(keep, call):

@@ -458,6 +458,22 @@ def test_prime_mask_refuses_an_oversized_box_before_allocating(traced_peak):
     assert peak < 2**20
 
 
+def test_prime_mask_budget_covers_a_cold_sieve(traced_peak, budget_checks,
+                                               cold_and_grown):
+    # two cells whose norm 4·10⁶ needs a sieve to it: the estimate counts the
+    # flags of a cold or grown sieve, so the traced peak stays within it up
+    # to numpy's fixed buffers
+    axes = [[0, 4000], [0], [0], [0]]
+
+    def call():
+        budget_checks.clear()
+        return traced_peak(ha.prime_mask, axes)
+
+    for kept, (mask, peak) in cold_and_grown(call):
+        assert mask.tolist() == [[[[False]]], [[[False]]]]
+        assert 4 * 10**6 < peak <= budget_checks[0] + 2**17, kept
+
+
 def test_prime_mask_refuses_axes_outside_its_condition(monkeypatch):
     # Σx²/4 = 5/2 and the cell (2, 1, 1, 1) of norm 7/4 are no norms at all
     monkeypatch.setattr(rk, "_BYTE_BUDGET", 0)  # refused before the byte check

@@ -228,7 +228,8 @@ def test_leading_minors_of_gcd_powers_match_per_block_bareiss():
     assert sm.smith_det_residual(40, 12) == 0
 
 
-def test_smith_matrices_take_the_symmetric_pass_to_its_end(monkeypatch):
+def test_smith_matrices_take_the_symmetric_pass_to_its_end(monkeypatch,
+                                                           cold_smith_minors):
     seen = _spy_passes(monkeypatch)
     assert sm.smith_det_residual(40, 2) == 0
     assert seen == [("symmetric", True)]
@@ -266,20 +267,99 @@ def test_zero_pivot_falls_back_to_the_general_pass(monkeypatch):
     assert seen == [("symmetric", True)] * 2
 
 
-def test_smith_determinant_reads_int64_below_2_to_the_63(monkeypatch):
-    """40¹¹ < 2⁶³ <= 40¹²: det_exact reads the int64 gcd power at s = 11 and
-    build_smith's Python ints at s = 12."""
-    dtypes = []
-    det_exact = sm.det_exact
+def _spy_minor_passes(monkeypatch):
+    """A list that records (order, dtype) of every matrix that
+    sm.leading_minors receives."""
+    seen = []
+    leading_minors = sm.leading_minors
 
     def spy(m):
-        dtypes.append(m.dtype)
-        return det_exact(m)
+        seen.append((len(m), m.dtype))
+        return leading_minors(m)
 
-    monkeypatch.setattr(sm, "det_exact", spy)
+    monkeypatch.setattr(sm, "leading_minors", spy)
+    return seen
+
+
+def test_smith_determinant_reads_int64_below_2_to_the_63(monkeypatch,
+                                                        cold_smith_minors):
+    """40¹¹ < 2⁶³ <= 40¹²: the minors are taken of the int64 gcd power at
+    s = 11 and of build_smith's Python ints at s = 12."""
+    seen = _spy_minor_passes(monkeypatch)
     assert sm.smith_det_residual(40, 11) == 0
     assert sm.smith_det_residual(40, 12) == 0
-    assert dtypes == [np.int64, object]
+    assert [dtype for _, dtype in seen] == [np.int64, object]
+
+
+def test_smith_residuals_read_the_kept_minors(monkeypatch, cold_smith_minors):
+    """A cold exponent runs one pass of order n; a smaller n runs none; a
+    larger n doubles the kept order, or takes n when that is larger."""
+    seen = _spy_minor_passes(monkeypatch)
+    assert sm.smith_det_residual(40, 2) == 0
+    assert seen == [(40, np.int64)]
+    for n in (1, 10, 39, 40):
+        assert sm.smith_det_residual(n, 2) == 0
+    assert sm._smith_det_and_residual(7, 2) == (sm.smith_det(7, 2), 0)
+    assert len(seen) == 1
+    for n, order in ((41, 80), (60, 80), (200, 200), (201, 400)):
+        assert sm.smith_det_residual(n, 2) == 0
+        assert seen[-1] == (order, np.int64)
+        assert len(sm._kept_minors[2]) == order
+    assert len(seen) == 4
+    assert sm.smith_det_residual(40, 3) == 0  # its own table, cold
+    assert seen[-1] == (40, np.int64) and list(sm._kept_minors) == [2, 3]
+
+
+def test_smith_minors_fall_back_to_n_when_doubling_is_refused(
+        monkeypatch, cold_smith_minors):
+    """At the real budget a pass to order 1000 is admitted at s = 1 and
+    refused at s = 3 (2 202 015 312 B): after (500, 3), (501, 3) builds
+    order 501, not 1000."""
+    sm.check_exact_pass(1000, math.log2(1000))
+    with pytest.raises(rk.CapacityError, match="2202015312 B"):
+        sm.check_exact_pass(1000, 3 * math.log2(1000))
+    seen = _spy_minor_passes(monkeypatch)
+    for n in (500, 501):
+        assert sm.smith_det_residual(n, 3) == 0
+    assert [order for order, _ in seen] == [500, 501]
+    assert len(sm._kept_minors[3]) == 501
+
+
+def test_refused_smith_residual_leaves_the_kept_minors(cold_smith_minors):
+    """A refused n raises as a cold call does and keeps every table, and the
+    order in which they are dropped, as it was."""
+    for s in (1, 2):
+        assert sm.smith_det_residual(30, s) == 0
+    before = dict(sm._kept_minors)
+    for s in (1, 2, 5):
+        with pytest.raises(rk.CapacityError,
+                           match="exact pass over a 20000x20000 "):
+            sm.smith_det_residual(20000, s)
+    assert list(sm._kept_minors) == [1, 2]
+    assert all(sm._kept_minors[s] is before[s] for s in (1, 2))
+
+
+def test_smith_minors_keep_eight_exponents(cold_smith_minors):
+    """Twenty exponents leave the eight most recently used tables."""
+    for s in range(1, 21):
+        assert sm.smith_det_residual(6, s) == 0
+    assert list(sm._kept_minors) == list(range(13, 21))
+    assert sm.smith_det_residual(3, 13) == 0  # a hit is used most recently
+    assert sm.smith_det_residual(6, 21) == 0
+    assert list(sm._kept_minors) == [*range(15, 21), 13, 21]
+
+
+def test_cold_smith_residual_sees_a_wrong_gcd_power(monkeypatch,
+                                                     cold_smith_minors):
+    """From a cold table the minors are taken of _gcd_power(n, s) itself:
+    adding 1 to its last diagonal entry adds det gcd^s(n − 1) to the
+    determinant, so the residual is that, not 0."""
+    gcd_power = sm._gcd_power
+    for n, s in ((30, 1), (40, 12)):
+        bad = gcd_power(n, s)
+        bad[-1, -1] += 1
+        monkeypatch.setattr(sm, "_gcd_power", lambda n, s, m=bad: m)
+        assert sm.smith_det_residual(n, s) == sm.smith_det(n - 1, s) != 0
 
 
 def _planted(rng, n, kind):
@@ -934,7 +1014,7 @@ def test_smith_divisor_sums_match_the_product_oracle(monkeypatch, size, s,
         assert 200**8 < 2**63 <= sum(j8)
 
 
-def test_smith_identities_read_one_gcd_power(monkeypatch):
+def test_smith_identities_read_one_gcd_power(monkeypatch, cold_smith_minors):
     """40¹¹ < 2⁶³ <= 40¹²: the determinant and the factorization check both
     read int64 at s = 11 and Python ints at s = 12."""
     dtypes = []
