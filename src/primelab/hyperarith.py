@@ -148,12 +148,11 @@ def prime_mask(axes):
     # Σ ⌊xᵢ²/4⌋ per axis, plus a quarter per odd axis
     quarters = [x * x // 4 for x in axes]
     quarters[0] += sum(odd) // 4
-    limit = max(sum(int(q.max(initial=0)) for q in quarters), 4)
+    limit = sum(int(q.max(initial=0)) for q in quarters)
     # the int64 norms and the mask, 9 B per cell (tracemalloc), the int64
-    # partial sum over all but the last axis, and 2 B per norm for the flags
-    # of a sieve grown to at most twice the limit
+    # partial sum over all but the last axis, and the sieve's bytes
     rk.check_budget(9 * math.prod(shape) + 8 * math.prod(shape[:-1])
-                    + 2 * (limit + 1),
+                    + rk._sieve_bytes(limit),
                     f"doubled-coordinate prime mask over {shape}")
     norm = functools.reduce(np.add.outer, quarters)
     return rk.sieve(limit).flags[norm]

@@ -184,10 +184,9 @@ def theta_sequence(count):
     # it >= 5 % above the count-th prime ≡ 1 mod 4 for all counts <= 1.2·10⁷
     m = 2 * count + 6
     limit = int(m * (math.log(m) + math.log(math.log(m))))
-    # tracemalloc peak: the flags of a sieve grown to at most twice the
-    # limit, 64.4 B per angle and one √−1 kernel block of 2¹³ primes (10³
-    # to 2·10⁶)
-    rk.check_budget(2 * (limit + 1) + 65 * count + 2**19,
+    # tracemalloc peak: the sieve's bytes, 64.4 B per angle and one √−1
+    # kernel block of 2¹³ primes (10³ to 2·10⁶)
+    rk.check_budget(rk._sieve_bytes(limit) + 65 * count + 2**19,
                     f"{count} prime angles")
     ps = rk.sieve(limit).primes()
     ps = ps[ps % 4 == 1][:count]
@@ -224,6 +223,8 @@ def pi_G(x):
 
 def pi_G_identity_check(xmax):
     """Max |enumeration − formula| of the counting functions over 2 <= x <= xmax."""
+    if xmax < 2:
+        raise ValueError(f"xmax >= 2 required, got {xmax}")
     enumerated, formula = _pi_G_tables(int(xmax))
     return int(np.abs(enumerated - formula)[2:].max())
 
@@ -377,9 +378,8 @@ def _prime_norms(limit, ring):
     """table[n] for 0 <= n <= limit: whether n is the norm of a prime of the
     ring, i.e. a rational prime or the square of an inert one, 1 B per norm."""
     _units, q, _t = _norm_form(ring)
-    flags = rk.sieve(max(limit, 4)).flags
-    table = flags[:limit + 1].copy()
-    r = np.flatnonzero(flags[:math.isqrt(limit) + 1])
+    table = rk.sieve(limit).flags.copy()
+    r = np.flatnonzero(table[:math.isqrt(limit) + 1])
     r = r[r % q == q - 1]
     table[r * r] = True
     return table
@@ -392,13 +392,11 @@ def planar_prime_mask(ring, a_lo, a_hi, b_lo, b_hi):
     a_lo, a_hi, b_lo, b_hi = map(index, (a_lo, a_hi, b_lo, b_hi))
     _units, _q, t = _norm_form(ring)
     cells = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
-    # the form is positive definite, so the table's limit, the box's largest
-    # norm, is at a corner; 9 B per cell (int64 norms, mask), 1 B per norm
-    # for the table and 2 B per norm for the flags of a sieve grown to at
-    # most twice the limit
+    # a positive definite form has the table's limit, the largest norm, at a
+    # corner; 9 B per cell (norms, mask), 1 B per norm (table), sieve bytes
     limit = max(a * a + t * a * b + b * b
                 for a in (a_lo, a_hi) for b in (b_lo, b_hi))
-    rk.check_budget(9 * cells + 3 * (limit + 1),
+    rk.check_budget(9 * cells + limit + 1 + rk._sieve_bytes(limit),
                     f"{ring.title()} prime mask of {cells} cells")
     N = _norm_grid(t, np.arange(a_lo, a_hi + 1, dtype=np.int64),
                    np.arange(b_lo, b_hi + 1, dtype=np.int64))
@@ -412,10 +410,10 @@ def gaussian_prime_mask(re_lo, re_hi, im_lo, im_hi):
 
 def _row_bytes(n, limit, rows=1):
     """Bytes of `rows` prime rows to n sieved by primes up to `limit`: per row
-    its flags and 2 KiB of objects; per call the flags of a sieve grown to at
-    most twice the limit, 24 B per sieving prime, with π(x) < 1.25506·x/ln x
-    (Rosser–Schoenfeld), and 1 MiB for one √−1 kernel block."""
-    return (rows * (n + 2050) + 2 * (limit + 1)
+    its flags and 2 KiB of objects; per call the sieve's bytes, 24 B per
+    sieving prime, with π(x) < 1.25506·x/ln x (Rosser–Schoenfeld), and 1 MiB
+    for one √−1 kernel block."""
+    return (rows * (n + 2050) + rk._sieve_bytes(limit)
             + 24 * int(1.25506 * limit / math.log(limit) + 1) + 2**20)
 
 

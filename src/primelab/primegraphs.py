@@ -145,8 +145,7 @@ def gcd_components_formula(n):
     the one blob, which is nonempty from n = 4 on."""
     if n < 4:
         raise ValueError("n >= 4 required")
-    s = rk.sieve(n)
-    return 2 + s.pi(n) - s.pi(n // 2)
+    return 2 + int(np.count_nonzero(rk.sieve(n).primes() > n // 2))
 
 
 def gcd_edge_count(n):

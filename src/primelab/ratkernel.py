@@ -52,50 +52,36 @@ def _exact_integers(a):
 
 
 class PrimeSieve:
-    """Primality flags for 0..limit with O(1) queries.
-
-    Immutable after construction; safe to share read-only across workers.
-    """
+    """Primality flags for 0..limit, any limit >= 0, read as `flags` and
+    `primes()`; limits 0 and 1 have no primes, a negative one raises
+    ValueError.  Immutable; safe to share read-only across workers."""
 
     def __init__(self, limit):
-        if limit < 2:
-            raise ValueError("sieve limit must be >= 2")
+        if limit < 0:
+            raise ValueError("sieve limit must be >= 0")
         check_budget(limit + 1, f"sieve limit {limit}")
         flags = np.ones(limit + 1, dtype=bool)
         flags[:2] = False
         flags[4::2] = False
         # the odd primes up to √limit strike their odd multiples from p²
         root = math.isqrt(limit)
-        if root >= 3:
+        if root >= 3:  # none below 3, and PrimeSieve(1) would recurse
             for p in PrimeSieve(root).primes()[1:].tolist():
                 flags[p * p :: 2 * p] = False
         self.limit = limit
         self.flags = flags
         self.flags.setflags(write=False)
 
-    def is_prime(self, n):
-        if n < 0 or n > self.limit:
-            raise ValueError(f"{n} outside sieve range 0..{self.limit}")
-        return bool(self.flags[n])
-
     def primes(self):
         """All primes <= limit as an int64 array."""
         return np.nonzero(self.flags)[0].astype(np.int64)
-
-    def pi(self, x):
-        """#{p <= x}."""
-        if x < 0:
-            return 0
-        if x > self.limit:
-            raise ValueError(f"{x} outside sieve range")
-        return int(np.count_nonzero(self.flags[: int(x) + 1]))
 
 
 _kept = None  # the one kept PrimeSieve, None until the first sieve() call
 
 
 def sieve(limit):
-    """PrimeSieve for 0..limit, read off the one kept sieve.
+    """PrimeSieve for 0..limit >= 0, read off the one kept sieve.
 
     A limit at or below the kept sieve's end gets a read-only view of its
     flags; a limit past it rebuilds the kept sieve to max(limit, 2·end), or
@@ -104,8 +90,8 @@ def sieve(limit):
     flag array; a fresh process builds exactly its first limit.
     """
     global _kept
-    if limit < 2:
-        raise ValueError("sieve limit must be >= 2")
+    if limit < 0:
+        raise ValueError("sieve limit must be >= 0")
     if _kept is None or limit > _kept.limit:
         grown = limit if _kept is None else max(limit, 2 * _kept.limit)
         _kept = PrimeSieve(grown if grown < _BYTE_BUDGET else limit)
@@ -114,6 +100,12 @@ def sieve(limit):
     view = object.__new__(PrimeSieve)
     view.limit, view.flags = limit, _kept.flags[:limit + 1]
     return view
+
+
+def _sieve_bytes(limit):
+    """Bytes of a sieve(limit) call, 2 B per norm: the flags of a kept sieve
+    grown to at most twice the limit, whatever sieve is kept now."""
+    return 2 * (limit + 1)
 
 
 _SMALL_PRIMES = tuple(int(p) for p in PrimeSieve(1000).primes())
@@ -152,10 +144,7 @@ def pi_mod(x, r, m):
     """#{p <= x prime : p ≡ r mod m}."""
     if not 0 <= r < m:
         raise ValueError("need 0 <= r < m")
-    s = sieve(max(int(x), 2))
-    ps = s.primes()
-    ps = ps[ps <= x]
-    return int(np.count_nonzero(ps % m == r))
+    return int(np.count_nonzero(sieve(int(x)).primes() % m == r))
 
 
 def li(x):
@@ -206,6 +195,15 @@ def factorize(n):
     return out
 
 
+def _exact_exponent(s):
+    """s as a Python int if operator.index reads an integer >= 1, else None."""
+    try:
+        s = operator.index(s)
+    except TypeError:
+        return None
+    return s if s >= 1 else None
+
+
 def jordan_totient(n, s=1):
     """J_s(n) = n^s ∏_{p|n}(1 - p^{-s}).
 
@@ -213,10 +211,10 @@ def jordan_totient(n, s=1):
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if isinstance(s, int) and s >= 1:
+    if k := _exact_exponent(s):
         out = 1
         for p, e in factorize(n):
-            out *= p ** ((e - 1) * s) * (p**s - 1)
+            out *= p ** ((e - 1) * k) * (p**k - 1)
         return out
     out = complex(n) ** s
     for p, _e in factorize(n):
@@ -252,7 +250,7 @@ def multiplicative_table(n, local):
     f = np.zeros(n + 1, dtype=np.int64)
     f[1:] = 1
     rest = np.arange(n + 1)
-    for p in sieve(max(math.isqrt(n), 2)).primes().tolist():
+    for p in sieve(math.isqrt(n)).primes().tolist():
         e = np.zeros(n // p, dtype=np.int64)
         q = p
         while q <= n:
@@ -319,7 +317,7 @@ def gcd_table(n):
         raise ValueError("n >= 1 required")
     check_budget(8 * n * n, f"gcd table n={n}")
     g = np.ones((n, n), dtype=np.int64)
-    for p in sieve(max(n, 2)).primes().tolist():
+    for p in sieve(n).primes().tolist():
         q = p
         while q <= n:
             g[q - 1 :: q, q - 1 :: q] *= p

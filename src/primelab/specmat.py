@@ -430,6 +430,7 @@ def row_cov_sign_table(K, n):
 
 def qr_column_means(m):
     """Column means of Q in the QR factorization."""
+    check_solver_cap(np.shape(m)[0])
     a = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     q, _r = np.linalg.qr(a)
     return q.mean(axis=0)
@@ -448,14 +449,14 @@ def trace_vs_li(z0, n):
 
 def build_smith(n, s=1):
     """A_{ij} = gcd(i,j)^s, 1 <= i,j <= n; exact for integer s >= 1."""
-    exact = isinstance(s, int) and s >= 1
+    k = rk._exact_exponent(s)
     # int64 gcds, then an object array of their ints and its power, ints
     # below n^s (exact), or a complex copy and its power
-    per_cell = 8 + (44 + s * math.log2(max(n, 1)) / 8 if exact else 32)
+    per_cell = 8 + (44 + k * math.log2(max(n, 1)) / 8 if k else 32)
     rk.check_budget(int(per_cell * max(n, 0) ** 2), f"gcd matrix n={n}")
     g = rk.gcd_table(n)
-    if exact:
-        return g.astype(object) ** s
+    if k:
+        return g.astype(object) ** k
     return np.power(g.astype(complex), s)
 
 
@@ -531,11 +532,13 @@ def _smith_det_and_residual(n, s=1):
     integer s, else numpy's of build_smith(n, s)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    exact = isinstance(s, int) and s >= 1
-    det = (_smith_minor(n, s) if exact
+    k = rk._exact_exponent(s)
+    if not k:
+        check_solver_cap(n)
+    det = (_smith_minor(n, k) if k
            else complex(np.linalg.det(build_smith(n, s))))
     target = smith_det(n, s)
-    if exact:
+    if k:
         return target, det - target
     # relative residual: the determinant magnitude explodes with n
     return target, (det - target) / max(1.0, abs(target))
@@ -546,7 +549,7 @@ def smith_factorization_check(n, s=1):
     divisor sums Σ_{d|gcd(i,j)} J_s(d): J_s(d) is added to the cells
     [d−1::d, d−1::d], d = 1..n, in _gcd_power's dtype, whose rule bounds
     every partial sum, since each is at most gcd(i, j)^s <= n^s."""
-    if not (isinstance(s, int) and s >= 1):
+    if (s := rk._exact_exponent(s)) is None:
         raise ValueError("exact factorization check needs integer s >= 1")
     # int64: the table and its power, then the power, the sums and their
     # equality mask, 17-21 B per cell (tracemalloc, n = 50-400); Python ints
@@ -592,6 +595,7 @@ def almost_period_log_dets(nmax, alpha, beta, theta):
     """[(sign, log|det A(n)|) for n = 1..nmax], numpy's slogdet of each
     leading block of build_almost_period(nmax, α, β, θ): A(n) is the leading
     n×n block of A(nmax)."""
+    check_solver_cap(nmax)
     a = build_almost_period(nmax, alpha, beta, theta)
     return [(int(round(sign)), float(log_abs)) for sign, log_abs in
             (np.linalg.slogdet(a[:n, :n]) for n in range(1, nmax + 1))]

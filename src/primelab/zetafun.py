@@ -129,9 +129,8 @@ def chebyshev_psi(x):
     if x < 1:
         raise ValueError("x >= 1 required")
     n = int(x)
-    s = rk.sieve(max(n, 4))
     total = 0.0
-    for p in s.primes()[:s.pi(n)].tolist():
+    for p in rk.sieve(n).primes().tolist():
         lp = math.log(p)
         q = p
         while q <= n:
@@ -187,7 +186,9 @@ def explicit_psi(x, zeros, K):
 def hurwitz_class_zeta(s, P):
     """1/2^s + Σ_{odd p <= P} (p+1)/p^s over rational primes: the truncated
     Dirichlet series of prime classes in the Hurwitz order (p+1 classes above
-    each odd p, one above 2)."""
+    each odd p, one above 2); P < 2 raises ValueError."""
+    if P < 2:
+        raise ValueError(f"P >= 2 required, got {P}")
     s = mp.mpmathify(s)
     out = mp.mpf(2) ** (-s)
     for p in rk.sieve(int(P)).primes()[1:].tolist():

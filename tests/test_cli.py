@@ -320,7 +320,7 @@ def test_graphs_builds_each_graph_once(tmp_path, monkeypatch):
      "FFT convolution of a (4999, 4999) mask"),
     (["zeta", "--ring", "eisenstein", "--cutoff", "100000000"],
      "Eisenstein norm count table to 100000000"),
-    (["almostper", "--nmax", "20000"], "almost-periodic matrix, order 20000"),
+    (["almostper", "--nmax", "4001"], "matrix size 4001 above solver cap 4000"),
     (["hl", "--empirical", "1000000000"], "empirical ratio to 1000000000"),
     # refused before its 74.5 GiB result grid is allocated
     (["goldbach", "--max", "100000"], "FFT convolution of a (99999, 99999) mask"),

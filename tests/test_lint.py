@@ -439,6 +439,42 @@ def test_only_the_shared_harness_starts_tracemalloc():
     assert {name: lines for name, lines in starts.items() if lines} == {}
 
 
+def _solver_calls(fn):
+    """(line of the first check_solver_cap call or None, [(line, name)] of
+    the np.linalg calls other than norm) in function fn."""
+    checks, solvers = [], []
+    for call in ast.walk(fn):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        if getattr(f, "id", getattr(f, "attr", None)) == "check_solver_cap":
+            checks.append(call.lineno)
+        elif (isinstance(f, ast.Attribute) and f.attr != "norm"
+              and ast.unparse(f.value) in ("np.linalg", "numpy.linalg")):
+            solvers.append((call.lineno, f.attr))
+    return min(checks, default=None), solvers
+
+
+def test_every_float_solver_checks_the_solver_cap_first():
+    """A src/ function that calls a np.linalg routine other than norm calls
+    check_solver_cap on a line before it, so primelab.SOLVER_CAP bounds
+    every float solver."""
+    late, seen = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                check, solvers = _solver_calls(fn)
+                if solvers:
+                    seen.add(fn.name)
+                late += [f"{path.name}:{line} {fn.name} np.linalg.{name}"
+                         for line, name in solvers
+                         if check is None or check >= line]
+    assert late == []
+    assert {"spectrum", "char_poly", "qr_column_means",
+            "_smith_det_and_residual", "almost_period_log_dets"} <= seen
+
+
 def _command_lines():
     """Every command line that a test, README or the benchmark gives: each
     list literal of tests/ (an element that is no constant, such as

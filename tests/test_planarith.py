@@ -304,6 +304,10 @@ def test_pi_G_fixtures():
 
 def test_pi_G_identity():
     assert pa.pi_G_identity_check(10**5) == 0
+    assert pa.pi_G_identity_check(2) == 0
+    for xmax in (1, 0, -3):
+        with pytest.raises(ValueError, match="xmax >= 2 required"):
+            pa.pi_G_identity_check(xmax)
 
 
 def test_pi_G_brute_force():

@@ -96,6 +96,13 @@ def test_bateman_horn_rejects_inadmissible():
         ps.bateman_horn_C([2, 1, 1], 100)  # x²+x+2 always even
 
 
+def test_bateman_horn_below_two_is_the_empty_product():
+    for P in (0, 1):
+        assert ps.bateman_horn_C([1, 0, 1], P) == 1.0
+    # ω(2) = 1 and ω(3) = 0 for x² + 1: (2 − 1)/(2 − 1) · 3/2
+    assert ps.bateman_horn_C([1, 0, 1], 3) == 1.5
+
+
 def test_empirical_ratio_matches_brute_force():
     n = 10**5
     series = ps.empirical_ratio(n, [n])

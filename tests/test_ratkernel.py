@@ -21,13 +21,35 @@ def _trial_is_prime(n):
 
 
 def test_sieve_pi_100():
-    assert rk.sieve(100).pi(100) == 25
+    s = rk.sieve(100)
+    assert s.primes().size == np.count_nonzero(s.flags) == 25
 
 
 def test_sieve_matches_trial_division():
     s = rk.sieve(2000)
-    for n in range(2001):
-        assert s.is_prime(n) == _trial_is_prime(n)
+    want = [n for n in range(2001) if _trial_is_prime(n)]
+    assert s.flags.tolist() == [_trial_is_prime(n) for n in range(2001)]
+    assert s.primes().dtype == np.int64 and s.primes().tolist() == want
+
+
+def test_sieve_takes_every_limit_from_zero():
+    # limits 0 and 1 have flags but no primes; a negative limit raises
+    for make in (rk.PrimeSieve, rk.sieve):
+        for limit in (0, 1):
+            s = make(limit)
+            assert s.limit == limit and s.flags.tolist() == [False] * (limit + 1)
+            assert s.primes().dtype == np.int64 and s.primes().size == 0
+        with pytest.raises(ValueError, match="sieve limit must be >= 0"):
+            make(-1)
+
+
+def test_cold_kept_sieve_at_limit_zero(kept_sieve):
+    kept_sieve(None)
+    s = rk.sieve(0)
+    assert rk._kept is s and s.limit == 0
+    # the next limit grows it to max(limit, 2·0)
+    assert rk.sieve(10).primes().tolist() == [2, 3, 5, 7]
+    assert rk._kept.limit == 10
 
 
 def test_sieve_flags_at_the_squares_of_primes():
@@ -42,9 +64,9 @@ def test_sieve_flags_at_the_squares_of_primes():
 
 
 def test_is_prime_agrees_with_sieve():
-    s = rk.sieve(10**5)
+    flags = rk.sieve(10**5).flags
     for n in range(0, 10**5 + 1, 7):
-        assert rk.is_prime(n) == s.is_prime(n)
+        assert rk.is_prime(n) == flags[n]
 
 
 def test_is_prime_large():
@@ -104,6 +126,18 @@ def test_gcd_table_matches_euclid():
         assert np.array_equal(g, np.gcd.outer(idx, idx)), n
 
 
+def test_multiplicative_tables_below_the_first_prime_square():
+    # n <= 3 sieves no prime <= √n; the tables keep the values they had
+    # when the sieve refused limits below 2 (gcd_table's n <= 3 is in
+    # test_gcd_table_matches_euclid)
+    phi = [[0], [0, 1], [0, 1, 1], [0, 1, 1, 2]]
+    mu = [[0], [0, 1], [0, 1, -1], [0, 1, -1, -1]]
+    for n in range(4):
+        assert rk.multiplicative_table(
+            n, lambda p, e: p ** (e - 1) * (p - 1)).tolist() == phi[n]
+        assert rk.moebius_table(n).tolist() == mu[n]
+
+
 def test_gcd_table_refuses_empty_and_oversized(traced_peak):
     for n in (0, -3):
         with pytest.raises(ValueError, match="n >= 1 required"):
@@ -124,6 +158,17 @@ def test_jordan_totient():
     assert rk.jordan_totient(4, 2) == 12
     for n in range(1, 2000):
         assert rk.jordan_totient(n, 1) == rk.totient(n)
+
+
+def test_numpy_integer_exponents_take_the_exact_path():
+    want = rk.jordan_totient(10, 2)
+    assert want == 72 and type(want) is int
+    for s in (np.int64(2), np.int32(2), np.uint8(2)):
+        got = rk.jordan_totient(10, s)
+        assert got == want and type(got) is int
+    # float and complex exponents keep the float path, and s < 1 too
+    for s in (2.0, 2 + 0j, 0, -1):
+        assert isinstance(rk.jordan_totient(10, s), complex)
 
 
 @given(st.integers(2, 200), st.integers(2, 200), st.integers(1, 3))
@@ -226,16 +271,13 @@ def test_sieve_cache_keeps_one_sieve(kept_sieve, monkeypatch):
     assert kept.limit == 2000 and rk._kept is kept
     assert rk.sieve(2000) is kept
     # a smaller limit is a read-only view of the kept flags, with its own
-    # limit, primes, π and is_prime range
+    # limit and primes
     small = rk.sieve(100)
     assert np.shares_memory(small.flags, kept.flags)
     assert small.limit == 100 and len(small.flags) == 101
     assert not small.flags.flags.writeable
     assert small.primes().tolist() == kept.primes()[:25].tolist()
-    assert small.pi(100) == 25 and small.is_prime(97)
-    for query in (small.pi, small.is_prime):
-        with pytest.raises(ValueError, match="outside sieve range"):
-            query(101)
+    assert small.primes()[-1] == 97 and small.flags[97]
     assert rk._kept is kept
     # a larger limit doubles the kept sieve; one past that is built exactly
     assert rk.sieve(2001).limit == 2001
@@ -252,8 +294,11 @@ def test_sieve_cache_keeps_one_sieve(kept_sieve, monkeypatch):
     with pytest.raises(rk.CapacityError, match="sieve limit 15000 "):
         rk.sieve(15000)
     assert rk._kept is grown and grown.limit == 9001
-    with pytest.raises(ValueError, match="sieve limit must be >= 2"):
-        rk.sieve(1)
+    # a limit below 2 is a view with no primes; a negative one raises
+    assert rk.sieve(1).primes().size == 0 and rk._kept is grown
+    with pytest.raises(ValueError, match="sieve limit must be >= 0"):
+        rk.sieve(-1)
+    assert rk._kept is grown
 
 
 def test_totient_summatory():
@@ -553,5 +598,5 @@ def test_euler_composite_factor():
 
 
 def test_pi_mod():
-    s = rk.sieve(100)
-    assert rk.pi_mod(100, 1, 4) + rk.pi_mod(100, 3, 4) + 1 == s.pi(100)
+    assert (rk.pi_mod(100, 1, 4) + rk.pi_mod(100, 3, 4) + 1
+            == rk.sieve(100).primes().size == 25)

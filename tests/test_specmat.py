@@ -922,10 +922,11 @@ def test_leading_minors_of_int64_objects_do_not_wrap():
 
 def test_smith_refused_before_build(traced_peak):
     gcd, exact = "gcd matrix n=20000 ", "exact pass over a 20000x20000 "
+    cap = "matrix size 20000 above solver cap "
     for call, what in ((lambda: sm.build_smith(20000), gcd),
                        (lambda: sm.build_smith(20000, 0.5), gcd),
                        (lambda: sm.smith_det_residual(20000), exact),
-                       (lambda: sm.smith_det_residual(20000, 0.5), gcd)):
+                       (lambda: sm.smith_det_residual(20000, 0.5), cap)):
         _, peak = traced_peak(call, refused=what)
         assert peak < 10**6
 
@@ -1093,6 +1094,41 @@ def test_smith_refuses_n_below_one():
 def test_smith_complex_s():
     r = sm.smith_det_residual(20, 1.5 + 0.5j)
     assert abs(r) < 1e-8
+
+
+def test_smith_numpy_integer_exponents_take_the_exact_path():
+    want = sm.smith_det_residual(10, 2)
+    a = sm.build_smith(3, 2)
+    assert want == 0 and type(want) is int
+    for s in (np.int64(2), np.int32(2), np.uint8(2)):
+        got = sm.smith_det_residual(10, s)
+        assert got == want and type(got) is int
+        b = sm.build_smith(3, s)
+        assert b.dtype == object and b.tolist() == a.tolist()
+        assert all(type(x) is int for x in b.flat)
+        assert sm.smith_factorization_check(5, s) is True
+    # float and complex exponents keep the float path
+    for s in (2.0, 2 + 0j):
+        assert sm.build_smith(3, s).dtype == complex
+        assert isinstance(sm.smith_det_residual(10, s), complex)
+        with pytest.raises(ValueError, match="needs integer s >= 1"):
+            sm.smith_factorization_check(5, s)
+
+
+def test_every_float_solver_refuses_above_the_solver_cap(monkeypatch):
+    monkeypatch.setattr(primelab, "SOLVER_CAP", 5)
+    m = sm.build_prime_matrix(1, 6)
+    for call in (lambda: sm.qr_column_means(m),
+                 lambda: sm.smith_det_residual(6, 0.5),
+                 lambda: sm.almost_period_log_dets(6, sm.GOLDEN, 0.3, 0.0),
+                 lambda: sm.spectrum(m), lambda: sm.char_poly(m)):
+        with pytest.raises(rk.CapacityError,
+                           match="matrix size 6 above solver cap 5"):
+            call()
+    # at the cap each still runs
+    assert sm.qr_column_means(m[:5, :5]).shape == (5,)
+    assert abs(sm.smith_det_residual(5, 0.5)) < 1e-8
+    assert len(sm.almost_period_log_dets(5, sm.GOLDEN, 0.3, 0.0)) == 5
 
 
 def test_almost_period_matches_re_vdm():

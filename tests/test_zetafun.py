@@ -146,6 +146,11 @@ def test_explicit_psi_converges():
 
 def test_hurwitz_class_zeta():
     assert zf.hurwitz_class_zeta(3, 3) == pytest.approx(1 / 8 + 4 / 27)
+    assert zf.hurwitz_class_zeta(3, 2) == 1 / 8
+    # below 2 there is no 2 to add 2^−s for
+    for P in (1, 0, -5):
+        with pytest.raises(ValueError, match="P >= 2 required"):
+            zf.hurwitz_class_zeta(3, P)
     # monotone in P
     assert zf.hurwitz_class_zeta(3, 100) < zf.hurwitz_class_zeta(3, 200)
     # matches the classes_above enumeration
